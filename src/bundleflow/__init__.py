@@ -20,8 +20,7 @@ from .initial_data import (PRESETS, ClosingCheck, ClosingReport,
                            ProfileTemplate, build_general_profile,
                            build_kahler_profile, calabi_preset,
                            canonical_preset, sample_h, validate_closing)
-from .evolution import (FlowConfig, FlowHalt, GhostState,
-                        InvalidInitialState, apply_parity_boundary,
+from .evolution import (FlowConfig, FlowHalt, InvalidInitialState,
                         arclength, flow_rhs, regrid_uniform, run_flow,
                         step_adaptive)
 from .analysis import (BoundarySlope, FlowTrace, SingularTimeEstimate,

@@ -23,6 +23,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,7 +80,10 @@ def _reject_unknown(obj, allowed, path):
 def _number(v, path):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path} must be a number")
-    return float(v)
+    v = float(v)
+    if not math.isfinite(v):
+        raise ConfigError(f"{path} must be a finite number")
+    return v
 
 
 def _integer(v, path):
@@ -313,8 +317,9 @@ def write_outputs(trace: FlowTrace, snapshots, report, out_dir,
     """Persist a run directory; returns the manifest mapping.
 
     ``raw_config`` (the validated input config) is written as config.json
-    when given; analyze-only calls pass None to leave the stored config
-    untouched.  The manifest digests every artifact with sha256.
+    when given; with None an existing config.json is kept.  Snapshot files
+    this call did not write are deleted.  The manifest digests every
+    artifact with sha256.
     """
     out = Path(out_dir)
     snapdir = out / "snapshots"
@@ -327,6 +332,7 @@ def write_outputs(trace: FlowTrace, snapshots, report, out_dir,
                trace.boundary)
     files.append("boundary.csv")
 
+    snap_names = []
     for idx, snap in enumerate(snapshots):
         payload = {
             "t": snap.t,
@@ -338,7 +344,14 @@ def write_outputs(trace: FlowTrace, snapshots, report, out_dir,
         }
         name = f"snapshots/snap_{idx:05d}.json"
         _json_dump(out / name, payload)
-        files.append(name)
+        snap_names.append(name)
+    # A shorter rerun into the same directory must not leave the earlier
+    # run's later snapshots behind for analyze and plot to pick up.
+    keep = set(snap_names)
+    for path in _snapshot_paths(out):
+        if f"snapshots/{path.name}" not in keep:
+            path.unlink()
+    files += snap_names
 
     if report is not None:
         _json_dump(out / "report.json", report_to_dict(report))
@@ -348,7 +361,11 @@ def write_outputs(trace: FlowTrace, snapshots, report, out_dir,
         files.append("config.json")
     elif (out / "config.json").exists():
         files.append("config.json")
+    return _write_manifest(out, files)
 
+
+def _write_manifest(out: Path, files) -> dict:
+    """Digest every listed artifact with sha256 into manifest.json."""
     digests = {}
     for name in sorted(files):
         digests[name] = hashlib.sha256(
@@ -359,6 +376,20 @@ def write_outputs(trace: FlowTrace, snapshots, report, out_dir,
     return manifest
 
 
+def _read_json(path: Path) -> dict:
+    """Parse a JSON object stored in a run directory.
+
+    Malformed JSON or a top level that is not an object is a ConfigError.
+    """
+    try:
+        obj = json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: top level must be an object")
+    return obj
+
+
 def read_trace(out_dir) -> FlowTrace:
     """Load trace.csv and boundary.csv back into a FlowTrace."""
     out = Path(out_dir)
@@ -367,6 +398,8 @@ def read_trace(out_dir) -> FlowTrace:
         bheader, brows = _read_csv(out / "boundary.csv")
     except OSError as exc:
         raise ConfigError(f"cannot read run directory {out}: {exc}") from exc
+    except (StopIteration, ValueError) as exc:
+        raise ConfigError(f"malformed trace CSV in {out}: {exc!r}") from exc
     width = len(header)
     if width < 12 or (width - 8) % 4:
         raise ConfigError("trace.csv does not match the column contract")
@@ -375,25 +408,37 @@ def read_trace(out_dir) -> FlowTrace:
         raise ConfigError("trace.csv does not match the column contract")
     if bheader != boundary_columns(r):
         raise ConfigError("boundary.csv does not match the column contract")
-    rows_arr = np.array(rows, float) if rows else np.zeros((0, width))
-    brows_arr = np.array(brows, float) if brows \
-        else np.zeros((0, 1 + 2 * r))
-    trace = FlowTrace(r=r, rows=rows_arr, boundary=brows_arr)
-    trace.validate()
+    try:
+        rows_arr = np.array(rows, float) if rows else np.zeros((0, width))
+        brows_arr = np.array(brows, float) if brows \
+            else np.zeros((0, 1 + 2 * r))
+        trace = FlowTrace(r=r, rows=rows_arr, boundary=brows_arr)
+        trace.validate()
+    except ValueError as exc:
+        raise ConfigError(f"malformed trace in {out}: {exc}") from exc
     return trace
+
+
+def _snapshot_paths(out_dir):
+    """Stored snapshot files, ordered by index."""
+    return sorted((Path(out_dir) / "snapshots").glob("snap_*.json"))
+
+
+def read_snapshot(path) -> ProfileState:
+    """Load one stored snapshot file."""
+    d = _read_json(Path(path))
+    try:
+        return ProfileState(
+            t=d["t"], sigma=np.array(d["sigma"], float),
+            a=np.array(d["a"], float), h=np.array(d["h"], float),
+            f=np.array(d["f"], float))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path} is not a snapshot: {exc!r}") from exc
 
 
 def read_snapshots(out_dir):
     """Load every stored snapshot, ordered by index."""
-    out = Path(out_dir) / "snapshots"
-    states = []
-    for path in sorted(out.glob("snap_*.json")):
-        d = json.loads(path.read_text())
-        states.append(ProfileState(
-            t=d["t"], sigma=np.array(d["sigma"], float),
-            a=np.array(d["a"], float), h=np.array(d["h"], float),
-            f=np.array(d["f"], float)))
-    return states
+    return [read_snapshot(path) for path in _snapshot_paths(out_dir)]
 
 
 # ----------------------------------------------------------------------
@@ -495,9 +540,9 @@ def render_plots(out_dir, field=None):
         return []
     written = []
 
-    snapshots = read_snapshots(out)
-    if snapshots:
-        final = snapshots[-1]
+    snap_paths = _snapshot_paths(out)
+    if snap_paths:
+        final = read_snapshot(snap_paths[-1])
         s, _ = arclength(final)
         series = [("H", s, final.h)]
         for i in range(final.r):
@@ -510,7 +555,7 @@ def render_plots(out_dir, field=None):
     report_path = out / "report.json"
     t_hat = None
     if report_path.exists():
-        t_hat = json.loads(report_path.read_text()).get("T_hat")
+        t_hat = _read_json(report_path).get("T_hat")
     if t_hat is not None:
         t = trace.column("t")
         kappa = trace.column("kappa")
@@ -603,24 +648,27 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    """Recompute report.json and manifest.json; nothing else is rewritten."""
     out = Path(args.rundir)
     trace = read_trace(out)
     snapshots = read_snapshots(out)
     config_path = out / "config.json"
     stop_floor = FlowConfig().stop_floor
     analysis = dict(ANALYSIS_DEFAULTS)
+    files = ["trace.csv", "boundary.csv", "report.json"]
+    files += [f"snapshots/{path.name}" for path in _snapshot_paths(out)]
     if config_path.exists():
-        raw = json.loads(config_path.read_text())
-        flow_raw = raw.get("flow", {})
-        if "stop_floor" in flow_raw:
-            stop_floor = float(flow_raw["stop_floor"])
-        an_raw = raw.get("analysis", {})
-        for key in analysis:
-            if key in an_raw and an_raw[key] is not None:
-                analysis[key] = float(an_raw[key])
+        files.append("config.json")
+        raw = _read_json(config_path)
+        try:
+            stop_floor = _parse_flow(raw.get("flow", {})).stop_floor
+            analysis = _parse_analysis(raw.get("analysis", {}))
+        except ConfigError as exc:
+            raise ConfigError(f"{config_path}: {exc}") from exc
     kwargs = {k: v for k, v in analysis.items() if k != "liyau_c0"}
     report = analyze_run(trace, snapshots, stop_floor, **kwargs)
-    write_outputs(trace, snapshots, report, out, raw_config=None)
+    _json_dump(out / "report.json", report_to_dict(report))
+    _write_manifest(out, files)
     _print_report(report, trace)
     return 0
 

@@ -29,11 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import FlowTrace
-from .geometry import (EVEN, BundleSpec, Jets, ProfileState, cell_centers,
-                       cumulative_from_left, curvature_sup_proxy,
-                       endpoint_even, field_parities, kahler_defect,
-                       laplacian_f2, stacked_derivs, stacked_parity,
-                       _resolve_jets)
+from .geometry import (END_EVEN_WEIGHTS, EVEN, BundleSpec, Jets,
+                       ProfileState, cell_centers, cumulative_from_left,
+                       curvature_sup_proxy, field_parities, stacked_derivs,
+                       stacked_parity, _resolve_jets)
+# The monitor row computes these three inline; they stay importable from
+# here because perfbench/child.py wraps them on this module.
+from .geometry import endpoint_even, kahler_defect, laplacian_f2  # noqa: F401
 from .initial_data import validate_closing
 
 # A step this far below the requested horizon means the adaptive control
@@ -99,30 +101,6 @@ class FlowConfig:
             setattr(self, name, int(v))
         if self.regrid_threshold <= 1.0:
             raise ValueError("regrid_threshold must exceed 1")
-
-
-@dataclass
-class GhostState:
-    """Profile arrays extended by two parity ghost cells per side.
-
-    h is continued by odd reflection about each endpoint; a and the f_i by
-    even reflection.  The odd rule encodes the smooth-closure structure: it
-    forces the even sigma-derivatives of h toward zero at the ends while
-    leaving the slope (which valid data pins at +-1 in arclength) free.
-    """
-
-    sigma: np.ndarray
-    a: np.ndarray
-    h: np.ndarray
-    f: np.ndarray
-
-
-def apply_parity_boundary(state: ProfileState) -> GhostState:
-    """Populate ghost cells by parity reflection about both endpoints."""
-    rows = np.vstack([state.a[None, :], state.h[None, :], state.f])
-    ext = stacked_parity(rows, field_parities(state.r))
-    sigma = (np.arange(state.cells + 4) - 1.5) * state.dsigma
-    return GhostState(sigma=sigma, a=ext[0], h=ext[1], f=ext[2:])
 
 
 def _rhs_core(a, h, f, h_s, h_ss, f_s, f_ss, n_col, k_col, q_col):
@@ -273,11 +251,7 @@ def regrid_uniform(state: ProfileState) -> ProfileState:
     s_ext = np.concatenate([[-s[1], -s[0]], s,
                             [2.0 * total - s[-1], 2.0 * total - s[-2]]])
     rows = np.vstack([state.h[None, :], state.f])
-    ext = np.empty((rows.shape[0], rows.shape[1] + 4))
-    ext[:, 2:-2] = rows
-    parities = field_parities(state.r)[1:]
-    ext[:, :2] = parities * rows[:, 1::-1]
-    ext[:, -2:] = parities * rows[:, :-3:-1]
+    ext = stacked_parity(rows, field_parities(state.r)[1:])
     s_tgt = (np.arange(state.cells) + 0.5) * (total / state.cells)
     resampled = _lagrange_resample(s_ext, ext, s_tgt)
     return dataclasses.replace(
@@ -323,28 +297,44 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
         return ProfileState(t=t, sigma=sigma, a=Y[0].copy(),
                             h=Y[1].copy(), f=Y[2:].copy())
 
+    r = spec.r
+    width = 8 + 4 * r
+    two_n = 2.0 * n_col
+    two_k = 2.0 * k_col
+    w = END_EVEN_WEIGHTS
+
     def monitor_row(ydot, u_s, u_ss, dt_col):
-        f = Y[2:]
-        f_s = u_s[2:]
-        jets = Jets(h=Y[1], h_s=u_s[1], h_ss=u_ss[1],
-                    f=f, f_s=f_s, f_ss=u_ss[2:])
+        # Columns of analysis.trace_columns and boundary_columns from the
+        # first stage's jets.  Each expression keeps the operation order of
+        # kahler_defect, laplacian_f2 and endpoint_even, so the values
+        # equal theirs bit for bit.
+        h, f = Y[1], Y[2:]
+        h_s, f_s, f_ss = u_s[1], u_s[2:], u_ss[2:]
         f2 = f * f
-        grad = np.abs(2.0 * f * f_s)
-        heat = np.abs(2.0 * f * ydot[2:] - laplacian_f2(spec, jets)
-                      + 2.0 * k_col)
-        row = [t, dt_col, curvature_sup_proxy(spec, jets=jets),
-               Y[1].min(), Y[1].max()]
-        for i in range(spec.r):
-            row += [f2[i].min(), f2[i].max()]
-        row += [kahler_defect(spec, jets=jets).max(), heat.max()]
-        row += list(grad.max(axis=1))
-        row += list((4.0 * f_s * f_s).max(axis=1))
-        row.append(cumulative_from_left(Y[0], dsigma, EVEN)[1])
+        two_f = 2.0 * f
+        df2 = two_f * f_s
+        tr_l = h_s / h + (two_n * f_s / f).sum(axis=0)
+        lap_f2 = two_f * f_ss + 2.0 * f_s ** 2 + tr_l * 2.0 * f * f_s
+        jets = Jets(h=h, h_s=h_s, h_ss=u_ss[1], f=f, f_s=f_s, f_ss=f_ss)
+        row = np.empty(width)
+        row[0] = t
+        row[1] = dt_col
+        row[2] = curvature_sup_proxy(spec, jets=jets)
+        row[3] = h.min()
+        row[4] = h.max()
+        row[5:5 + 2 * r:2] = f2.min(axis=1)
+        row[6:6 + 2 * r:2] = f2.max(axis=1)
+        row[5 + 2 * r] = np.abs(q_col * h - df2).max()
+        row[6 + 2 * r] = np.abs(two_f * ydot[2:] - lap_f2 + two_k).max()
+        row[7 + 2 * r:7 + 3 * r] = np.abs(df2).max(axis=1)
+        row[7 + 3 * r:7 + 4 * r] = (4.0 * f_s * f_s).max(axis=1)
+        row[-1] = cumulative_from_left(Y[0], dsigma, EVEN)[1]
         rows.append(row)
-        brow = [t]
-        for i in range(spec.r):
-            left, right = endpoint_even(f2[i])
-            brow += [left, right]
+        ends = (w[0] * f2[:, [0, -1]] + w[1] * f2[:, [1, -2]]
+                + w[2] * f2[:, [2, -3]])
+        brow = np.empty(1 + 2 * r)
+        brow[0] = t
+        brow[1:] = ends.ravel()
         brows.append(brow)
 
     try:

@@ -194,18 +194,6 @@ class ProfileState:
 # Grid calculus: parity ghosts, stencils, endpoint values, quadrature.
 # ----------------------------------------------------------------------
 
-def extend_parity(u: np.ndarray, parity: float) -> np.ndarray:
-    """Extend cell values by two ghost cells per side via parity reflection.
-
-    The ghost at distance x outside an interval end mirrors the interior
-    value at distance x inside, multiplied by ``parity`` (+1 even, -1 odd).
-    """
-    u = np.asarray(u, float)
-    left = parity * u[1::-1]
-    right = parity * u[-1:-3:-1]
-    return np.concatenate([left, u, right])
-
-
 def stacked_parity(rows: np.ndarray, parity: np.ndarray) -> np.ndarray:
     """Parity-extend several fields at once; rows (F, M) -> (F, M + 4)."""
     nf, m = rows.shape
@@ -389,6 +377,28 @@ class CurvatureField:
         return float(self.kappa_cell.max())
 
 
+def _proxy_cells(lam, j: Jets, shape_h, shape_f, twist) -> np.ndarray:
+    """Per-cell value of the sup-curvature proxy.
+
+    Maximum over the sectional classes of the ansatz (radial-fiber,
+    radial-horizontal, fiber-horizontal, intra-factor horizontal with the
+    |Rm(N_i)| bound, cross-factor horizontal); ``twist`` is
+    q_i^2 H^2 / (2 F_i^4).
+    """
+    kap = np.abs(j.h_ss / j.h)
+    np.maximum(kap, np.abs(j.f_ss / j.f).max(axis=0), out=kap)
+    np.maximum(kap, np.abs(0.5 * twist - shape_h * shape_f).max(axis=0),
+               out=kap)
+    np.maximum(kap, (lam / j.f ** 2 + 1.5 * twist + shape_f ** 2).max(axis=0),
+               out=kap)
+    r = shape_f.shape[0]
+    if r > 1:
+        cross = np.abs(shape_f[:, None, :] * shape_f[None, :, :])
+        off = ~np.eye(r, dtype=bool)
+        np.maximum(kap, cross[off].max(axis=0), out=kap)
+    return kap
+
+
 def curvature_field(spec: BundleSpec, state: ProfileState = None,
                     jets: Jets = None) -> CurvatureField:
     """Evaluate every curvature slot at all cells.
@@ -433,19 +443,7 @@ def curvature_field(spec: BundleSpec, state: ProfileState = None,
     oneill_b = (shape_f ** 2).sum(axis=0)
     liyau_q = 4.0 * f_s ** 2          # ((f^2)_s)^2 / f^2
 
-    # Sup-curvature proxy: max over the sectional classes of the ansatz
-    # (radial-fiber, radial-horizontal, fiber-horizontal, intra-factor
-    # horizontal with the |Rm(N_i)| bound, cross-factor horizontal).
-    kap = np.abs(h_ss / h)
-    np.maximum(kap, np.abs(f_ss / f).max(axis=0), out=kap)
-    np.maximum(kap, np.abs(0.5 * twist - shape_h * shape_f).max(axis=0),
-               out=kap)
-    np.maximum(kap, (lam / f ** 2 + 1.5 * twist + shape_f ** 2).max(axis=0),
-               out=kap)
-    if spec.r > 1:
-        cross = np.abs(shape_f[:, None, :] * shape_f[None, :, :])
-        off = ~np.eye(spec.r, dtype=bool)
-        np.maximum(kap, cross[off].max(axis=0), out=kap)
+    kap = _proxy_cells(lam, j, shape_h, shape_f, twist)
 
     return CurvatureField(
         shape_h=shape_h, shape_f=shape_f,
@@ -662,10 +660,15 @@ def curvature_sup_proxy(spec: BundleSpec, state: ProfileState = None,
     constants.  Under the metric rescaling (a, h, f) -> sqrt(K) (a, h, f)
     the proxy divides by K, as curvature must.
     """
-    cf = curvature_field(spec, state, jets)
-    kap = cf.kappa_cell
+    j = _resolve_jets(state, jets)
+    if spec.r != j.r:
+        raise ValueError("spec and jets disagree on the number of factors")
+    _, _, q, lam = spec.factor_arrays()
+    twist = q ** 2 * j.h ** 2 / (2.0 * j.f ** 4)
+    kap = _proxy_cells(lam, j, j.h_s / j.h, j.f_s / j.f, twist)
     bad = ~np.isfinite(kap)
     if bad.any():
         raise ValueError(
             f"non-finite curvature proxy at cell {int(np.argmax(bad))}")
     return float(kap.max())
+

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -217,6 +218,36 @@ class TestRunVerb:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "bundle.q[0]" in capsys.readouterr().err
 
+    def test_non_finite_number_exits_two(self, tmp_path, capsys):
+        # 1e400 parses as inf; without the finiteness check the run would
+        # start and halt with a misleading dt underflow (exit 3).
+        path = tmp_path / "c.json"
+        path.write_text('{"flow": {"cells": 32, "t_end": 1e400}, '
+                        '"initial": {"preset": "canonical"}}')
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "flow.t_end must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_rerun_removes_stale_snapshots(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        for t_end in (0.005, 0.001):
+            cfg = write_config(tmp_path / "c.json",
+                               flow={"cells": 32, "t_end": t_end,
+                                     "snapshot_every": 1})
+            assert main(["run", str(cfg), "--out", str(out)]) == 0
+            on_disk = sorted(p.relative_to(out).as_posix() for p in
+                             (out / "snapshots").glob("*.json"))
+            manifest = json.loads((out / "manifest.json").read_text())
+            listed = sorted(n for n in manifest["files"]
+                            if n.startswith("snapshots/"))
+            assert on_disk == listed
+        assert len(on_disk) == 2
+        final = read_snapshots(out)[-1]
+        assert final.t == pytest.approx(0.001, abs=1e-12)
+        assert main(["plot", str(out)]) == 0
+        _, ys = polylines((out / "profiles.svg").read_text())[0]
+        assert np.array_equal(ys, final.h)
+
     def test_flow_halt_exits_three_with_partials(self, tmp_path, capsys):
         # An absurd t_end makes the underflow threshold larger than any
         # stable step, so the run halts immediately but still persists.
@@ -261,6 +292,54 @@ class TestAnalyzeVerb:
         assert main(["analyze", str(out)]) == 0
         assert (out / "report.json").read_bytes() == before
         assert "verdict" in capsys.readouterr().out
+
+    def test_rewrites_only_report_and_manifest(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json",
+                           flow={"cells": 32, "t_end": 0.004,
+                                 "snapshot_every": 1},
+                           output={"dir": str(out)})
+        assert main(["run", str(cfg)]) == 0
+        manifest = (out / "manifest.json").read_bytes()
+        kept = [out / "trace.csv", out / "boundary.csv", out / "config.json"]
+        kept += sorted((out / "snapshots").glob("snap_*.json"))
+        assert len(kept) > 4
+        before = {}
+        for path in kept:
+            # An old timestamp shows any rewrite, however fast.
+            os.utime(path, ns=(10 ** 9, 10 ** 9))
+            before[path] = path.read_bytes()
+        assert main(["analyze", str(out)]) == 0
+        for path in kept:
+            assert path.read_bytes() == before[path], path.name
+            assert path.stat().st_mtime_ns == 10 ** 9, path.name
+        assert (out / "manifest.json").read_bytes() == manifest
+
+    @pytest.mark.parametrize("damage,needle", [
+        ("decades", "analysis.decades must be a number"),
+        ("snapshot", "snap_00001.json is not valid JSON"),
+        ("trace", "malformed trace"),
+    ])
+    def test_malformed_rundir_exits_two(self, tmp_path, capsys, damage,
+                                        needle):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json",
+                           flow={"cells": 32, "t_end": 0.004,
+                                 "snapshot_every": 1},
+                           output={"dir": str(out)})
+        assert main(["run", str(cfg)]) == 0
+        if damage == "decades":
+            raw = json.loads((out / "config.json").read_text())
+            raw["analysis"] = {"decades": "two"}
+            (out / "config.json").write_text(json.dumps(raw))
+        else:
+            path = out / ("snapshots/snap_00001.json" if damage == "snapshot"
+                          else "trace.csv")
+            text = path.read_text()
+            path.write_text(text[:len(text) // 2])
+        capsys.readouterr()
+        assert main(["analyze", str(out)]) == 2
+        assert needle in capsys.readouterr().err
 
     def test_missing_rundir_exits_two(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope")]) == 2
@@ -325,6 +404,13 @@ class TestPlotVerb:
         capsys.readouterr()
         assert main(["plot", str(out), "--field", "bogus"]) == 2
         assert "unknown trace column" in capsys.readouterr().err
+
+    def test_report_that_is_not_an_object_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        synthetic_run_dir(out)
+        (out / "report.json").write_text("[]\n")
+        assert main(["plot", str(out)]) == 2
+        assert "top level must be an object" in capsys.readouterr().err
 
     def test_empty_trace_prints_message(self, tmp_path, capsys):
         out = tmp_path / "empty"

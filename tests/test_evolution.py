@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 import bundleflow.geometry as geo
 from bundleflow.evolution import (DT_UNDERFLOW, MAX_REL_CHANGE, FlowConfig,
-                                  FlowHalt, InvalidInitialState,
-                                  apply_parity_boundary, arclength, flow_rhs,
-                                  regrid_uniform, run_flow, step_adaptive)
-from bundleflow.initial_data import canonical_preset, validate_closing
+                                  FlowHalt, InvalidInitialState, arclength,
+                                  flow_rhs, regrid_uniform, run_flow,
+                                  step_adaptive)
+from bundleflow.initial_data import (ProfileTemplate, build_kahler_profile,
+                                     canonical_preset, validate_closing)
 
 CANON = geo.BundleSpec(n=(1,), k=(2.0,), q=(2,), lam=(1.0,))
 
@@ -99,27 +100,35 @@ class TestFlowRhs:
 
 class TestParityBoundary:
     def test_ghost_values_and_coordinates(self):
+        # The stacked field order (a; h; f) with its parities is exactly what
+        # every stencil and the regridder extend.
         state, _ = canonical_state(16)
-        ghost = apply_parity_boundary(state)
+        rows = np.vstack([state.a[None, :], state.h[None, :], state.f])
+        ext = geo.stacked_parity(rows, geo.field_parities(state.r))
+        ghost_a, ghost_h, ghost_f = ext[0], ext[1], ext[2:]
         M = state.cells
-        assert ghost.h.shape == (M + 4,)
-        assert ghost.f.shape == (1, M + 4)
+        assert ghost_h.shape == (M + 4,)
+        assert ghost_f.shape == (1, M + 4)
         # h reflects oddly about both closed ends.
-        assert ghost.h[1] == -state.h[0]
-        assert ghost.h[0] == -state.h[1]
-        assert ghost.h[-2] == -state.h[-1]
-        assert ghost.h[-1] == -state.h[-2]
+        assert ghost_h[1] == -state.h[0]
+        assert ghost_h[0] == -state.h[1]
+        assert ghost_h[-2] == -state.h[-1]
+        assert ghost_h[-1] == -state.h[-2]
         # a and f reflect evenly.
-        assert ghost.a[0] == state.a[1]
-        assert ghost.f[0, 1] == state.f[0, 0]
-        assert ghost.f[0, -1] == state.f[0, -2]
-        # Ghost centers continue the uniform lattice past the ends.
+        assert ghost_a[0] == state.a[1]
+        assert ghost_f[0, 1] == state.f[0, 0]
+        assert ghost_f[0, -1] == state.f[0, -2]
+        # Ghost centers continue the uniform lattice past the ends, and the
+        # reflected values are the smooth continuation sampled there.
         d = state.dsigma
-        assert ghost.sigma[0] == pytest.approx(-1.5 * d)
-        assert ghost.sigma[1] == pytest.approx(-state.sigma[0])
-        assert ghost.sigma[-2] == pytest.approx(2.0 - state.sigma[-1])
-        assert ghost.sigma[-1] == pytest.approx(2.0 - state.sigma[-2])
-        assert np.allclose(np.diff(ghost.sigma), d)
+        ghost_sigma = (np.arange(M + 4) - 1.5) * d
+        assert ghost_sigma[0] == pytest.approx(-1.5 * d)
+        assert ghost_sigma[1] == pytest.approx(-state.sigma[0])
+        assert ghost_sigma[-2] == pytest.approx(2.0 - state.sigma[-1])
+        assert ghost_sigma[-1] == pytest.approx(2.0 - state.sigma[-2])
+        assert np.allclose(np.diff(ghost_sigma), d)
+        assert np.allclose(ghost_h, np.sin(math.pi * ghost_sigma),
+                           rtol=0, atol=1e-15)
 
 
 class TestFlowConfig:
@@ -313,3 +322,57 @@ class TestRunFlow:
         assert halt.trace.rows.shape == (1, 12)
         assert halt.trace.rows[0, 1] == 0.0
         assert halt.snapshots == []
+
+
+TWO_FACTOR = geo.BundleSpec(n=(1, 1), k=(2.0, 1.0), q=(2, 1))
+
+
+class TestMonitorColumns:
+    """Every trace and boundary cell equals the geometry routines exactly."""
+
+    @pytest.mark.parametrize("case", ["canonical", "two_factor"])
+    def test_rows_match_recomputation_from_snapshots(self, case):
+        if case == "canonical":
+            spec, state = canonical_preset(32)
+            regrid = 10.0
+        else:
+            spec = TWO_FACTOR
+            state = build_kahler_profile(
+                spec, ProfileTemplate(length=math.pi, f0=(2.0, 3.0)), 32)
+            # Just above 1: the gauge is resampled after every step, so the
+            # rows also cover regridded states.
+            regrid = 1.0 + 1e-12
+        cfg = FlowConfig(cells=32, t_end=0.01, trace_every=1,
+                         snapshot_every=1, regrid_threshold=regrid)
+        trace, snaps = run_flow(spec, state, cfg)
+        assert len(snaps) == trace.rows.shape[0] >= 5
+        k_col = spec.factor_arrays()[1]
+        for row, brow, snap in zip(trace.rows, trace.boundary, snaps):
+            jets = geo.profile_jets(snap)
+            fdot = flow_rhs(spec, snap, jets=jets)[2]
+            f2 = snap.f * snap.f
+            heat = np.abs(2.0 * snap.f * fdot - geo.laplacian_f2(spec, jets)
+                          + 2.0 * k_col)
+            want = {"t": snap.t,
+                    "kappa": geo.curvature_field(spec, jets=jets).kappa,
+                    "h_min": snap.h.min(), "h_max": snap.h.max(),
+                    "kahler_res": geo.kahler_defect(spec, jets=jets).max(),
+                    "heat_res": heat.max(),
+                    "arclength": arclength(snap)[1]}
+            want_b = [snap.t]
+            for i in range(spec.r):
+                want[f"f{i + 1}sq_min"] = f2[i].min()
+                want[f"f{i + 1}sq_max"] = f2[i].max()
+                want[f"grad_sup_{i + 1}"] = np.abs(
+                    2.0 * snap.f[i] * jets.f_s[i]).max()
+                want[f"liyau_sup_{i + 1}"] = (
+                    4.0 * jets.f_s[i] * jets.f_s[i]).max()
+                want_b += geo.endpoint_even(f2[i])
+            got = dict(zip(trace.columns, row))
+            assert set(got) == set(want) | {"dt"}
+            for name, value in want.items():
+                assert got[name] == value, name
+            assert list(brow) == want_b
+        t, dt = trace.column("t"), trace.column("dt")
+        assert np.array_equal(t[:-1] + dt[:-1], t[1:])
+        assert dt[-1] == 0.0
