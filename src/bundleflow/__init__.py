@@ -21,8 +21,7 @@ from .initial_data import (PRESETS, ClosingCheck, ClosingReport,
                            build_kahler_profile, calabi_preset,
                            canonical_preset, sample_h, validate_closing)
 from .evolution import (FlowConfig, FlowHalt, InvalidInitialState,
-                        arclength, flow_rhs, regrid_uniform, run_flow,
-                        step_adaptive)
+                        arclength, flow_rhs, regrid_uniform, run_flow)
 from .analysis import (BoundarySlope, FlowTrace, SingularTimeEstimate,
                        SingularityReport, analyze_run,
                        boundary_linear_check, blowup_rescale,

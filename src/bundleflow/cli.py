@@ -141,7 +141,8 @@ def _parse_flow(section):
     try:
         return FlowConfig(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"flow: {exc}") from exc
+        # FlowConfig's messages begin with the offending field's name.
+        raise ConfigError(f"flow.{exc}") from exc
 
 
 def _parse_template(section, spec, cells):
@@ -245,6 +246,9 @@ def load_config(path) -> RunConfig:
         text = p.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {p} is not UTF-8 text: {exc}") \
+            from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

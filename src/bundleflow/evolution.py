@@ -15,10 +15,19 @@ with subscript s denoting arclength derivatives (converted from sigma
 derivatives through a) and tr L the mean-curvature trace h_s/h +
 sum 2 n_j f_j,s/f_j.
 
-Time stepping is classic four-stage Runge-Kutta under a parabolic step
-bound dt = cfl * min_cells (a dsigma)^2, further capped so that no f_i^2 or
-h^2 moves by more than ten percent in a single step.  Runs halt at t_end or
-when a monitored floor (min f_i^2 or max h^2) drops below stop_floor.
+Time stepping is the second-order Runge-Kutta-Legendre scheme RKL2
+(Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014), an s-stage explicit
+method built from RHS evaluations alone whose real-axis stability interval
+grows as s^2.  The step is set by accuracy, not stability:
+dt = min(MAX_REL_CHANGE, STEP_CAP dsigma^2) / rate with rate the largest
+relative speed 2 max(|h_t/h|, |f_i,t/f_i|), so no h^2 or f_i^2 moves by
+more than min(10%, STEP_CAP dsigma^2) in one step and the second-order time
+error, of order dsigma^4, stays at the level of the fourth-order stencils.
+The forward-Euler step cfl (min a dsigma)^2 instead sets the stage count:
+s is the smallest s >= 2 with (s^2 + s - 2)/4 cfl (min a dsigma)^2 >= dt.
+Both sides scale as dsigma^2, so s does not grow with resolution (five to
+seven at cfl 0.2).  Runs halt at t_end or when a monitored floor (min f_i^2
+or max h^2) drops below stop_floor.
 """
 
 from __future__ import annotations
@@ -43,6 +52,12 @@ from .initial_data import validate_closing
 DT_UNDERFLOW = 1e-14
 # Per-step cap on the relative change of any h^2 or f_i^2.
 MAX_REL_CHANGE = 0.1
+# On fine grids the relative-change cap per step is STEP_CAP dsigma^2, so
+# the O(dt^2) error of RKL2 shrinks as dsigma^4 like the stencil error.
+STEP_CAP = 40.0
+# Forward-Euler stability edge of the five-point second difference,
+# (16/3) cfl <= 2; the RKL2 stage count is sized from cfl (a dsigma)^2.
+CFL_MAX = 0.375
 
 
 class FlowHalt(RuntimeError):
@@ -73,7 +88,9 @@ class FlowConfig:
     and ``snapshot_every`` are step cadences for monitoring rows and stored
     states; the final state is always recorded regardless of cadence.
     ``regrid_threshold`` bounds max(a)/min(a) before the optional
-    resampling to uniform arclength kicks in.
+    resampling to uniform arclength kicks in.  ``cfl`` scales the
+    forward-Euler step cfl (min a dsigma)^2 from which the RKL2 stage count
+    is sized, so it may not exceed that step's stability edge CFL_MAX.
     """
 
     cells: int = 400
@@ -88,8 +105,8 @@ class FlowConfig:
         if int(self.cells) != self.cells or self.cells < 8:
             raise ValueError("cells must be an integer >= 8")
         self.cells = int(self.cells)
-        if not 0.0 < self.cfl < 1.0:
-            raise ValueError("cfl must lie strictly between 0 and 1")
+        if not 0.0 < self.cfl <= CFL_MAX:
+            raise ValueError(f"cfl must lie in (0, {CFL_MAX}]")
         if self.t_end < 0.0:
             raise ValueError("t_end must be nonnegative")
         if self.stop_floor <= 0.0:
@@ -166,51 +183,52 @@ def _stage(Y, dsigma, parities, n_col, k_col, q_col):
     return ydot, u_s, u_ss
 
 
-def _dt_bound(a, h, f, hdot, fdot, cfl, dsigma):
-    """Parabolic step bound with the ten-percent relative-change cap."""
-    dt = cfl * (a.min() * dsigma) ** 2
-    rate = 2.0 * max(np.abs(hdot / h).max(), np.abs(fdot / f).max())
-    if rate > 0.0:
-        dt = min(dt, MAX_REL_CHANGE / rate)
-    return dt
+def _dt_bound(Y, ydot, t, t_end, cfl, dsigma, dt_min):
+    """Size and stage count (dt, s) of the next RKL2 step from Y = (a; h; f).
 
-
-def step_adaptive(spec: BundleSpec, state: ProfileState, cfg: FlowConfig,
-                  rhs1=None, dt_max: float = None, rhs_fn=flow_rhs):
-    """Advance one adaptive Runge-Kutta step; returns (new state, dt used).
-
-    ``rhs1`` may pass a precomputed flow_rhs at the input state so callers
-    that already evaluated it for monitoring do not pay twice.  ``rhs_fn``
-    is an injection seam for integrator tests (for instance a zero RHS to
-    confirm the fixed point); production callers leave it alone.
+    dt = min(MAX_REL_CHANGE, STEP_CAP dsigma^2) / rate, with rate =
+    2 max(|h_t/h|, |f_t/f|), or the forward-Euler step cfl (min a dsigma)^2
+    when nothing moves.  A dt below dt_min means the control has collapsed
+    and raises FlowHalt; after that check dt is capped at t_end - t.  s is
+    the smallest s >= 2 whose stability interval (s^2 + s - 2)/4 forward-
+    Euler steps covers dt.
     """
-    if rhs1 is None:
-        rhs1 = rhs_fn(spec, state)
-    adot, hdot, fdot = rhs1
-    dt = _dt_bound(state.a, state.h, state.f, hdot, fdot, cfg.cfl,
-                   state.dsigma)
-    if dt_max is not None:
-        dt = min(dt, dt_max)
-    if dt < DT_UNDERFLOW * cfg.t_end:
-        raise FlowHalt(f"time step underflow: dt = {dt:.3e} fell below "
-                       f"{DT_UNDERFLOW:g} * t_end at t = {state.t:.6g}")
+    dt_euler = cfl * (Y[0].min() * dsigma) ** 2
+    rate = 2.0 * max(np.abs(ydot[1] / Y[1]).max(),
+                     np.abs(ydot[2:] / Y[2:]).max())
+    dt = dt_euler
+    if rate > 0.0:
+        dt = min(MAX_REL_CHANGE, STEP_CAP * dsigma * dsigma) / rate
+    if dt < dt_min:
+        raise FlowHalt(f"time step underflow: dt = {dt:.3e} at t = {t:.6g}")
+    dt = min(dt, t_end - t)
+    s = 2
+    while (s * s + s - 2) / 4.0 * dt_euler < dt:
+        s += 1
+    return dt, s
 
-    def shifted(tau, da, dh, df):
-        return dataclasses.replace(
-            state, t=state.t + tau, a=state.a + tau * da,
-            h=state.h + tau * dh, f=state.f + tau * df)
 
-    k1 = rhs1
-    k2 = rhs_fn(spec, shifted(0.5 * dt, *k1))
-    k3 = rhs_fn(spec, shifted(0.5 * dt, *k2))
-    k4 = rhs_fn(spec, shifted(dt, *k3))
-    sixth = dt / 6.0
-    new = dataclasses.replace(
-        state, t=state.t + dt,
-        a=state.a + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
-        h=state.h + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
-        f=state.f + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2]))
-    return new, dt
+def rkl2_step(Y, ydot, dt, s, rhs):
+    """Advance the stacked state Y by one s-stage RKL2 step of size dt.
+
+    ``ydot`` is rhs(Y), the first stage, which the caller has already
+    evaluated; the step makes s - 1 further calls of ``rhs``.  The
+    recursion runs on the increments Y_j - Y, so a zero right-hand side
+    returns Y unchanged bit for bit.
+    """
+    w1 = 4.0 / (s * s + s - 2)
+    b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1))
+                           for j in range(3, s + 1)]
+    d_prev = np.zeros_like(Y)
+    d = (w1 / 3.0 * dt) * ydot
+    for j in range(2, s + 1):
+        mu = (2 * j - 1) / j * b[j] / b[j - 1]
+        nu = -(j - 1) / j * b[j] / b[j - 2]
+        mu_t = mu * w1 * dt
+        gamma_t = -(1.0 - b[j - 1]) * mu_t
+        d, d_prev = (mu * d + nu * d_prev + mu_t * rhs(Y + d)
+                     + gamma_t * ydot), d
+    return Y + d
 
 
 def arclength(state: ProfileState):
@@ -297,6 +315,10 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
         return ProfileState(t=t, sigma=sigma, a=Y[0].copy(),
                             h=Y[1].copy(), f=Y[2:].copy())
 
+    def rhs(Yj):
+        return _stage(Yj, dsigma, parities, n_col, k_col, q_col)[0]
+
+    dt_min = DT_UNDERFLOW * cfg.t_end
     r = spec.r
     width = 8 + 4 * r
     two_n = 2.0 * n_col
@@ -350,13 +372,12 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
                     or Y[0].min() <= 0.0)
             dt = 0.0
             if not stop:
-                dt = _dt_bound(Y[0], Y[1], Y[2:], ydot[1], ydot[2:],
-                               cfg.cfl, dsigma)
-                if dt < DT_UNDERFLOW * cfg.t_end:
+                try:
+                    dt, s = _dt_bound(Y, ydot, t, t_end, cfg.cfl, dsigma,
+                                      dt_min)
+                except FlowHalt:
                     monitor_row(ydot, u_s, u_ss, 0.0)
-                    raise FlowHalt(
-                        f"time step underflow: dt = {dt:.3e} at t = {t:.6g}")
-                dt = min(dt, t_end - t)
+                    raise
             if stop or step % cfg.trace_every == 0:
                 monitor_row(ydot, u_s, u_ss, dt)
             if stop or step % cfg.snapshot_every == 0:
@@ -366,14 +387,7 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
             if stop:
                 break
 
-            half = 0.5 * dt
-            k2 = _stage(Y + half * ydot, dsigma, parities, n_col, k_col,
-                        q_col)[0]
-            k3 = _stage(Y + half * k2, dsigma, parities, n_col, k_col,
-                        q_col)[0]
-            k4 = _stage(Y + dt * k3, dsigma, parities, n_col, k_col,
-                        q_col)[0]
-            Y = Y + (dt / 6.0) * (ydot + 2.0 * (k2 + k3) + k4)
+            Y = rkl2_step(Y, ydot, dt, s, rhs)
             t += dt
             step += 1
             if Y[0].max() > cfg.regrid_threshold * Y[0].min():

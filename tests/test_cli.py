@@ -93,6 +93,8 @@ class TestLoadConfig:
         (lambda c: c["initial"].pop("template"), "exactly one"),
         (lambda c: c["analysis"].update(decades=-1.0), "must be positive"),
         (lambda c: c["output"].update(dir=7), "must be a string"),
+        (lambda c: c["flow"].update(cfl=0.4),
+         "flow.cfl must lie in (0, 0.375]"),
     ])
     def test_rejections_name_the_field(self, tmp_path, mutate, needle):
         conf = {"flow": {"cells": 32, "t_end": 0.0},
@@ -155,6 +157,10 @@ class TestLoadConfig:
         top.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="top level"):
             load_config(top)
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_config(binary)
 
 
 class TestRunVerb:
@@ -230,7 +236,7 @@ class TestRunVerb:
 
     def test_rerun_removes_stale_snapshots(self, tmp_path, capsys):
         out = tmp_path / "run"
-        for t_end in (0.005, 0.001):
+        for t_end, count in ((0.05, 5), (0.001, 2)):
             cfg = write_config(tmp_path / "c.json",
                                flow={"cells": 32, "t_end": t_end,
                                      "snapshot_every": 1})
@@ -241,7 +247,7 @@ class TestRunVerb:
             listed = sorted(n for n in manifest["files"]
                             if n.startswith("snapshots/"))
             assert on_disk == listed
-        assert len(on_disk) == 2
+            assert len(on_disk) == count
         final = read_snapshots(out)[-1]
         assert final.t == pytest.approx(0.001, abs=1e-12)
         assert main(["plot", str(out)]) == 0
@@ -249,11 +255,11 @@ class TestRunVerb:
         assert np.array_equal(ys, final.h)
 
     def test_flow_halt_exits_three_with_partials(self, tmp_path, capsys):
-        # An absurd t_end makes the underflow threshold larger than any
-        # stable step, so the run halts immediately but still persists.
+        # An absurd t_end puts the underflow threshold above the first
+        # step, so the run halts immediately but still persists.
         out = tmp_path / "run"
         cfg = write_config(tmp_path / "c.json",
-                           flow={"cells": 32, "t_end": 1e12},
+                           flow={"cells": 32, "t_end": 1e13},
                            output={"dir": str(out)})
         assert main(["run", str(cfg)]) == 3
         err = capsys.readouterr().err

@@ -8,10 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bundleflow.geometry as geo
-from bundleflow.evolution import (DT_UNDERFLOW, MAX_REL_CHANGE, FlowConfig,
-                                  FlowHalt, InvalidInitialState, arclength,
-                                  flow_rhs, regrid_uniform, run_flow,
-                                  step_adaptive)
+import bundleflow.evolution as evo
+from bundleflow.evolution import (MAX_REL_CHANGE, STEP_CAP, FlowConfig,
+                                  FlowHalt, InvalidInitialState, _dt_bound,
+                                  _stage, arclength, flow_rhs, regrid_uniform,
+                                  rkl2_step, run_flow)
 from bundleflow.initial_data import (ProfileTemplate, build_kahler_profile,
                                      canonical_preset, validate_closing)
 
@@ -136,7 +137,7 @@ class TestFlowConfig:
         {"cells": 7}, {"cells": 10.5}, {"cfl": 0.0}, {"cfl": 1.5},
         {"t_end": -1.0}, {"stop_floor": 0.0}, {"stop_floor": -1e-3},
         {"snapshot_every": 0}, {"trace_every": 0.5},
-        {"regrid_threshold": 1.0},
+        {"regrid_threshold": 1.0}, {"cfl": 0.4},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -148,63 +149,162 @@ class TestFlowConfig:
         assert cfg.snapshot_every == 10
         assert cfg.trace_every == 2
 
+    def test_cfl_up_to_the_forward_euler_edge(self):
+        assert FlowConfig(cfl=0.375).cfl == 0.375
+
+
+def stacked(spec, state):
+    """The stacked state (a; h; f), its first stage and the RHS closure,
+    built as run_flow builds them."""
+    n_col, k_col, q_col, _ = spec.factor_arrays()
+    parities = geo.field_parities(spec.r)
+
+    def rhs(Y):
+        return _stage(Y, state.dsigma, parities, n_col, k_col, q_col)[0]
+
+    Y = np.vstack([state.a[None, :], state.h[None, :], state.f])
+    return Y, rhs(Y), rhs
+
+
+def relative_rate(Y, ydot):
+    return 2.0 * max(np.abs(ydot[1] / Y[1]).max(),
+                     np.abs(ydot[2:] / Y[2:]).max())
+
+
+def euler_step(cfg, state):
+    return cfg.cfl * (state.a.min() * state.dsigma) ** 2
+
+
+def step(spec, state, cfg, t_left=1.0, dt_min=0.0, rhs=None):
+    """One run_flow step: _dt_bound, then rkl2_step; returns (Y, dt, s)."""
+    Y, ydot, stage_rhs = stacked(spec, state)
+    if rhs is not None:
+        stage_rhs, ydot = rhs, rhs(Y)
+    dt, s = _dt_bound(Y, ydot, 0.0, t_left, cfg.cfl, state.dsigma, dt_min)
+    return rkl2_step(Y, ydot, dt, s, stage_rhs), dt, s
+
 
 class TestStepAdaptive:
     def test_first_step_uses_parabolic_bound(self):
+        # On a fine grid the relative change per step is capped at
+        # STEP_CAP dsigma^2, a parabolic scaling like the stability bound.
         spec, state = canonical_preset(400)
         cfg = FlowConfig(cells=400, cfl=0.2)
-        new, dt = step_adaptive(spec, state, cfg)
-        expected = cfg.cfl * (state.a.min() * state.dsigma) ** 2
+        Y, ydot, _ = stacked(spec, state)
+        new, dt, _ = step(spec, state, cfg)
+        expected = STEP_CAP * state.dsigma ** 2 / relative_rate(Y, ydot)
+        assert STEP_CAP * state.dsigma ** 2 < MAX_REL_CHANGE
         assert dt == pytest.approx(expected, rel=1e-12)
-        assert new.t == pytest.approx(state.t + dt)
+        assert np.all(np.isfinite(new)) and not np.array_equal(new, Y)
 
     def test_dt_scales_with_grid_spacing(self):
-        dts = []
+        caps = []
         for cells in (200, 400):
             spec, state = canonical_preset(cells)
-            _, dt = step_adaptive(spec, state, FlowConfig(cells=cells))
-            dts.append(dt)
-        assert dts[0] / dts[1] == pytest.approx(4.0, rel=1e-12)
+            Y, ydot, _ = stacked(spec, state)
+            _, dt, _ = step(spec, state, FlowConfig(cells=cells))
+            caps.append(dt * relative_rate(Y, ydot))
+        assert caps[0] / caps[1] == pytest.approx(4.0, rel=1e-12)
 
     def test_relative_change_cap(self):
-        # A thin fiber makes the twist term enormous, so the ten percent
-        # relative-change cap, not the parabolic bound, sets dt.
-        cells = 64
+        # On a coarse grid STEP_CAP dsigma^2 exceeds ten percent, so the
+        # relative-change cap MAX_REL_CHANGE / rate sets dt; a thin fiber
+        # makes the rate large.
+        cells = 16
         sigma = geo.cell_centers(cells)
         state = geo.ProfileState(
             t=0.0, sigma=sigma, a=np.full(cells, math.pi),
             h=np.sin(math.pi * sigma), f=np.full((1, cells), 0.05))
-        adot, hdot, fdot = flow_rhs(CANON, state)
-        rate = 2.0 * max(np.abs(hdot / state.h).max(),
-                         np.abs(fdot / state.f).max())
+        Y, ydot, _ = stacked(CANON, state)
         cfg = FlowConfig(cells=cells, cfl=0.2)
-        _, dt = step_adaptive(CANON, state, cfg, rhs1=(adot, hdot, fdot))
-        parabolic = cfg.cfl * (state.a.min() * state.dsigma) ** 2
-        assert dt < parabolic
-        assert dt == pytest.approx(MAX_REL_CHANGE / rate, rel=1e-12)
+        _, dt, _ = step(CANON, state, cfg)
+        assert STEP_CAP * state.dsigma ** 2 > MAX_REL_CHANGE
+        assert dt < euler_step(cfg, state)
+        assert dt == pytest.approx(MAX_REL_CHANGE / relative_rate(Y, ydot),
+                                   rel=1e-12)
 
     def test_zero_rhs_is_fixed_point(self):
         spec, state = canonical_preset(64)
 
-        def zero_rhs(spec_, state_, jets=None):
-            return (np.zeros_like(state_.a), np.zeros_like(state_.h),
-                    np.zeros_like(state_.f))
+        def zero_rhs(Y):
+            return np.zeros_like(Y)
 
         cfg = FlowConfig(cells=64)
-        new, dt = step_adaptive(spec, state, cfg, rhs_fn=zero_rhs)
-        assert np.array_equal(new.a, state.a)
-        assert np.array_equal(new.h, state.h)
-        assert np.array_equal(new.f, state.f)
-        assert dt == pytest.approx(cfg.cfl * (state.a.min()
-                                              * state.dsigma) ** 2)
+        new, dt, s = step(spec, state, cfg, rhs=zero_rhs)
+        assert np.array_equal(new[0], state.a)
+        assert np.array_equal(new[1], state.h)
+        assert np.array_equal(new[2:], state.f)
+        assert dt == pytest.approx(euler_step(cfg, state), rel=1e-12)
+        assert s == 2
 
     def test_dt_max_cap_and_underflow(self):
+        # The time left caps dt; the underflow floor applies before the cap.
         spec, state = canonical_preset(64)
         cfg = FlowConfig(cells=64)
-        _, dt = step_adaptive(spec, state, cfg, dt_max=1e-7)
+        Y, ydot, _ = stacked(spec, state)
+        uncapped = min(MAX_REL_CHANGE, STEP_CAP * state.dsigma ** 2) \
+            / relative_rate(Y, ydot)
+        _, dt, s = step(spec, state, cfg, t_left=1e-7)
+        assert dt == 1e-7
+        assert s == 2
+        _, dt, _ = step(spec, state, cfg, t_left=1e-7, dt_min=0.5 * uncapped)
         assert dt == 1e-7
         with pytest.raises(FlowHalt, match="underflow"):
-            step_adaptive(spec, state, cfg, dt_max=1e-20)
+            step(spec, state, cfg, dt_min=2.0 * uncapped)
+
+    @pytest.mark.parametrize("cells", [64, 400, 800])
+    def test_stage_count_is_smallest_stable_one(self, cells):
+        spec, state = canonical_preset(cells)
+        cfg = FlowConfig(cells=cells, cfl=0.2)
+        _, dt, s = step(spec, state, cfg)
+        dt_euler = euler_step(cfg, state)
+
+        def covers(n):
+            return (n * n + n - 2) / 4.0 * dt_euler >= dt
+
+        assert covers(s) and not covers(s - 1)
+        # dt and the forward-Euler step both scale as dsigma^2.
+        assert 3 <= s <= 8
+
+
+class TestRkl2:
+    def test_time_error_is_second_order(self):
+        # Fixed grid and stage count: halving dt cuts the error at t = 0.02
+        # by about four against a 256-step reference.
+        spec, state = canonical_preset(64)
+        Y0, _, rhs = stacked(spec, state)
+
+        def integrate(n):
+            Y = Y0
+            for _ in range(n):
+                Y = rkl2_step(Y, rhs(Y), 0.02 / n, 5, rhs)
+            return Y
+
+        ref = integrate(256)
+        errors = [np.abs(integrate(n) - ref).max() for n in (8, 16)]
+        assert 3.8 <= errors[0] / errors[1] <= 4.3
+
+    def test_run_flow_evaluates_s_stages_per_step(self, monkeypatch):
+        # Each step costs s RHS evaluations, the first of which also feeds
+        # the monitor row; the final state adds one evaluation for its row.
+        calls, stages = [0], []
+        stage, bound = evo._stage, evo._dt_bound
+
+        def counted_stage(*args):
+            calls[0] += 1
+            return stage(*args)
+
+        def recorded_bound(*args):
+            dt, s = bound(*args)
+            stages.append(s)
+            return dt, s
+
+        monkeypatch.setattr(evo, "_stage", counted_stage)
+        monkeypatch.setattr(evo, "_dt_bound", recorded_bound)
+        spec, state = canonical_preset(64)
+        trace, _ = run_flow(spec, state, FlowConfig(cells=64, t_end=0.05))
+        assert len(stages) == trace.rows.shape[0] - 1 >= 5
+        assert calls[0] == sum(stages) + 1
 
 
 def test_arclength_uniform_gauge():
@@ -258,7 +358,7 @@ class TestRunFlow:
 
     def test_short_run_monitors_and_snapshots(self):
         spec, state = canonical_preset(64)
-        cfg = FlowConfig(cells=64, t_end=0.01, snapshot_every=10)
+        cfg = FlowConfig(cells=64, t_end=0.01, snapshot_every=1)
         trace, snaps = run_flow(spec, state, cfg)
         trace.validate()
         t = trace.column("t")
@@ -342,7 +442,7 @@ class TestMonitorColumns:
             # Just above 1: the gauge is resampled after every step, so the
             # rows also cover regridded states.
             regrid = 1.0 + 1e-12
-        cfg = FlowConfig(cells=32, t_end=0.01, trace_every=1,
+        cfg = FlowConfig(cells=32, t_end=0.05, trace_every=1,
                          snapshot_every=1, regrid_threshold=regrid)
         trace, snaps = run_flow(spec, state, cfg)
         assert len(snaps) == trace.rows.shape[0] >= 5
