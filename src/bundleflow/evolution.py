@@ -38,10 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import FlowTrace
-from .geometry import (END_EVEN_WEIGHTS, EVEN, BundleSpec, Jets,
-                       ProfileState, cell_centers, cumulative_from_left,
-                       curvature_sup_proxy, field_parities, stacked_derivs,
-                       stacked_parity, _resolve_jets)
+from .geometry import (END_EVEN_WEIGHTS, EVEN, BundleSpec, Jets, ProfileState,
+                       Stencil, arclength_derivs, cell_centers, field_parities,
+                       cumulative_from_left, stacked_derivs, stacked_parity,
+                       curvature_sup_proxy, _resolve_jets)
 # The monitor row computes these three inline; they stay importable from
 # here because perfbench/child.py wraps them on this module.
 from .geometry import endpoint_even, kahler_defect, laplacian_f2  # noqa: F401
@@ -120,16 +120,27 @@ class FlowConfig:
             raise ValueError("regrid_threshold must exceed 1")
 
 
-def _rhs_core(a, h, f, h_s, h_ss, f_s, f_ss, n_col, k_col, q_col):
-    """Right-hand sides from arclength jets; shared by every entry point."""
-    fs_over_f = f_s / f
-    sum_fsf = 2.0 * (n_col * fs_over_f).sum(axis=0)
-    trl = h_s / h + sum_fsf
-    twist = (q_col * q_col) * (h * h) / (2.0 * f ** 4)
-    adot = a * (h_ss / h + 2.0 * (n_col * f_ss / f).sum(axis=0))
-    hdot = -h * (n_col * twist).sum(axis=0) + h_s * sum_fsf + h_ss
-    fdot = -k_col / f + f_s * trl + f_ss - f_s * fs_over_f + twist * f
-    return adot, hdot, fdot
+def _coefficients(spec: BundleSpec):
+    """Factor constants of _rhs_core: 2 n_i, n_i, q_i^2 / 2, k_i."""
+    n_col, k_col, q_col, _ = spec.factor_arrays()
+    return 2.0 * n_col[:, 0], n_col[:, 0], 0.5 * q_col * q_col, k_col
+
+
+def _rhs_core(Y, jet_s, jet_ss, coef):
+    """d/dt of Y = (a; h; f_1..f_r) from the arclength jets of (h; f_1..f_r):
+    the module docstring's right-hand sides, each over its field, times Y.
+    Every entry point ends here; 1/f^4 is formed as (1/f^2)^2."""
+    two_n, n, half_q2, k = coef
+    inv = 1.0 / Y[1:]
+    shape = jet_s * inv                 # h_s/h; f_i,s/f_i
+    curv = jet_ss * inv                 # h_ss/h; f_i,ss/f_i
+    shape_f = shape[1:]
+    inv_f2 = inv[1:] * inv[1:]
+    fsum = two_n @ shape_f              # tr L - h_s/h
+    twist = half_q2 * (Y[1] * Y[1]) * inv_f2 * inv_f2
+    return Y * np.vstack([
+        curv[0] + two_n @ curv[1:], curv[0] + shape[0] * fsum - n @ twist,
+        curv[1:] + shape_f * (shape[0] + fsum - shape_f) + twist - k * inv_f2])
 
 
 def flow_rhs(spec: BundleSpec, state: ProfileState, jets: Jets = None):
@@ -141,46 +152,32 @@ def flow_rhs(spec: BundleSpec, state: ProfileState, jets: Jets = None):
     offending component and cell if any derivative is non-finite.
     """
     jets = _resolve_jets(state, jets)
-    n_col, k_col, q_col, _ = spec.factor_arrays()
-    adot, hdot, fdot = _rhs_core(state.a, jets.h, jets.f, jets.h_s,
-                                 jets.h_ss, jets.f_s, jets.f_ss,
-                                 n_col, k_col, q_col)
-    _check_finite_rhs(adot, hdot, fdot, state.t)
-    return adot, hdot, fdot
+    Y = np.vstack([state.a, jets.h, jets.f])
+    ydot = _rhs_core(Y, np.vstack([jets.h_s, jets.f_s]),
+                     np.vstack([jets.h_ss, jets.f_ss]), _coefficients(spec))
+    _check_finite_rhs(ydot, state.t)
+    return ydot[0], ydot[1], ydot[2:]
 
 
-def _check_finite_rhs(adot, hdot, fdot, t):
-    if (np.isfinite(adot).all() and np.isfinite(hdot).all()
-            and np.isfinite(fdot).all()):
+def _check_finite_rhs(ydot, t):
+    if np.isfinite(ydot).all():
         return
-    for name, arr in [("a", adot), ("h", hdot)] + [
-            (f"f{i + 1}", fdot[i]) for i in range(fdot.shape[0])]:
-        bad = np.flatnonzero(~np.isfinite(arr))
+    names = ["a", "h"] + [f"f{i + 1}" for i in range(ydot.shape[0] - 2)]
+    for name, row in zip(names, ydot):
+        bad = np.flatnonzero(~np.isfinite(row))
         if bad.size:
             raise FlowHalt(f"non-finite flow RHS in component {name} "
                            f"at cell {bad[0]} (t = {t:.6g})")
 
 
-def _stage(Y, dsigma, parities, n_col, k_col, q_col):
+def _stage(Y, stencil, coef):
     """One RHS evaluation on the stacked array (a; h; f_1..f_r).
 
     Returns the stacked time derivative together with the arclength jets of
-    h and the f_i, which the run loop reuses for its monitor columns.
+    all rows, which the run loop reuses for its monitor columns.
     """
-    d1, d2 = stacked_derivs(Y, parities, dsigma)
-    a = Y[0]
-    inv_a = 1.0 / a
-    inv_a2 = inv_a * inv_a
-    conv = d1[0] * inv_a2 * inv_a
-    u_s = d1 * inv_a
-    u_ss = d2 * inv_a2 - d1 * conv
-    adot, hdot, fdot = _rhs_core(a, Y[1], Y[2:], u_s[1], u_ss[1],
-                                 u_s[2:], u_ss[2:], n_col, k_col, q_col)
-    ydot = np.empty_like(Y)
-    ydot[0] = adot
-    ydot[1] = hdot
-    ydot[2:] = fdot
-    return ydot, u_s, u_ss
+    u_s, u_ss = arclength_derivs(*stacked_derivs(Y, stencil), Y[0])
+    return _rhs_core(Y, u_s[1:], u_ss[1:], coef), u_s, u_ss
 
 
 def _dt_bound(Y, ydot, t, t_end, cfl, dsigma, dt_min):
@@ -301,8 +298,9 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
         raise InvalidInitialState(f"initial data does not close: {bad}")
 
     n_col, k_col, q_col, _ = spec.factor_arrays()
-    parities = field_parities(spec.r)
+    coef = _coefficients(spec)
     dsigma = state0.dsigma
+    stencil = Stencil(field_parities(spec.r), cfg.cells, dsigma)
     sigma = state0.sigma
     Y = np.vstack([state0.a[None, :], state0.h[None, :], state0.f])
     t = state0.t
@@ -316,7 +314,7 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
                             h=Y[1].copy(), f=Y[2:].copy())
 
     def rhs(Yj):
-        return _stage(Yj, dsigma, parities, n_col, k_col, q_col)[0]
+        return _stage(Yj, stencil, coef)[0]
 
     dt_min = DT_UNDERFLOW * cfg.t_end
     r = spec.r
@@ -361,9 +359,8 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
 
     try:
         while True:
-            ydot, u_s, u_ss = _stage(Y, dsigma, parities, n_col, k_col,
-                                     q_col)
-            _check_finite_rhs(ydot[0], ydot[1], ydot[2:], t)
+            ydot, u_s, u_ss = _stage(Y, stencil, coef)
+            _check_finite_rhs(ydot, t)
             fmin = Y[2:].min()
             h_absmax = np.abs(Y[1]).max()
             stop = (t >= t_end - DT_UNDERFLOW * max(t_end, 1.0)

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 EVEN = 1.0
 ODD = -1.0
@@ -39,6 +40,9 @@ END_EVEN_WEIGHTS = np.array([150.0, -25.0, 3.0]) / 128.0
 HALF_CELL_ODD = np.array([625.0 / 2304.0, -37.0 / 4608.0, 13.0 / 23040.0])
 HALF_CELL_EVEN = np.array([401.0 / 720.0, -31.0 / 480.0, 11.0 / 1440.0])
 STEP_WEIGHTS = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0
+# Five-point d/dsigma (over 12 dsigma) and d^2/dsigma^2 (over 12 dsigma^2).
+FIVE_POINT_WEIGHTS = np.array([[1.0, -8.0, 0.0, 8.0, -1.0],
+                               [-1.0, 16.0, -30.0, 16.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -194,38 +198,50 @@ class ProfileState:
 # Grid calculus: parity ghosts, stencils, endpoint values, quadrature.
 # ----------------------------------------------------------------------
 
-def stacked_parity(rows: np.ndarray, parity: np.ndarray) -> np.ndarray:
-    """Parity-extend several fields at once; rows (F, M) -> (F, M + 4)."""
-    nf, m = rows.shape
-    out = np.empty((nf, m + 4))
+def stacked_parity(rows: np.ndarray, parity: np.ndarray,
+                   out: np.ndarray = None) -> np.ndarray:
+    """Parity-extend fields; rows (F, M) -> (F, M + 4), parity (F, 1)."""
+    if out is None:
+        out = np.empty((rows.shape[0], rows.shape[1] + 4))
     out[:, 2:-2] = rows
-    p = parity.reshape(nf)
-    out[:, 0] = p * rows[:, 1]
-    out[:, 1] = p * rows[:, 0]
-    out[:, -2] = p * rows[:, -1]
-    out[:, -1] = p * rows[:, -2]
+    np.multiply(rows[:, 1::-1], parity, out=out[:, :2])
+    np.multiply(rows[:, :-3:-1], parity, out=out[:, -2:])
     return out
 
 
-def stacked_derivs(rows: np.ndarray, parity: np.ndarray, dsigma: float):
-    """First and second sigma-derivatives of stacked fields.
+class Stencil:
+    """Per-run workspace of ``stacked_derivs`` (F fields, M cells): parity
+    column, ghosted buffer (F, M + 4) that each call overwrites, read-only
+    (F, 5, M) five-point window view of it, (2, 5) weights over dsigma."""
+
+    def __init__(self, parity: np.ndarray, cells: int, dsigma: float):
+        self.parity = np.reshape(parity, (-1, 1))
+        self.ghosted = np.empty((self.parity.size, cells + 4))
+        row, col = self.ghosted.strides
+        self.windows = as_strided(self.ghosted, (self.parity.size, 5, cells),
+                                  (row, col, col), writeable=False)
+        self.weights = FIVE_POINT_WEIGHTS / np.array(
+            [[12.0 * dsigma], [12.0 * dsigma * dsigma]])
+
+
+def stacked_derivs(rows: np.ndarray, stencil: Stencil):
+    """First and second sigma-derivatives (d1, d2) of stacked fields.
 
     Fourth-order five-point stencils evaluated with parity ghosts; exact to
     O(dsigma^4) for fields whose smooth extension has the stated parity.
+    One product of the weights with the window view gives both.
     """
-    e = stacked_parity(rows, parity)
-    d1 = (e[..., :-4] - 8.0 * e[..., 1:-3]
-          + 8.0 * e[..., 3:-1] - e[..., 4:]) / (12.0 * dsigma)
-    d2 = (-e[..., :-4] + 16.0 * e[..., 1:-3] - 30.0 * e[..., 2:-2]
-          + 16.0 * e[..., 3:-1] - e[..., 4:]) / (12.0 * dsigma * dsigma)
-    return d1, d2
+    stacked_parity(rows, stencil.parity, stencil.ghosted)
+    both = stencil.weights @ stencil.windows
+    return both[:, 0], both[:, 1]
 
 
-def diff_sigma(u: np.ndarray, parity: float, dsigma: float):
-    """Sigma-derivatives (u', u'') of a single cellwise field."""
-    d1, d2 = stacked_derivs(np.asarray(u, float)[None, :],
-                            np.array([parity]), dsigma)
-    return d1[0], d2[0]
+def arclength_derivs(d1: np.ndarray, d2: np.ndarray, a: np.ndarray):
+    """Arclength (u_s, u_ss) = (u'/a, (u'' - u_s a')/a^2) from the sigma
+    derivatives of stacked fields whose row 0 is a."""
+    inv_a = 1.0 / a
+    u_s = d1 * inv_a
+    return u_s, (d2 - u_s * d1[0]) * (inv_a * inv_a)
 
 
 def endpoint_even(u: np.ndarray):
@@ -300,23 +316,12 @@ def field_parities(r: int) -> np.ndarray:
 
 
 def profile_jets(state: ProfileState) -> Jets:
-    """Arclength jets of a state by parity finite differences.
-
-    The sigma-derivatives are converted with ds = a dsigma:
-    u_s = u'/a and u_ss = u''/a^2 - u' a'/a^3.
-    """
+    """Arclength jets of a state, by the same kernel as a flow stage."""
     rows = np.vstack([state.a[None, :], state.h[None, :], state.f])
-    d1, d2 = stacked_derivs(rows, field_parities(state.r), state.dsigma)
-    a = state.a
-    inv_a = 1.0 / a
-    inv_a2 = inv_a * inv_a
-    chain = d1[0] * inv_a2 * inv_a      # a' / a^3
-    h_s = d1[1] * inv_a
-    h_ss = d2[1] * inv_a2 - d1[1] * chain
-    f_s = d1[2:] * inv_a
-    f_ss = d2[2:] * inv_a2 - d1[2:] * chain
-    return Jets(h=state.h, h_s=h_s, h_ss=h_ss,
-                f=state.f, f_s=f_s, f_ss=f_ss)
+    stencil = Stencil(field_parities(state.r), state.cells, state.dsigma)
+    u_s, u_ss = arclength_derivs(*stacked_derivs(rows, stencil), state.a)
+    return Jets(h=state.h, h_s=u_s[1], h_ss=u_ss[1],
+                f=state.f, f_s=u_s[2:], f_ss=u_ss[2:])
 
 
 def _resolve_jets(state, jets):
@@ -490,13 +495,11 @@ def radial_laplacian(spec: BundleSpec, state: ProfileState, u: np.ndarray,
         raise ValueError("field length does not match the grid")
     j = _resolve_jets(state, jets)
     n = spec.factor_arrays()[0]
-    d1, d2 = diff_sigma(u, EVEN, state.dsigma)
-    a1, _ = diff_sigma(state.a, EVEN, state.dsigma)
-    inv_a = 1.0 / state.a
-    u_s = d1 * inv_a
-    u_ss = d2 * inv_a ** 2 - d1 * a1 * inv_a ** 3
+    stencil = Stencil(np.array([EVEN, EVEN]), state.cells, state.dsigma)
+    u_s, u_ss = arclength_derivs(
+        *stacked_derivs(np.vstack([state.a, u]), stencil), state.a)
     tr_l = j.h_s / j.h + (2.0 * n * j.f_s / j.f).sum(axis=0)
-    lap = u_ss + tr_l * u_s
+    lap = u_ss[1] + tr_l * u_s[1]
     if cell is None:
         return lap
     _check_cell(cell, lap.size)

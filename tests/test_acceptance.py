@@ -123,6 +123,16 @@ def test_criterion_04_heat_residual_small_with_order_two_decay(
     assert math.log2(heat4 / heat8) >= 1.95
 
 
+def test_criterion_04_late_heat_residual_refines_at_fourth_order(
+        canonical_400, canonical_800):
+    # The whole-run maximum of criterion 04 sits on the t = 0 row, which
+    # only sees the initial data; rows from t = 0.15 on see the stepping.
+    late = []
+    for trace, _, _ in (canonical_400, canonical_800):
+        late.append(trace.column("heat_res")[trace.column("t") >= 0.15].max())
+    assert math.log2(late[0] / late[1]) >= 3.5
+
+
 def test_criterion_05_boundary_slopes_match_topological_constants(
         canonical_400):
     trace, _, secs = canonical_400

@@ -1,6 +1,11 @@
 """Flow right-hand side, stepping, boundary handling, and run control."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,11 +161,12 @@ class TestFlowConfig:
 def stacked(spec, state):
     """The stacked state (a; h; f), its first stage and the RHS closure,
     built as run_flow builds them."""
-    n_col, k_col, q_col, _ = spec.factor_arrays()
-    parities = geo.field_parities(spec.r)
+    stencil = geo.Stencil(geo.field_parities(spec.r), state.cells,
+                          state.dsigma)
+    coef = evo._coefficients(spec)
 
     def rhs(Y):
-        return _stage(Y, state.dsigma, parities, n_col, k_col, q_col)[0]
+        return _stage(Y, stencil, coef)[0]
 
     Y = np.vstack([state.a[None, :], state.h[None, :], state.f])
     return Y, rhs(Y), rhs
@@ -476,3 +482,63 @@ class TestMonitorColumns:
         t, dt = trace.column("t"), trace.column("dt")
         assert np.array_equal(t[:-1] + dt[:-1], t[1:])
         assert dt[-1] == 0.0
+
+
+class TestOneKernel:
+    """Jets and right-hand sides come from the flow stage's own kernel."""
+
+    @pytest.mark.parametrize("case", ["canonical", "two_factor"])
+    def test_profile_jets_and_flow_rhs_equal_the_stage(self, case):
+        if case == "canonical":
+            spec, state = canonical_preset(32)
+        else:
+            spec = TWO_FACTOR
+            state = build_kahler_profile(
+                spec, ProfileTemplate(length=math.pi, f0=(2.0, 3.0)), 32)
+        # The end of a short run adds a nonuniform gauge a, so the chain
+        # rule's a' term is exercised too.
+        _, snaps = run_flow(spec, state, FlowConfig(cells=32, t_end=0.05))
+        assert np.ptp(snaps[-1].a) > 0.0
+        for snap in (state, snaps[-1]):
+            Y = np.vstack([snap.a, snap.h, snap.f])
+            stencil = geo.Stencil(geo.field_parities(spec.r), snap.cells,
+                                  snap.dsigma)
+            ydot, u_s, u_ss = _stage(Y, stencil, evo._coefficients(spec))
+            jets = geo.profile_jets(snap)
+            assert np.array_equal(jets.h_s, u_s[1])
+            assert np.array_equal(jets.h_ss, u_ss[1])
+            assert np.array_equal(jets.f_s, u_s[2:])
+            assert np.array_equal(jets.f_ss, u_ss[2:])
+            adot, hdot, fdot = flow_rhs(spec, snap)
+            assert np.array_equal(adot, ydot[0])
+            assert np.array_equal(hdot, ydot[1])
+            assert np.array_equal(fdot, ydot[2:])
+
+
+def test_benchmark_hooks_see_every_stage(tmp_path):
+    # perfbench/child.py counts and traces the flow through the module
+    # attributes evolution._stage, stacked_derivs and _rhs_core; a stage
+    # that bypassed them would leave rhs_evals and the per-layer spans
+    # wrong without failing anything else.
+    root = Path(__file__).resolve().parents[1]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"flow": {"cells": 24, "t_end": 0.05},
+                               "initial": {"preset": "canonical"}}))
+    report = tmp_path / "report.json"
+    src = str(Path(evo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"), str(report),
+         "1", "--", "run", str(cfg), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(report.read_text())
+    names = doc["names"]
+    spans = [(names[span[0]], span[3]) for span in doc["spans"]]
+    stages = [i for i, (name, _) in enumerate(spans)
+              if name == "evolution.stage"]
+    assert doc["counts"]["rhs_evals"] == len(stages) > 0
+    for child in ("geometry.stacked_derivs", "evolution.rhs_core"):
+        parents = [parent for name, parent in spans if name == child]
+        assert sorted(parents) == stages, child

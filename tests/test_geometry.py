@@ -157,11 +157,12 @@ def test_stencils_exact_parity_trig():
         sigma = geo.cell_centers(cells)
         d = 1.0 / cells
         odd = np.sin(math.pi * sigma)
-        d1, d2 = geo.diff_sigma(odd, geo.ODD, d)
+        even = np.cos(2.0 * math.pi * sigma)
+        stencil = geo.Stencil(np.array([geo.ODD, geo.EVEN]), cells, d)
+        (d1, e1), (d2, e2) = geo.stacked_derivs(np.vstack([odd, even]),
+                                                stencil)
         assert np.abs(d1 - math.pi * np.cos(math.pi * sigma)).max() < 1e-5
         assert np.abs(d2 + math.pi ** 2 * odd).max() < 1e-4
-        even = np.cos(2.0 * math.pi * sigma)
-        e1, e2 = geo.diff_sigma(even, geo.EVEN, d)
         assert np.abs(
             e1 + 2.0 * math.pi * np.sin(2.0 * math.pi * sigma)).max() < 1e-4
 
