@@ -10,12 +10,12 @@ module wraps them behind the ``bundleflow`` command.
 
 __version__ = "0.1.0"
 
-from .geometry import (BundleSpec, CurvatureField, Jets, ProfileState,
-                       RicciComponents, cell_centers, curvature_field,
-                       curvature_sup_proxy, horizontal_rm_estimate,
-                       kahler_defect, laplacian_f2, oneill_quantities,
-                       profile_jets, radial_laplacian, ricci_full,
-                       ricci_kahler, shape_operator_eigs, submersion_ricci)
+from .geometry import (BundleSpec, Jets, ProfileState, RicciComponents,
+                       cell_centers, curvature_sup_proxy,
+                       horizontal_rm_estimate, kahler_defect, laplacian_f2,
+                       oneill_quantities, profile_jets, radial_laplacian,
+                       ricci_full, ricci_kahler, shape_operator_eigs,
+                       submersion_ricci)
 from .initial_data import (PRESETS, ClosingCheck, ClosingReport,
                            ProfileTemplate, build_general_profile,
                            build_kahler_profile, calabi_preset,

@@ -8,9 +8,9 @@ Type I/II classification through the scale-invariant quantity
 (T_hat - t) * kappa, Schwarz-type lower-bound fitting, degeneration-case
 labeling, and parabolic blow-up rescaling).
 
-Thresholds that calibrate verdicts (plateau and growth factors, window
-decades, floor multiples) are keyword parameters with documented defaults;
-finite runs cannot observe a lim sup, so these are operational stand-ins.
+Thresholds that calibrate verdicts (plateau factor, window decades, floor
+multiple) are keyword parameters with documented defaults; finite runs
+cannot observe a lim sup, so these are operational stand-ins.
 """
 
 from __future__ import annotations
@@ -307,16 +307,14 @@ def estimate_singular_time(trace: FlowTrace) -> SingularTimeEstimate:
 
 def classify_singularity_type(trace: FlowTrace, t_hat: float,
                               plateau_factor: float = 2.0,
-                              growth_factor: float = 4.0,
                               decades: float = 2.0):
     """Type I/II verdict from the behavior of y = (t_hat - t) * kappa.
 
     The analysis window covers the final ``decades`` powers of ten of
     t_hat - t.  Verdict TypeI when y varies by less than plateau_factor
-    across the final decade (a bounded, settled plateau).  Otherwise the
-    endpoint growth of y across the whole window is compared against
-    growth_factor; failing the plateau makes the verdict TypeII-suspect
-    either way, with the growth ratio reported as supporting detail.
+    across the final decade (a bounded, settled plateau), TypeII-suspect
+    otherwise.  The endpoint growth ratio of y across the whole window is
+    reported as supporting detail.
 
     Returns (typei_sup, verdict, plateau_ratio, growth_ratio).
     """
@@ -393,9 +391,7 @@ def classify_degeneration(snapshots, trace: FlowTrace, stop_floor: float,
         f2 = final.f ** 2
         h2_max = float((final.h ** 2).max())
         f2_min = f2.min(axis=1)
-        pairs = [endpoint_even(f2[i]) for i in range(final.r)]
-        ends = {"left": np.array([p[0] for p in pairs]),
-                "right": np.array([p[1] for p in pairs])}
+        ends = dict(zip(("left", "right"), endpoint_even(f2)))
     else:
         return INDETERMINATE
 
@@ -426,8 +422,7 @@ def blowup_rescale(state: ProfileState, K: float) -> ProfileState:
 
 
 def analyze_run(trace: FlowTrace, snapshots, stop_floor: float,
-                plateau_factor: float = 2.0, growth_factor: float = 4.0,
-                decades: float = 2.0,
+                plateau_factor: float = 2.0, decades: float = 2.0,
                 floor_multiple: float = 10.0) -> SingularityReport:
     """Full singularity report for one finished run.
 
@@ -439,7 +434,6 @@ def analyze_run(trace: FlowTrace, snapshots, stop_floor: float,
     typei_sup, verdict, plateau_ratio, growth_ratio = \
         classify_singularity_type(trace, est.t_hat,
                                   plateau_factor=plateau_factor,
-                                  growth_factor=growth_factor,
                                   decades=decades)
     schwarz_c = schwarz_fit(trace, est.t_hat)
     case = classify_degeneration(snapshots, trace, stop_floor,

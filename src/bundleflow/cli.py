@@ -40,9 +40,8 @@ from .initial_data import (PRESETS, ProfileTemplate, build_general_profile,
                            build_kahler_profile)
 
 TOP_SECTIONS = {"bundle", "initial", "flow", "analysis", "output"}
-ANALYSIS_DEFAULTS = {"plateau_factor": 2.0, "growth_factor": 4.0,
-                     "decades": 2.0, "floor_multiple": 10.0,
-                     "liyau_c0": None}
+ANALYSIS_DEFAULTS = {"plateau_factor": 2.0, "decades": 2.0,
+                     "floor_multiple": 10.0, "liyau_c0": None}
 
 SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
               "#8c564b"]
@@ -218,13 +217,18 @@ def _parse_analysis(section):
     an = _expect_mapping(section, "analysis")
     _reject_unknown(an, ANALYSIS_DEFAULTS, "analysis")
     out = dict(ANALYSIS_DEFAULTS)
-    for key in ("plateau_factor", "growth_factor", "decades",
-                "floor_multiple"):
+    for key in ("plateau_factor", "decades", "floor_multiple"):
         if key in an:
             v = _number(an[key], f"analysis.{key}")
             if v <= 0.0:
                 raise ConfigError(f"analysis.{key} must be positive")
             out[key] = v
+    # classify_singularity_type's window spans 10 ** decades in tau.
+    try:
+        10.0 ** out["decades"]
+    except OverflowError:
+        raise ConfigError("analysis.decades is too large: 10 ** decades "
+                          "overflows") from None
     if "liyau_c0" in an and an["liyau_c0"] is not None:
         out["liyau_c0"] = _number(an["liyau_c0"], "analysis.liyau_c0")
     return out

@@ -2,18 +2,13 @@
 
 The comoving coordinate sigma in (0,1) stays fixed while the gauge factor a
 evolves together with h and the f_i, so the grid never moves even though the
-interval's arclength does.  The right-hand sides are minus twice the
-corresponding Ricci components of the ansatz metric, written on the profile
-jets:
+interval's arclength does.  Ricci flow preserves the ansatz, so the reduced
+system is
 
-    da/dt  = a (h_ss/h + sum 2 n_i f_i,ss/f_i)
-    dh/dt  = -sum n_i q_i^2 h^3/(2 f_i^4) + sum 2 n_i h_s f_i,s/f_i + h_ss
-    df_i/dt = -k_i/f_i + f_i,s tr L + f_i,ss - f_i,s^2/f_i
-              + q_i^2 h^2/(2 f_i^3)
+    d/dt (a; h; f_i) = -(a Ric_nn; h Ric_zz; rho_i / f_i)
 
-with subscript s denoting arclength derivatives (converted from sigma
-derivatives through a) and tr L the mean-curvature trace h_s/h +
-sum 2 n_j f_j,s/f_j.
+with the Ricci rows of geometry.ricci_rows evaluated on the arclength jets
+of the profiles (converted from sigma derivatives through a).
 
 Time stepping is the second-order Runge-Kutta-Legendre scheme RKL2
 (Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014), an s-stage explicit
@@ -38,13 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import FlowTrace
-from .geometry import (END_EVEN_WEIGHTS, EVEN, BundleSpec, Jets, ProfileState,
-                       Stencil, arclength_derivs, cell_centers, field_parities,
-                       cumulative_from_left, stacked_derivs, stacked_parity,
-                       curvature_sup_proxy, _resolve_jets)
-# The monitor row computes these three inline; they stay importable from
-# here because perfbench/child.py wraps them on this module.
-from .geometry import endpoint_even, kahler_defect, laplacian_f2  # noqa: F401
+from .geometry import (EVEN, BundleSpec, Jets, ProfileState, Stencil,
+                       arclength_derivs, cell_centers, cumulative_from_left,
+                       curvature_sup_proxy, endpoint_even, field_parities,
+                       kahler_defect, laplacian_f2, ricci_coefficients,
+                       ricci_rows, stacked_derivs, stacked_parity,
+                       _resolve_jets)
 from .initial_data import validate_closing
 
 # A step this far below the requested horizon means the adaptive control
@@ -120,27 +114,10 @@ class FlowConfig:
             raise ValueError("regrid_threshold must exceed 1")
 
 
-def _coefficients(spec: BundleSpec):
-    """Factor constants of _rhs_core: 2 n_i, n_i, q_i^2 / 2, k_i."""
-    n_col, k_col, q_col, _ = spec.factor_arrays()
-    return 2.0 * n_col[:, 0], n_col[:, 0], 0.5 * q_col * q_col, k_col
-
-
 def _rhs_core(Y, jet_s, jet_ss, coef):
     """d/dt of Y = (a; h; f_1..f_r) from the arclength jets of (h; f_1..f_r):
-    the module docstring's right-hand sides, each over its field, times Y.
-    Every entry point ends here; 1/f^4 is formed as (1/f^2)^2."""
-    two_n, n, half_q2, k = coef
-    inv = 1.0 / Y[1:]
-    shape = jet_s * inv                 # h_s/h; f_i,s/f_i
-    curv = jet_ss * inv                 # h_ss/h; f_i,ss/f_i
-    shape_f = shape[1:]
-    inv_f2 = inv[1:] * inv[1:]
-    fsum = two_n @ shape_f              # tr L - h_s/h
-    twist = half_q2 * (Y[1] * Y[1]) * inv_f2 * inv_f2
-    return Y * np.vstack([
-        curv[0] + two_n @ curv[1:], curv[0] + shape[0] * fsum - n @ twist,
-        curv[1:] + shape_f * (shape[0] + fsum - shape_f) + twist - k * inv_f2])
+    minus Y times the Ricci rows.  Every entry point ends here."""
+    return -Y * ricci_rows(Y[1:], jet_s, jet_ss, coef)
 
 
 def flow_rhs(spec: BundleSpec, state: ProfileState, jets: Jets = None):
@@ -154,7 +131,8 @@ def flow_rhs(spec: BundleSpec, state: ProfileState, jets: Jets = None):
     jets = _resolve_jets(state, jets)
     Y = np.vstack([state.a, jets.h, jets.f])
     ydot = _rhs_core(Y, np.vstack([jets.h_s, jets.f_s]),
-                     np.vstack([jets.h_ss, jets.f_ss]), _coefficients(spec))
+                     np.vstack([jets.h_ss, jets.f_ss]),
+                     ricci_coefficients(spec))
     _check_finite_rhs(ydot, state.t)
     return ydot[0], ydot[1], ydot[2:]
 
@@ -297,8 +275,7 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
                         for c in closing.failures())
         raise InvalidInitialState(f"initial data does not close: {bad}")
 
-    n_col, k_col, q_col, _ = spec.factor_arrays()
-    coef = _coefficients(spec)
+    coef = ricci_coefficients(spec)
     dsigma = state0.dsigma
     stencil = Stencil(field_parities(spec.r), cfg.cells, dsigma)
     sigma = state0.sigma
@@ -318,25 +295,16 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
 
     dt_min = DT_UNDERFLOW * cfg.t_end
     r = spec.r
-    width = 8 + 4 * r
-    two_n = 2.0 * n_col
-    two_k = 2.0 * k_col
-    w = END_EVEN_WEIGHTS
+    two_k = 2.0 * spec.factor_arrays()[1]
 
     def monitor_row(ydot, u_s, u_ss, dt_col):
         # Columns of analysis.trace_columns and boundary_columns from the
-        # first stage's jets.  Each expression keeps the operation order of
-        # kahler_defect, laplacian_f2 and endpoint_even, so the values
-        # equal theirs bit for bit.
-        h, f = Y[1], Y[2:]
-        h_s, f_s, f_ss = u_s[1], u_s[2:], u_ss[2:]
+        # first stage's jets.
+        h, f, f_s = Y[1], Y[2:], u_s[2:]
         f2 = f * f
-        two_f = 2.0 * f
-        df2 = two_f * f_s
-        tr_l = h_s / h + (two_n * f_s / f).sum(axis=0)
-        lap_f2 = two_f * f_ss + 2.0 * f_s ** 2 + tr_l * 2.0 * f * f_s
-        jets = Jets(h=h, h_s=h_s, h_ss=u_ss[1], f=f, f_s=f_s, f_ss=f_ss)
-        row = np.empty(width)
+        jets = Jets(h=h, h_s=u_s[1], h_ss=u_ss[1], f=f, f_s=f_s,
+                    f_ss=u_ss[2:])
+        row = np.empty(8 + 4 * r)
         row[0] = t
         row[1] = dt_col
         row[2] = curvature_sup_proxy(spec, jets=jets)
@@ -344,17 +312,16 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
         row[4] = h.max()
         row[5:5 + 2 * r:2] = f2.min(axis=1)
         row[6:6 + 2 * r:2] = f2.max(axis=1)
-        row[5 + 2 * r] = np.abs(q_col * h - df2).max()
-        row[6 + 2 * r] = np.abs(two_f * ydot[2:] - lap_f2 + two_k).max()
-        row[7 + 2 * r:7 + 3 * r] = np.abs(df2).max(axis=1)
+        row[5 + 2 * r] = kahler_defect(spec, jets=jets).max()
+        row[6 + 2 * r] = np.abs(2.0 * f * ydot[2:] - laplacian_f2(spec, jets)
+                                + two_k).max()
+        row[7 + 2 * r:7 + 3 * r] = np.abs(2.0 * f * f_s).max(axis=1)
         row[7 + 3 * r:7 + 4 * r] = (4.0 * f_s * f_s).max(axis=1)
         row[-1] = cumulative_from_left(Y[0], dsigma, EVEN)[1]
         rows.append(row)
-        ends = (w[0] * f2[:, [0, -1]] + w[1] * f2[:, [1, -2]]
-                + w[2] * f2[:, [2, -3]])
         brow = np.empty(1 + 2 * r)
         brow[0] = t
-        brow[1:] = ends.ravel()
+        brow[1::2], brow[2::2] = endpoint_even(f2)
         brows.append(brow)
 
     try:

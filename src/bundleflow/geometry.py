@@ -245,15 +245,16 @@ def arclength_derivs(d1: np.ndarray, d2: np.ndarray, a: np.ndarray):
 
 
 def endpoint_even(u: np.ndarray):
-    """Extrapolate an even-parity cell field to the interval ends.
+    """Extrapolate even-parity cell fields to the interval ends.
 
-    Fits c0 + c2 x^2 + c4 x^4 through the three cells nearest each end;
-    returns (left value, right value).
+    Fits c0 + c2 x^2 + c4 x^4 through the three cells nearest each end,
+    along the last axis; returns (left values, right values), scalars for
+    a single field.
     """
     w = END_EVEN_WEIGHTS
-    left = w[0] * u[0] + w[1] * u[1] + w[2] * u[2]
-    right = w[0] * u[-1] + w[1] * u[-2] + w[2] * u[-3]
-    return float(left), float(right)
+    left = w[0] * u[..., 0] + w[1] * u[..., 1] + w[2] * u[..., 2]
+    right = w[0] * u[..., -1] + w[1] * u[..., -2] + w[2] * u[..., -3]
+    return left, right
 
 
 def cumulative_from_left(u: np.ndarray, dsigma: float, parity: float):
@@ -353,111 +354,44 @@ class RicciComponents:
     advisory: bool = False
 
 
-@dataclass
-class CurvatureField:
-    """Pointwise curvature and estimate quantities over all cells.
+def ricci_coefficients(spec: BundleSpec):
+    """Factor constants of ricci_rows: 2 n_i, n_i, q_i^2 / 2, k_i."""
+    n_col, k_col, q_col, _ = spec.factor_arrays()
+    return 2.0 * n_col[:, 0], n_col[:, 0], 0.5 * q_col * q_col, k_col
 
-    Shapes: (M,) for scalar slots, (r, M) for per-factor slots.  Mixed-frame
-    Ricci components vanish identically for this family and have no slots.
+
+def ricci_rows(u, u_s, u_ss, coef):
+    """Ricci curvature of the full metric from stacked jets.
+
+    ``u`` holds the rows (h; f_1..f_r), ``u_s`` and ``u_ss`` their
+    arclength derivatives and ``coef`` the output of ricci_coefficients.
+    Returns the stacked rows (Ric_nn; Ric_zz; rho_i / f_i^2), with
+
+        Ric(nu, nu)     = -h_ss/h - sum 2 n_i f_i,ss/f_i
+        Ric(zhat, zhat) = sum n_i q_i^2 h^2/(2 f_i^4)
+                          - (h_s/h) sum 2 n_i f_i,s/f_i - h_ss/h
+        rho_i / f_i^2   = k_i/f_i^2 - (f_i,s/f_i) tr L - f_i,ss/f_i
+                          + (f_i,s/f_i)^2 - q_i^2 h^2/(2 f_i^4)
+
+    and tr L = h_s/h + sum 2 n_j f_j,s/f_j.  Both the flow right-hand side
+    and ricci_full come from here; 1/f^4 is formed as (1/f^2)^2.
     """
-
-    shape_h: np.ndarray          # H'/H, shape operator eigenvalue on zhat
-    shape_f: np.ndarray          # F_i'/F_i, eigenvalue on each N_i block
-    shape_rate_h: np.ndarray     # d/ds of H'/H
-    shape_rate_f: np.ndarray     # d/ds of F_i'/F_i
-    sub_fiber: np.ndarray        # submersion Ric(zeta*, zeta*) on {s} x P
-    sub_horiz: np.ndarray        # submersion horizontal coefficient, wrt g_s
-    ric_nn: np.ndarray           # Ric(nu, nu)
-    ric_zz: np.ndarray           # Ric(zhat, zhat)
-    ric_horiz: np.ndarray        # rho_i wrt g_i
-    kahler_nn: np.ndarray        # same slots via the Kahler-form expressions
-    kahler_zz: np.ndarray
-    kahler_horiz: np.ndarray
-    oneill_b: np.ndarray         # B = sum_i (F_i'/F_i)^2
-    liyau_q: np.ndarray          # Q_i = |grad f_i^2|^2 / f_i^2
-    kappa_cell: np.ndarray       # per-cell sup-curvature proxy
-
-    @property
-    def kappa(self) -> float:
-        return float(self.kappa_cell.max())
+    two_n, n, half_q2, k = coef
+    inv = 1.0 / u
+    shape = u_s * inv                   # h_s/h; f_i,s/f_i
+    curv = u_ss * inv                   # h_ss/h; f_i,ss/f_i
+    shape_f = shape[1:]
+    inv_f2 = inv[1:] * inv[1:]
+    fsum = two_n @ shape_f              # tr L - h_s/h
+    twist = half_q2 * (u[0] * u[0]) * inv_f2 * inv_f2
+    return -np.vstack([
+        curv[0] + two_n @ curv[1:], curv[0] + shape[0] * fsum - n @ twist,
+        curv[1:] + shape_f * (shape[0] + fsum - shape_f) + twist - k * inv_f2])
 
 
-def _proxy_cells(lam, j: Jets, shape_h, shape_f, twist) -> np.ndarray:
-    """Per-cell value of the sup-curvature proxy.
-
-    Maximum over the sectional classes of the ansatz (radial-fiber,
-    radial-horizontal, fiber-horizontal, intra-factor horizontal with the
-    |Rm(N_i)| bound, cross-factor horizontal); ``twist`` is
-    q_i^2 H^2 / (2 F_i^4).
-    """
-    kap = np.abs(j.h_ss / j.h)
-    np.maximum(kap, np.abs(j.f_ss / j.f).max(axis=0), out=kap)
-    np.maximum(kap, np.abs(0.5 * twist - shape_h * shape_f).max(axis=0),
-               out=kap)
-    np.maximum(kap, (lam / j.f ** 2 + 1.5 * twist + shape_f ** 2).max(axis=0),
-               out=kap)
-    r = shape_f.shape[0]
-    if r > 1:
-        cross = np.abs(shape_f[:, None, :] * shape_f[None, :, :])
-        off = ~np.eye(r, dtype=bool)
-        np.maximum(kap, cross[off].max(axis=0), out=kap)
-    return kap
-
-
-def curvature_field(spec: BundleSpec, state: ProfileState = None,
-                    jets: Jets = None) -> CurvatureField:
-    """Evaluate every curvature slot at all cells.
-
-    Works from grid jets of ``state`` or from caller-supplied ``jets`` (for
-    closed-form profiles).  All expressions below are the pointwise formulas
-    for the ansatz metric; the full-Ricci and Kahler-form routes are kept
-    separate so they can be compared as a consistency check.
-    """
-    j = _resolve_jets(state, jets)
-    n, k, q, lam = spec.factor_arrays()
-    if spec.r != j.r:
-        raise ValueError("spec and jets disagree on the number of factors")
-    h, h_s, h_ss = j.h, j.h_s, j.h_ss
-    f, f_s, f_ss = j.f, j.f_s, j.f_ss
-
-    shape_h = h_s / h
-    shape_f = f_s / f
-    fsum = (2.0 * n * shape_f).sum(axis=0)
-    tr_l = shape_h + fsum
-    shape_rate_h = h_ss / h - shape_h ** 2
-    shape_rate_f = f_ss / f - shape_f ** 2
-
-    # Twist pressure q_i^2 H^2 / (2 F_i^4) drives both the submersion Ricci
-    # of the hypersurfaces {s} x P and the fiber-horizontal coupling.
-    twist = q ** 2 * h ** 2 / (2.0 * f ** 4)
-    sub_fiber = (n * twist).sum(axis=0)
-    sub_horiz = k / f ** 2 - twist
-
-    ric_nn = -h_ss / h - (2.0 * n * f_ss / f).sum(axis=0)
-    ric_zz = sub_fiber - shape_h * fsum - h_ss / h
-    ric_horiz = (k / f ** 2 - shape_f * tr_l - f_ss / f
-                 + shape_f ** 2 - twist) * f ** 2
-
-    # Kahler-form route: Ric(nu,nu) = Ric(zhat,zhat) = -lap log H + 2 sum n B_i
-    # and horizontal k_i - lap(F_i^2)/2, valid when q_i H = (F_i^2)_s.
-    lap_log_h = shape_rate_h + tr_l * shape_h
-    lap_f2 = 2.0 * f * f_ss + 2.0 * f_s ** 2 + tr_l * 2.0 * f * f_s
-    kahler_nn = -lap_log_h + (2.0 * n * shape_f ** 2).sum(axis=0)
-    kahler_horiz = k - 0.5 * lap_f2
-
-    oneill_b = (shape_f ** 2).sum(axis=0)
-    liyau_q = 4.0 * f_s ** 2          # ((f^2)_s)^2 / f^2
-
-    kap = _proxy_cells(lam, j, shape_h, shape_f, twist)
-
-    return CurvatureField(
-        shape_h=shape_h, shape_f=shape_f,
-        shape_rate_h=shape_rate_h, shape_rate_f=shape_rate_f,
-        sub_fiber=sub_fiber, sub_horiz=sub_horiz,
-        ric_nn=ric_nn, ric_zz=ric_zz, ric_horiz=ric_horiz,
-        kahler_nn=kahler_nn, kahler_zz=kahler_nn.copy(),
-        kahler_horiz=kahler_horiz,
-        oneill_b=oneill_b, liyau_q=liyau_q, kappa_cell=kap)
+def _trace_l(n, j: Jets) -> np.ndarray:
+    """Mean-curvature trace tr L = h_s/h + sum 2 n_i f_i,s/f_i."""
+    return j.h_s / j.h + (2.0 * n * j.f_s / j.f).sum(axis=0)
 
 
 def _check_cell(cell, m):
@@ -498,8 +432,7 @@ def radial_laplacian(spec: BundleSpec, state: ProfileState, u: np.ndarray,
     stencil = Stencil(np.array([EVEN, EVEN]), state.cells, state.dsigma)
     u_s, u_ss = arclength_derivs(
         *stacked_derivs(np.vstack([state.a, u]), stencil), state.a)
-    tr_l = j.h_s / j.h + (2.0 * n * j.f_s / j.f).sum(axis=0)
-    lap = u_ss[1] + tr_l * u_s[1]
+    lap = u_ss[1] + _trace_l(n, j) * u_s[1]
     if cell is None:
         return lap
     _check_cell(cell, lap.size)
@@ -510,8 +443,8 @@ def laplacian_f2(spec: BundleSpec, jets: Jets) -> np.ndarray:
     """Laplacian of every f_i^2 directly from arclength jets, shape (r, M)."""
     n = spec.factor_arrays()[0]
     f, f_s, f_ss = jets.f, jets.f_s, jets.f_ss
-    tr_l = jets.h_s / jets.h + (2.0 * n * f_s / f).sum(axis=0)
-    return 2.0 * f * f_ss + 2.0 * f_s ** 2 + tr_l * 2.0 * f * f_s
+    return (2.0 * f * f_ss + 2.0 * f_s ** 2
+            + _trace_l(n, jets) * 2.0 * f * f_s)
 
 
 def submersion_ricci(spec: BundleSpec, state: ProfileState, cell: int = None,
@@ -539,31 +472,15 @@ def ricci_full(spec: BundleSpec, state: ProfileState = None, cell: int = None,
                jets: Jets = None) -> RicciComponents:
     """Ricci curvature of the full metric in the canonical frame.
 
-    Valid for Kahler and non-Kahler profiles alike:
-
-        Ric(nu, nu)     = -H''/H - sum 2 n_i F_i''/F_i
-        Ric(zhat, zhat) = sum n_i q_i^2 H^2/(2 F_i^4)
-                          - (H'/H) sum 2 n_i F_i'/F_i - H''/H
-        rho_i / F_i^2   = k_i/F_i^2 - (F_i'/F_i) tr L - F_i''/F_i
-                          + (F_i'/F_i)^2 - q_i^2 H^2/(2 F_i^4)
-
-    with rho_i the horizontal coefficient with respect to g_i.  All mixed
-    components vanish identically.  Non-finite output signals an invalid
-    profile (for example h <= 0 at an interior cell).
+    Valid for Kahler and non-Kahler profiles alike; the formulas are those
+    of ricci_rows, with rho_i the horizontal coefficient with respect to
+    g_i.  All mixed components vanish identically.  Non-finite output
+    signals an invalid profile (for example h <= 0 at an interior cell).
     """
     j = _resolve_jets(state, jets)
-    n, k, q, _ = spec.factor_arrays()
-    h, h_s, h_ss = j.h, j.h_s, j.h_ss
-    f, f_s, f_ss = j.f, j.f_s, j.f_ss
-    shape_h = h_s / h
-    shape_f = f_s / f
-    fsum = (2.0 * n * shape_f).sum(axis=0)
-    tr_l = shape_h + fsum
-    twist = q ** 2 * h ** 2 / (2.0 * f ** 4)
-    nn = -h_ss / h - (2.0 * n * f_ss / f).sum(axis=0)
-    zz = (n * twist).sum(axis=0) - shape_h * fsum - h_ss / h
-    horiz = (k / f ** 2 - shape_f * tr_l - f_ss / f + shape_f ** 2
-             - twist) * f ** 2
+    rows = ricci_rows(np.vstack([j.h, j.f]), np.vstack([j.h_s, j.f_s]),
+                      np.vstack([j.h_ss, j.f_ss]), ricci_coefficients(spec))
+    nn, zz, horiz = rows[0], rows[1], rows[2:] * j.f ** 2
     if cell is None:
         return RicciComponents(nn=nn, zz=zz, horiz=horiz)
     _check_cell(cell, nn.size)
@@ -598,15 +515,11 @@ def ricci_kahler(spec: BundleSpec, state: ProfileState = None,
     """
     j = _resolve_jets(state, jets)
     n, k, _, _ = spec.factor_arrays()
-    h, h_s, h_ss = j.h, j.h_s, j.h_ss
-    f, f_s, f_ss = j.f, j.f_s, j.f_ss
-    shape_h = h_s / h
-    shape_f = f_s / f
-    tr_l = shape_h + (2.0 * n * shape_f).sum(axis=0)
-    lap_log_h = (h_ss / h - shape_h ** 2) + tr_l * shape_h
+    shape_h = j.h_s / j.h
+    shape_f = j.f_s / j.f
+    lap_log_h = (j.h_ss / j.h - shape_h ** 2) + _trace_l(n, j) * shape_h
     mixed = -lap_log_h + (2.0 * n * shape_f ** 2).sum(axis=0)
-    lap_f2 = 2.0 * f * f_ss + 2.0 * f_s ** 2 + tr_l * 2.0 * f * f_s
-    horiz = k - 0.5 * lap_f2
+    horiz = k - 0.5 * laplacian_f2(spec, j)
     advisory = bool(kahler_defect(spec, jets=j).max() > residual_tol)
     if cell is None:
         return RicciComponents(nn=mixed, zz=mixed.copy(), horiz=horiz,
@@ -667,8 +580,20 @@ def curvature_sup_proxy(spec: BundleSpec, state: ProfileState = None,
     if spec.r != j.r:
         raise ValueError("spec and jets disagree on the number of factors")
     _, _, q, lam = spec.factor_arrays()
+    shape_h = j.h_s / j.h
+    shape_f = j.f_s / j.f
     twist = q ** 2 * j.h ** 2 / (2.0 * j.f ** 4)
-    kap = _proxy_cells(lam, j, j.h_s / j.h, j.f_s / j.f, twist)
+    kap = np.abs(j.h_ss / j.h)
+    np.maximum(kap, np.abs(j.f_ss / j.f).max(axis=0), out=kap)
+    np.maximum(kap, np.abs(0.5 * twist - shape_h * shape_f).max(axis=0),
+               out=kap)
+    np.maximum(kap, (lam / j.f ** 2 + 1.5 * twist + shape_f ** 2).max(axis=0),
+               out=kap)
+    r = shape_f.shape[0]
+    if r > 1:
+        cross = np.abs(shape_f[:, None, :] * shape_f[None, :, :])
+        off = ~np.eye(r, dtype=bool)
+        np.maximum(kap, cross[off].max(axis=0), out=kap)
     bad = ~np.isfinite(kap)
     if bad.any():
         raise ValueError(

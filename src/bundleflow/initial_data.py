@@ -302,6 +302,9 @@ def calabi_preset(n: int, k_lens: int, cells: int, k1: float = None,
     to the collapse time when f0 > I0 (k1 - q1) / 2, where I0 = 2 L^2/pi^2
     is the initial integral of H.  Returns (spec, state).
     """
+    for name, v in (("n", n), ("k_lens", k_lens)):
+        if int(v) != v:
+            raise ValueError(f"{name} must be an integer, got {v!r}")
     if n < 2:
         raise ValueError("n must be >= 2")
     k_lens = int(k_lens)
@@ -309,7 +312,11 @@ def calabi_preset(n: int, k_lens: int, cells: int, k1: float = None,
         raise ValueError("k_lens must be a positive integer")
     if k1 is None:
         k1 = 2.0 * n
-    i0 = 2.0 * length ** 2 / math.pi ** 2
+    try:
+        i0 = 2.0 * length ** 2 / math.pi ** 2
+    except OverflowError:
+        raise ValueError(f"length {length!r} is too large "
+                         "(length ** 2 overflows)") from None
     if f0 is None:
         f0 = max(i0 * (k1 - k_lens), 2.0)
     spec = BundleSpec(n=(n - 1,), k=(k1,), q=(k_lens,))
@@ -330,10 +337,8 @@ def _calabi_factory(cells, **params):
     unknown = set(params) - allowed
     if unknown:
         raise ValueError(f"unknown calabi parameters {sorted(unknown)}")
-    n = int(params.get("n", 2))
-    k_lens = int(params.get("k_lens", 1))
-    return calabi_preset(n, k_lens, cells, k1=params.get("k1"),
-                         f0=params.get("f0"),
+    return calabi_preset(params.get("n", 2), params.get("k_lens", 1), cells,
+                         k1=params.get("k1"), f0=params.get("f0"),
                          length=params.get("length", math.pi))
 
 

@@ -36,6 +36,14 @@ def write_config(path, **sections):
     return path
 
 
+def calabi_params(params):
+    """Config mutation that swaps template data for the Calabi preset."""
+    def mutate(conf):
+        del conf["bundle"]
+        conf["initial"] = {"preset": "calabi", "params": params}
+    return mutate
+
+
 def synthetic_run_dir(out):
     """Persist a synthetic fiber-collapse run for plot and analyze tests."""
     tau = np.logspace(np.log10(0.5), -4.0, 60)
@@ -92,6 +100,16 @@ class TestLoadConfig:
         (lambda c: c.pop("initial"), "initial section is required"),
         (lambda c: c["initial"].pop("template"), "exactly one"),
         (lambda c: c["analysis"].update(decades=-1.0), "must be positive"),
+        (lambda c: c["analysis"].update(decades=1e308),
+         "analysis.decades is too large"),
+        (lambda c: c["analysis"].update(growth_factor=4.0),
+         "unknown key 'analysis.growth_factor'"),
+        (calabi_params({"length": 1e308}),
+         "initial.params: length 1e+308 is too large"),
+        (calabi_params({"n": 2.5}),
+         "initial.params: n must be an integer, got 2.5"),
+        (calabi_params({"k_lens": 1.5}),
+         "initial.params: k_lens must be an integer, got 1.5"),
         (lambda c: c["output"].update(dir=7), "must be a string"),
         (lambda c: c["flow"].update(cfl=0.4),
          "flow.cfl must lie in (0, 0.375]"),

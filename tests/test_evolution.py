@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import bundleflow.geometry as geo
 import bundleflow.evolution as evo
+from bundleflow.analysis import boundary_linear_check
 from bundleflow.evolution import (MAX_REL_CHANGE, STEP_CAP, FlowConfig,
                                   FlowHalt, InvalidInitialState, _dt_bound,
                                   _stage, arclength, flow_rhs, regrid_uniform,
@@ -163,7 +164,7 @@ def stacked(spec, state):
     built as run_flow builds them."""
     stencil = geo.Stencil(geo.field_parities(spec.r), state.cells,
                           state.dsigma)
-    coef = evo._coefficients(spec)
+    coef = geo.ricci_coefficients(spec)
 
     def rhs(Y):
         return _stage(Y, stencil, coef)[0]
@@ -460,7 +461,7 @@ class TestMonitorColumns:
             heat = np.abs(2.0 * snap.f * fdot - geo.laplacian_f2(spec, jets)
                           + 2.0 * k_col)
             want = {"t": snap.t,
-                    "kappa": geo.curvature_field(spec, jets=jets).kappa,
+                    "kappa": geo.curvature_sup_proxy(spec, jets=jets),
                     "h_min": snap.h.min(), "h_max": snap.h.max(),
                     "kahler_res": geo.kahler_defect(spec, jets=jets).max(),
                     "heat_res": heat.max(),
@@ -484,6 +485,37 @@ class TestMonitorColumns:
         assert dt[-1] == 0.0
 
 
+class TestRegridGate:
+    """A run that regrids still keeps the Kahler and boundary-slope laws."""
+
+    def run(self, monkeypatch, regrid_threshold):
+        # The two-factor template of the twofactor_64 benchmark workload.
+        spec = geo.BundleSpec(n=(1, 1), k=(2.0, 1.0), q=(2, 1))
+        state = build_kahler_profile(
+            spec, ProfileTemplate(length=math.pi, f0=(2.0, 3.0)), 64)
+        calls = []
+
+        def counted(st):
+            calls.append(st.t)
+            return regrid_uniform(st)
+
+        monkeypatch.setattr(evo, "regrid_uniform", counted)
+        cfg = FlowConfig(cells=64, cfl=0.2, t_end=0.3,
+                         regrid_threshold=regrid_threshold)
+        trace, _ = run_flow(spec, state, cfg)
+        return spec, trace, len(calls)
+
+    def test_regridded_run_keeps_the_structural_laws(self, monkeypatch):
+        spec, trace, regrids = self.run(monkeypatch, 1.05)
+        _, plain, plain_regrids = self.run(monkeypatch, 10.0)
+        assert regrids >= 1 and plain_regrids == 0
+        kahler = trace.column("kahler_res").max()
+        assert kahler <= 1e-3
+        assert kahler <= 2.0 * plain.column("kahler_res").max()
+        for slope in boundary_linear_check(spec, trace):
+            assert slope.rel_error <= 0.01, slope
+
+
 class TestOneKernel:
     """Jets and right-hand sides come from the flow stage's own kernel."""
 
@@ -503,7 +535,7 @@ class TestOneKernel:
             Y = np.vstack([snap.a, snap.h, snap.f])
             stencil = geo.Stencil(geo.field_parities(spec.r), snap.cells,
                                   snap.dsigma)
-            ydot, u_s, u_ss = _stage(Y, stencil, evo._coefficients(spec))
+            ydot, u_s, u_ss = _stage(Y, stencil, geo.ricci_coefficients(spec))
             jets = geo.profile_jets(snap)
             assert np.array_equal(jets.h_s, u_s[1])
             assert np.array_equal(jets.h_ss, u_ss[1])
@@ -542,3 +574,13 @@ def test_benchmark_hooks_see_every_stage(tmp_path):
     for child in ("geometry.stacked_derivs", "evolution.rhs_core"):
         parents = [parent for name, parent in spans if name == child]
         assert sorted(parents) == stages, child
+    # The monitor probes: one span per trace row, each directly under
+    # run_flow, for every function the monitor row calls.
+    trace_rows = len((tmp_path / "out" / "trace.csv").read_text()
+                     .splitlines()) - 1
+    assert trace_rows > 1
+    for probe in ("curvature_sup_proxy", "kahler_defect", "laplacian_f2",
+                  "endpoint_even", "cumulative_from_left"):
+        parents = [spans[parent][0] for name, parent in spans
+                   if name == f"geometry.{probe}"]
+        assert parents == ["evolution.run_flow"] * trace_rows, probe

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bundleflow.geometry as geo
+from bundleflow.analysis import li_yau_quantity
 
 CANON = geo.BundleSpec(n=(1,), k=(2.0,), q=(2,), lam=(1.0,))
 # An odd cell count puts a cell center exactly at sigma = 1/2 (s = pi/2).
@@ -84,8 +85,8 @@ class TestMidpointAnchors:
         assert twist[0] == pytest.approx(0.0625, rel=1e-12)
 
     def test_li_yau_field(self):
-        cf = geo.curvature_field(CANON, jets=self.jets)
-        assert cf.liyau_q[0, MID] == pytest.approx(1.0, rel=1e-12)
+        q_field, _ = li_yau_quantity(canonical_state(CELLS), jets=self.jets)
+        assert q_field[MID] == pytest.approx(1.0, rel=1e-12)
 
     def test_sup_proxy_value_and_runner_up(self):
         # |H''/H| = 1 everywhere dominates; the largest competing class is

@@ -163,6 +163,10 @@ class TestPresets:
             calabi_preset(1, 1, 64)
         with pytest.raises(ValueError, match="k_lens"):
             calabi_preset(2, 0, 64)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            calabi_preset(2.5, 1, 64)
+        with pytest.raises(ValueError, match="k_lens must be an integer"):
+            calabi_preset(2, 1.5, 64)
 
     def test_registry_rejects_unknown_params(self):
         with pytest.raises(ValueError, match="no parameters"):
