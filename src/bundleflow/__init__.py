@@ -11,11 +11,8 @@ module wraps them behind the ``bundleflow`` command.
 __version__ = "0.1.0"
 
 from .geometry import (BundleSpec, Jets, ProfileState, RicciComponents,
-                       cell_centers, curvature_sup_proxy,
-                       horizontal_rm_estimate, kahler_defect, laplacian_f2,
-                       oneill_quantities, profile_jets, radial_laplacian,
-                       ricci_full, ricci_kahler, shape_operator_eigs,
-                       submersion_ricci)
+                       cell_centers, curvature_sup_proxy, kahler_defect,
+                       laplacian_f2, profile_jets, ricci_full, ricci_kahler)
 from .initial_data import (PRESETS, ClosingCheck, ClosingReport,
                            ProfileTemplate, build_general_profile,
                            build_kahler_profile, calabi_preset,
@@ -23,11 +20,9 @@ from .initial_data import (PRESETS, ClosingCheck, ClosingReport,
 from .evolution import (FlowConfig, FlowHalt, InvalidInitialState,
                         arclength, flow_rhs, regrid_uniform, run_flow)
 from .analysis import (BoundarySlope, FlowTrace, SingularTimeEstimate,
-                       SingularityReport, analyze_run,
-                       boundary_linear_check, blowup_rescale,
+                       SingularityReport, analyze_run, boundary_linear_check,
                        classify_degeneration, classify_singularity_type,
-                       estimate_singular_time, heat_residual,
-                       kahler_residual, li_yau_monitor, li_yau_quantity,
-                       schwarz_fit, trace_columns)
+                       estimate_singular_time, li_yau_monitor, schwarz_fit,
+                       trace_columns)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,12 +1,12 @@
 """Diagnostics on flow traces and snapshots.
 
-Everything here is a pure function of recorded data: residuals that certify
-structural identities of the flow (Kahler compatibility, the heat-type
-equation for the conformal factors, the exact linear motion of the boundary
-values of f_i^2), and the singularity toolbox (singular-time estimation,
-Type I/II classification through the scale-invariant quantity
-(T_hat - t) * kappa, Schwarz-type lower-bound fitting, degeneration-case
-labeling, and parabolic blow-up rescaling).
+Everything here is a pure function of recorded data: the trace column
+contract, the check of the exact linear motion of the boundary values of
+f_i^2, the Li-Yau gradient monitor, and the singularity toolbox
+(singular-time estimation, Type I/II classification through the
+scale-invariant quantity (T_hat - t) * kappa, Schwarz-type lower-bound
+fitting, degeneration-case labeling, and the blow-up factor sequence).  The
+residual columns of the trace are computed by evolution.run_flow.
 
 Thresholds that calibrate verdicts (plateau factor, window decades, floor
 multiple) are keyword parameters with documented defaults; finite runs
@@ -15,13 +15,11 @@ cannot observe a lim sup, so these are operational stand-ins.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (BundleSpec, Jets, ProfileState, endpoint_even,
-                       kahler_defect, laplacian_f2, _resolve_jets)
+from .geometry import BundleSpec, endpoint_even
 
 TYPE_I = "TypeI"
 TYPE_II = "TypeII-suspect"
@@ -145,29 +143,6 @@ class SingularityReport:
     growth_ratio: float = None
 
 
-def kahler_residual(spec: BundleSpec, state: ProfileState,
-                    jets: Jets = None) -> float:
-    """Max over cells and factors of |q_i h - d(f_i^2)/ds|."""
-    return float(kahler_defect(spec, state, jets=jets).max())
-
-
-def heat_residual(spec: BundleSpec, state: ProfileState, rhs,
-                  jets: Jets = None) -> float:
-    """Max cell deviation of each f_i^2 from its heat-type equation.
-
-    ``rhs`` is the output of flow_rhs at the same state (the full tuple or
-    just the df/dt block).  Returns max |2 f_i df_i/dt - lap f_i^2 + 2 k_i|.
-    """
-    if isinstance(rhs, (tuple, list)):
-        fdot = np.atleast_2d(rhs[2])
-    else:
-        fdot = np.atleast_2d(np.asarray(rhs, float))
-    jets = _resolve_jets(state, jets)
-    _, k_col, _, _ = spec.factor_arrays()
-    res = 2.0 * state.f * fdot - laplacian_f2(spec, jets) + 2.0 * k_col
-    return float(np.abs(res).max())
-
-
 def boundary_linear_check(spec: BundleSpec, trace: FlowTrace):
     """Fit endpoint f_i^2 against t and compare with the exact linear law.
 
@@ -193,22 +168,6 @@ def boundary_linear_check(spec: BundleSpec, trace: FlowTrace):
                 factor=i, side=side, fitted=slope, expected=expected,
                 error=err, rel_error=err / scale if scale > 0.0 else err))
     return out
-
-
-def li_yau_quantity(state: ProfileState, factor: int = 0, jets: Jets = None):
-    """Gradient quantity |grad u|^2 / u for u = f_j^2 (zero-based factor).
-
-    Equals 4 f_j,s^2 pointwise.  Returns the cell field and its sup; this
-    is the quantity whose boundedness along the flow reflects the gradient
-    estimate for positive solutions of the heat-type equation.
-    """
-    if not 0 <= factor < state.r:
-        raise ValueError(f"factor index {factor} out of range")
-    if np.any(state.f[factor] <= 0.0):
-        raise ValueError("li_yau_quantity needs a positive factor profile")
-    jets = _resolve_jets(state, jets)
-    q_field = 4.0 * jets.f_s[factor] ** 2
-    return q_field, float(q_field.max())
 
 
 def li_yau_monitor(trace: FlowTrace, c0: float = None):
@@ -404,21 +363,6 @@ def classify_degeneration(snapshots, trace: FlowTrace, stop_floor: float,
         if collapsed.any() and not collapsed.all():
             return PARTIAL_CONTRACTION
     return INDETERMINATE
-
-
-def blowup_rescale(state: ProfileState, K: float) -> ProfileState:
-    """Parabolic zoom: multiply the metric by K, reset the time origin.
-
-    Lengths scale by sqrt(K), so (a, h, f) map to sqrt(K) times themselves
-    and every sectional-curvature quantity divides by K.  Composing zooms
-    multiplies the factors; K = 1 is the identity apart from the time
-    relabel.
-    """
-    if not K > 0.0:
-        raise ValueError("rescale factor K must be positive")
-    root = np.sqrt(K)
-    return dataclasses.replace(state, t=0.0, a=root * state.a,
-                               h=root * state.h, f=root * state.f)
 
 
 def analyze_run(trace: FlowTrace, snapshots, stop_floor: float,

@@ -201,6 +201,8 @@ def _parse_initial(section, bundle_section, cells):
             raise ConfigError(f"initial.preset '{preset}' unknown "
                               f"(available: {known})")
         params = _expect_mapping(init.get("params", {}), "initial.params")
+        for key, v in params.items():
+            _number(v, f"initial.params.{key}")
         try:
             return PRESETS[preset](cells, **params)
         except (ValueError, TypeError) as exc:

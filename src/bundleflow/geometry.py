@@ -58,10 +58,10 @@ class BundleSpec:
     q : sequence of int
         Twisting integers of the circle bundle; all nonzero.
     lam : sequence of float, optional
-        Bound on |Rm(N_i)| in the g_i norm, used by the horizontal curvature
-        estimate and the sup-curvature proxy.  Defaults to |k_i| per factor,
-        which has the right order of magnitude for Einstein factors but is a
-        heuristic; supply measured bounds when available.
+        Bound on |Rm(N_i)| in the g_i norm, used by the sup-curvature proxy.
+        Defaults to |k_i| per factor, which has the right order of magnitude
+        for Einstein factors but is a heuristic; supply measured bounds when
+        available.
     """
 
     n: tuple
@@ -98,11 +98,6 @@ class BundleSpec:
     def r(self) -> int:
         """Number of base factors."""
         return len(self.n)
-
-    @property
-    def dim(self) -> int:
-        """Total real dimension: interval + circle fiber + base factors."""
-        return 2 + 2 * sum(self.n)
 
     def factor_arrays(self):
         """Per-factor constants as (r, 1) float columns for broadcasting."""
@@ -182,16 +177,6 @@ class ProfileState:
             raise ValueError("conformal factors f must be positive")
         if np.any(self.h <= 0.0):
             raise ValueError("fiber length h must be positive at cell centers")
-
-    def with_fields(self, t=None, a=None, h=None, f=None) -> "ProfileState":
-        """Copy with some fields replaced (grid is kept)."""
-        return ProfileState(
-            t=self.t if t is None else t,
-            sigma=self.sigma,
-            a=self.a if a is None else a,
-            h=self.h if h is None else h,
-            f=self.f if f is None else f,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -399,73 +384,12 @@ def _check_cell(cell, m):
         raise IndexError(f"cell {cell} out of range for {m} cells")
 
 
-def shape_operator_eigs(state: ProfileState, cell: int, jets: Jets = None):
-    """Eigenvalues of the shape operator of the hypersurface {s} x P.
-
-    Returns (H'/H, array of F_i'/F_i); H'/H has multiplicity one (fiber
-    direction) and each F_i'/F_i multiplicity 2 n_i.  The trace is
-    H'/H + sum 2 n_i F_i'/F_i.
-    """
-    j = _resolve_jets(state, jets)
-    _check_cell(cell, j.cells)
-    eig_h = float(j.h_s[cell] / j.h[cell])
-    eig_f = j.f_s[:, cell] / j.f[:, cell]
-    if not (np.isfinite(eig_h) and np.all(np.isfinite(eig_f))):
-        raise ValueError(f"non-finite shape eigenvalue at cell {cell}")
-    return eig_h, eig_f
-
-
-def radial_laplacian(spec: BundleSpec, state: ProfileState, u: np.ndarray,
-                     cell: int = None, jets: Jets = None):
-    """Laplace-Beltrami operator on a radial scalar, u'' + tr(L) u'.
-
-    ``u`` is sampled at the cell centers and extended evenly (radial scalars
-    of the closed-up manifold are even about the ends); derivatives are taken
-    in arclength.  ``spec`` supplies the multiplicities entering tr L.  With
-    ``cell`` None the full cell array is returned.
-    """
-    u = np.asarray(u, float)
-    if u.shape != state.sigma.shape:
-        raise ValueError("field length does not match the grid")
-    j = _resolve_jets(state, jets)
-    n = spec.factor_arrays()[0]
-    stencil = Stencil(np.array([EVEN, EVEN]), state.cells, state.dsigma)
-    u_s, u_ss = arclength_derivs(
-        *stacked_derivs(np.vstack([state.a, u]), stencil), state.a)
-    lap = u_ss[1] + _trace_l(n, j) * u_s[1]
-    if cell is None:
-        return lap
-    _check_cell(cell, lap.size)
-    return float(lap[cell])
-
-
 def laplacian_f2(spec: BundleSpec, jets: Jets) -> np.ndarray:
     """Laplacian of every f_i^2 directly from arclength jets, shape (r, M)."""
     n = spec.factor_arrays()[0]
     f, f_s, f_ss = jets.f, jets.f_s, jets.f_ss
     return (2.0 * f * f_ss + 2.0 * f_s ** 2
             + _trace_l(n, jets) * 2.0 * f * f_s)
-
-
-def submersion_ricci(spec: BundleSpec, state: ProfileState, cell: int = None,
-                     jets: Jets = None):
-    """Ricci curvature of the equidistant hypersurface {s} x P.
-
-    Returns (fiber component, per-factor horizontal coefficients): the fiber
-    slot is Ric(zeta*, zeta*) = sum n_i q_i^2 H^2 / (2 F_i^4) and the
-    horizontal coefficient for factor i is k_i/F_i^2 - q_i^2 H^2/(2 F_i^4),
-    both with respect to the induced submersion metric.  The twist terms come
-    entirely from the non-integrability of the horizontal distribution.
-    """
-    j = _resolve_jets(state, jets)
-    n, k, q, _ = spec.factor_arrays()
-    twist = q ** 2 * j.h ** 2 / (2.0 * j.f ** 4)
-    fiber = (n * twist).sum(axis=0)
-    horiz = k / j.f ** 2 - twist
-    if cell is None:
-        return fiber, horiz
-    _check_cell(cell, fiber.size)
-    return float(fiber[cell]), horiz[:, cell]
 
 
 def ricci_full(spec: BundleSpec, state: ProfileState = None, cell: int = None,
@@ -527,41 +451,6 @@ def ricci_kahler(spec: BundleSpec, state: ProfileState = None,
     _check_cell(cell, mixed.size)
     return RicciComponents(nn=float(mixed[cell]), zz=float(mixed[cell]),
                            horiz=horiz[:, cell], advisory=advisory)
-
-
-def oneill_quantities(spec: BundleSpec, state: ProfileState = None,
-                      cell: int = None, jets: Jets = None):
-    """Controlling quantity B = sum_i |grad log F_i|^2 of the A-tensor.
-
-    For Kahler profiles the fiber-twist two-form contributes nothing extra,
-    so |A|^2 is bounded by a dimensional constant times B.
-    """
-    j = _resolve_jets(state, jets)
-    if spec.r != j.r:
-        raise ValueError("spec and jets disagree on the number of factors")
-    b = ((j.f_s / j.f) ** 2).sum(axis=0)
-    if cell is None:
-        return b
-    _check_cell(cell, b.size)
-    return float(b[cell])
-
-
-def horizontal_rm_estimate(spec: BundleSpec, state: ProfileState = None,
-                           cell: int = None, jets: Jets = None):
-    """Magnitudes controlling the horizontal Riemann block per factor.
-
-    Returns (base, twist) with base_i = lam_i / F_i^2 (the rescaled base
-    curvature bound) and twist_i = q_i^2 H^2 / (4 F_i^4) (the correction from
-    the fiber twist), both for unit horizontal vectors of the total metric.
-    """
-    j = _resolve_jets(state, jets)
-    _, _, q, lam = spec.factor_arrays()
-    base = lam / j.f ** 2
-    twist = q ** 2 * j.h ** 2 / (4.0 * j.f ** 4)
-    if cell is None:
-        return base, twist
-    _check_cell(cell, j.cells)
-    return base[:, cell], twist[:, cell]
 
 
 def curvature_sup_proxy(spec: BundleSpec, state: ProfileState = None,

@@ -11,13 +11,12 @@ from bundleflow.analysis import (FIBER_COLLAPSE, FULL_CONTRACTION,
                                  INDETERMINATE, NO_SINGULARITY,
                                  PARTIAL_CONTRACTION, TYPE_I, TYPE_II,
                                  FlowTrace, analyze_run,
-                                 boundary_linear_check, blowup_rescale,
-                                 boundary_columns, classify_degeneration,
+                                 boundary_linear_check, boundary_columns,
+                                 classify_degeneration,
                                  classify_singularity_type,
-                                 estimate_singular_time, heat_residual,
-                                 kahler_residual, li_yau_monitor,
-                                 li_yau_quantity, schwarz_fit, trace_columns)
-from bundleflow.evolution import flow_rhs
+                                 estimate_singular_time, li_yau_monitor,
+                                 schwarz_fit, trace_columns)
+from bundleflow.evolution import FlowConfig, run_flow
 from bundleflow.initial_data import canonical_preset
 
 CANON = geo.BundleSpec(n=(1,), k=(2.0,), q=(2,), lam=(1.0,))
@@ -47,6 +46,12 @@ def make_trace(t, kappa=1.0, h_max=1.0, f1sq_min=4.0, f1sq_max=None,
     trace = FlowTrace(r=1, rows=rows, boundary=boundary)
     trace.validate()
     return trace
+
+
+def monitor_row(spec, state, name):
+    """One column of the trace row that a zero-duration run records."""
+    trace, _ = run_flow(spec, state, FlowConfig(cells=state.cells, t_end=0.0))
+    return float(trace.column(name)[0])
 
 
 class TestTraceContract:
@@ -84,15 +89,11 @@ class TestTraceContract:
 class TestResiduals:
     def test_kahler_residual_on_compatible_data(self):
         spec, state = canonical_preset(400)
-        assert kahler_residual(spec, state) <= 1e-8
+        assert geo.kahler_defect(spec, state).max() <= 1e-8
 
-    def test_heat_residual_accepts_tuple_or_array(self):
+    def test_heat_residual_on_compatible_data(self):
         spec, state = canonical_preset(128)
-        rhs = flow_rhs(spec, state)
-        full = heat_residual(spec, state, rhs)
-        block = heat_residual(spec, state, rhs[2])
-        assert full == block
-        assert full <= 1e-5
+        assert monitor_row(spec, state, "heat_res") <= 1e-5
 
 
 class TestBoundaryCheck:
@@ -117,20 +118,12 @@ class TestBoundaryCheck:
 class TestLiYau:
     def test_quantity_matches_closed_form(self):
         spec, state = canonical_preset(401)
-        field, sup = li_yau_quantity(state)
         # 4 f_s^2 = 2 sin^2 s / (2 - cos s) equals 1 at the middle cell and
         # peaks at 8 - 4 sqrt(3) where cos s = 2 - sqrt(3).
-        assert field.shape == (401,)
-        assert field[200] == pytest.approx(1.0, abs=1e-8)
-        assert sup == pytest.approx(8.0 - 4.0 * math.sqrt(3.0), abs=1e-4)
-
-    def test_quantity_input_checks(self):
-        spec, state = canonical_preset(32)
-        with pytest.raises(ValueError, match="out of range"):
-            li_yau_quantity(state, factor=1)
-        bad = state.with_fields(f=-state.f)
-        with pytest.raises(ValueError, match="positive"):
-            li_yau_quantity(bad)
+        f_s = geo.profile_jets(state).f_s[0]
+        assert 4.0 * f_s[200] ** 2 == pytest.approx(1.0, abs=1e-8)
+        assert monitor_row(spec, state, "liyau_sup_1") \
+            == pytest.approx(8.0 - 4.0 * math.sqrt(3.0), abs=1e-4)
 
     def test_monitor_flags_excursions(self):
         t = np.array([0.0, 1.0, 2.0])
@@ -271,35 +264,25 @@ class TestDegeneration:
         assert classify_degeneration([], empty, 1e-3) == INDETERMINATE
         # With no rows the final snapshot decides.
         spec, state = canonical_preset(32)
-        tiny = state.with_fields(h=1e-3 * state.h)
+        tiny = dataclasses.replace(state, h=1e-3 * state.h)
         assert classify_degeneration([tiny], empty, 1e-3) == FIBER_COLLAPSE
 
 
 class TestRescale:
-    def test_identity_and_composition(self):
-        spec, state = canonical_preset(32)
-        state = dataclasses.replace(state, t=0.7)
-        out = blowup_rescale(state, 1.0)
-        assert out.t == 0.0
-        assert np.array_equal(out.h, state.h)
-        twice = blowup_rescale(blowup_rescale(state, 2.0), 3.0)
-        once = blowup_rescale(state, 6.0)
-        assert np.allclose(twice.h, once.h, rtol=1e-14)
-        assert np.allclose(twice.f, once.f, rtol=1e-14)
-        assert np.allclose(twice.a, once.a, rtol=1e-14)
-        with pytest.raises(ValueError, match="positive"):
-            blowup_rescale(state, 0.0)
-
     def test_curvature_and_gradient_laws(self):
+        # Multiplying the metric by K sends (a, h, f) to sqrt(K) times
+        # themselves: curvature divides by K, the Li-Yau sup is invariant.
         spec, state = canonical_preset(64)
         K = 3.7
-        zoom = blowup_rescale(state, K)
+        root = math.sqrt(K)
+        zoom = dataclasses.replace(state, a=root * state.a, h=root * state.h,
+                                   f=root * state.f)
         base = geo.curvature_sup_proxy(spec, state)
         assert geo.curvature_sup_proxy(spec, zoom) \
             == pytest.approx(base / K, rel=1e-10)
-        _, sup0 = li_yau_quantity(state)
-        _, sup1 = li_yau_quantity(zoom)
-        assert sup1 == pytest.approx(sup0, rel=1e-12)
+        assert monitor_row(spec, zoom, "liyau_sup_1") \
+            == pytest.approx(monitor_row(spec, state, "liyau_sup_1"),
+                             rel=1e-12)
 
 
 class TestAnalyzeRun:

@@ -110,6 +110,10 @@ class TestLoadConfig:
          "initial.params: n must be an integer, got 2.5"),
         (calabi_params({"k_lens": 1.5}),
          "initial.params: k_lens must be an integer, got 1.5"),
+        (calabi_params({"k1": True}), "initial.params.k1 must be a number"),
+        (calabi_params({"f0": True}), "initial.params.f0 must be a number"),
+        (calabi_params({"length": 1e400}),
+         "initial.params.length must be a finite number"),
         (lambda c: c["output"].update(dir=7), "must be a string"),
         (lambda c: c["flow"].update(cfl=0.4),
          "flow.cfl must lie in (0, 0.375]"),

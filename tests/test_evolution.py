@@ -1,5 +1,6 @@
 """Flow right-hand side, stepping, boundary handling, and run control."""
 
+import dataclasses
 import json
 import math
 import os
@@ -86,7 +87,7 @@ class TestFlowRhs:
         state, _ = canonical_state(64)
         h = state.h.copy()
         h[10] = np.nan
-        bad = state.with_fields(h=h)
+        bad = dataclasses.replace(state, h=h)
         with np.errstate(invalid="ignore"):
             with pytest.raises(FlowHalt, match="cell"):
                 flow_rhs(CANON, bad)
@@ -98,8 +99,8 @@ class TestFlowRhs:
         state, _ = canonical_state(64)
         base = flow_rhs(CANON, state)
         root = math.sqrt(K)
-        scaled = state.with_fields(a=root * state.a, h=root * state.h,
-                                   f=root * state.f)
+        scaled = dataclasses.replace(state, a=root * state.a,
+                                     h=root * state.h, f=root * state.f)
         moved = flow_rhs(CANON, scaled)
         for got, want in zip(moved, base):
             assert np.allclose(got, want / root, rtol=1e-10, atol=1e-12)

@@ -51,11 +51,6 @@ show("tr L", trL)
 lap_F2 = sp.diff(F2, s, 2) + trL * sp.diff(F2, s)
 show("Laplacian of F^2", lap_F2)
 
-sub_fiber = n1 * q1**2 * H**2 / (2 * F**4)
-sub_horiz = k1 / F**2 - q1**2 * H**2 / (2 * F**4)
-show("submersion Ric(zeta,zeta)", sub_fiber)
-show("submersion horizontal", sub_horiz)
-
 ric_nn = -Hpp / H - 2 * n1 * Fpp / F
 ric_zz = n1 * q1**2 * H**2 / (2 * F**4) - shape_h * 2 * n1 * shape_f - Hpp / H
 rho = (k1 / F**2 - shape_f * trL - Fpp / F + shape_f**2
@@ -75,10 +70,6 @@ print("  identity Ric(nn)=Ric(zz) on Kahler profiles:",
 print("  identity full==Kahler (nn):", sp.simplify(ric_nn - kahler_nn) == 0)
 print("  identity full==Kahler (rho):", sp.simplify(rho - kahler_rho) == 0)
 
-B = shape_f**2
-show("O'Neill B", B)
-show("horizontal |Rm| base term lam/F^2", sp.Integer(lam1) / F**2)
-show("horizontal |Rm| twist term", q1**2 * H**2 / (4 * F**4))
 Q = sp.diff(F2, s)**2 / F2
 show("Li-Yau Q", Q)
 
