@@ -371,19 +371,50 @@ def write_outputs(trace: FlowTrace, snapshots, report, out_dir,
         files.append("config.json")
     elif (out / "config.json").exists():
         files.append("config.json")
-    return _write_manifest(out, files)
+    return _write_manifest(out, _digests(out, files))
 
 
-def _write_manifest(out: Path, files) -> dict:
-    """Digest every listed artifact with sha256 into manifest.json."""
-    digests = {}
-    for name in sorted(files):
-        digests[name] = hashlib.sha256(
-            (out / name).read_bytes()).hexdigest()
+def _digests(out: Path, files) -> dict:
+    """sha256 hex digest of each named artifact of the run directory."""
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in files}
+
+
+def _write_manifest(out: Path, digests) -> dict:
+    """Write the artifact digests, sorted by name, into manifest.json."""
     manifest = {"tool": "bundleflow", "version": __version__,
-                "files": digests}
+                "files": dict(sorted(digests.items()))}
     _json_dump(out / "manifest.json", manifest)
     return manifest
+
+
+def _verify_manifest(out: Path, digests):
+    """Check manifest.json against the digests of the run's inputs.
+
+    Every input must be listed with its digest and every listed file must
+    be an input, except report.json, which analyze recomputes.  Any
+    difference, and a missing or malformed manifest, is a ConfigError that
+    names the file.
+    """
+    path = out / "manifest.json"
+    try:
+        listed = _read_json(path).get("files")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(listed, dict) or not all(
+            isinstance(v, str) for v in listed.values()):
+        raise ConfigError(f"{path}: 'files' must map file names to "
+                          f"sha256 digests")
+    extra = sorted(set(listed) - set(digests) - {"report.json"})
+    if extra:
+        raise ConfigError(f"{path} lists {out / extra[0]}, which is not in "
+                          f"the run directory")
+    for name, digest in sorted(digests.items()):
+        if name not in listed:
+            raise ConfigError(f"{out / name} is not listed in {path}")
+        if listed[name] != digest:
+            raise ConfigError(f"{out / name} does not match its digest "
+                              f"in {path}")
 
 
 def _read_json(path: Path) -> dict:
@@ -658,14 +689,18 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    """Recompute report.json and manifest.json; nothing else is rewritten."""
+    """Recompute report.json and manifest.json; nothing else is rewritten.
+
+    Parse errors are reported first, then any difference between the
+    inputs and manifest.json; either exits 2 before anything is written.
+    """
     out = Path(args.rundir)
     trace = read_trace(out)
     snapshots = read_snapshots(out)
     config_path = out / "config.json"
     stop_floor = FlowConfig().stop_floor
     analysis = dict(ANALYSIS_DEFAULTS)
-    files = ["trace.csv", "boundary.csv", "report.json"]
+    files = ["trace.csv", "boundary.csv"]
     files += [f"snapshots/{path.name}" for path in _snapshot_paths(out)]
     if config_path.exists():
         files.append("config.json")
@@ -675,10 +710,13 @@ def _cmd_analyze(args) -> int:
             analysis = _parse_analysis(raw.get("analysis", {}))
         except ConfigError as exc:
             raise ConfigError(f"{config_path}: {exc}") from exc
+    digests = _digests(out, files)
+    _verify_manifest(out, digests)
     kwargs = {k: v for k, v in analysis.items() if k != "liyau_c0"}
     report = analyze_run(trace, snapshots, stop_floor, **kwargs)
     _json_dump(out / "report.json", report_to_dict(report))
-    _write_manifest(out, files)
+    digests.update(_digests(out, ["report.json"]))
+    _write_manifest(out, digests)
     _print_report(report, trace)
     return 0
 

@@ -18,11 +18,13 @@ dt = min(MAX_REL_CHANGE, STEP_CAP dsigma^2) / rate with rate the largest
 relative speed 2 max(|h_t/h|, |f_i,t/f_i|), so no h^2 or f_i^2 moves by
 more than min(10%, STEP_CAP dsigma^2) in one step and the second-order time
 error, of order dsigma^4, stays at the level of the fourth-order stencils.
-The forward-Euler step cfl (min a dsigma)^2 instead sets the stage count:
-s is the smallest s >= 2 with (s^2 + s - 2)/4 cfl (min a dsigma)^2 >= dt.
-Both sides scale as dsigma^2, so s does not grow with resolution (five to
-seven at cfl 0.2).  Runs halt at t_end or when a monitored floor (min f_i^2
-or max h^2) drops below stop_floor.
+The forward-Euler stability edge CFL_MAX (min a dsigma)^2 of the stencil
+instead sets the stage count: s is the smallest s >= 2 with
+(s^2 + s - 2)/4 CFL_MAX (min a dsigma)^2 >= dt.  Both sides scale as
+dsigma^2, so s does not grow with resolution (about four).  Runs halt at
+t_end, when a monitored floor (min f_i^2 or max h^2) drops below
+stop_floor, or when a residual column of the monitor row grows past
+RESIDUAL_GROWTH_MAX times its first-row value.
 """
 
 from __future__ import annotations
@@ -49,8 +51,15 @@ MAX_REL_CHANGE = 0.1
 # On fine grids the relative-change cap per step is STEP_CAP dsigma^2, so
 # the O(dt^2) error of RKL2 shrinks as dsigma^4 like the stencil error.
 STEP_CAP = 40.0
-# Forward-Euler stability edge of the five-point second difference,
-# (16/3) cfl <= 2; the RKL2 stage count is sized from cfl (a dsigma)^2.
+# A monitor row whose kahler_res or heat_res exceeds this multiple of the
+# first row's value halts the run: healthy runs stay below about 8 (the
+# Calabi collapse), while stages sized past the stability edge pass 500
+# within a few hundred steps.
+RESIDUAL_GROWTH_MAX = 100.0
+# Forward-Euler stability edge of the five-point second difference with
+# parity ghosts: its eigenvalues lie in [-16/3, 0] / (a dsigma)^2, so
+# forward Euler is stable up to dt = (2 / (16/3)) (a dsigma)^2.  The RKL2
+# stage count is sized from this step.
 CFL_MAX = 0.375
 
 
@@ -82,9 +91,9 @@ class FlowConfig:
     and ``snapshot_every`` are step cadences for monitoring rows and stored
     states; the final state is always recorded regardless of cadence.
     ``regrid_threshold`` bounds max(a)/min(a) before the optional
-    resampling to uniform arclength kicks in.  ``cfl`` scales the
-    forward-Euler step cfl (min a dsigma)^2 from which the RKL2 stage count
-    is sized, so it may not exceed that step's stability edge CFL_MAX.
+    resampling to uniform arclength kicks in.  ``cfl`` is inert: it is
+    still validated in (0, CFL_MAX] so that existing configs load, but the
+    stage count is sized at the stability edge CFL_MAX itself.
     """
 
     cells: int = 400
@@ -158,17 +167,30 @@ def _stage(Y, stencil, coef):
     return _rhs_core(Y, u_s[1:], u_ss[1:], coef), u_s, u_ss
 
 
-def _dt_bound(Y, ydot, t, t_end, cfl, dsigma, dt_min):
+def _check_residual_growth(row, first, r):
+    """Raise FlowHalt when a residual column of the monitor row ``row``
+    exceeds RESIDUAL_GROWTH_MAX times its value in the first row ``first``.
+    A residual that starts at exactly zero has no scale and is not gated.
+    """
+    for col, name in ((5 + 2 * r, "kahler_res"), (6 + 2 * r, "heat_res")):
+        if 0.0 < first[col] and row[col] > RESIDUAL_GROWTH_MAX * first[col]:
+            raise FlowHalt(
+                f"{name} grew to {row[col]:.3e} at t = {row[0]:.6g}, more "
+                f"than {RESIDUAL_GROWTH_MAX:g} times its initial "
+                f"{first[col]:.3e}: the integration has gone unstable")
+
+
+def _dt_bound(Y, ydot, t, t_end, dsigma, dt_min):
     """Size and stage count (dt, s) of the next RKL2 step from Y = (a; h; f).
 
     dt = min(MAX_REL_CHANGE, STEP_CAP dsigma^2) / rate, with rate =
-    2 max(|h_t/h|, |f_t/f|), or the forward-Euler step cfl (min a dsigma)^2
-    when nothing moves.  A dt below dt_min means the control has collapsed
-    and raises FlowHalt; after that check dt is capped at t_end - t.  s is
-    the smallest s >= 2 whose stability interval (s^2 + s - 2)/4 forward-
-    Euler steps covers dt.
+    2 max(|h_t/h|, |f_t/f|), or the forward-Euler step
+    CFL_MAX (min a dsigma)^2 when nothing moves.  A dt below dt_min means
+    the control has collapsed and raises FlowHalt; after that check dt is
+    capped at t_end - t.  s is the smallest s >= 2 whose stability interval
+    (s^2 + s - 2)/4 forward-Euler steps covers dt.
     """
-    dt_euler = cfl * (Y[0].min() * dsigma) ** 2
+    dt_euler = CFL_MAX * (Y[0].min() * dsigma) ** 2
     rate = 2.0 * max(np.abs(ydot[1] / Y[1]).max(),
                      np.abs(ydot[2:] / Y[2:]).max())
     dt = dt_euler
@@ -259,8 +281,10 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
     ``trace_every`` steps and always at the final state; snapshots follow
     ``snapshot_every`` the same way, starting with the initial state.  The
     run refuses to start (InvalidInitialState) if state0 is nonpositive or
-    fails the smooth-closure validation.  Abnormal halts raise FlowHalt
-    with the partial trace and snapshots attached.
+    fails the smooth-closure validation.  Abnormal halts (a dt underflow,
+    a non-finite RHS, a trace row whose kahler_res or heat_res passes
+    RESIDUAL_GROWTH_MAX times its first-row value) raise FlowHalt with the
+    partial trace and snapshots attached.
     """
     if state0.cells != cfg.cells:
         raise InvalidInitialState(
@@ -337,13 +361,13 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
             dt = 0.0
             if not stop:
                 try:
-                    dt, s = _dt_bound(Y, ydot, t, t_end, cfg.cfl, dsigma,
-                                      dt_min)
+                    dt, s = _dt_bound(Y, ydot, t, t_end, dsigma, dt_min)
                 except FlowHalt:
                     monitor_row(ydot, u_s, u_ss, 0.0)
                     raise
             if stop or step % cfg.trace_every == 0:
                 monitor_row(ydot, u_s, u_ss, dt)
+                _check_residual_growth(rows[-1], rows[0], r)
             if stop or step % cfg.snapshot_every == 0:
                 if last_snap != step:
                     snapshots.append(current_state())

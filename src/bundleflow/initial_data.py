@@ -227,7 +227,12 @@ def build_kahler_profile(spec: BundleSpec, tmpl: ProfileTemplate,
     length = float(tmpl.length)
     a = np.full(cells, length)
     h = sample_h(tmpl, sigma)
-    running, total = cumulative_from_left(a * h, 1.0 / cells, ODD)
+    try:
+        with np.errstate(over="raise"):
+            running, total = cumulative_from_left(a * h, 1.0 / cells, ODD)
+    except FloatingPointError:
+        raise ValueError(f"length {length!r} is too large (the integral "
+                         "of H overflows)") from None
 
     f = np.empty((spec.r, cells))
     for i in range(spec.r):

@@ -106,6 +106,8 @@ class TestLoadConfig:
          "unknown key 'analysis.growth_factor'"),
         (calabi_params({"length": 1e308}),
          "initial.params: length 1e+308 is too large"),
+        (calabi_params({"length": 1e154}),
+         "initial.params: length 1e+154 is too large"),
         (calabi_params({"n": 2.5}),
          "initial.params: n must be an integer, got 2.5"),
         (calabi_params({"k_lens": 1.5}),
@@ -368,6 +370,54 @@ class TestAnalyzeVerb:
         capsys.readouterr()
         assert main(["analyze", str(out)]) == 2
         assert needle in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage,needle", [
+        ("edited", "snap_00001.json does not match its digest in"),
+        ("unlisted", "snap_00001.json is not listed in"),
+        ("deleted", "snap_00001.json, which is not in the run directory"),
+        ("no manifest", "cannot read"),
+        ("not json", "manifest.json is not valid JSON"),
+        ("no files", "manifest.json: 'files' must map file names"),
+    ])
+    def test_manifest_mismatch_exits_two(self, tmp_path, capsys, damage,
+                                         needle):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json",
+                           flow={"cells": 32, "t_end": 0.004,
+                                 "snapshot_every": 1},
+                           output={"dir": str(out)})
+        assert main(["run", str(cfg)]) == 0
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        snap = out / "snapshots" / "snap_00001.json"
+        if damage == "edited":
+            # Still a valid snapshot, so only the digest can tell.
+            doc = json.loads(snap.read_text())
+            doc["h"][3] *= 1.0 + 1e-9
+            snap.write_text(json.dumps(doc))
+        elif damage == "unlisted":
+            del manifest["files"]["snapshots/snap_00001.json"]
+            manifest_path.write_text(json.dumps(manifest))
+        elif damage == "deleted":
+            # The last snapshot, so the indices stay contiguous.
+            assert not (out / "snapshots" / "snap_00002.json").exists()
+            snap.unlink()
+        elif damage == "no manifest":
+            manifest_path.unlink()
+        elif damage == "not json":
+            manifest_path.write_text("{")
+        else:
+            manifest_path.write_text(json.dumps({"files": ["trace.csv"]}))
+        report = (out / "report.json").read_bytes()
+        stored = manifest_path.read_bytes() if manifest_path.exists() \
+            else None
+        capsys.readouterr()
+        assert main(["analyze", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert needle in err, err
+        assert (out / "report.json").read_bytes() == report
+        assert (manifest_path.read_bytes() if manifest_path.exists()
+                else None) == stored
 
     def test_missing_rundir_exits_two(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope")]) == 2

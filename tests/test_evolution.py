@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import bundleflow.geometry as geo
 import bundleflow.evolution as evo
 from bundleflow.analysis import boundary_linear_check
+from bundleflow.cli import main, read_trace
 from bundleflow.evolution import (MAX_REL_CHANGE, STEP_CAP, FlowConfig,
                                   FlowHalt, InvalidInitialState, _dt_bound,
                                   _stage, arclength, flow_rhs, regrid_uniform,
@@ -179,16 +181,16 @@ def relative_rate(Y, ydot):
                      np.abs(ydot[2:] / Y[2:]).max())
 
 
-def euler_step(cfg, state):
-    return cfg.cfl * (state.a.min() * state.dsigma) ** 2
+def euler_step(state):
+    return evo.CFL_MAX * (state.a.min() * state.dsigma) ** 2
 
 
-def step(spec, state, cfg, t_left=1.0, dt_min=0.0, rhs=None):
+def step(spec, state, t_left=1.0, dt_min=0.0, rhs=None):
     """One run_flow step: _dt_bound, then rkl2_step; returns (Y, dt, s)."""
     Y, ydot, stage_rhs = stacked(spec, state)
     if rhs is not None:
         stage_rhs, ydot = rhs, rhs(Y)
-    dt, s = _dt_bound(Y, ydot, 0.0, t_left, cfg.cfl, state.dsigma, dt_min)
+    dt, s = _dt_bound(Y, ydot, 0.0, t_left, state.dsigma, dt_min)
     return rkl2_step(Y, ydot, dt, s, stage_rhs), dt, s
 
 
@@ -197,9 +199,8 @@ class TestStepAdaptive:
         # On a fine grid the relative change per step is capped at
         # STEP_CAP dsigma^2, a parabolic scaling like the stability bound.
         spec, state = canonical_preset(400)
-        cfg = FlowConfig(cells=400, cfl=0.2)
         Y, ydot, _ = stacked(spec, state)
-        new, dt, _ = step(spec, state, cfg)
+        new, dt, _ = step(spec, state)
         expected = STEP_CAP * state.dsigma ** 2 / relative_rate(Y, ydot)
         assert STEP_CAP * state.dsigma ** 2 < MAX_REL_CHANGE
         assert dt == pytest.approx(expected, rel=1e-12)
@@ -210,7 +211,7 @@ class TestStepAdaptive:
         for cells in (200, 400):
             spec, state = canonical_preset(cells)
             Y, ydot, _ = stacked(spec, state)
-            _, dt, _ = step(spec, state, FlowConfig(cells=cells))
+            _, dt, _ = step(spec, state)
             caps.append(dt * relative_rate(Y, ydot))
         assert caps[0] / caps[1] == pytest.approx(4.0, rel=1e-12)
 
@@ -224,10 +225,9 @@ class TestStepAdaptive:
             t=0.0, sigma=sigma, a=np.full(cells, math.pi),
             h=np.sin(math.pi * sigma), f=np.full((1, cells), 0.05))
         Y, ydot, _ = stacked(CANON, state)
-        cfg = FlowConfig(cells=cells, cfl=0.2)
-        _, dt, _ = step(CANON, state, cfg)
+        _, dt, _ = step(CANON, state)
         assert STEP_CAP * state.dsigma ** 2 > MAX_REL_CHANGE
-        assert dt < euler_step(cfg, state)
+        assert dt < euler_step(state)
         assert dt == pytest.approx(MAX_REL_CHANGE / relative_rate(Y, ydot),
                                    rel=1e-12)
 
@@ -237,35 +237,32 @@ class TestStepAdaptive:
         def zero_rhs(Y):
             return np.zeros_like(Y)
 
-        cfg = FlowConfig(cells=64)
-        new, dt, s = step(spec, state, cfg, rhs=zero_rhs)
+        new, dt, s = step(spec, state, rhs=zero_rhs)
         assert np.array_equal(new[0], state.a)
         assert np.array_equal(new[1], state.h)
         assert np.array_equal(new[2:], state.f)
-        assert dt == pytest.approx(euler_step(cfg, state), rel=1e-12)
+        assert dt == pytest.approx(euler_step(state), rel=1e-12)
         assert s == 2
 
     def test_dt_max_cap_and_underflow(self):
         # The time left caps dt; the underflow floor applies before the cap.
         spec, state = canonical_preset(64)
-        cfg = FlowConfig(cells=64)
         Y, ydot, _ = stacked(spec, state)
         uncapped = min(MAX_REL_CHANGE, STEP_CAP * state.dsigma ** 2) \
             / relative_rate(Y, ydot)
-        _, dt, s = step(spec, state, cfg, t_left=1e-7)
+        _, dt, s = step(spec, state, t_left=1e-7)
         assert dt == 1e-7
         assert s == 2
-        _, dt, _ = step(spec, state, cfg, t_left=1e-7, dt_min=0.5 * uncapped)
+        _, dt, _ = step(spec, state, t_left=1e-7, dt_min=0.5 * uncapped)
         assert dt == 1e-7
         with pytest.raises(FlowHalt, match="underflow"):
-            step(spec, state, cfg, dt_min=2.0 * uncapped)
+            step(spec, state, dt_min=2.0 * uncapped)
 
     @pytest.mark.parametrize("cells", [64, 400, 800])
     def test_stage_count_is_smallest_stable_one(self, cells):
         spec, state = canonical_preset(cells)
-        cfg = FlowConfig(cells=cells, cfl=0.2)
-        _, dt, s = step(spec, state, cfg)
-        dt_euler = euler_step(cfg, state)
+        _, dt, s = step(spec, state)
+        dt_euler = euler_step(state)
 
         def covers(n):
             return (n * n + n - 2) / 4.0 * dt_euler >= dt
@@ -273,6 +270,43 @@ class TestStepAdaptive:
         assert covers(s) and not covers(s - 1)
         # dt and the forward-Euler step both scale as dsigma^2.
         assert 3 <= s <= 8
+
+
+class TestStabilityEdge:
+    """The stage count is sized at the forward-Euler edge CFL_MAX."""
+
+    @pytest.mark.parametrize("cells", [16, 64])
+    @pytest.mark.parametrize("parity", [geo.EVEN, geo.ODD])
+    def test_second_difference_spectrum(self, cells, parity):
+        # The five-point second difference with parity ghosts, assembled
+        # column by column through the flow's own kernel, has real
+        # eigenvalues in [-16/3, 0] / dsigma^2; forward Euler is stable on
+        # it up to dt = 2 / (16/3) dsigma^2 = CFL_MAX dsigma^2.
+        dsigma = 1.0 / cells
+        stencil = geo.Stencil(np.array([[parity]]), cells, dsigma)
+        unit = np.eye(cells)
+        matrix = np.column_stack(
+            [geo.stacked_derivs(unit[j][None, :], stencil)[1][0]
+             for j in range(cells)])
+        eig = np.linalg.eigvals(matrix) * dsigma * dsigma
+        assert np.abs(eig.imag).max() <= 1e-12
+        assert eig.real.min() >= -16.0 / 3.0 * (1.0 + 1e-12)
+        assert eig.real.max() <= 1e-12
+        assert evo.CFL_MAX * 16.0 / 3.0 == 2.0
+
+    @pytest.mark.parametrize("s", range(2, 13))
+    def test_rkl2_stable_on_its_interval(self, s):
+        # y' = lam y for lam dt across [-(s^2 + s - 2)/2, 0], the interval
+        # that (s^2 + s - 2)/4 forward-Euler steps of 2 / |lam| cover.
+        edge = (s * s + s - 2) / 2.0
+        lam = np.linspace(-edge, 0.0, 2001)[None, :]
+
+        def rhs(Y):
+            return lam * Y
+
+        Y = np.ones_like(lam)
+        growth = np.abs(rkl2_step(Y, rhs(Y), 1.0, s, rhs))
+        assert growth.max() <= 1.0 + 1e-12
 
 
 class TestRkl2:
@@ -430,6 +464,38 @@ class TestRunFlow:
         assert halt.trace.rows.shape == (1, 12)
         assert halt.trace.rows[0, 1] == 0.0
         assert halt.snapshots == []
+
+
+class TestResidualGate:
+    def test_unstable_stages_halt_naming_the_residual(self, monkeypatch,
+                                                      tmp_path, capsys):
+        # Stages sized for a forward-Euler step past the stencil's edge let
+        # the highest modes grow.  Without the gate this run exits 0 with
+        # kahler_res 3e4 times its initial value.
+        monkeypatch.setattr(evo, "CFL_MAX", 0.5)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"flow": {"cells": 80, "t_end": 0.3},
+                                   "initial": {"preset": "canonical"}}))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"(kahler|heat)_res grew to .* more than 100 "
+                         r"times its initial", err), err
+        assert "partial results written" in err
+        trace = read_trace(out)
+        name = re.search(r"(kahler|heat)_res", err).group(0)
+        column = trace.column(name)
+        assert column[-1] > evo.RESIDUAL_GROWTH_MAX * column[0]
+        assert np.all(column[:-1] <= evo.RESIDUAL_GROWTH_MAX * column[0])
+        assert trace.column("t")[-1] < 0.3
+
+    def test_zero_initial_residual_is_not_gated(self):
+        first = np.zeros(12)
+        row = np.full(12, 1.0)
+        evo._check_residual_growth(row, first, 1)
+        first[7] = 1e-3
+        with pytest.raises(FlowHalt, match="kahler_res grew"):
+            evo._check_residual_growth(row, first, 1)
 
 
 TWO_FACTOR = geo.BundleSpec(n=(1, 1), k=(2.0, 1.0), q=(2, 1))
