@@ -112,7 +112,6 @@ class SingularTimeEstimate:
     t_hat: float
     t_floor: float
     t_kappa: float
-    source: str
 
 
 @dataclass
@@ -222,12 +221,10 @@ def estimate_singular_time(trace: FlowTrace) -> SingularTimeEstimate:
     max h^2 and each min f_i^2.  The earliest candidate root beyond the
     final trace time is t_floor.  Independently, 1/kappa is fitted late and
     its root gives t_kappa.  The consensus t_hat takes t_floor when
-    available, else t_kappa, else None with source "none" (no singularity
-    indicated).
+    available, else t_kappa, else None (no singularity indicated).
     """
     if trace.rows.shape[0] < 2:
-        return SingularTimeEstimate(t_hat=None, t_floor=None, t_kappa=None,
-                                    source="none")
+        return SingularTimeEstimate(t_hat=None, t_floor=None, t_kappa=None)
     t = trace.column("t")
     t_last = t[-1]
     late = _late_mask(t, LATE_FRACTION)
@@ -254,14 +251,8 @@ def estimate_singular_time(trace: FlowTrace) -> SingularTimeEstimate:
         if root is not None and root > t_last:
             t_kappa = root
 
-    if t_floor is not None:
-        return SingularTimeEstimate(t_hat=t_floor, t_floor=t_floor,
-                                    t_kappa=t_kappa, source="floor")
-    if t_kappa is not None:
-        return SingularTimeEstimate(t_hat=t_kappa, t_floor=None,
-                                    t_kappa=t_kappa, source="kappa")
-    return SingularTimeEstimate(t_hat=None, t_floor=None, t_kappa=None,
-                                source="none")
+    t_hat = t_floor if t_floor is not None else t_kappa
+    return SingularTimeEstimate(t_hat=t_hat, t_floor=t_floor, t_kappa=t_kappa)
 
 
 def classify_singularity_type(trace: FlowTrace, t_hat: float,

@@ -79,7 +79,8 @@ def _reject_unknown(obj, allowed, path):
 def _number(v, path):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path} must be a number")
-    v = float(v)
+    # JSON integers are unbounded; one past the float range is infinite.
+    v = float(v) if abs(v) <= sys.float_info.max else math.inf
     if not math.isfinite(v):
         raise ConfigError(f"{path} must be a finite number")
     return v
@@ -88,6 +89,9 @@ def _number(v, path):
 def _integer(v, path):
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{path} must be an integer")
+    # The flow computes with integers as floats.
+    if abs(v) > sys.float_info.max:
+        raise ConfigError(f"{path} is too large")
     return v
 
 
@@ -178,10 +182,12 @@ def _parse_template(section, spec, cells):
         if mode == "kahler":
             return build_kahler_profile(spec, tmpl, cells)
         return build_general_profile(spec, tmpl, cells)
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         raise ConfigError(f"initial.template: {exc}") from exc
 
 
+# Initial data whose construction overflows is a config error, not inf.
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def _parse_initial(section, bundle_section, cells):
     if section is None:
         raise ConfigError("initial section is required")
@@ -196,7 +202,7 @@ def _parse_initial(section, bundle_section, cells):
         if bundle_section is not None:
             raise ConfigError("bundle section conflicts with initial.preset "
                               "(presets fix their own bundle)")
-        if preset not in PRESETS:
+        if not isinstance(preset, str) or preset not in PRESETS:
             known = ", ".join(sorted(PRESETS))
             raise ConfigError(f"initial.preset '{preset}' unknown "
                               f"(available: {known})")
@@ -205,7 +211,7 @@ def _parse_initial(section, bundle_section, cells):
             _number(v, f"initial.params.{key}")
         try:
             return PRESETS[preset](cells, **params)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, FloatingPointError) as exc:
             raise ConfigError(f"initial.params: {exc}") from exc
     if "params" in init:
         raise ConfigError("initial.params is only valid with a preset")
@@ -276,11 +282,9 @@ def load_config(path) -> RunConfig:
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+    lines = [",".join(header)]
+    lines += [",".join(map(repr, row)) for row in rows.tolist()]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _read_csv(path):
@@ -292,9 +296,7 @@ def _read_csv(path):
 
 
 def _json_dump(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def report_to_dict(report: SingularityReport) -> dict:
@@ -312,24 +314,13 @@ def report_to_dict(report: SingularityReport) -> dict:
     }
 
 
-def report_from_dict(d: dict) -> SingularityReport:
-    return SingularityReport(
-        t_hat=d.get("T_hat"), typei_sup=d.get("typeI_sup"),
-        verdict=d.get("verdict"), schwarz_c=d.get("schwarz_C"),
-        case=d.get("case"), rescale_factors=d.get("rescale_factors", []),
-        t_floor=d.get("t_floor"), t_kappa=d.get("t_kappa"),
-        plateau_ratio=d.get("plateau_ratio"),
-        growth_ratio=d.get("growth_ratio"))
-
-
-def write_outputs(trace: FlowTrace, snapshots, report, out_dir,
-                  raw_config=None) -> dict:
+def write_outputs(trace: FlowTrace, snapshots, report: SingularityReport,
+                  out_dir, raw_config: dict) -> dict:
     """Persist a run directory; returns the manifest mapping.
 
-    ``raw_config`` (the validated input config) is written as config.json
-    when given; with None an existing config.json is kept.  Snapshot files
-    this call did not write are deleted.  The manifest digests every
-    artifact with sha256.
+    ``raw_config`` (the validated input config) is written as config.json.
+    Snapshot files this call did not write are deleted.  The manifest
+    digests every artifact with sha256.
     """
     out = Path(out_dir)
     snapdir = out / "snapshots"
@@ -363,14 +354,9 @@ def write_outputs(trace: FlowTrace, snapshots, report, out_dir,
             path.unlink()
     files += snap_names
 
-    if report is not None:
-        _json_dump(out / "report.json", report_to_dict(report))
-        files.append("report.json")
-    if raw_config is not None:
-        _json_dump(out / "config.json", raw_config)
-        files.append("config.json")
-    elif (out / "config.json").exists():
-        files.append("config.json")
+    _json_dump(out / "report.json", report_to_dict(report))
+    _json_dump(out / "config.json", raw_config)
+    files += ["report.json", "config.json"]
     return _write_manifest(out, _digests(out, files))
 
 
@@ -473,7 +459,7 @@ def read_snapshot(path) -> ProfileState:
             t=d["t"], sigma=np.array(d["sigma"], float),
             a=np.array(d["a"], float), h=np.array(d["h"], float),
             f=np.array(d["f"], float))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path} is not a snapshot: {exc!r}") from exc
 
 
@@ -598,13 +584,17 @@ def render_plots(out_dir, field=None):
     if report_path.exists():
         t_hat = _read_json(report_path).get("T_hat")
     if t_hat is not None:
+        t_hat = _number(t_hat, f"{report_path}: T_hat")
         t = trace.column("t")
         kappa = trace.column("kappa")
         tau = t_hat - t
         keep = tau > 0.0
         if keep.any():
             x = np.log10(tau[keep])
-            y = tau[keep] * kappa[keep]
+            # A far-off T_hat overflows the product to inf, which _svg_plot
+            # drops like any other non-finite point.
+            with np.errstate(over="ignore"):
+                y = tau[keep] * kappa[keep]
             if _svg_plot(out / "typeI.svg",
                          [("(T_hat - t) kappa", x, y)],
                          "Type I quantity", "log10(T_hat - t)",

@@ -39,8 +39,7 @@ from .geometry import (EVEN, BundleSpec, Jets, ProfileState, Stencil,
                        arclength_derivs, cell_centers, cumulative_from_left,
                        curvature_sup_proxy, endpoint_even, field_parities,
                        kahler_defect, laplacian_f2, ricci_coefficients,
-                       ricci_rows, stacked_derivs, stacked_parity,
-                       _resolve_jets)
+                       ricci_rows, stacked_derivs, stacked_parity)
 from .initial_data import validate_closing
 
 # A step this far below the requested horizon means the adaptive control
@@ -129,15 +128,15 @@ def _rhs_core(Y, jet_s, jet_ss, coef):
     return -Y * ricci_rows(Y[1:], jet_s, jet_ss, coef)
 
 
-def flow_rhs(spec: BundleSpec, state: ProfileState, jets: Jets = None):
+def flow_rhs(spec: BundleSpec, state: ProfileState, jets: Jets):
     """Time derivatives (da/dt, dh/dt, df_i/dt) at the given state.
 
-    Ghost cells are populated internally by parity reflection; the caller
-    is responsible for starting from data that closes smoothly (run_flow
-    validates this once up front).  Raises FlowHalt naming the first
-    offending component and cell if any derivative is non-finite.
+    ``jets`` are the arclength jets of ``state``: ``profile_jets(state)``,
+    whose parity ghosts assume data that closes smoothly (run_flow
+    validates this once up front), or exact analytic jets.  Raises FlowHalt
+    naming the first offending component and cell if any derivative is
+    non-finite.
     """
-    jets = _resolve_jets(state, jets)
     Y = np.vstack([state.a, jets.h, jets.f])
     ydot = _rhs_core(Y, np.vstack([jets.h_s, jets.f_s]),
                      np.vstack([jets.h_ss, jets.f_ss]),
@@ -274,32 +273,35 @@ def regrid_uniform(state: ProfileState) -> ProfileState:
         a=np.full(state.cells, total), h=resampled[0], f=resampled[1:])
 
 
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
     """Integrate from state0 until t_end or a stop_floor breach.
 
     Returns (FlowTrace, snapshots).  Trace rows are appended every
     ``trace_every`` steps and always at the final state; snapshots follow
     ``snapshot_every`` the same way, starting with the initial state.  The
-    run refuses to start (InvalidInitialState) if state0 is nonpositive or
-    fails the smooth-closure validation.  Abnormal halts (a dt underflow,
-    a non-finite RHS, a trace row whose kahler_res or heat_res passes
-    RESIDUAL_GROWTH_MAX times its first-row value) raise FlowHalt with the
-    partial trace and snapshots attached.
+    run refuses to start (InvalidInitialState) if state0 is nonpositive,
+    fails the smooth-closure validation or overflows it.  Abnormal halts
+    (a dt underflow, a non-finite RHS, a floating-point overflow, a trace
+    row whose kahler_res or heat_res passes RESIDUAL_GROWTH_MAX times its
+    first-row value) raise FlowHalt with the partial trace and snapshots
+    attached.
     """
     if state0.cells != cfg.cells:
         raise InvalidInitialState(
             f"state has {state0.cells} cells but config says {cfg.cells}")
     try:
         state0.validate()
-    except ValueError as exc:
+        closing = validate_closing(state0)
+        coef = ricci_coefficients(spec)
+        two_k = 2.0 * spec.factor_arrays()[1]
+    except (ValueError, FloatingPointError) as exc:
         raise InvalidInitialState(str(exc)) from exc
-    closing = validate_closing(state0)
     if not closing.passed:
         bad = "; ".join(f"{c.side} {c.name} (residual {c.residual:.3g})"
                         for c in closing.failures())
         raise InvalidInitialState(f"initial data does not close: {bad}")
 
-    coef = ricci_coefficients(spec)
     dsigma = state0.dsigma
     stencil = Stencil(field_parities(spec.r), cfg.cells, dsigma)
     sigma = state0.sigma
@@ -319,7 +321,6 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
 
     dt_min = DT_UNDERFLOW * cfg.t_end
     r = spec.r
-    two_k = 2.0 * spec.factor_arrays()[1]
 
     def monitor_row(ydot, u_s, u_ss, dt_col):
         # Columns of analysis.trace_columns and boundary_columns from the
@@ -378,14 +379,17 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
             Y = rkl2_step(Y, ydot, dt, s, rhs)
             t += dt
             step += 1
-            if Y[0].max() > cfg.regrid_threshold * Y[0].min():
+            # Python floats: a huge threshold overflows to inf, untrapped.
+            if float(Y[0].max()) > cfg.regrid_threshold * float(Y[0].min()):
                 regridded = regrid_uniform(current_state())
                 Y = np.vstack([regridded.a[None, :], regridded.h[None, :],
                                regridded.f])
-    except FlowHalt as halt:
+    except (FlowHalt, FloatingPointError) as exc:
+        halt = exc if isinstance(exc, FlowHalt) else FlowHalt(
+            f"floating-point {exc} at t = {t:.6g}")
         halt.trace = _assemble_trace(spec.r, rows, brows)
         halt.snapshots = snapshots
-        raise
+        raise halt
 
     return _assemble_trace(spec.r, rows, brows), snapshots
 

@@ -43,6 +43,8 @@ STEP_WEIGHTS = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0
 # Five-point d/dsigma (over 12 dsigma) and d^2/dsigma^2 (over 12 dsigma^2).
 FIVE_POINT_WEIGHTS = np.array([[1.0, -8.0, 0.0, 8.0, -1.0],
                                [-1.0, 16.0, -30.0, 16.0, -1.0]])
+# A Kahler defect above this marks ricci_kahler's output as advisory.
+KAHLER_ADVISORY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -310,14 +312,6 @@ def profile_jets(state: ProfileState) -> Jets:
                 f=state.f, f_s=u_s[2:], f_ss=u_ss[2:])
 
 
-def _resolve_jets(state, jets):
-    if jets is not None:
-        return jets
-    if state is None:
-        raise ValueError("need a state or precomputed jets")
-    return profile_jets(state)
-
-
 # ----------------------------------------------------------------------
 # Curvature.
 # ----------------------------------------------------------------------
@@ -379,11 +373,6 @@ def _trace_l(n, j: Jets) -> np.ndarray:
     return j.h_s / j.h + (2.0 * n * j.f_s / j.f).sum(axis=0)
 
 
-def _check_cell(cell, m):
-    if not -m <= cell < m:
-        raise IndexError(f"cell {cell} out of range for {m} cells")
-
-
 def laplacian_f2(spec: BundleSpec, jets: Jets) -> np.ndarray:
     """Laplacian of every f_i^2 directly from arclength jets, shape (r, M)."""
     n = spec.factor_arrays()[0]
@@ -392,8 +381,7 @@ def laplacian_f2(spec: BundleSpec, jets: Jets) -> np.ndarray:
             + _trace_l(n, jets) * 2.0 * f * f_s)
 
 
-def ricci_full(spec: BundleSpec, state: ProfileState = None, cell: int = None,
-               jets: Jets = None) -> RicciComponents:
+def ricci_full(spec: BundleSpec, jets: Jets) -> RicciComponents:
     """Ricci curvature of the full metric in the canonical frame.
 
     Valid for Kahler and non-Kahler profiles alike; the formulas are those
@@ -401,60 +389,48 @@ def ricci_full(spec: BundleSpec, state: ProfileState = None, cell: int = None,
     g_i.  All mixed components vanish identically.  Non-finite output
     signals an invalid profile (for example h <= 0 at an interior cell).
     """
-    j = _resolve_jets(state, jets)
-    rows = ricci_rows(np.vstack([j.h, j.f]), np.vstack([j.h_s, j.f_s]),
-                      np.vstack([j.h_ss, j.f_ss]), ricci_coefficients(spec))
-    nn, zz, horiz = rows[0], rows[1], rows[2:] * j.f ** 2
-    if cell is None:
-        return RicciComponents(nn=nn, zz=zz, horiz=horiz)
-    _check_cell(cell, nn.size)
-    return RicciComponents(nn=float(nn[cell]), zz=float(zz[cell]),
-                           horiz=horiz[:, cell])
+    rows = ricci_rows(np.vstack([jets.h, jets.f]),
+                      np.vstack([jets.h_s, jets.f_s]),
+                      np.vstack([jets.h_ss, jets.f_ss]),
+                      ricci_coefficients(spec))
+    return RicciComponents(nn=rows[0], zz=rows[1],
+                           horiz=rows[2:] * jets.f ** 2)
 
 
-def kahler_defect(spec: BundleSpec, state: ProfileState = None,
-                  jets: Jets = None) -> np.ndarray:
+def kahler_defect(spec: BundleSpec, jets: Jets) -> np.ndarray:
     """Pointwise violation |q_i h - d(f_i^2)/ds| of the Kahler condition.
 
     Shape (r, M); identically zero exactly when the metric is Kahler for the
     bundle complex structure.
     """
-    j = _resolve_jets(state, jets)
     q = spec.factor_arrays()[2]
-    return np.abs(q * j.h - 2.0 * j.f * j.f_s)
+    return np.abs(q * jets.h - 2.0 * jets.f * jets.f_s)
 
 
-def ricci_kahler(spec: BundleSpec, state: ProfileState = None,
-                 cell: int = None, jets: Jets = None,
-                 residual_tol: float = 1e-6) -> RicciComponents:
+def ricci_kahler(spec: BundleSpec, jets: Jets) -> RicciComponents:
     """Ricci curvature via the Kahler-form simplifications.
 
         Ric(nu, nu) = Ric(zhat, zhat) = -lap log H + sum 2 n_i |grad log F_i|^2
         horizontal coefficient          = k_i - lap(F_i^2) / 2
 
     These expressions assume q_i H = (F_i^2)_s.  When the measured defect
-    exceeds ``residual_tol`` the result is still returned but flagged
+    exceeds KAHLER_ADVISORY_TOL the result is still returned but flagged
     ``advisory=True``; it then has no curvature meaning and should only be
     used for residual monitoring.
     """
-    j = _resolve_jets(state, jets)
+    j = jets
     n, k, _, _ = spec.factor_arrays()
     shape_h = j.h_s / j.h
     shape_f = j.f_s / j.f
     lap_log_h = (j.h_ss / j.h - shape_h ** 2) + _trace_l(n, j) * shape_h
     mixed = -lap_log_h + (2.0 * n * shape_f ** 2).sum(axis=0)
     horiz = k - 0.5 * laplacian_f2(spec, j)
-    advisory = bool(kahler_defect(spec, jets=j).max() > residual_tol)
-    if cell is None:
-        return RicciComponents(nn=mixed, zz=mixed.copy(), horiz=horiz,
-                               advisory=advisory)
-    _check_cell(cell, mixed.size)
-    return RicciComponents(nn=float(mixed[cell]), zz=float(mixed[cell]),
-                           horiz=horiz[:, cell], advisory=advisory)
+    advisory = bool(kahler_defect(spec, j).max() > KAHLER_ADVISORY_TOL)
+    return RicciComponents(nn=mixed, zz=mixed.copy(), horiz=horiz,
+                           advisory=advisory)
 
 
-def curvature_sup_proxy(spec: BundleSpec, state: ProfileState = None,
-                        jets: Jets = None) -> float:
+def curvature_sup_proxy(spec: BundleSpec, jets: Jets) -> float:
     """Computable surrogate for the sup over M of |Rm|.
 
     Maximum over cells and factor indices of
@@ -465,7 +441,7 @@ def curvature_sup_proxy(spec: BundleSpec, state: ProfileState = None,
     constants.  Under the metric rescaling (a, h, f) -> sqrt(K) (a, h, f)
     the proxy divides by K, as curvature must.
     """
-    j = _resolve_jets(state, jets)
+    j = jets
     if spec.r != j.r:
         raise ValueError("spec and jets disagree on the number of factors")
     _, _, q, lam = spec.factor_arrays()

@@ -107,15 +107,6 @@ class ClosingReport:
     def failures(self):
         return [c for c in self.checks if not c.ok]
 
-    def summary(self) -> str:
-        lines = []
-        for c in self.checks:
-            flag = "ok " if c.ok else "FAIL"
-            lines.append(f"{flag} {c.side:5s} {c.name}: value {c.value:+.6g}"
-                         f" expected {c.expected:+.6g}"
-                         f" (residual {c.residual:.3g}, tol {c.tol:.3g})")
-        return "\n".join(lines)
-
 
 def _one_sided_fit(x, y):
     """Interpolating quartic through the five samples nearest an endpoint.
@@ -128,20 +119,22 @@ def _one_sided_fit(x, y):
     return float(np.polyval(c, 0.0)), float(np.polyval(np.polyder(c), 0.0))
 
 
-def validate_closing(state: ProfileState, slope_tol: float = SLOPE_TOL,
-                     value_tol: float = VALUE_TOL,
-                     parity_tol: float = PARITY_TOL) -> ClosingReport:
+def validate_closing(state: ProfileState) -> ClosingReport:
     """Check the smooth-closure endpoint conditions of a state.
 
     Per interval end: H extrapolates to 0 with arclength slope +1 (left) or
-    -1 (right); each F_i^2 has vanishing end slope; the samples near the end
-    are consistent with an odd extension of h and an even extension of each
-    f_i^2.  All endpoint values come from one-sided quartic fits, so no
-    parity is assumed by the measurement itself.  Returns a structured
-    report and never raises on failures.
+    -1 (right); each F_i^2 has vanishing end slope, measured in units of
+    max F_i^2 per interval arclength so that the test does not depend on
+    the interval's size; the samples near the end are consistent with an
+    odd extension of h and an even extension of each f_i^2.  All endpoint
+    values come from one-sided quartic fits, so no parity is assumed by
+    the measurement itself.  Returns a structured report and never raises
+    on failures.
     """
     report = ClosingReport()
     h_scale = max(np.abs(state.h).max(), 1e-300)
+    # Midpoint rule: dsigma first, so the sum cannot overflow.
+    length = float(np.sum(state.a * state.dsigma))
     ghost_x = np.array([0.5, 1.5]) * state.dsigma
 
     for side in ("left", "right"):
@@ -164,12 +157,12 @@ def validate_closing(state: ProfileState, slope_tol: float = SLOPE_TOL,
         expected_slope = orient
         report.checks.append(ClosingCheck(
             name="fiber length H at end", side=side, value=h_end,
-            expected=0.0, residual=abs(h_end) / h_scale, tol=value_tol,
-            ok=abs(h_end) / h_scale <= value_tol))
+            expected=0.0, residual=abs(h_end) / h_scale, tol=VALUE_TOL,
+            ok=abs(h_end) / h_scale <= VALUE_TOL))
         report.checks.append(ClosingCheck(
             name="arclength slope of H", side=side, value=h_slope,
             expected=expected_slope, residual=abs(h_slope - expected_slope),
-            tol=slope_tol, ok=abs(h_slope - expected_slope) <= slope_tol))
+            tol=SLOPE_TOL, ok=abs(h_slope - expected_slope) <= SLOPE_TOL))
 
         # Parity of h: an odd extension satisfies h(-x) = -h(x); compare the
         # fit at the ghost positions with the mirrored interior samples.
@@ -178,7 +171,7 @@ def validate_closing(state: ProfileState, slope_tol: float = SLOPE_TOL,
         odd_res = np.abs(mirror + np.interp(ghost_x, x, h5)).max() / h_scale
         report.checks.append(ClosingCheck(
             name="odd parity of h", side=side, value=odd_res, expected=0.0,
-            residual=odd_res, tol=parity_tol, ok=odd_res <= parity_tol))
+            residual=odd_res, tol=PARITY_TOL, ok=odd_res <= PARITY_TOL))
 
         for i in range(state.r):
             f2 = state.f[i] ** 2
@@ -186,11 +179,11 @@ def validate_closing(state: ProfileState, slope_tol: float = SLOPE_TOL,
             f2_scale = max(np.abs(f2).max(), 1e-300)
             f2_end, f2_slope_sig = _one_sided_fit(x, f2_5)
             f2_slope = orient * f2_slope_sig / a_end
-            slope_scale = max(1.0, np.abs(f2_slope_sig).max() / a_end)
+            slope_res = abs(f2_slope) * length / f2_scale
             report.checks.append(ClosingCheck(
                 name=f"end slope of f{i + 1}^2", side=side, value=f2_slope,
-                expected=0.0, residual=abs(f2_slope) / slope_scale,
-                tol=slope_tol, ok=abs(f2_slope) / slope_scale <= slope_tol))
+                expected=0.0, residual=slope_res, tol=SLOPE_TOL,
+                ok=slope_res <= SLOPE_TOL))
             c_f = np.polyfit(x, f2_5, 4)
             even_res = (np.abs(np.polyval(c_f, -ghost_x)
                                - np.interp(ghost_x, x, f2_5)).max()
@@ -198,7 +191,7 @@ def validate_closing(state: ProfileState, slope_tol: float = SLOPE_TOL,
             report.checks.append(ClosingCheck(
                 name=f"even parity of f{i + 1}^2", side=side,
                 value=even_res, expected=0.0, residual=even_res,
-                tol=parity_tol, ok=even_res <= parity_tol))
+                tol=PARITY_TOL, ok=even_res <= PARITY_TOL))
     return report
 
 

@@ -66,21 +66,17 @@ def test_criterion_01_curvature_forms_agree_on_anchor_instance():
     f_ss = ((np.cos(s) - f_s[0] ** 2) / f[0])[None, :]
     jets = geo.Jets(h=np.sin(s), h_s=np.cos(s), h_ss=-np.sin(s),
                     f=f, f_s=f_s, f_ss=f_ss)
-    state = geo.ProfileState(t=0.0, sigma=geo.cell_centers(cells),
-                             a=np.full(cells, math.pi), h=jets.h,
-                             f=jets.f.copy())
     mid = 200
-    full = geo.ricci_full(CANON, state, mid, jets=jets)
-    assert full.nn == pytest.approx(1.125, rel=1e-12)
-    assert full.zz == pytest.approx(1.125, rel=1e-12)
-    assert full.horiz[0] == pytest.approx(1.5, rel=1e-12)
+    a = geo.ricci_full(CANON, jets)
+    b = geo.ricci_kahler(CANON, jets)
+    assert a.nn[mid] == pytest.approx(1.125, rel=1e-12)
+    assert a.zz[mid] == pytest.approx(1.125, rel=1e-12)
+    assert a.horiz[0, mid] == pytest.approx(1.5, rel=1e-12)
     for cell in range(cells):
-        a = geo.ricci_full(CANON, state, cell, jets=jets)
-        b = geo.ricci_kahler(CANON, state, cell, jets=jets)
-        for x, y in ((a.nn, b.nn), (a.zz, b.zz),
-                     (a.horiz[0], b.horiz[0])):
+        for x, y in ((a.nn[cell], b.nn[cell]), (a.zz[cell], b.zz[cell]),
+                     (a.horiz[0, cell], b.horiz[0, cell])):
             assert abs(x - y) <= 1e-10 * max(1.0, abs(y))
-        assert not b.advisory
+    assert not b.advisory
     assert time.perf_counter() - start < 1.0
 
 
@@ -91,12 +87,12 @@ def test_criterion_02_curvature_matches_koszul_oracle():
     oracle = berger_ricci(*profile_to_berger(
         spec.k[0], spec.q[0], jets.f[0], jets.f_s[0], jets.f_ss[0],
         jets.h, jets.h_s, jets.h_ss))
+    ric = geo.ricci_full(spec, jets)
     for c in np.linspace(3, 60, 10).astype(int):
-        ric = geo.ricci_full(spec, state, int(c), jets=jets)
         rho = oracle["horiz_frame"][c] * state.f[0, c] ** 2
-        for got, want in ((ric.nn, oracle["nn"][c]),
-                          (ric.zz, oracle["fiber"][c]),
-                          (ric.horiz[0], rho)):
+        for got, want in ((ric.nn[c], oracle["nn"][c]),
+                          (ric.zz[c], oracle["fiber"][c]),
+                          (ric.horiz[0, c], rho)):
             assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
     assert time.perf_counter() - start < 10.0
 

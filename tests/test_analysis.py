@@ -89,7 +89,7 @@ class TestTraceContract:
 class TestResiduals:
     def test_kahler_residual_on_compatible_data(self):
         spec, state = canonical_preset(400)
-        assert geo.kahler_defect(spec, state).max() <= 1e-8
+        assert geo.kahler_defect(spec, geo.profile_jets(state)).max() <= 1e-8
 
     def test_heat_residual_on_compatible_data(self):
         spec, state = canonical_preset(128)
@@ -141,14 +141,13 @@ class TestSingularTime:
         t = np.linspace(0.0, 0.5, 51)
         est = estimate_singular_time(make_trace(t, left=6.0 - 8.0 * t))
         assert est.t_hat == pytest.approx(0.75, rel=1e-12)
-        assert est.source == "floor"
         assert est.t_floor == est.t_hat
         assert est.t_kappa is None
 
     def test_curvature_fallback(self):
         t = np.linspace(0.0, 0.4, 81)
         est = estimate_singular_time(make_trace(t, kappa=1.0 / (0.5 - t)))
-        assert est.source == "kappa"
+        assert est.t_hat == est.t_kappa
         assert est.t_hat == pytest.approx(0.5, rel=1e-10)
         assert est.t_floor is None
 
@@ -159,19 +158,21 @@ class TestSingularTime:
         est = estimate_singular_time(trace)
         assert est.t_hat == pytest.approx(0.75, rel=1e-10)
         assert est.t_kappa == pytest.approx(0.9, rel=1e-8)
-        assert est.source == "floor"
+        assert est.t_hat == est.t_floor
 
     def test_roots_inside_window_are_ignored(self):
         t = np.linspace(0.0, 0.5, 51)
         est = estimate_singular_time(make_trace(t, left=0.8 - 2.0 * t))
         assert est.t_hat is None
-        assert est.source == "none"
+        assert est.t_floor is None and est.t_kappa is None
 
     def test_constant_trace_reports_none(self):
         est = estimate_singular_time(make_trace(np.linspace(0.0, 1.0, 20)))
-        assert est.t_hat is None and est.source == "none"
+        assert est.t_hat is None and est.t_floor is None \
+            and est.t_kappa is None
         est = estimate_singular_time(make_trace(np.array([0.0])))
-        assert est.source == "none"
+        assert est.t_hat is None and est.t_floor is None \
+            and est.t_kappa is None
 
     def test_time_translation_covariance(self):
         t = np.linspace(0.0, 0.5, 51)
@@ -277,8 +278,8 @@ class TestRescale:
         root = math.sqrt(K)
         zoom = dataclasses.replace(state, a=root * state.a, h=root * state.h,
                                    f=root * state.f)
-        base = geo.curvature_sup_proxy(spec, state)
-        assert geo.curvature_sup_proxy(spec, zoom) \
+        base = geo.curvature_sup_proxy(spec, geo.profile_jets(state))
+        assert geo.curvature_sup_proxy(spec, geo.profile_jets(zoom)) \
             == pytest.approx(base / K, rel=1e-10)
         assert monitor_row(spec, zoom, "liyau_sup_1") \
             == pytest.approx(monitor_row(spec, state, "liyau_sup_1"),

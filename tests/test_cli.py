@@ -12,8 +12,8 @@ import bundleflow.geometry as geo
 from bundleflow.analysis import (NO_SINGULARITY, FlowTrace, analyze_run,
                                  trace_columns)
 from bundleflow.cli import (ConfigError, load_config, main, read_snapshots,
-                            read_trace, render_plots, report_from_dict,
-                            report_to_dict, write_outputs)
+                            read_trace, render_plots, report_to_dict,
+                            write_outputs)
 
 POINT_RE = re.compile(r'points="([^"]+)"')
 
@@ -119,6 +119,16 @@ class TestLoadConfig:
         (lambda c: c["output"].update(dir=7), "must be a string"),
         (lambda c: c["flow"].update(cfl=0.4),
          "flow.cfl must lie in (0, 0.375]"),
+        (calabi_params({"k_lens": 1e308}),
+         "initial.params: overflow encountered"),
+        (lambda c: c["initial"]["template"].update(length=1e308),
+         "initial.template: overflow encountered"),
+        (lambda c: c["bundle"].update(q=[10 ** 400]),
+         "bundle.q[0] is too large"),
+        (lambda c: c["flow"].update(t_end=10 ** 400),
+         "flow.t_end must be a finite number"),
+        (lambda c: (c.pop("bundle"), c.update(initial={"preset": []})),
+         "initial.preset '[]' unknown"),
     ])
     def test_rejections_name_the_field(self, tmp_path, mutate, needle):
         conf = {"flow": {"cells": 32, "t_end": 0.0},
@@ -258,6 +268,17 @@ class TestRunVerb:
         assert "flow.t_end must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_overflowing_flow_exits_three(self, tmp_path, capsys):
+        # A 1e-308 interval makes 1/a^2 overflow in the first stage: the
+        # run halts with a reason instead of computing with inf.
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "flow": {"cells": 16, "t_end": 0.02},
+            "initial": {"preset": "calabi", "params": {"length": 1e-308}}}))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert "floating-point overflow" in capsys.readouterr().err
+        assert (tmp_path / "o" / "manifest.json").exists()
+
     def test_rerun_removes_stale_snapshots(self, tmp_path, capsys):
         out = tmp_path / "run"
         for t_end, count in ((0.05, 5), (0.001, 2)):
@@ -349,6 +370,8 @@ class TestAnalyzeVerb:
         ("decades", "analysis.decades must be a number"),
         ("snapshot", "snap_00001.json is not valid JSON"),
         ("trace", "malformed trace"),
+        # JSON integers are unbounded; this one has no float value.
+        ("huge t", "snap_00001.json is not a snapshot"),
     ])
     def test_malformed_rundir_exits_two(self, tmp_path, capsys, damage,
                                         needle):
@@ -362,6 +385,11 @@ class TestAnalyzeVerb:
             raw = json.loads((out / "config.json").read_text())
             raw["analysis"] = {"decades": "two"}
             (out / "config.json").write_text(json.dumps(raw))
+        elif damage == "huge t":
+            path = out / "snapshots" / "snap_00001.json"
+            snap = json.loads(path.read_text())
+            snap["t"] = 10 ** 400
+            path.write_text(json.dumps(snap))
         else:
             path = out / ("snapshots/snap_00001.json" if damage == "snapshot"
                           else "trace.csv")
@@ -427,10 +455,9 @@ class TestAnalyzeVerb:
         out = tmp_path / "syn"
         _, report = synthetic_run_dir(out)
         assert main(["analyze", str(out)]) == 0
-        stored = report_from_dict(
-            json.loads((out / "report.json").read_text()))
-        assert stored.t_hat == pytest.approx(0.5, rel=1e-6)
-        assert stored.verdict == report.verdict
+        stored = json.loads((out / "report.json").read_text())
+        assert stored["T_hat"] == pytest.approx(0.5, rel=1e-6)
+        assert stored["verdict"] == report.verdict
 
 
 class TestReportSerialization:
@@ -440,7 +467,8 @@ class TestReportSerialization:
         assert set(d) == {"T_hat", "typeI_sup", "verdict", "schwarz_C",
                           "case", "rescale_factors", "t_floor", "t_kappa",
                           "plateau_ratio", "growth_ratio"}
-        assert report_from_dict(d) == report
+        stored = json.loads((tmp_path / "syn" / "report.json").read_text())
+        assert stored == d
 
 
 class TestPlotVerb:
@@ -490,11 +518,24 @@ class TestPlotVerb:
         assert main(["plot", str(out)]) == 2
         assert "top level must be an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t_hat", ["0.5", [0.5], True, {"t": 0.5}])
+    def test_report_with_bad_t_hat_exits_two(self, tmp_path, capsys, t_hat):
+        out = tmp_path / "run"
+        synthetic_run_dir(out)
+        report = json.loads((out / "report.json").read_text())
+        report["T_hat"] = t_hat
+        (out / "report.json").write_text(json.dumps(report))
+        assert main(["plot", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "report.json: T_hat must be a number" in err, err
+        assert not (out / "typeI.svg").exists()
+
     def test_empty_trace_prints_message(self, tmp_path, capsys):
         out = tmp_path / "empty"
         trace = FlowTrace(r=1, rows=np.zeros((0, 12)),
                           boundary=np.zeros((0, 3)))
-        write_outputs(trace, [], None, out)
+        report = analyze_run(trace, [], stop_floor=1e-3)
+        write_outputs(trace, [], report, out, raw_config={"flow": {}})
         assert main(["plot", str(out)]) == 0
         assert "no plots written: trace is empty" in capsys.readouterr().out
         assert list(out.glob("*.svg")) == []

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import bundleflow.geometry as geo
@@ -61,7 +61,7 @@ class TestFlowRhs:
     def test_discrete_stencils_match_analytic_jets(self):
         state, jets = canonical_state(400)
         exact = flow_rhs(CANON, state, jets=jets)
-        approx = flow_rhs(CANON, state)
+        approx = flow_rhs(CANON, state, geo.profile_jets(state))
         for got, want in zip(approx, exact):
             assert np.max(np.abs(got - want)) <= 1e-6
 
@@ -70,7 +70,7 @@ class TestFlowRhs:
         # the left closed end and -2 q_j - 2 k_j on the right (0 and -8
         # here), and the discrete scheme reproduces this to rounding.
         spec, state = canonical_preset(400)
-        _, _, fdot = flow_rhs(spec, state)
+        _, _, fdot = flow_rhs(spec, state, geo.profile_jets(state))
         df2dt = 2.0 * state.f[0] * fdot[0]
         left, right = geo.endpoint_even(df2dt)
         assert abs(left - 0.0) <= 1e-6
@@ -92,20 +92,26 @@ class TestFlowRhs:
         bad = dataclasses.replace(state, h=h)
         with np.errstate(invalid="ignore"):
             with pytest.raises(FlowHalt, match="cell"):
-                flow_rhs(CANON, bad)
+                flow_rhs(CANON, bad, geo.profile_jets(bad))
 
     @given(st.floats(min_value=0.2, max_value=5.0))
+    @example(0.3125)
     def test_parabolic_scaling_law(self, K):
         # (a, h, f) -> sqrt(K)(a, h, f) with t -> K t: the right-hand side
         # must come back divided by sqrt(K).
         state, _ = canonical_state(64)
-        base = flow_rhs(CANON, state)
+        base = flow_rhs(CANON, state, geo.profile_jets(state))
         root = math.sqrt(K)
         scaled = dataclasses.replace(state, a=root * state.a,
                                      h=root * state.h, f=root * state.f)
-        moved = flow_rhs(CANON, scaled)
+        moved = flow_rhs(CANON, scaled, geo.profile_jets(scaled))
         for got, want in zip(moved, base):
-            assert np.allclose(got, want / root, rtol=1e-10, atol=1e-12)
+            want = want / root
+            # Stencil rounding is relative to a row's largest entries (at
+            # K = 0.3125 it reaches 2.4e-12 of a row of size 13), so the
+            # absolute floor scales with the row.
+            assert np.allclose(got, want, rtol=1e-10,
+                               atol=1e-12 * np.abs(want).max())
 
 
 class TestParityBoundary:
@@ -582,6 +588,12 @@ class TestRegridGate:
         for slope in boundary_linear_check(spec, trace):
             assert slope.rel_error <= 0.01, slope
 
+    def test_huge_threshold_never_regrids(self, monkeypatch):
+        # threshold * min(a) overflows; the gate must read that as "no
+        # regrid", not raise a warning or a floating-point halt.
+        _, trace, regrids = self.run(monkeypatch, 1e308)
+        assert regrids == 0 and trace.rows.shape[0] > 1
+
 
 class TestOneKernel:
     """Jets and right-hand sides come from the flow stage's own kernel."""
@@ -608,7 +620,7 @@ class TestOneKernel:
             assert np.array_equal(jets.h_ss, u_ss[1])
             assert np.array_equal(jets.f_s, u_s[2:])
             assert np.array_equal(jets.f_ss, u_ss[2:])
-            adot, hdot, fdot = flow_rhs(spec, snap)
+            adot, hdot, fdot = flow_rhs(spec, snap, jets)
             assert np.array_equal(adot, ydot[0])
             assert np.array_equal(hdot, ydot[1])
             assert np.array_equal(fdot, ydot[2:])

@@ -50,17 +50,17 @@ class TestMidpointAnchors:
         assert lap[0, MID] == pytest.approx(1.0, rel=1e-12)
 
     def test_ricci_full(self):
-        ric = geo.ricci_full(CANON, cell=MID, jets=self.jets)
-        assert ric.nn == pytest.approx(1.125, rel=1e-12)
-        assert ric.zz == pytest.approx(1.125, rel=1e-12)
-        assert ric.horiz[0] == pytest.approx(1.5, rel=1e-12)
+        ric = geo.ricci_full(CANON, self.jets)
+        assert ric.nn[MID] == pytest.approx(1.125, rel=1e-12)
+        assert ric.zz[MID] == pytest.approx(1.125, rel=1e-12)
+        assert ric.horiz[0, MID] == pytest.approx(1.5, rel=1e-12)
         assert not ric.advisory
 
     def test_ricci_kahler_matches_anchors(self):
-        ric = geo.ricci_kahler(CANON, cell=MID, jets=self.jets)
-        assert ric.nn == pytest.approx(1.125, rel=1e-12)
-        assert ric.zz == pytest.approx(1.125, rel=1e-12)
-        assert ric.horiz[0] == pytest.approx(1.5, rel=1e-12)
+        ric = geo.ricci_kahler(CANON, self.jets)
+        assert ric.nn[MID] == pytest.approx(1.125, rel=1e-12)
+        assert ric.zz[MID] == pytest.approx(1.125, rel=1e-12)
+        assert ric.horiz[0, MID] == pytest.approx(1.5, rel=1e-12)
         assert not ric.advisory
 
     def test_sup_proxy_value_and_runner_up(self):
@@ -92,9 +92,10 @@ def test_kahler_defect_of_constant_factor_profile():
     state = geo.ProfileState(t=0.0, sigma=sigma, a=np.full(cells, math.pi),
                              h=np.sin(math.pi * sigma),
                              f=np.full((1, cells), 2.0))
-    defect = geo.kahler_defect(CANON, state)
+    jets = geo.profile_jets(state)
+    defect = geo.kahler_defect(CANON, jets)
     assert defect.max() == pytest.approx(2.0, rel=1e-3)
-    ric = geo.ricci_kahler(CANON, state)
+    ric = geo.ricci_kahler(CANON, jets)
     assert ric.advisory
 
 
@@ -109,16 +110,16 @@ def test_two_factor_instance():
     f2 = np.sqrt(8.0 - 2.0 * running)
     state = geo.ProfileState(t=0.0, sigma=sigma, a=np.full(cells, math.pi),
                              h=np.sin(s), f=np.vstack([f1, f2]))
-    assert geo.kahler_defect(spec, state).max() < 1e-5
-    full = geo.ricci_full(spec, state)
-    kahler = geo.ricci_kahler(spec, state)
+    jets = geo.profile_jets(state)
+    assert geo.kahler_defect(spec, jets).max() < 1e-5
+    full = geo.ricci_full(spec, jets)
+    kahler = geo.ricci_kahler(spec, jets)
     scale = np.abs(full.horiz).max()
     assert np.abs(full.nn - kahler.nn).max() < 1e-4
     assert np.abs(full.horiz - kahler.horiz).max() < 1e-4 * scale
     # The cross-factor sectional class must be covered by the proxy.
-    jets = geo.profile_jets(state)
     cross = np.abs(jets.f_s[0] / jets.f[0] * jets.f_s[1] / jets.f[1])
-    assert geo.curvature_sup_proxy(spec, state) >= cross.max() - 1e-12
+    assert geo.curvature_sup_proxy(spec, jets) >= cross.max() - 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -181,14 +182,6 @@ def test_cumulative_quadrature():
     assert flat_total == pytest.approx(2.5, abs=1e-12)
 
 
-def test_cell_bounds_checked():
-    state = canonical_state(64)
-    with pytest.raises(IndexError):
-        geo.ricci_kahler(CANON, state, cell=64)
-    with pytest.raises(IndexError):
-        geo.ricci_full(CANON, state, cell=400)
-
-
 def test_proxy_rejects_nonfinite():
     jets = canonical_analytic_jets(65)
     h = jets.h.copy()
@@ -243,9 +236,10 @@ def test_proxy_scaling_law(K):
     scaled = dataclasses.replace(state, a=math.sqrt(K) * state.a,
                                  h=math.sqrt(K) * state.h,
                                  f=math.sqrt(K) * state.f)
-    assert geo.curvature_sup_proxy(CANON, scaled) \
-        == pytest.approx(geo.curvature_sup_proxy(CANON, state) / K,
-                         rel=1e-10)
+    assert geo.curvature_sup_proxy(CANON, geo.profile_jets(scaled)) \
+        == pytest.approx(
+            geo.curvature_sup_proxy(CANON, geo.profile_jets(state)) / K,
+            rel=1e-10)
 
 
 @given(st.floats(min_value=0.2, max_value=5.0))
@@ -254,10 +248,10 @@ def test_ricci_and_oneill_scaling(K):
     scaled = dataclasses.replace(state, a=math.sqrt(K) * state.a,
                                  h=math.sqrt(K) * state.h,
                                  f=math.sqrt(K) * state.f)
-    ric = geo.ricci_full(CANON, state, cell=64)
-    ric_k = geo.ricci_full(CANON, scaled, cell=64)
-    assert ric_k.nn == pytest.approx(ric.nn / K, rel=1e-10)
-    assert ric_k.zz == pytest.approx(ric.zz / K, rel=1e-10)
+    ric = geo.ricci_full(CANON, geo.profile_jets(state))
+    ric_k = geo.ricci_full(CANON, geo.profile_jets(scaled))
+    assert ric_k.nn[64] == pytest.approx(ric.nn[64] / K, rel=1e-10)
+    assert ric_k.zz[64] == pytest.approx(ric.zz[64] / K, rel=1e-10)
     # rho is reported against the fixed base metric g_i, so it carries the
     # K from F^2 and stays invariant: rho_K = rho.
-    assert ric_k.horiz[0] == pytest.approx(ric.horiz[0], rel=1e-10)
+    assert ric_k.horiz[0, 64] == pytest.approx(ric.horiz[0, 64], rel=1e-10)

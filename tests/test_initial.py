@@ -26,7 +26,7 @@ class TestValidateClosing:
     def test_accepts_sinusoidal_kahler_data(self):
         _, state = canonical_preset(128)
         report = validate_closing(state)
-        assert report.passed, report.summary()
+        assert report.passed, report.failures()
 
     def test_accepts_bump_profile(self):
         state = _state_from(lambda s: s * (math.pi - s) / math.pi,
@@ -57,6 +57,17 @@ class TestValidateClosing:
         names = {c.name for c in report.failures()}
         assert "end slope of f1^2" in names
 
+    @pytest.mark.parametrize("length", [math.pi, 10.0, 1e3, 1e4, 1e6])
+    def test_factor_slope_check_is_scale_invariant(self, length):
+        # The Calabi data has the same shape at every length, so it must
+        # close, with the same end-slope residual, at every length.
+        _, state = calabi_preset(2, 1, 16, length=length)
+        report = validate_closing(state)
+        assert report.passed, report.failures()
+        slopes = [c.residual for c in report.checks
+                  if c.name == "end slope of f1^2"]
+        assert slopes == pytest.approx([1.985e-4] * 2, rel=1e-3)
+
     def test_report_lists_both_sides(self):
         _, state = canonical_preset(64)
         report = validate_closing(state)
@@ -78,7 +89,7 @@ class TestKahlerBuild:
 
     def test_compatibility_defect_small(self):
         spec, state = canonical_preset(400)
-        assert geo.kahler_defect(spec, state).max() <= 1e-8
+        assert geo.kahler_defect(spec, geo.profile_jets(state)).max() <= 1e-8
 
     def test_negative_twist_profile(self):
         spec = geo.BundleSpec(n=(1,), k=(2.0,), q=(-2,))
@@ -86,7 +97,7 @@ class TestKahlerBuild:
         state = build_kahler_profile(spec, tmpl, 400)
         f2 = state.f[0] ** 2
         assert np.all(np.diff(f2) < 0.0)
-        assert geo.kahler_defect(spec, state).max() <= 1e-8
+        assert geo.kahler_defect(spec, geo.profile_jets(state)).max() <= 1e-8
 
     def test_rejects_positivity_loss_interior(self):
         spec = geo.BundleSpec(n=(1,), k=(2.0,), q=(-2,))
@@ -155,7 +166,7 @@ class TestPresets:
         f2 = state.f[0] ** 2
         assert f2[0] == pytest.approx(6.0, abs=1e-2)
         assert f2[-1] == pytest.approx(8.0, abs=1e-2)
-        assert geo.kahler_defect(spec, state).max() <= 1e-8
+        assert geo.kahler_defect(spec, geo.profile_jets(state)).max() <= 1e-8
         assert validate_closing(state).passed
 
     def test_calabi_rejects_bad_parameters(self):
