@@ -558,7 +558,8 @@ def render_plots(out_dir, field=None):
     Plots: final profiles H and F_i against arclength; the Type I quantity
     (T_hat - t) kappa against log10(T_hat - t) when a singular time is on
     record; the boundary f_i^2 series; optionally one named trace column
-    against t.  An empty trace produces no files and an explicit message.
+    against t.  An empty trace produces no files and an explicit message;
+    a final snapshot whose arclength overflows is a ConfigError naming it.
     """
     out = Path(out_dir)
     trace = read_trace(out)
@@ -570,7 +571,12 @@ def render_plots(out_dir, field=None):
     snap_paths = _snapshot_paths(out)
     if snap_paths:
         final = read_snapshot(snap_paths[-1])
-        s, _ = arclength(final)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                s, _ = arclength(final)
+        except FloatingPointError as exc:
+            raise ConfigError(f"{snap_paths[-1]}: the arclength of its "
+                              f"lapse a is not finite ({exc})") from exc
         series = [("H", s, final.h)]
         for i in range(final.r):
             series.append((f"F{i + 1}", s, final.f[i]))

@@ -21,7 +21,8 @@ error, of order dsigma^4, stays at the level of the fourth-order stencils.
 The forward-Euler stability edge CFL_MAX (min a dsigma)^2 of the stencil
 instead sets the stage count: s is the smallest s >= 2 with
 (s^2 + s - 2)/4 CFL_MAX (min a dsigma)^2 >= dt.  Both sides scale as
-dsigma^2, so s does not grow with resolution (about four).  Runs halt at
+dsigma^2, so s does not grow with resolution: four to five RHS
+evaluations per step (5.0 on a 48-cell Calabi collapse).  Runs halt at
 t_end, when a monitored floor (min f_i^2 or max h^2) drops below
 stop_floor, or when a residual column of the monitor row grows past
 RESIDUAL_GROWTH_MAX times its first-row value.
@@ -30,6 +31,7 @@ RESIDUAL_GROWTH_MAX times its first-row value.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,19 +181,18 @@ def _check_residual_growth(row, first, r):
                 f"{first[col]:.3e}: the integration has gone unstable")
 
 
-def _dt_bound(Y, ydot, t, t_end, dsigma, dt_min):
+def _dt_bound(Y, ydot, a_min, t, t_end, dsigma, dt_min):
     """Size and stage count (dt, s) of the next RKL2 step from Y = (a; h; f).
 
-    dt = min(MAX_REL_CHANGE, STEP_CAP dsigma^2) / rate, with rate =
-    2 max(|h_t/h|, |f_t/f|), or the forward-Euler step
-    CFL_MAX (min a dsigma)^2 when nothing moves.  A dt below dt_min means
-    the control has collapsed and raises FlowHalt; after that check dt is
-    capped at t_end - t.  s is the smallest s >= 2 whose stability interval
-    (s^2 + s - 2)/4 forward-Euler steps covers dt.
+    ``a_min`` is the smallest lapse, Y[0].min().  dt = min(MAX_REL_CHANGE,
+    STEP_CAP dsigma^2) / rate, with rate = 2 max(|h_t/h|, |f_t/f|), or the
+    forward-Euler step CFL_MAX (a_min dsigma)^2 when nothing moves.  A dt
+    below dt_min means the control has collapsed and raises FlowHalt;
+    after that check dt is capped at t_end - t.  s is the smallest s >= 2
+    whose stability interval (s^2 + s - 2)/4 forward-Euler steps covers dt.
     """
-    dt_euler = CFL_MAX * (Y[0].min() * dsigma) ** 2
-    rate = 2.0 * max(np.abs(ydot[1] / Y[1]).max(),
-                     np.abs(ydot[2:] / Y[2:]).max())
+    dt_euler = CFL_MAX * (a_min * dsigma) ** 2
+    rate = 2.0 * np.abs(ydot[1:] / Y[1:]).max()
     dt = dt_euler
     if rate > 0.0:
         dt = min(MAX_REL_CHANGE, STEP_CAP * dsigma * dsigma) / rate
@@ -204,27 +205,49 @@ def _dt_bound(Y, ydot, t, t_end, dsigma, dt_min):
     return dt, s
 
 
+@functools.lru_cache(maxsize=64)
+def _rkl2_weights(s):
+    """Stage weights of an s-stage RKL2 step as (fixed, per_dt) arrays of
+    shape (s + 1, 5): row j of fixed + dt per_dt is the coefficient row of
+    stage j over the slots of rkl2_step's buffer."""
+    w1 = 4.0 / (s * s + s - 2)
+    b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1))
+                           for j in range(3, s + 1)]
+    fixed = np.zeros((s + 1, 5))
+    per_dt = np.zeros((s + 1, 5))
+    per_dt[1, 3] = w1 / 3.0
+    for j in range(2, s + 1):
+        mu = (2 * j - 1) / j * b[j] / b[j - 1]
+        fixed[j, 2 + (j - 1) % 3] = mu
+        fixed[j, 2 + (j - 2) % 3] = -(j - 1) / j * b[j] / b[j - 2]
+        per_dt[j, 1] = mu * w1
+        per_dt[j, 0] = -(1.0 - b[j - 1]) * mu * w1
+    fixed.flags.writeable = per_dt.flags.writeable = False
+    return fixed, per_dt
+
+
 def rkl2_step(Y, ydot, dt, s, rhs):
     """Advance the stacked state Y by one s-stage RKL2 step of size dt.
 
     ``ydot`` is rhs(Y), the first stage, which the caller has already
     evaluated; the step makes s - 1 further calls of ``rhs``.  The
-    recursion runs on the increments Y_j - Y, so a zero right-hand side
-    returns Y unchanged bit for bit.
+    recursion runs on the increments d_j = Y_j - Y, so a zero right-hand
+    side returns Y unchanged bit for bit.  One (5, F, M) buffer holds
+    ydot, the latest stage RHS and d_j in slot 2 + j % 3, and each update
+    d_j = mu d_{j-1} + nu d_{j-2} + mu_t rhs(Y + d_{j-1}) + gamma_t ydot
+    is one product of a weight row with the whole buffer.  The row's zero
+    entry reads the slot being overwritten, so no slot may hold garbage.
     """
-    w1 = 4.0 / (s * s + s - 2)
-    b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1))
-                           for j in range(3, s + 1)]
-    d_prev = np.zeros_like(Y)
-    d = (w1 / 3.0 * dt) * ydot
+    fixed, per_dt = _rkl2_weights(s)
+    weights = fixed + dt * per_dt
+    buf = np.zeros((5,) + Y.shape)
+    flat = buf.reshape(5, -1)
+    buf[0] = ydot
+    np.multiply(ydot, weights[1, 3], out=buf[3])
     for j in range(2, s + 1):
-        mu = (2 * j - 1) / j * b[j] / b[j - 1]
-        nu = -(j - 1) / j * b[j] / b[j - 2]
-        mu_t = mu * w1 * dt
-        gamma_t = -(1.0 - b[j - 1]) * mu_t
-        d, d_prev = (mu * d + nu * d_prev + mu_t * rhs(Y + d)
-                     + gamma_t * ydot), d
-    return Y + d
+        buf[1] = rhs(Y + buf[2 + (j - 1) % 3])
+        np.dot(weights[j], flat, out=flat[2 + j % 3])
+    return Y + buf[2 + s % 3]
 
 
 def arclength(state: ProfileState):
@@ -351,18 +374,28 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
 
     try:
         while True:
+            # One min and one max pass per step serve the regrid gate (on
+            # the state the last step produced), the stop tests and dt.
+            lo, hi = Y.min(axis=1), Y.max(axis=1)
+            # Python floats: a huge threshold overflows to inf, untrapped.
+            if step and float(hi[0]) > cfg.regrid_threshold * float(lo[0]):
+                regridded = regrid_uniform(current_state())
+                Y = np.vstack([regridded.a[None, :], regridded.h[None, :],
+                               regridded.f])
+                lo, hi = Y.min(axis=1), Y.max(axis=1)
             ydot, u_s, u_ss = _stage(Y, stencil, coef)
             _check_finite_rhs(ydot, t)
-            fmin = Y[2:].min()
-            h_absmax = np.abs(Y[1]).max()
+            fmin = lo[2:].min()
+            h_absmax = max(abs(lo[1]), abs(hi[1]))
             stop = (t >= t_end - DT_UNDERFLOW * max(t_end, 1.0)
                     or fmin * abs(fmin) < cfg.stop_floor
                     or h_absmax * h_absmax < cfg.stop_floor
-                    or Y[0].min() <= 0.0)
+                    or lo[0] <= 0.0)
             dt = 0.0
             if not stop:
                 try:
-                    dt, s = _dt_bound(Y, ydot, t, t_end, dsigma, dt_min)
+                    dt, s = _dt_bound(Y, ydot, lo[0], t, t_end, dsigma,
+                                      dt_min)
                 except FlowHalt:
                     monitor_row(ydot, u_s, u_ss, 0.0)
                     raise
@@ -379,11 +412,6 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
             Y = rkl2_step(Y, ydot, dt, s, rhs)
             t += dt
             step += 1
-            # Python floats: a huge threshold overflows to inf, untrapped.
-            if float(Y[0].max()) > cfg.regrid_threshold * float(Y[0].min()):
-                regridded = regrid_uniform(current_state())
-                Y = np.vstack([regridded.a[None, :], regridded.h[None, :],
-                               regridded.f])
     except (FlowHalt, FloatingPointError) as exc:
         halt = exc if isinstance(exc, FlowHalt) else FlowHalt(
             f"floating-point {exc} at t = {t:.6g}")

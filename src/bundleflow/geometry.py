@@ -334,9 +334,24 @@ class RicciComponents:
 
 
 def ricci_coefficients(spec: BundleSpec):
-    """Factor constants of ricci_rows: 2 n_i, n_i, q_i^2 / 2, k_i."""
+    """Factor matrices of ricci_rows, signs included.
+
+    Returns (lead, trace, mix, q_i^2 / 2, k_i): ``lead`` (r+2, r+1) maps
+    the quotients (h_ss/h; f_i,ss/f_i) to the second-derivative terms of
+    every output row, ``trace`` = (1, 2 n_1, .., 2 n_r) gives tr L from
+    (h_s/h; f_i,s/f_i), and ``mix`` (r+1, r) = (n_1 .. n_r; -identity)
+    places the twist terms in the rows (Ric_zz; rho_i / f_i^2).  The last
+    two are (r, 1) columns.
+    """
     n_col, k_col, q_col, _ = spec.factor_arrays()
-    return 2.0 * n_col[:, 0], n_col[:, 0], 0.5 * q_col * q_col, k_col
+    r = spec.r
+    trace = np.concatenate([[1.0], 2.0 * n_col[:, 0]])
+    lead = np.zeros((r + 2, r + 1))
+    lead[0] = -trace
+    lead[1, 0] = -1.0
+    lead[2:, 1:] = -np.eye(r)
+    mix = np.vstack([n_col[:, 0], -np.eye(r)])
+    return lead, trace, mix, 0.5 * q_col * q_col, k_col
 
 
 def ricci_rows(u, u_s, u_ss, coef):
@@ -352,20 +367,21 @@ def ricci_rows(u, u_s, u_ss, coef):
         rho_i / f_i^2   = k_i/f_i^2 - (f_i,s/f_i) tr L - f_i,ss/f_i
                           + (f_i,s/f_i)^2 - q_i^2 h^2/(2 f_i^4)
 
-    and tr L = h_s/h + sum 2 n_j f_j,s/f_j.  Both the flow right-hand side
-    and ricci_full come from here; 1/f^4 is formed as (1/f^2)^2.
+    and tr L = h_s/h + sum 2 n_j f_j,s/f_j.  Written over the whole stack:
+    lead @ (u_ss/u), minus (u_s/u)(tr L - u_s/u) on every row but the
+    first, plus mix @ twist and k_i/f_i^2 on the f rows.  Both the flow
+    right-hand side and ricci_full come from here; 1/f^4 is formed as
+    (1/f^2)^2.
     """
-    two_n, n, half_q2, k = coef
+    lead, trace, mix, half_q2, k = coef
     inv = 1.0 / u
     shape = u_s * inv                   # h_s/h; f_i,s/f_i
-    curv = u_ss * inv                   # h_ss/h; f_i,ss/f_i
-    shape_f = shape[1:]
+    rows = lead @ (u_ss * inv)
+    rows[1:] -= shape * (trace @ shape - shape)
     inv_f2 = inv[1:] * inv[1:]
-    fsum = two_n @ shape_f              # tr L - h_s/h
-    twist = half_q2 * (u[0] * u[0]) * inv_f2 * inv_f2
-    return -np.vstack([
-        curv[0] + two_n @ curv[1:], curv[0] + shape[0] * fsum - n @ twist,
-        curv[1:] + shape_f * (shape[0] + fsum - shape_f) + twist - k * inv_f2])
+    rows[1:] += mix @ (half_q2 * (u[0] * u[0]) * inv_f2 * inv_f2)
+    rows[2:] += k * inv_f2
+    return rows
 
 
 def _trace_l(n, j: Jets) -> np.ndarray:

@@ -4,6 +4,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +251,33 @@ class TestRunVerb:
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), \
                 name
+
+    def test_artifacts_do_not_depend_on_blas_threads(self, tmp_path):
+        # The stage update and the Ricci rows are matrix products; a run
+        # with one BLAS thread and one with the library's default must
+        # write the same bytes.
+        cfg = write_config(tmp_path / "c.json",
+                           flow={"cells": 24, "t_end": 0.3,
+                                 "snapshot_every": 10})
+        src = str(Path(geo.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", None):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"threads_{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "bundleflow.cli", "run", str(cfg),
+                 "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append({p.relative_to(out).as_posix(): p.read_bytes()
+                         for p in out.rglob("*") if p.is_file()})
+        assert len(outs[0]["trace.csv"].splitlines()) > 10
+        assert len(outs[0]) >= 7
+        assert outs[0] == outs[1]
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -529,6 +559,26 @@ class TestPlotVerb:
         err = capsys.readouterr().err
         assert "report.json: T_hat must be a number" in err, err
         assert not (out / "typeI.svg").exists()
+
+    def test_overflowing_final_snapshot_exits_two(self, tmp_path, capsys):
+        # One lapse entry of 1e308 overflows the arclength the profile
+        # plot is drawn against; plot names the snapshot instead of
+        # plotting inf.
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json",
+                           flow={"cells": 32, "t_end": 0.004},
+                           output={"dir": str(out)})
+        assert main(["run", str(cfg)]) == 0
+        path = out / "snapshots" / "snap_00001.json"
+        snap = json.loads(path.read_text())
+        snap["a"][5] = 1e308
+        path.write_text(json.dumps(snap))
+        capsys.readouterr()
+        assert main(["plot", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "snap_00001.json: the arclength of its lapse a is not " \
+            "finite" in err, err
+        assert not (out / "profiles.svg").exists()
 
     def test_empty_trace_prints_message(self, tmp_path, capsys):
         out = tmp_path / "empty"

@@ -196,7 +196,8 @@ def step(spec, state, t_left=1.0, dt_min=0.0, rhs=None):
     Y, ydot, stage_rhs = stacked(spec, state)
     if rhs is not None:
         stage_rhs, ydot = rhs, rhs(Y)
-    dt, s = _dt_bound(Y, ydot, 0.0, t_left, state.dsigma, dt_min)
+    dt, s = _dt_bound(Y, ydot, Y[0].min(), 0.0, t_left, state.dsigma,
+                      dt_min)
     return rkl2_step(Y, ydot, dt, s, stage_rhs), dt, s
 
 
@@ -315,7 +316,40 @@ class TestStabilityEdge:
         assert growth.max() <= 1.0 + 1e-12
 
 
+def textbook_rkl2_step(Y, ydot, dt, s, rhs):
+    """The three-term RKL2 recursion of Meyer, Balsara & Aslam on the
+    increments d_j = Y_j - Y, one array operation per term."""
+    w1 = 4.0 / (s * s + s - 2)
+    b = [1.0 / 3.0] * 3 + [(j * j + j - 2) / (2.0 * j * (j + 1))
+                           for j in range(3, s + 1)]
+    d_prev = np.zeros_like(Y)
+    d = (w1 / 3.0 * dt) * ydot
+    for j in range(2, s + 1):
+        mu = (2 * j - 1) / j * b[j] / b[j - 1]
+        nu = -(j - 1) / j * b[j] / b[j - 2]
+        mu_t = mu * w1 * dt
+        gamma_t = -(1.0 - b[j - 1]) * mu_t
+        d, d_prev = (mu * d + nu * d_prev + mu_t * rhs(Y + d)
+                     + gamma_t * ydot), d
+    return Y + d
+
+
 class TestRkl2:
+    @pytest.mark.parametrize("s", range(2, 13))
+    def test_matches_the_textbook_recursion(self, s):
+        # The one-product stage update against the three-term recursion
+        # on a nonlinear right-hand side, relative to the step's increment.
+        rng = np.random.default_rng(s)
+        Y = rng.uniform(0.5, 2.0, (3, 20))
+
+        def rhs(Yj):
+            return np.sin(3.0 * Yj) - Yj * Yj * np.roll(Yj, 1, axis=1)
+
+        ydot = rhs(Y)
+        new = rkl2_step(Y, ydot, 0.05, s, rhs)
+        ref = textbook_rkl2_step(Y, ydot, 0.05, s, rhs)
+        assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref - Y).max()
+
     def test_time_error_is_second_order(self):
         # Fixed grid and stage count: halving dt cuts the error at t = 0.02
         # by about four against a 256-step reference.

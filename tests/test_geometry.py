@@ -122,6 +122,37 @@ def test_two_factor_instance():
     assert geo.curvature_sup_proxy(spec, jets) >= cross.max() - 1e-12
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_ricci_rows_match_docstring_formulas(r):
+    # The whole-stack matrix form against the per-row formulas of its
+    # docstring, written out term by term on random positive jets.
+    rng = np.random.default_rng(r)
+    spec = geo.BundleSpec(n=rng.integers(1, 4, r),
+                          k=rng.uniform(-3.0, 3.0, r),
+                          q=rng.choice([-3, -2, -1, 1, 2, 3], r))
+    cells = 40
+    u = rng.uniform(0.5, 2.0, (r + 1, cells))
+    u_s = rng.uniform(-1.0, 1.0, (r + 1, cells))
+    u_ss = rng.uniform(-1.0, 1.0, (r + 1, cells))
+    h, h_s, h_ss = u[0], u_s[0], u_ss[0]
+    f, f_s, f_ss = u[1:], u_s[1:], u_ss[1:]
+    n, k, q = spec.n, spec.k, spec.q
+    sum_f_s = sum(2 * n[i] * f_s[i] / f[i] for i in range(r))
+    trace_l = h_s / h + sum_f_s
+    twist = [q[i] ** 2 * h ** 2 / (2.0 * f[i] ** 4) for i in range(r)]
+    expected = [
+        -h_ss / h - sum(2 * n[i] * f_ss[i] / f[i] for i in range(r)),
+        sum(n[i] * twist[i] for i in range(r)) - h_s / h * sum_f_s
+        - h_ss / h]
+    expected += [k[i] / f[i] ** 2 - f_s[i] / f[i] * trace_l
+                 - f_ss[i] / f[i] + (f_s[i] / f[i]) ** 2 - twist[i]
+                 for i in range(r)]
+    rows = geo.ricci_rows(u, u_s, u_ss, geo.ricci_coefficients(spec))
+    assert rows.shape == (r + 2, cells)
+    for row, want in zip(rows, expected):
+        assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
+
+
 # ----------------------------------------------------------------------
 # Grid calculus.
 
