@@ -8,9 +8,10 @@ scale-invariant quantity (T_hat - t) * kappa, Schwarz-type lower-bound
 fitting, degeneration-case labeling, and the blow-up factor sequence).  The
 residual columns of the trace are computed by evolution.run_flow.
 
-Thresholds that calibrate verdicts (plateau factor, window decades, floor
-multiple) are keyword parameters with documented defaults; finite runs
-cannot observe a lim sup, so these are operational stand-ins.
+A finite run cannot observe a lim sup, so the verdicts rest on three fixed
+thresholds, the module constants PLATEAU_FACTOR, WINDOW_DECADES and
+FLOOR_MULTIPLE.  They are operational stand-ins, calibrated at exactly
+these values by the synthetic Type I/II models of the acceptance suite.
 """
 
 from __future__ import annotations
@@ -32,6 +33,15 @@ INDETERMINATE = "Indeterminate"
 
 # Fits of "late" trace behavior use this trailing fraction of the time span.
 LATE_FRACTION = 0.1
+# TypeI when (T_hat - t) kappa varies by less than this factor across the
+# final decade of T_hat - t.
+PLATEAU_FACTOR = 2.0
+# typeI_sup and growth_ratio are taken over the final WINDOW_DECADES
+# powers of ten of T_hat - t.
+WINDOW_DECADES = 2.0
+# A quantity below FLOOR_MULTIPLE * stop_floor at the end of a run counts
+# as collapsed in the degeneration label.
+FLOOR_MULTIPLE = 10.0
 
 
 def trace_columns(r: int):
@@ -83,7 +93,11 @@ class FlowTrace:
         return self.boundary[:, self.bcolumns.index(name)]
 
     def validate(self):
-        """Raise ValueError on shape mismatch, non-finite data or t order."""
+        """Raise ValueError on a malformed trace.
+
+        Malformed: shape mismatch, non-finite data, t order, or a kappa or
+        f_i^2 bound that is not positive (the fits divide by them).
+        """
         if self.rows.ndim != 2 or self.rows.shape[1] != len(self.columns):
             raise ValueError("trace rows do not match the column contract")
         if self.boundary.ndim != 2 \
@@ -94,6 +108,11 @@ class FlowTrace:
         if not (np.isfinite(self.rows).all()
                 and np.isfinite(self.boundary).all()):
             raise ValueError("trace contains non-finite entries")
+        positive = ["kappa"] + [f"f{i}sq_{end}" for i in range(1, self.r + 1)
+                                for end in ("min", "max")]
+        for name in positive:
+            if not np.all(self.column(name) > 0.0):
+                raise ValueError(f"trace column {name} must be positive")
         t = self.column("t")
         if t.size > 1 and not np.all(np.diff(t) > 0.0):
             raise ValueError("trace times must be strictly increasing")
@@ -169,13 +188,12 @@ def boundary_linear_check(spec: BundleSpec, trace: FlowTrace):
     return out
 
 
-def li_yau_monitor(trace: FlowTrace, c0: float = None):
-    """Check sup Q_j along a trace against max(initial sup, c0).
+def li_yau_monitor(trace: FlowTrace):
+    """Check sup Q_j along a trace against its initial sup.
 
-    Returns (bound, list of times where some factor exceeds it).  With the
-    default c0 = None the bound is just the initial sup, so the check is a
-    pure monotonicity-style monitor; pass an explicit constant to allow a
-    margin above the initial value.
+    Returns (bound, list of times where some factor exceeds it); the bound
+    is the largest initial sup over the factors, so the check is a pure
+    monotonicity-style monitor.
     """
     if trace.rows.shape[0] == 0:
         return 0.0, []
@@ -183,8 +201,6 @@ def li_yau_monitor(trace: FlowTrace, c0: float = None):
     sups = np.stack([trace.column(f"liyau_sup_{i}")
                      for i in range(1, trace.r + 1)])
     bound = float(sups[:, 0].max())
-    if c0 is not None:
-        bound = max(bound, float(c0))
     exceeded = np.flatnonzero((sups > bound * (1.0 + 1e-12)).any(axis=0))
     return bound, [float(t[j]) for j in exceeded]
 
@@ -255,13 +271,11 @@ def estimate_singular_time(trace: FlowTrace) -> SingularTimeEstimate:
     return SingularTimeEstimate(t_hat=t_hat, t_floor=t_floor, t_kappa=t_kappa)
 
 
-def classify_singularity_type(trace: FlowTrace, t_hat: float,
-                              plateau_factor: float = 2.0,
-                              decades: float = 2.0):
+def classify_singularity_type(trace: FlowTrace, t_hat: float):
     """Type I/II verdict from the behavior of y = (t_hat - t) * kappa.
 
-    The analysis window covers the final ``decades`` powers of ten of
-    t_hat - t.  Verdict TypeI when y varies by less than plateau_factor
+    The analysis window covers the final WINDOW_DECADES powers of ten of
+    t_hat - t.  Verdict TypeI when y varies by less than PLATEAU_FACTOR
     across the final decade (a bounded, settled plateau), TypeII-suspect
     otherwise.  The endpoint growth ratio of y across the whole window is
     reported as supporting detail.
@@ -279,7 +293,7 @@ def classify_singularity_type(trace: FlowTrace, t_hat: float,
     tau = tau[keep]
     y = (tau * kappa[keep])
     tau_min = tau.min()
-    window = tau <= tau_min * 10.0 ** decades
+    window = tau <= tau_min * 10.0 ** WINDOW_DECADES
     typei_sup = float(y[window].max())
 
     final_decade = tau <= tau_min * 10.0
@@ -293,7 +307,7 @@ def classify_singularity_type(trace: FlowTrace, t_hat: float,
     y_ord = y[window][order]
     growth_ratio = float(y_ord[0] / y_ord[-1]) if y_ord[-1] > 0.0 else np.inf
 
-    verdict = TYPE_I if plateau_ratio < plateau_factor else TYPE_II
+    verdict = TYPE_I if plateau_ratio < PLATEAU_FACTOR else TYPE_II
     return typei_sup, verdict, plateau_ratio, float(growth_ratio)
 
 
@@ -317,18 +331,18 @@ def schwarz_fit(trace: FlowTrace, t_hat: float) -> float:
     return best
 
 
-def classify_degeneration(snapshots, trace: FlowTrace, stop_floor: float,
-                          floor_multiple: float = 10.0) -> str:
+def classify_degeneration(snapshots, trace: FlowTrace,
+                          stop_floor: float) -> str:
     """Label the degeneration pattern at the end of a run.
 
-    A quantity counts as collapsed when it sits below floor_multiple *
+    A quantity counts as collapsed when it sits below FLOOR_MULTIPLE *
     stop_floor at the final recorded time.  Fiber collapse: max h^2
     collapsed with every min f_i^2 comfortably above.  Section contraction:
     at one endpoint all (full) or some but not all (partial) of the f_i^2
     collapsed while the fiber stays noncollapsed.  Anything else is
     Indeterminate.
     """
-    level = floor_multiple * stop_floor
+    level = FLOOR_MULTIPLE * stop_floor
     if trace.rows.shape[0] > 0:
         h2_max = float(trace.column("h_max")[-1]) ** 2
         f2_min = np.array([trace.column(f"f{i}sq_min")[-1]
@@ -356,9 +370,8 @@ def classify_degeneration(snapshots, trace: FlowTrace, stop_floor: float,
     return INDETERMINATE
 
 
-def analyze_run(trace: FlowTrace, snapshots, stop_floor: float,
-                plateau_factor: float = 2.0, decades: float = 2.0,
-                floor_multiple: float = 10.0) -> SingularityReport:
+def analyze_run(trace: FlowTrace, snapshots,
+                stop_floor: float) -> SingularityReport:
     """Full singularity report for one finished run.
 
     Combines the singular-time estimate, the Type I/II verdict, the Schwarz
@@ -367,12 +380,9 @@ def analyze_run(trace: FlowTrace, snapshots, stop_floor: float,
     """
     est = estimate_singular_time(trace)
     typei_sup, verdict, plateau_ratio, growth_ratio = \
-        classify_singularity_type(trace, est.t_hat,
-                                  plateau_factor=plateau_factor,
-                                  decades=decades)
+        classify_singularity_type(trace, est.t_hat)
     schwarz_c = schwarz_fit(trace, est.t_hat)
-    case = classify_degeneration(snapshots, trace, stop_floor,
-                                 floor_multiple=floor_multiple)
+    case = classify_degeneration(snapshots, trace, stop_floor)
     rescale = []
     if est.t_hat is not None and trace.rows.shape[0] > 1:
         t = trace.column("t")

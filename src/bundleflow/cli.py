@@ -39,9 +39,7 @@ from .geometry import BundleSpec, ProfileState
 from .initial_data import (PRESETS, ProfileTemplate, build_general_profile,
                            build_kahler_profile)
 
-TOP_SECTIONS = {"bundle", "initial", "flow", "analysis", "output"}
-ANALYSIS_DEFAULTS = {"plateau_factor": 2.0, "decades": 2.0,
-                     "floor_multiple": 10.0, "liyau_c0": None}
+TOP_SECTIONS = {"bundle", "initial", "flow", "output"}
 
 SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
               "#8c564b"]
@@ -58,7 +56,6 @@ class RunConfig:
     spec: BundleSpec
     state0: ProfileState
     flow: FlowConfig
-    analysis: dict
     out_dir: str
     raw: dict
 
@@ -221,27 +218,6 @@ def _parse_initial(section, bundle_section, cells):
     return spec, _parse_template(template, spec, cells)
 
 
-def _parse_analysis(section):
-    an = _expect_mapping(section, "analysis")
-    _reject_unknown(an, ANALYSIS_DEFAULTS, "analysis")
-    out = dict(ANALYSIS_DEFAULTS)
-    for key in ("plateau_factor", "decades", "floor_multiple"):
-        if key in an:
-            v = _number(an[key], f"analysis.{key}")
-            if v <= 0.0:
-                raise ConfigError(f"analysis.{key} must be positive")
-            out[key] = v
-    # classify_singularity_type's window spans 10 ** decades in tau.
-    try:
-        10.0 ** out["decades"]
-    except OverflowError:
-        raise ConfigError("analysis.decades is too large: 10 ** decades "
-                          "overflows") from None
-    if "liyau_c0" in an and an["liyau_c0"] is not None:
-        out["liyau_c0"] = _number(an["liyau_c0"], "analysis.liyau_c0")
-    return out
-
-
 def _parse_output(section):
     o = _expect_mapping(section, "output")
     _reject_unknown(o, {"dir"}, "output")
@@ -271,10 +247,9 @@ def load_config(path) -> RunConfig:
     flow = _parse_flow(raw.get("flow", {}))
     spec, state0 = _parse_initial(raw.get("initial"), raw.get("bundle"),
                                   flow.cells)
-    analysis = _parse_analysis(raw.get("analysis", {}))
     out_dir = _parse_output(raw.get("output", {}))
-    return RunConfig(spec=spec, state0=state0, flow=flow,
-                     analysis=analysis, out_dir=out_dir, raw=raw)
+    return RunConfig(spec=spec, state0=state0, flow=flow, out_dir=out_dir,
+                     raw=raw)
 
 
 # ----------------------------------------------------------------------
@@ -657,7 +632,6 @@ def _cmd_run(args) -> int:
     if out_dir is None:
         raise ConfigError("no output directory: set output.dir in the "
                           "config or pass --out")
-    kwargs = {k: v for k, v in cfg.analysis.items() if k != "liyau_c0"}
     try:
         trace, snapshots = run_flow(cfg.spec, cfg.state0, cfg.flow)
     except InvalidInitialState as exc:
@@ -665,18 +639,17 @@ def _cmd_run(args) -> int:
         return 2
     except FlowHalt as halt:
         trace = halt.trace
-        snapshots = halt.snapshots or []
-        report = analyze_run(trace, snapshots, cfg.flow.stop_floor,
-                             **kwargs)
+        snapshots = halt.snapshots
+        report = analyze_run(trace, snapshots, cfg.flow.stop_floor)
         write_outputs(trace, snapshots, report, out_dir,
                       raw_config=cfg.raw)
         print(f"error: flow halted: {halt}", file=sys.stderr)
         print(f"partial results written to {out_dir}", file=sys.stderr)
         return 3
-    report = analyze_run(trace, snapshots, cfg.flow.stop_floor, **kwargs)
+    report = analyze_run(trace, snapshots, cfg.flow.stop_floor)
     write_outputs(trace, snapshots, report, out_dir, raw_config=cfg.raw)
     _print_report(report, trace)
-    bound, exceeded = li_yau_monitor(trace, cfg.analysis["liyau_c0"])
+    bound, exceeded = li_yau_monitor(trace)
     if exceeded:
         print(f"li-yau monitor: bound {bound:.6g} exceeded at "
               f"{len(exceeded)} times (first t = {exceeded[0]:.6g})")
@@ -689,27 +662,27 @@ def _cmd_analyze(args) -> int:
 
     Parse errors are reported first, then any difference between the
     inputs and manifest.json; either exits 2 before anything is written.
+    Only flow.stop_floor is read from config.json, but a top-level
+    section or flow key that run rejects is an error here too.
     """
     out = Path(args.rundir)
     trace = read_trace(out)
     snapshots = read_snapshots(out)
     config_path = out / "config.json"
     stop_floor = FlowConfig().stop_floor
-    analysis = dict(ANALYSIS_DEFAULTS)
     files = ["trace.csv", "boundary.csv"]
     files += [f"snapshots/{path.name}" for path in _snapshot_paths(out)]
     if config_path.exists():
         files.append("config.json")
         raw = _read_json(config_path)
         try:
+            _reject_unknown(raw, TOP_SECTIONS, "")
             stop_floor = _parse_flow(raw.get("flow", {})).stop_floor
-            analysis = _parse_analysis(raw.get("analysis", {}))
         except ConfigError as exc:
             raise ConfigError(f"{config_path}: {exc}") from exc
     digests = _digests(out, files)
     _verify_manifest(out, digests)
-    kwargs = {k: v for k, v in analysis.items() if k != "liyau_c0"}
-    report = analyze_run(trace, snapshots, stop_floor, **kwargs)
+    report = analyze_run(trace, snapshots, stop_floor)
     _json_dump(out / "report.json", report_to_dict(report))
     digests.update(_digests(out, ["report.json"]))
     _write_manifest(out, digests)

@@ -72,10 +72,8 @@ class FlowHalt(RuntimeError):
     was computed before the halt.
     """
 
-    def __init__(self, message, trace=None, snapshots=None):
-        super().__init__(message)
-        self.trace = trace
-        self.snapshots = snapshots
+    trace = None
+    snapshots = None
 
 
 class InvalidInitialState(ValueError):

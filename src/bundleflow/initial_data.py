@@ -233,7 +233,7 @@ def build_kahler_profile(spec: BundleSpec, tmpl: ProfileTemplate,
         f2 = f0[i] + qi * running
         end_value = f0[i] + qi * total
         bad = np.flatnonzero(f2 <= 0.0)
-        if bad.size or end_value <= 0.0 or f0[i] <= 0.0:
+        if bad.size or end_value <= 0.0:
             if bad.size:
                 s_bad = length * sigma[bad[0]]
             else:

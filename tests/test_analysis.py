@@ -130,10 +130,7 @@ class TestLiYau:
         bound, exceeded = li_yau_monitor(make_trace(t, liyau=[1.0, 0.9, 0.8]))
         assert bound == 1.0 and exceeded == []
         bound, exceeded = li_yau_monitor(make_trace(t, liyau=[1.0, 1.2, 0.8]))
-        assert exceeded == [1.0]
-        bound, exceeded = li_yau_monitor(
-            make_trace(t, liyau=[1.0, 1.2, 0.8]), c0=2.0)
-        assert bound == 2.0 and exceeded == []
+        assert bound == 1.0 and exceeded == [1.0]
 
 
 class TestSingularTime:

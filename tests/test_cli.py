@@ -72,8 +72,6 @@ class TestLoadConfig:
         assert cfg.state0.cells == 32
         assert cfg.flow.cfl == 0.2
         assert cfg.flow.stop_floor == 1e-3
-        assert cfg.analysis["plateau_factor"] == 2.0
-        assert cfg.analysis["liyau_c0"] is None
         assert cfg.out_dir is None
 
     def test_template_config_with_defaults(self, tmp_path):
@@ -102,11 +100,9 @@ class TestLoadConfig:
          "initial.template.shape"),
         (lambda c: c.pop("initial"), "initial section is required"),
         (lambda c: c["initial"].pop("template"), "exactly one"),
-        (lambda c: c["analysis"].update(decades=-1.0), "must be positive"),
-        (lambda c: c["analysis"].update(decades=1e308),
-         "analysis.decades is too large"),
-        (lambda c: c["analysis"].update(growth_factor=4.0),
-         "unknown key 'analysis.growth_factor'"),
+        # The verdict thresholds are constants, not settings.
+        (lambda c: c.update(analysis={"plateau_factor": 2.0}),
+         "unknown key 'analysis'"),
         (calabi_params({"length": 1e308}),
          "initial.params: length 1e+308 is too large"),
         (calabi_params({"length": 1e154}),
@@ -137,12 +133,41 @@ class TestLoadConfig:
         conf = {"flow": {"cells": 32, "t_end": 0.0},
                 "bundle": {"n": [1], "k": [2.0], "q": [2]},
                 "initial": {"template": {"length": math.pi, "f0": [4.0]}},
-                "analysis": {}, "output": {}}
+                "output": {}}
         mutate(conf)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(conf))
         with pytest.raises(ConfigError, match=re.escape(needle)):
             load_config(path)
+
+    def test_benchmark_workload_configs_load(self, tmp_path):
+        # The benchmark stops at exit 2 if its generated configs break the
+        # config contract.  perfbench/run.py pins BLAS threads in os.environ
+        # when imported, so the configs are made and loaded in a child.
+        root = Path(__file__).resolve().parents[1]
+        script = (
+            "import json, sys\n"
+            "from pathlib import Path\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import run\n"
+            "from bundleflow.cli import load_config\n"
+            "for name in sorted(run.WORKLOADS):\n"
+            "    for seed in (0, 1):\n"
+            "        path = Path(sys.argv[2]) / f'{name}_{seed}.json'\n"
+            "        path.write_text(json.dumps(run.make_config(name, seed)))\n"
+            "        load_config(path)\n"
+            "        print(name, seed)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(root / "perfbench"),
+             str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        workloads = json.loads((root / "BENCHMARK.json").read_text())
+        want = {f"{w['name']} {seed}" for w in workloads["workloads"]
+                for seed in (0, 1)}
+        assert want <= set(proc.stdout.splitlines())
 
     def test_preset_exclusivity_rules(self, tmp_path):
         path = tmp_path / "c.json"
@@ -397,9 +422,12 @@ class TestAnalyzeVerb:
         assert (out / "manifest.json").read_bytes() == manifest
 
     @pytest.mark.parametrize("damage,needle", [
-        ("decades", "analysis.decades must be a number"),
+        # Thresholds that older versions read from config.json.
+        ("analysis", "config.json: unknown key 'analysis'"),
         ("snapshot", "snap_00001.json is not valid JSON"),
         ("trace", "malformed trace"),
+        # schwarz_fit divides by the floor columns.
+        ("zero floor", "trace column f1sq_min must be positive"),
         # JSON integers are unbounded; this one has no float value.
         ("huge t", "snap_00001.json is not a snapshot"),
     ])
@@ -411,10 +439,18 @@ class TestAnalyzeVerb:
                                  "snapshot_every": 1},
                            output={"dir": str(out)})
         assert main(["run", str(cfg)]) == 0
-        if damage == "decades":
+        if damage == "analysis":
             raw = json.loads((out / "config.json").read_text())
-            raw["analysis"] = {"decades": "two"}
+            raw["analysis"] = {"decades": 2.0}
             (out / "config.json").write_text(json.dumps(raw))
+        elif damage == "zero floor":
+            path = out / "trace.csv"
+            lines = path.read_text().splitlines()
+            column = lines[0].split(",").index("f1sq_min")
+            cells = lines[1].split(",")
+            cells[column] = "0.0"
+            lines[1] = ",".join(cells)
+            path.write_text("\n".join(lines) + "\n")
         elif damage == "huge t":
             path = out / "snapshots" / "snap_00001.json"
             snap = json.loads(path.read_text())

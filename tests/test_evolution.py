@@ -560,7 +560,7 @@ class TestMonitorColumns:
                          snapshot_every=1, regrid_threshold=regrid)
         trace, snaps = run_flow(spec, state, cfg)
         assert len(snaps) == trace.rows.shape[0] >= 5
-        k_col = spec.factor_arrays()[1]
+        _, k_col, q_col, _ = spec.factor_arrays()
         for row, brow, snap in zip(trace.rows, trace.boundary, snaps):
             jets = geo.profile_jets(snap)
             fdot = flow_rhs(spec, snap, jets=jets)[2]
@@ -586,6 +586,11 @@ class TestMonitorColumns:
             assert set(got) == set(want) | {"dt"}
             for name, value in want.items():
                 assert got[name] == value, name
+            # The f_ss terms cancel, so heat_res is the Kahler defect times
+            # |q_i h + 2 f_i f_i,s| / f_i^2: first order in that defect.
+            closed = np.abs((q_col * snap.h) ** 2
+                            - (2.0 * snap.f * jets.f_s) ** 2) / f2
+            assert got["heat_res"] == pytest.approx(closed.max(), abs=1e-12)
             assert list(brow) == want_b
         t, dt = trace.column("t"), trace.column("dt")
         assert np.array_equal(t[:-1] + dt[:-1], t[1:])

@@ -29,8 +29,7 @@ TEMPLATES = [
      "initial": {"preset": "canonical"}},
     {"flow": {"cells": CELLS, "t_end": MAX_T_END, "trace_every": 2},
      "initial": {"preset": "calabi",
-                 "params": {"n": 2, "k_lens": 1, "length": math.pi}},
-     "analysis": {"plateau_factor": 2.0, "decades": 2.0}},
+                 "params": {"n": 2, "k_lens": 1, "length": math.pi}}},
     {"flow": {"cells": CELLS, "t_end": MAX_T_END, "snapshot_every": 3,
               "regrid_threshold": 1.05, "stop_floor": 1e-3},
      "bundle": {"n": [1, 1], "k": [2.0, 1.0], "q": [2, 1]},
@@ -38,8 +37,7 @@ TEMPLATES = [
     {"flow": {"cells": CELLS, "t_end": MAX_T_END, "cfl": 0.2},
      "bundle": {"n": [1], "k": [2.0], "q": [2], "lambda": [1.0]},
      "initial": {"template": {"length": math.pi, "mode": "general",
-                              "f_templates": [[4.0] * CELLS]}},
-     "analysis": {"liyau_c0": 1.0}},
+                              "f_templates": [[4.0] * CELLS]}}},
 ]
 
 VALUES = st.sampled_from([
