@@ -26,6 +26,20 @@ evaluations per step (5.0 on a 48-cell Calabi collapse).  Runs halt at
 t_end, when a monitored floor (min f_i^2 or max h^2) drops below
 stop_floor, or when a residual column of the monitor row grows past
 RESIDUAL_GROWTH_MAX times its first-row value.
+
+The monitor row has an eager part and a batched part.  On every traced
+step t, dt, kahler_res and heat_res are computed at once (kahler_defect,
+laplacian_f2), so the residual gate halts at the row that trips it.  The
+other trace columns (kappa, the extrema of h and f_i^2, grad_sup,
+liyau_sup, arclength) and the boundary row come from the step's state and
+first-stage jets, kept until MONITOR_BLOCK = 64 rows are pending, the run
+ends or it halts; then one call each of curvature_sup_proxy,
+cumulative_from_left and endpoint_even fills them on the stacked states.
+In process on canonical_80 (2-core Xeon) the flush cost 12 us per row at
+a bound of 64, against 16 to 26 us at 16, 32, 128 and 256 and 194 us at 1.
+Every cell is bit-identical to the row-by-row call, so artifacts are
+byte-identical to a row-by-row monitor's, and a floating-point error in a
+flush halts at the first row that raises it, as that monitor would.
 """
 
 from __future__ import annotations
@@ -62,6 +76,8 @@ RESIDUAL_GROWTH_MAX = 100.0
 # forward Euler is stable up to dt = (2 / (16/3)) (a dsigma)^2.  The RKL2
 # stage count is sized from this step.
 CFL_MAX = 0.375
+# Trace rows are filled in blocks of at most this many rows.
+MONITOR_BLOCK = 64
 
 
 class FlowHalt(RuntimeError):
@@ -166,17 +182,72 @@ def _stage(Y, stencil, coef):
     return _rhs_core(Y, u_s[1:], u_ss[1:], coef), u_s, u_ss
 
 
-def _check_residual_growth(row, first, r):
-    """Raise FlowHalt when a residual column of the monitor row ``row``
-    exceeds RESIDUAL_GROWTH_MAX times its value in the first row ``first``.
-    A residual that starts at exactly zero has no scale and is not gated.
+def _stack_jets(Y, u_s, u_ss):
+    """Jets of the (h; f) rows of stacked states Y = (a; h; f_1..f_r) from
+    their arclength derivatives; leading batch axes pass through."""
+    return Jets(h=Y[..., 1, :], h_s=u_s[..., 1, :], h_ss=u_ss[..., 1, :],
+                f=Y[..., 2:, :], f_s=u_s[..., 2:, :], f_ss=u_ss[..., 2:, :])
+
+
+def _residual_columns(spec, jets, ydot, two_k):
+    """(kahler_res, heat_res) of one monitor row, from the jets of the
+    state and its time derivative ydot: the columns the residual gate
+    reads as soon as the row is taken."""
+    kahler = kahler_defect(spec, jets=jets).max()
+    heat = np.abs(2.0 * jets.f * ydot[2:] - laplacian_f2(spec, jets)
+                  + two_k).max()
+    return kahler, heat
+
+
+def _monitor_block(spec, block, dsigma):
+    """Trace and boundary rows of a block of monitor entries.
+
+    Each entry is (t, dt, kahler_res, heat_res, Y, u_s, u_ss) with Y the
+    stacked state of the row and u_s, u_ss its first stage's arclength
+    jets.  Every other column comes from one call per block of
+    curvature_sup_proxy, cumulative_from_left and endpoint_even on the
+    stacked states, bit-identical to the same calls row by row.  The
+    operations run in the order a single row computed them (f_i^2, kappa,
+    extrema, gradient columns, arclength, endpoints), so a one-entry block
+    raises the first floating-point error of its row.
     """
-    for col, name in ((5 + 2 * r, "kahler_res"), (6 + 2 * r, "heat_res")):
-        if 0.0 < first[col] and row[col] > RESIDUAL_GROWTH_MAX * first[col]:
+    t, dt, kahler, heat, Y, u_s, u_ss = zip(*block)
+    Y, u_s, u_ss = np.stack(Y), np.stack(u_s), np.stack(u_ss)
+    jets = _stack_jets(Y, u_s, u_ss)
+    h, f, f_s = jets.h, jets.f, jets.f_s
+    r = spec.r
+    f2 = f * f
+    rows = np.empty((len(block), 8 + 4 * r))
+    rows[:, 0] = t
+    rows[:, 1] = dt
+    rows[:, 2] = curvature_sup_proxy(spec, jets=jets)
+    rows[:, 3] = h.min(axis=-1)
+    rows[:, 4] = h.max(axis=-1)
+    rows[:, 5:5 + 2 * r:2] = f2.min(axis=-1)
+    rows[:, 6:6 + 2 * r:2] = f2.max(axis=-1)
+    rows[:, 5 + 2 * r] = kahler
+    rows[:, 6 + 2 * r] = heat
+    rows[:, 7 + 2 * r:7 + 3 * r] = np.abs(2.0 * f * f_s).max(axis=-1)
+    rows[:, 7 + 3 * r:7 + 4 * r] = (4.0 * f_s * f_s).max(axis=-1)
+    rows[:, -1] = cumulative_from_left(Y[:, 0], dsigma, EVEN)[1]
+    brows = np.empty((len(block), 1 + 2 * r))
+    brows[:, 0] = t
+    brows[:, 1::2], brows[:, 2::2] = endpoint_even(f2)
+    return rows, brows
+
+
+def _check_residual_growth(t, res, first):
+    """Raise FlowHalt when the residuals ``res`` = (kahler_res, heat_res)
+    of the monitor row at time t exceed RESIDUAL_GROWTH_MAX times their
+    values ``first`` in the first row.  A residual that starts at exactly
+    zero has no scale and is not gated.
+    """
+    for name, value, start in zip(("kahler_res", "heat_res"), res, first):
+        if 0.0 < start and value > RESIDUAL_GROWTH_MAX * start:
             raise FlowHalt(
-                f"{name} grew to {row[col]:.3e} at t = {row[0]:.6g}, more "
+                f"{name} grew to {value:.3e} at t = {t:.6g}, more "
                 f"than {RESIDUAL_GROWTH_MAX:g} times its initial "
-                f"{first[col]:.3e}: the integration has gone unstable")
+                f"{start:.3e}: the integration has gone unstable")
 
 
 def _dt_bound(Y, ydot, a_min, t, t_end, dsigma, dt_min):
@@ -329,7 +400,8 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
     Y = np.vstack([state0.a[None, :], state0.h[None, :], state0.f])
     t = state0.t
     t_end = state0.t + cfg.t_end
-    rows, brows, snapshots = [], [], []
+    blocks, pending, snapshots = [], [], []
+    first_res = None
     step = 0
     last_snap = -1
 
@@ -341,34 +413,47 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
         return _stage(Yj, stencil, coef)[0]
 
     dt_min = DT_UNDERFLOW * cfg.t_end
-    r = spec.r
 
-    def monitor_row(ydot, u_s, u_ss, dt_col):
-        # Columns of analysis.trace_columns and boundary_columns from the
-        # first stage's jets.
-        h, f, f_s = Y[1], Y[2:], u_s[2:]
-        f2 = f * f
-        jets = Jets(h=h, h_s=u_s[1], h_ss=u_ss[1], f=f, f_s=f_s,
-                    f_ss=u_ss[2:])
-        row = np.empty(8 + 4 * r)
-        row[0] = t
-        row[1] = dt_col
-        row[2] = curvature_sup_proxy(spec, jets=jets)
-        row[3] = h.min()
-        row[4] = h.max()
-        row[5:5 + 2 * r:2] = f2.min(axis=1)
-        row[6:6 + 2 * r:2] = f2.max(axis=1)
-        row[5 + 2 * r] = kahler_defect(spec, jets=jets).max()
-        row[6 + 2 * r] = np.abs(2.0 * f * ydot[2:] - laplacian_f2(spec, jets)
-                                + two_k).max()
-        row[7 + 2 * r:7 + 3 * r] = np.abs(2.0 * f * f_s).max(axis=1)
-        row[7 + 3 * r:7 + 4 * r] = (4.0 * f_s * f_s).max(axis=1)
-        row[-1] = cumulative_from_left(Y[0], dsigma, EVEN)[1]
-        rows.append(row)
-        brow = np.empty(1 + 2 * r)
-        brow[0] = t
-        brow[1::2], brow[2::2] = endpoint_even(f2)
-        brows.append(brow)
+    def take_row(ydot, u_s, u_ss, dt_col):
+        # The residual columns now, for the gate; the rest when the block
+        # is flushed.  Y, u_s and u_ss are fresh arrays every step, so the
+        # entry holds them without copying.
+        nonlocal first_res
+        jets = _stack_jets(Y, u_s, u_ss)
+        try:
+            res = _residual_columns(spec, jets, ydot, two_k)
+        except FloatingPointError:
+            # A row computes f_i^2 and kappa before its residuals, so an
+            # error of theirs comes first: raise it if there is one.
+            jets.f * jets.f
+            curvature_sup_proxy(spec, jets=jets)
+            raise
+        pending.append((t, dt_col) + res + (Y, u_s, u_ss))
+        if len(pending) == MONITOR_BLOCK:
+            flush()
+        if first_res is None:
+            first_res = res
+        _check_residual_growth(t, res, first_res)
+
+    def flush():
+        # A floating-point error halts at the first row that raises it, as
+        # if the rows had been filled one at a time: earlier rows are
+        # kept, and snapshots from that row's step on are dropped.
+        if not pending:
+            return
+        try:
+            blocks.append(_monitor_block(spec, pending, dsigma))
+        except FloatingPointError:
+            for entry in pending:
+                try:
+                    blocks.append(_monitor_block(spec, [entry], dsigma))
+                except FloatingPointError as exc:
+                    snapshots[:] = [sn for sn in snapshots
+                                    if sn.t < entry[0]]
+                    raise FlowHalt(f"floating-point {exc} at t = "
+                                   f"{entry[0]:.6g}") from exc
+        finally:
+            pending.clear()
 
     try:
         while True:
@@ -395,11 +480,10 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
                     dt, s = _dt_bound(Y, ydot, lo[0], t, t_end, dsigma,
                                       dt_min)
                 except FlowHalt:
-                    monitor_row(ydot, u_s, u_ss, 0.0)
+                    take_row(ydot, u_s, u_ss, 0.0)
                     raise
             if stop or step % cfg.trace_every == 0:
-                monitor_row(ydot, u_s, u_ss, dt)
-                _check_residual_growth(rows[-1], rows[0], r)
+                take_row(ydot, u_s, u_ss, dt)
             if stop or step % cfg.snapshot_every == 0:
                 if last_snap != step:
                     snapshots.append(current_state())
@@ -410,22 +494,25 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
             Y = rkl2_step(Y, ydot, dt, s, rhs)
             t += dt
             step += 1
+        flush()
     except (FlowHalt, FloatingPointError) as exc:
         halt = exc if isinstance(exc, FlowHalt) else FlowHalt(
             f"floating-point {exc} at t = {t:.6g}")
-        halt.trace = _assemble_trace(spec.r, rows, brows)
+        try:
+            flush()
+        except FlowHalt as row_halt:
+            halt = row_halt
+        halt.trace = _assemble_trace(spec.r, blocks)
         halt.snapshots = snapshots
         raise halt
 
-    return _assemble_trace(spec.r, rows, brows), snapshots
+    return _assemble_trace(spec.r, blocks), snapshots
 
 
-def _assemble_trace(r, rows, brows):
-    width = 8 + 4 * r
-    if rows:
-        rows_arr = np.array(rows, float)
-        brows_arr = np.array(brows, float)
-    else:
-        rows_arr = np.zeros((0, width))
-        brows_arr = np.zeros((0, 1 + 2 * r))
-    return FlowTrace(r=r, rows=rows_arr, boundary=brows_arr)
+def _assemble_trace(r, blocks):
+    if not blocks:
+        return FlowTrace(r=r, rows=np.zeros((0, 8 + 4 * r)),
+                         boundary=np.zeros((0, 1 + 2 * r)))
+    rows, brows = zip(*blocks)
+    return FlowTrace(r=r, rows=np.concatenate(rows),
+                     boundary=np.concatenate(brows))

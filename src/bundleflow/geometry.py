@@ -95,6 +95,11 @@ class BundleSpec:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "lam", lam)
+        columns = tuple(np.array(v, float).reshape(len(n), 1)
+                        for v in (n, k, q, lam))
+        for col in columns:
+            col.flags.writeable = False
+        object.__setattr__(self, "_columns", columns)
 
     @property
     def r(self) -> int:
@@ -102,12 +107,9 @@ class BundleSpec:
         return len(self.n)
 
     def factor_arrays(self):
-        """Per-factor constants as (r, 1) float columns for broadcasting."""
-        shape = (self.r, 1)
-        return (np.array(self.n, float).reshape(shape),
-                np.array(self.k, float).reshape(shape),
-                np.array(self.q, float).reshape(shape),
-                np.array(self.lam, float).reshape(shape))
+        """Per-factor constants (n, k, q, lam) as read-only (r, 1) float
+        columns for broadcasting, built once per spec."""
+        return self._columns
 
 
 def cell_centers(cells: int) -> np.ndarray:
@@ -247,25 +249,31 @@ def endpoint_even(u: np.ndarray):
 def cumulative_from_left(u: np.ndarray, dsigma: float, parity: float):
     """Cumulative integral of a cell field from sigma = 0.
 
-    Returns (I, total) with I[i] the integral from 0 to the i-th cell center
-    and ``total`` the integral over the full interval.  The half-cell pieces
-    at the ends use parity-specific weights (odd fields integrate to
-    O(d^6) locally, even fields to O(d^5)); interior increments use the
-    four-point center-to-center rule, so the composite result is
-    fourth-order accurate.
+    Returns (I, total) with I[..., i] the integral from 0 to the i-th cell
+    center and ``total`` the integral over the full interval, along the
+    last axis: a float for a single field, an array over any leading batch
+    axes, each entry bit-identical to the single-field call.  The
+    half-cell pieces at the ends use parity-specific weights (odd fields
+    integrate to O(d^6) locally, even fields to O(d^5)); interior
+    increments use the four-point center-to-center rule, so the composite
+    result is fourth-order accurate.
     """
     u = np.asarray(u, float)
     wh = HALF_CELL_ODD if parity == ODD else HALF_CELL_EVEN
-    first = dsigma * (wh[0] * u[0] + wh[1] * u[1] + wh[2] * u[2])
-    last = dsigma * (wh[0] * u[-1] + wh[1] * u[-2] + wh[2] * u[-3])
-    ux = np.concatenate([[parity * u[0]], u, [parity * u[-1]]])
-    inc = dsigma * (-ux[:-3] + 13.0 * ux[1:-2] + 13.0 * ux[2:-1]
-                    - ux[3:]) / 24.0
-    cum = np.empty(u.size)
-    cum[0] = first
-    np.cumsum(inc, out=cum[1:])
-    cum[1:] += first
-    return cum, float(cum[-1] + last)
+    first = dsigma * (wh[0] * u[..., 0] + wh[1] * u[..., 1]
+                      + wh[2] * u[..., 2])
+    last = dsigma * (wh[0] * u[..., -1] + wh[1] * u[..., -2]
+                     + wh[2] * u[..., -3])
+    ux = np.concatenate([parity * u[..., :1], u, parity * u[..., -1:]],
+                        axis=-1)
+    inc = dsigma * (-ux[..., :-3] + 13.0 * ux[..., 1:-2]
+                    + 13.0 * ux[..., 2:-1] - ux[..., 3:]) / 24.0
+    cum = np.empty(u.shape)
+    cum[..., 0] = first
+    np.cumsum(inc, axis=-1, out=cum[..., 1:])
+    cum[..., 1:] += first[..., None]
+    total = cum[..., -1] + last
+    return cum, float(total) if u.ndim == 1 else total
 
 
 # ----------------------------------------------------------------------
@@ -280,6 +288,8 @@ class Jets:
     d/ds and d^2/ds^2.  Jets can come from the grid (``profile_jets``) or be
     filled with exact analytic derivatives for closed-form profiles, which is
     how the curvature operations are exercised against symbolic values.
+    ``curvature_sup_proxy`` also takes the jets of a stack of K states,
+    h (K, M) and f (K, r, M).
     """
 
     h: np.ndarray
@@ -291,11 +301,11 @@ class Jets:
 
     @property
     def cells(self) -> int:
-        return self.h.size
+        return self.h.shape[-1]
 
     @property
     def r(self) -> int:
-        return self.f.shape[0]
+        return self.f.shape[-2]
 
 
 def field_parities(r: int) -> np.ndarray:
@@ -446,7 +456,7 @@ def ricci_kahler(spec: BundleSpec, jets: Jets) -> RicciComponents:
                            advisory=advisory)
 
 
-def curvature_sup_proxy(spec: BundleSpec, jets: Jets) -> float:
+def curvature_sup_proxy(spec: BundleSpec, jets: Jets):
     """Computable surrogate for the sup over M of |Rm|.
 
     Maximum over cells and factor indices of
@@ -455,7 +465,9 @@ def curvature_sup_proxy(spec: BundleSpec, jets: Jets) -> float:
       |F_i' F_j' / (F_i F_j)| for i != j,
     which covers every sectional class of the ansatz up to dimensional
     constants.  Under the metric rescaling (a, h, f) -> sqrt(K) (a, h, f)
-    the proxy divides by K, as curvature must.
+    the proxy divides by K, as curvature must.  Returns a float for jets
+    of one state; jets with leading batch axes, h (K, M) and f (K, r, M),
+    give an array of K values, each bit-identical to the one-state call.
     """
     j = jets
     if spec.r != j.r:
@@ -463,21 +475,26 @@ def curvature_sup_proxy(spec: BundleSpec, jets: Jets) -> float:
     _, _, q, lam = spec.factor_arrays()
     shape_h = j.h_s / j.h
     shape_f = j.f_s / j.f
-    twist = q ** 2 * j.h ** 2 / (2.0 * j.f ** 4)
+    twist = q ** 2 * j.h[..., None, :] ** 2 / (2.0 * j.f ** 4)
     kap = np.abs(j.h_ss / j.h)
-    np.maximum(kap, np.abs(j.f_ss / j.f).max(axis=0), out=kap)
-    np.maximum(kap, np.abs(0.5 * twist - shape_h * shape_f).max(axis=0),
+    np.maximum(kap, np.abs(j.f_ss / j.f).max(axis=-2), out=kap)
+    np.maximum(kap, np.abs(0.5 * twist
+                           - shape_h[..., None, :] * shape_f).max(axis=-2),
                out=kap)
-    np.maximum(kap, (lam / j.f ** 2 + 1.5 * twist + shape_f ** 2).max(axis=0),
-               out=kap)
-    r = shape_f.shape[0]
+    np.maximum(kap, (lam / j.f ** 2 + 1.5 * twist
+                     + shape_f ** 2).max(axis=-2), out=kap)
+    r = spec.r
     if r > 1:
-        cross = np.abs(shape_f[:, None, :] * shape_f[None, :, :])
+        cross = np.abs(shape_f[..., :, None, :] * shape_f[..., None, :, :])
         off = ~np.eye(r, dtype=bool)
-        np.maximum(kap, cross[off].max(axis=0), out=kap)
+        np.maximum(kap, cross[..., off, :].max(axis=-2), out=kap)
     bad = ~np.isfinite(kap)
     if bad.any():
-        raise ValueError(
-            f"non-finite curvature proxy at cell {int(np.argmax(bad))}")
-    return float(kap.max())
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        where = f"cell {int(at[-1])}"
+        if len(at) > 1:
+            where += f" of stack entry {tuple(int(i) for i in at[:-1])}"
+        raise ValueError(f"non-finite curvature proxy at {where}")
+    sup = kap.max(axis=-1)
+    return float(sup) if sup.ndim == 0 else sup
 

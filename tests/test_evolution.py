@@ -17,13 +17,14 @@ from hypothesis import strategies as st
 import bundleflow.geometry as geo
 import bundleflow.evolution as evo
 from bundleflow.analysis import boundary_linear_check
-from bundleflow.cli import main, read_trace
+from bundleflow.cli import main, read_snapshots, read_trace
 from bundleflow.evolution import (MAX_REL_CHANGE, STEP_CAP, FlowConfig,
                                   FlowHalt, InvalidInitialState, _dt_bound,
                                   _stage, arclength, flow_rhs, regrid_uniform,
                                   rkl2_step, run_flow)
 from bundleflow.initial_data import (ProfileTemplate, build_kahler_profile,
-                                     canonical_preset, validate_closing)
+                                     calabi_preset, canonical_preset,
+                                     validate_closing)
 
 CANON = geo.BundleSpec(n=(1,), k=(2.0,), q=(2,), lam=(1.0,))
 
@@ -530,12 +531,107 @@ class TestResidualGate:
         assert trace.column("t")[-1] < 0.3
 
     def test_zero_initial_residual_is_not_gated(self):
-        first = np.zeros(12)
-        row = np.full(12, 1.0)
-        evo._check_residual_growth(row, first, 1)
-        first[7] = 1e-3
+        evo._check_residual_growth(0.5, (1.0, 1.0), (0.0, 0.0))
         with pytest.raises(FlowHalt, match="kahler_res grew"):
-            evo._check_residual_growth(row, first, 1)
+            evo._check_residual_growth(0.5, (1.0, 1.0), (1e-3, 0.0))
+
+
+class TestBatchedMonitor:
+    """Trace rows filled a block at a time equal rows filled one by one,
+    and halts land on the same row as they would one row at a time."""
+
+    def test_pending_block_stays_within_its_bound(self, monkeypatch):
+        sizes = []
+
+        def recording(spec, jets):
+            sizes.append(jets.h.shape[0])
+            return geo.curvature_sup_proxy(spec, jets=jets)
+
+        monkeypatch.setattr(evo, "curvature_sup_proxy", recording)
+        spec, state = canonical_preset(400)
+        trace, _ = run_flow(spec, state, FlowConfig(cells=400, t_end=0.02))
+        rows = trace.rows.shape[0]
+        assert rows > 2 * evo.MONITOR_BLOCK
+        assert max(sizes) == evo.MONITOR_BLOCK
+        assert sum(sizes) == rows
+        assert len(sizes) == -(-rows // evo.MONITOR_BLOCK)
+
+    @pytest.mark.parametrize("k", [40, 68])
+    def test_deferred_overflow_halts_at_its_row(self, monkeypatch, tmp_path,
+                                                capsys, k):
+        # Row 40 fails in the flush at the block bound, after the
+        # snapshots of rows 40 to 63 were taken; row 68 fails in the flush
+        # at the end of the run.  Row k + 2 fails too, later.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "flow": {"cells": 48, "t_end": 0.3, "snapshot_every": 1},
+            "initial": {"preset": "canonical"}}))
+        clean = tmp_path / "clean"
+        assert main(["run", str(cfg), "--out", str(clean)]) == 0
+        capsys.readouterr()
+        ref, ref_snaps = read_trace(clean), read_snapshots(clean)
+        assert ref.rows.shape[0] > k + 2 > evo.MONITOR_BLOCK // 2
+        assert [snap.t for snap in ref_snaps] == list(ref.column("t"))
+        bad_a = [ref_snaps[k].a, ref_snaps[k + 2].a]
+
+        def overflowing(u, dsigma, parity):
+            # A real overflow (13 * 3e307) inside the arclength column of
+            # the rows whose lapse is one of bad_a.
+            hit = np.zeros(u.shape[:-1] + (1,), bool)
+            for a in bad_a:
+                hit |= (u == a).all(axis=-1, keepdims=True)
+            return geo.cumulative_from_left(u * np.where(hit, 1e307, 1.0),
+                                            dsigma, parity)
+
+        monkeypatch.setattr(evo, "cumulative_from_left", overflowing)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        t_k = ref.rows[k, 0]
+        assert (f"flow halted: floating-point overflow encountered in "
+                f"multiply at t = {t_k:.6g}\n") in err, err
+        trace = read_trace(out)
+        assert np.array_equal(trace.rows, ref.rows[:k])
+        assert np.array_equal(trace.boundary, ref.boundary[:k])
+        kept = [snap.t for snap in read_snapshots(out)]
+        assert kept == [snap.t for snap in ref_snaps[:k]]
+        assert max(kept) < t_k
+
+    @pytest.mark.parametrize("halt", ["residual", "underflow"])
+    def test_halt_rows_are_filled(self, monkeypatch, halt):
+        if halt == "residual":
+            # Stages sized past the stability edge, as in TestResidualGate.
+            monkeypatch.setattr(evo, "CFL_MAX", 0.5)
+            spec, state = canonical_preset(80)
+            cfg = FlowConfig(cells=80, t_end=0.3)
+            pattern = r"(kahler|heat)_res grew"
+        else:
+            # Far below the default floor the collapse outruns the step.
+            spec, state = calabi_preset(2, 1, 32, f0=6.0)
+            cfg = FlowConfig(cells=32, t_end=1.0, stop_floor=1e-15)
+            pattern = "time step underflow"
+        bound = evo.MONITOR_BLOCK
+        traces = []
+        for block in (bound, 1):
+            monkeypatch.setattr(evo, "MONITOR_BLOCK", block)
+            with pytest.raises(FlowHalt, match=pattern) as info:
+                run_flow(spec, state, cfg)
+            traces.append(info.value.trace)
+        batched, one_by_one = traces
+        rows = batched.rows
+        # The halt row sits inside a block that had not reached its bound.
+        assert rows.shape[0] > 2 * bound and rows.shape[0] % bound != 0
+        assert f"at t = {rows[-1, 0]:.6g}" in str(info.value)
+        assert np.isfinite(rows).all() and np.isfinite(batched.boundary).all()
+        assert np.array_equal(rows, one_by_one.rows)
+        assert np.array_equal(batched.boundary, one_by_one.boundary)
+        batched.validate()
+        if halt == "residual":
+            name = re.search(pattern, str(info.value)).group(0)[:-5]
+            column = batched.column(name)
+            assert column[-1] > evo.RESIDUAL_GROWTH_MAX * column[0]
+        else:
+            assert batched.column("dt")[-1] == 0.0
 
 
 TWO_FACTOR = geo.BundleSpec(n=(1, 1), k=(2.0, 1.0), q=(2, 1))
@@ -672,7 +768,7 @@ def test_benchmark_hooks_see_every_stage(tmp_path):
     # wrong without failing anything else.
     root = Path(__file__).resolve().parents[1]
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"flow": {"cells": 24, "t_end": 0.05},
+    cfg.write_text(json.dumps({"flow": {"cells": 64, "t_end": 0.3},
                                "initial": {"preset": "canonical"}}))
     report = tmp_path / "report.json"
     src = str(Path(evo.__file__).resolve().parents[1])
@@ -692,13 +788,18 @@ def test_benchmark_hooks_see_every_stage(tmp_path):
     for child in ("geometry.stacked_derivs", "evolution.rhs_core"):
         parents = [parent for name, parent in spans if name == child]
         assert sorted(parents) == stages, child
-    # The monitor probes: one span per trace row, each directly under
-    # run_flow, for every function the monitor row calls.
+    # The monitor probes, each directly under run_flow: the residual
+    # columns' functions once per trace row, the batched columns' once per
+    # flush of at most MONITOR_BLOCK rows.
     trace_rows = len((tmp_path / "out" / "trace.csv").read_text()
                      .splitlines()) - 1
-    assert trace_rows > 1
-    for probe in ("curvature_sup_proxy", "kahler_defect", "laplacian_f2",
-                  "endpoint_even", "cumulative_from_left"):
+    flushes = -(-trace_rows // evo.MONITOR_BLOCK)
+    assert flushes > 1
+    for probe, calls in (("kahler_defect", trace_rows),
+                         ("laplacian_f2", trace_rows),
+                         ("curvature_sup_proxy", flushes),
+                         ("endpoint_even", flushes),
+                         ("cumulative_from_left", flushes)):
         parents = [spans[parent][0] for name, parent in spans
                    if name == f"geometry.{probe}"]
-        assert parents == ["evolution.run_flow"] * trace_rows, probe
+        assert parents == ["evolution.run_flow"] * calls, probe

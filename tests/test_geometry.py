@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bundleflow.geometry as geo
+from bundleflow.evolution import regrid_uniform
 
 CANON = geo.BundleSpec(n=(1,), k=(2.0,), q=(2,), lam=(1.0,))
 # An odd cell count puts a cell center exactly at sigma = 1/2 (s = pi/2).
@@ -225,6 +226,82 @@ def test_proxy_rejects_nonfinite():
 
 
 # ----------------------------------------------------------------------
+# Stacks of states (the trace monitor fills its rows a block at a time).
+
+JET_FIELDS = ("h", "h_s", "h_ss", "f", "f_s", "f_ss")
+
+
+def stack_jets(jets):
+    return geo.Jets(**{name: np.stack([getattr(j, name) for j in jets])
+                       for name in JET_FIELDS})
+
+
+def stack_case(case):
+    """A spec and five distinct states: smooth even perturbations of a
+    canonical (r = 1) or two-factor (r = 2) profile, the latter optionally
+    after a stretched gauge was resampled to uniform arclength."""
+    cells = 64
+    sigma = geo.cell_centers(cells)
+    s = math.pi * sigma
+    bump = np.cos(s)
+    if case == "r1":
+        spec, base = CANON, canonical_state(cells)
+    else:
+        spec = geo.BundleSpec(n=(1, 2), k=(2.0, 6.0), q=(1, -2))
+        running = 1.0 - np.cos(s)
+        base = geo.ProfileState(
+            t=0.0, sigma=sigma, a=np.full(cells, math.pi), h=np.sin(s),
+            f=np.vstack([np.sqrt(2.0 + running),
+                         np.sqrt(8.0 - 2.0 * running)]))
+        if case == "r2_regridded":
+            base = regrid_uniform(dataclasses.replace(
+                base, a=base.a * (1.0 + 0.3 * bump)))
+            assert np.ptp(base.a) == 0.0
+    # Out of order, so that no stack entry's value follows from its
+    # neighbours'.
+    return spec, [dataclasses.replace(base, a=base.a * (1.0 + 0.02 * j * bump),
+                                      h=base.h * (1.0 + 0.01 * j),
+                                      f=base.f * (1.0 + 0.03 * j * bump))
+                  for j in (3, 0, 4, 1, 2)]
+
+
+@pytest.mark.parametrize("case", ["r1", "r2", "r2_regridded"])
+def test_stacked_calls_equal_per_state_calls(case):
+    spec, states = stack_case(case)
+    jets = [geo.profile_jets(state) for state in states]
+    kappa = geo.curvature_sup_proxy(spec, stack_jets(jets))
+    assert kappa.shape == (len(states),)
+    assert list(kappa) == [geo.curvature_sup_proxy(spec, j) for j in jets]
+    assert len(set(kappa)) == len(states)
+    assert list(kappa) not in (sorted(kappa), sorted(kappa)[::-1])
+    dsigma = states[0].dsigma
+    for parity, rows in ((geo.EVEN, [state.a for state in states]),
+                         (geo.ODD, [state.h for state in states])):
+        cum, total = geo.cumulative_from_left(np.stack(rows), dsigma, parity)
+        assert cum.shape == (len(rows), states[0].cells)
+        for row, row_cum, row_total in zip(rows, cum, total):
+            want_cum, want_total = geo.cumulative_from_left(row, dsigma,
+                                                            parity)
+            assert isinstance(want_total, float)
+            assert np.array_equal(row_cum, want_cum)
+            assert row_total == want_total
+    f2 = np.stack([state.f * state.f for state in states])
+    left, right = geo.endpoint_even(f2)
+    for rows, row_left, row_right in zip(f2, left, right):
+        assert np.array_equal(row_left, geo.endpoint_even(rows)[0])
+        assert np.array_equal(row_right, geo.endpoint_even(rows)[1])
+
+
+def test_stacked_proxy_names_the_nonfinite_cell():
+    jets = stack_jets([canonical_analytic_jets(65)] * 3)
+    jets.h[1, 32] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ValueError,
+                           match=r"at cell 32 of stack entry \(1,\)$"):
+            geo.curvature_sup_proxy(CANON, jets=jets)
+
+
+# ----------------------------------------------------------------------
 # Structural validation.
 
 
@@ -239,6 +316,27 @@ def test_bundle_spec_validation():
         geo.BundleSpec(n=(1, 1), k=(2.0,), q=(1, 2))
     spec = geo.BundleSpec(n=(1,), k=(-4.0,), q=(3,))
     assert spec.lam == (4.0,)
+
+
+def test_factor_arrays_are_built_once_and_read_only():
+    spec = geo.BundleSpec(n=(1, 2), k=(2.0, -6.0), q=(1, -2), lam=(0.5, 3.0))
+    arrays = spec.factor_arrays()
+    want = ([[1.0], [2.0]], [[2.0], [-6.0]], [[1.0], [-2.0]], [[0.5], [3.0]])
+    for got, values in zip(arrays, want):
+        assert got.dtype == float and np.array_equal(got, values)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = 9.0
+    again = spec.factor_arrays()
+    assert len(again) == 4
+    assert all(first is second for first, second in zip(arrays, again))
+    for got, values in zip(again, want):
+        assert np.array_equal(got, values)
+    # The cached columns are not fields: equality and hashing still see
+    # only (n, k, q, lam).
+    twin = geo.BundleSpec(n=(1, 2), k=(2.0, -6.0), q=(1, -2), lam=(0.5, 3.0))
+    assert twin == spec and hash(twin) == hash(spec)
+    assert twin.factor_arrays()[0] is not arrays[0]
 
 
 def test_profile_state_validation():

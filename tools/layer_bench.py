@@ -1,0 +1,128 @@
+"""In-process layer timings of run_flow on a perfbench workload config.
+
+    python tools/layer_bench.py [--workload canonical_80] [--seed 1]
+                                [--repeats 7]
+
+The config comes from ``make_config`` in perfbench/run.py, which is
+imported as is (importing it pins BLAS to one thread, as the benchmark
+does).  Each repeat runs ``evolution.run_flow`` once in this process with
+timers around the module attributes run_flow calls: ``_stage`` (one RHS
+evaluation), ``rkl2_step`` (one step, its s - 1 inner stages included),
+``_residual_columns`` (the eager part of a trace row) and
+``_monitor_block`` (one flush of the batched part).  The first repeat
+warms caches and is dropped; medians over the rest are printed as us per
+call, and the trace-row cost as (eager + flush time) / trace rows.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+
+def load_perfbench():
+    sys.path.insert(0, str(PERFBENCH))  # run.py imports its sibling child
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class Timers:
+    """Inclusive wall time and call count per wrapped attribute."""
+
+    def __init__(self, module, names):
+        self.busy = dict.fromkeys(names, 0.0)
+        self.calls = dict.fromkeys(names, 0)
+        for name in names:
+            setattr(module, name, self._wrap(getattr(module, name), name))
+
+    def _wrap(self, fn, name):
+        busy, calls, clock = self.busy, self.calls, time.perf_counter
+
+        def timed(*args, **kwargs):
+            start = clock()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                busy[name] += clock() - start
+                calls[name] += 1
+
+        return timed
+
+    def reset(self):
+        for name in self.busy:
+            self.busy[name] = 0.0
+            self.calls[name] = 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", default="canonical_80")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--repeats", type=int, default=7)
+    args = parser.parse_args(argv)
+    if args.repeats < 2:
+        parser.error("--repeats must be at least 2 (the first is warm-up)")
+
+    run = load_perfbench()
+    if args.workload not in run.WORKLOADS:
+        parser.error(f"unknown workload {args.workload!r}; choose from "
+                     f"{', '.join(sorted(run.WORKLOADS))}")
+    sys.path.insert(0, str(ROOT / "src"))
+    from bundleflow import evolution
+    from bundleflow.cli import load_config
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(run.make_config(args.workload,
+                                                   args.seed)))
+        cfg = load_config(path)
+
+    names = ("_stage", "rkl2_step", "_residual_columns", "_monitor_block")
+    timers = Timers(evolution, names)
+    samples = {key: [] for key in ("run_flow_ms", "stage_us", "step_us",
+                                   "row_us", "eager_us", "flush_us")}
+    for _ in range(args.repeats):
+        timers.reset()
+        start = time.perf_counter()
+        trace, _ = evolution.run_flow(cfg.spec, cfg.state0, cfg.flow)
+        wall = time.perf_counter() - start
+        rows = trace.rows.shape[0]
+        busy, calls = timers.busy, timers.calls
+        samples["run_flow_ms"].append(1e3 * wall)
+        samples["stage_us"].append(1e6 * busy["_stage"] / calls["_stage"])
+        samples["step_us"].append(
+            1e6 * busy["rkl2_step"] / max(calls["rkl2_step"], 1))
+        samples["eager_us"].append(1e6 * busy["_residual_columns"] / rows)
+        samples["flush_us"].append(1e6 * busy["_monitor_block"] / rows)
+        samples["row_us"].append(samples["eager_us"][-1]
+                                 + samples["flush_us"][-1])
+
+    med = {key: statistics.median(vals[1:]) for key, vals in samples.items()}
+    print(f"workload {args.workload} seed {args.seed}: trace rows {rows}, "
+          f"steps {calls['rkl2_step']}, RHS evaluations {calls['_stage']}, "
+          f"flushes {calls['_monitor_block']} (at most "
+          f"{evolution.MONITOR_BLOCK} rows each); medians of "
+          f"{args.repeats - 1} runs after one warm-up")
+    print(f"run_flow            {med['run_flow_ms']:9.2f} ms")
+    print(f"_stage              {med['stage_us']:9.2f} us per call")
+    print(f"rkl2_step           {med['step_us']:9.2f} us per call "
+          f"(inner stages included)")
+    print(f"trace row           {med['row_us']:9.2f} us per row "
+          f"(eager {med['eager_us']:.2f} + flush {med['flush_us']:.2f})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
