@@ -170,9 +170,12 @@ def _parse_template(section, spec, cells):
         if not isinstance(rows, list) or not rows:
             raise ConfigError("initial.template.f_templates must be an "
                               "array of per-factor sample arrays")
-        f_templates = np.array(
-            [_number_list(row, f"initial.template.f_templates[{i}]")
-             for i, row in enumerate(rows)])
+        samples = [_number_list(row, f"initial.template.f_templates[{i}]")
+                   for i, row in enumerate(rows)]
+        if len({len(row) for row in samples}) > 1:
+            raise ConfigError("initial.template.f_templates rows must all "
+                              "have the same length")
+        f_templates = np.array(samples)
     try:
         tmpl = ProfileTemplate(length=length, h_template=h, f0=f0,
                                mode=mode, f_templates=f_templates)

@@ -27,19 +27,18 @@ t_end, when a monitored floor (min f_i^2 or max h^2) drops below
 stop_floor, or when a residual column of the monitor row grows past
 RESIDUAL_GROWTH_MAX times its first-row value.
 
-The monitor row has an eager part and a batched part.  On every traced
-step t, dt, kahler_res and heat_res are computed at once (kahler_defect,
-laplacian_f2), so the residual gate halts at the row that trips it.  The
-other trace columns (kappa, the extrema of h and f_i^2, grad_sup,
-liyau_sup, arclength) and the boundary row come from the step's state and
-first-stage jets, kept until MONITOR_BLOCK = 64 rows are pending, the run
-ends or it halts; then one call each of curvature_sup_proxy,
-cumulative_from_left and endpoint_even fills them on the stacked states.
-In process on canonical_80 (2-core Xeon) the flush cost 12 us per row at
-a bound of 64, against 16 to 26 us at 16, 32, 128 and 256 and 194 us at 1.
-Every cell is bit-identical to the row-by-row call, so artifacts are
-byte-identical to a row-by-row monitor's, and a floating-point error in a
-flush halts at the first row that raises it, as that monitor would.
+Every trace column and the boundary row are filled in one place,
+_monitor_block.  A traced step only keeps its state, time derivative and
+first-stage jets; once MONITOR_BLOCK = 64 rows are pending, the run ends
+or it halts, one call each of curvature_sup_proxy, kahler_defect,
+laplacian_f2, cumulative_from_left and endpoint_even fills them on the
+stacked states, and the residual gate then reads the filled rows in
+order.  Every cell is bit-identical to the row-by-row call, so artifacts
+are byte-identical to a row-by-row monitor's.  A run halts at the first
+row that raises a floating-point error (the row is dropped) or trips the
+gate (the row is kept), and the snapshots from that row's step on are
+dropped: the partial results of a monitor that fills and gates one row
+at a time, reached up to MONITOR_BLOCK - 1 traced rows later.
 """
 
 from __future__ import annotations
@@ -189,31 +188,21 @@ def _stack_jets(Y, u_s, u_ss):
                 f=Y[..., 2:, :], f_s=u_s[..., 2:, :], f_ss=u_ss[..., 2:, :])
 
 
-def _residual_columns(spec, jets, ydot, two_k):
-    """(kahler_res, heat_res) of one monitor row, from the jets of the
-    state and its time derivative ydot: the columns the residual gate
-    reads as soon as the row is taken."""
-    kahler = kahler_defect(spec, jets=jets).max()
-    heat = np.abs(2.0 * jets.f * ydot[2:] - laplacian_f2(spec, jets)
-                  + two_k).max()
-    return kahler, heat
-
-
 def _monitor_block(spec, block, dsigma):
     """Trace and boundary rows of a block of monitor entries.
 
-    Each entry is (t, dt, kahler_res, heat_res, Y, u_s, u_ss) with Y the
-    stacked state of the row and u_s, u_ss its first stage's arclength
-    jets.  Every other column comes from one call per block of
-    curvature_sup_proxy, cumulative_from_left and endpoint_even on the
-    stacked states, bit-identical to the same calls row by row.  The
-    operations run in the order a single row computed them (f_i^2, kappa,
-    extrema, gradient columns, arclength, endpoints), so a one-entry block
-    raises the first floating-point error of its row.
+    Each entry is (t, dt, Y, ydot, u_s, u_ss) with Y the stacked state of
+    the row, ydot its time derivative and u_s, u_ss its first stage's
+    arclength jets.  One call per block of each geometry routine on the
+    stacked states fills the columns, bit-identical to the same calls row
+    by row.  The operations run in the order f_i^2, kappa, kahler_res,
+    heat_res, extrema, gradient columns, arclength, endpoints, so a
+    one-entry block raises the first floating-point error of its row in
+    that order.
     """
-    t, dt, kahler, heat, Y, u_s, u_ss = zip(*block)
-    Y, u_s, u_ss = np.stack(Y), np.stack(u_s), np.stack(u_ss)
-    jets = _stack_jets(Y, u_s, u_ss)
+    t, dt, Y, ydot, u_s, u_ss = zip(*block)
+    Y, ydot = np.stack(Y), np.stack(ydot)
+    jets = _stack_jets(Y, np.stack(u_s), np.stack(u_ss))
     h, f, f_s = jets.h, jets.f, jets.f_s
     r = spec.r
     f2 = f * f
@@ -221,12 +210,14 @@ def _monitor_block(spec, block, dsigma):
     rows[:, 0] = t
     rows[:, 1] = dt
     rows[:, 2] = curvature_sup_proxy(spec, jets=jets)
+    rows[:, 5 + 2 * r] = kahler_defect(spec, jets=jets).max(axis=(-2, -1))
+    rows[:, 6 + 2 * r] = np.abs(
+        2.0 * f * ydot[:, 2:] - laplacian_f2(spec, jets)
+        + 2.0 * spec.factor_arrays()[1]).max(axis=(-2, -1))
     rows[:, 3] = h.min(axis=-1)
     rows[:, 4] = h.max(axis=-1)
     rows[:, 5:5 + 2 * r:2] = f2.min(axis=-1)
     rows[:, 6:6 + 2 * r:2] = f2.max(axis=-1)
-    rows[:, 5 + 2 * r] = kahler
-    rows[:, 6 + 2 * r] = heat
     rows[:, 7 + 2 * r:7 + 3 * r] = np.abs(2.0 * f * f_s).max(axis=-1)
     rows[:, 7 + 3 * r:7 + 4 * r] = (4.0 * f_s * f_s).max(axis=-1)
     rows[:, -1] = cumulative_from_left(Y[:, 0], dsigma, EVEN)[1]
@@ -386,7 +377,6 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
         state0.validate()
         closing = validate_closing(state0)
         coef = ricci_coefficients(spec)
-        two_k = 2.0 * spec.factor_arrays()[1]
     except (ValueError, FloatingPointError) as exc:
         raise InvalidInitialState(str(exc)) from exc
     if not closing.passed:
@@ -401,7 +391,6 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
     t = state0.t
     t_end = state0.t + cfg.t_end
     blocks, pending, snapshots = [], [], []
-    first_res = None
     step = 0
     last_snap = -1
 
@@ -415,43 +404,44 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
     dt_min = DT_UNDERFLOW * cfg.t_end
 
     def take_row(ydot, u_s, u_ss, dt_col):
-        # The residual columns now, for the gate; the rest when the block
-        # is flushed.  Y, u_s and u_ss are fresh arrays every step, so the
-        # entry holds them without copying.
-        nonlocal first_res
-        jets = _stack_jets(Y, u_s, u_ss)
-        try:
-            res = _residual_columns(spec, jets, ydot, two_k)
-        except FloatingPointError:
-            # A row computes f_i^2 and kappa before its residuals, so an
-            # error of theirs comes first: raise it if there is one.
-            jets.f * jets.f
-            curvature_sup_proxy(spec, jets=jets)
-            raise
-        pending.append((t, dt_col) + res + (Y, u_s, u_ss))
+        # Y, ydot, u_s and u_ss are fresh arrays every step, so the entry
+        # holds them without copying.
+        pending.append((t, dt_col, Y, ydot, u_s, u_ss))
         if len(pending) == MONITOR_BLOCK:
             flush()
-        if first_res is None:
-            first_res = res
-        _check_residual_growth(t, res, first_res)
+
+    def drop_snapshots_from(t_row):
+        snapshots[:] = [sn for sn in snapshots if sn.t < t_row]
+
+    def keep(rows, brows):
+        # Gate the filled rows in order; one that trips is the last kept.
+        gate = slice(5 + 2 * spec.r, 7 + 2 * spec.r)
+        first = (blocks[0][0] if blocks else rows)[0, gate].tolist()
+        for i, res in enumerate(rows[:, gate].tolist()):
+            try:
+                _check_residual_growth(rows[i, 0], res, first)
+            except FlowHalt:
+                blocks.append((rows[:i + 1], brows[:i + 1]))
+                drop_snapshots_from(rows[i, 0])
+                raise
+        blocks.append((rows, brows))
 
     def flush():
-        # A floating-point error halts at the first row that raises it, as
-        # if the rows had been filled one at a time: earlier rows are
-        # kept, and snapshots from that row's step on are dropped.
+        # Halt at the first row that raises a floating-point error (then
+        # dropped) or trips the gate (kept), as a row-by-row monitor would.
         if not pending:
             return
         try:
-            blocks.append(_monitor_block(spec, pending, dsigma))
+            keep(*_monitor_block(spec, pending, dsigma))
         except FloatingPointError:
             for entry in pending:
                 try:
-                    blocks.append(_monitor_block(spec, [entry], dsigma))
+                    filled = _monitor_block(spec, [entry], dsigma)
                 except FloatingPointError as exc:
-                    snapshots[:] = [sn for sn in snapshots
-                                    if sn.t < entry[0]]
+                    drop_snapshots_from(entry[0])
                     raise FlowHalt(f"floating-point {exc} at t = "
                                    f"{entry[0]:.6g}") from exc
+                keep(*filled)
         finally:
             pending.clear()
 

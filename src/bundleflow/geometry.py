@@ -288,8 +288,8 @@ class Jets:
     d/ds and d^2/ds^2.  Jets can come from the grid (``profile_jets``) or be
     filled with exact analytic derivatives for closed-form profiles, which is
     how the curvature operations are exercised against symbolic values.
-    ``curvature_sup_proxy`` also takes the jets of a stack of K states,
-    h (K, M) and f (K, r, M).
+    ``curvature_sup_proxy``, ``kahler_defect`` and ``laplacian_f2`` also
+    take the jets of a stack of K states, h (K, M) and f (K, r, M).
     """
 
     h: np.ndarray
@@ -396,15 +396,17 @@ def ricci_rows(u, u_s, u_ss, coef):
 
 def _trace_l(n, j: Jets) -> np.ndarray:
     """Mean-curvature trace tr L = h_s/h + sum 2 n_i f_i,s/f_i."""
-    return j.h_s / j.h + (2.0 * n * j.f_s / j.f).sum(axis=0)
+    return j.h_s / j.h + (2.0 * n * j.f_s / j.f).sum(axis=-2)
 
 
 def laplacian_f2(spec: BundleSpec, jets: Jets) -> np.ndarray:
-    """Laplacian of every f_i^2 directly from arclength jets, shape (r, M)."""
+    """Laplacian of every f_i^2 directly from arclength jets, shape (r, M)
+    for one state and (K, r, M) for a stack, each entry bit-identical to
+    the one-state call."""
     n = spec.factor_arrays()[0]
     f, f_s, f_ss = jets.f, jets.f_s, jets.f_ss
     return (2.0 * f * f_ss + 2.0 * f_s ** 2
-            + _trace_l(n, jets) * 2.0 * f * f_s)
+            + _trace_l(n, jets)[..., None, :] * 2.0 * f * f_s)
 
 
 def ricci_full(spec: BundleSpec, jets: Jets) -> RicciComponents:
@@ -426,11 +428,12 @@ def ricci_full(spec: BundleSpec, jets: Jets) -> RicciComponents:
 def kahler_defect(spec: BundleSpec, jets: Jets) -> np.ndarray:
     """Pointwise violation |q_i h - d(f_i^2)/ds| of the Kahler condition.
 
-    Shape (r, M); identically zero exactly when the metric is Kahler for the
-    bundle complex structure.
+    Shape (r, M), or (K, r, M) for a stack, each entry bit-identical to the
+    one-state call; identically zero exactly when the metric is Kahler for
+    the bundle complex structure.
     """
     q = spec.factor_arrays()[2]
-    return np.abs(q * jets.h - 2.0 * jets.f * jets.f_s)
+    return np.abs(q * jets.h[..., None, :] - 2.0 * jets.f * jets.f_s)
 
 
 def ricci_kahler(spec: BundleSpec, jets: Jets) -> RicciComponents:

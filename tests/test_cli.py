@@ -98,6 +98,9 @@ class TestLoadConfig:
         (lambda c: c["bundle"].update(twist=[1]), "bundle.twist"),
         (lambda c: c["initial"]["template"].update(shape="x"),
          "initial.template.shape"),
+        (lambda c: c["initial"]["template"].update(
+            f_templates=[[1, 2, 3], [1, 2]]),
+         "initial.template.f_templates rows must all have the same length"),
         (lambda c: c.pop("initial"), "initial section is required"),
         (lambda c: c["initial"].pop("template"), "exactly one"),
         # The verdict thresholds are constants, not settings.

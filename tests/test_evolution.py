@@ -556,9 +556,22 @@ class TestBatchedMonitor:
         assert sum(sizes) == rows
         assert len(sizes) == -(-rows // evo.MONITOR_BLOCK)
 
-    @pytest.mark.parametrize("k", [40, 68])
+    @pytest.mark.parametrize("k, planted, error", [
+        pytest.param(40, ["arclength"], "overflow encountered in multiply",
+                     id="40"),
+        pytest.param(68, ["arclength"], "overflow encountered in multiply",
+                     id="68"),
+        pytest.param(40, ["kahler_res"], "overflow encountered in multiply",
+                     id="kahler_res-40"),
+        # Two errors in one row: the one computed first names the halt.
+        pytest.param(40, ["kappa", "kahler_res"],
+                     "divide by zero encountered in divide",
+                     id="kappa-before-kahler_res-40"),
+        pytest.param(40, ["heat_res", "arclength"],
+                     "divide by zero encountered in divide",
+                     id="heat_res-before-arclength-40")])
     def test_deferred_overflow_halts_at_its_row(self, monkeypatch, tmp_path,
-                                                capsys, k):
+                                                capsys, k, planted, error):
         # Row 40 fails in the flush at the block bound, after the
         # snapshots of rows 40 to 63 were taken; row 68 fails in the flush
         # at the end of the run.  Row k + 2 fails too, later.
@@ -572,24 +585,49 @@ class TestBatchedMonitor:
         ref, ref_snaps = read_trace(clean), read_snapshots(clean)
         assert ref.rows.shape[0] > k + 2 > evo.MONITOR_BLOCK // 2
         assert [snap.t for snap in ref_snaps] == list(ref.column("t"))
-        bad_a = [ref_snaps[k].a, ref_snaps[k + 2].a]
+        bad = [ref_snaps[k], ref_snaps[k + 2]]
 
-        def overflowing(u, dsigma, parity):
-            # A real overflow (13 * 3e307) inside the arclength column of
-            # the rows whose lapse is one of bad_a.
-            hit = np.zeros(u.shape[:-1] + (1,), bool)
-            for a in bad_a:
-                hit |= (u == a).all(axis=-1, keepdims=True)
-            return geo.cumulative_from_left(u * np.where(hit, 1e307, 1.0),
-                                            dsigma, parity)
+        def hit(u, field):
+            # Rows of the stack u equal to that field of a bad snapshot.
+            found = np.zeros(u.shape[:-1] + (1,), bool)
+            for snap in bad:
+                found |= (u == getattr(snap, field)).all(axis=-1,
+                                                         keepdims=True)
+            return found
 
-        monkeypatch.setattr(evo, "cumulative_from_left", overflowing)
+        def arclength(u, dsigma, parity):
+            # A real overflow (13 * 3e307) inside the arclength column.
+            return geo.cumulative_from_left(
+                u * np.where(hit(u, "a"), 1e307, 1.0), dsigma, parity)
+
+        def kahler_res(spec, jets):
+            # A real overflow, q h = 2 * 1.5e308.
+            h = np.where(hit(jets.h, "h"), 1.5e308, jets.h)
+            return geo.kahler_defect(spec, dataclasses.replace(jets, h=h))
+
+        def kappa(spec, jets):
+            # h_s / 0 in the proxy's first operation.
+            h = np.where(hit(jets.h, "h"), 0.0, jets.h)
+            return geo.curvature_sup_proxy(spec,
+                                           dataclasses.replace(jets, h=h))
+
+        def heat_res(spec, jets):
+            # f_s / 0 in tr L.
+            f = np.where(hit(jets.h, "h")[..., None], 0.0, jets.f)
+            return geo.laplacian_f2(spec, dataclasses.replace(jets, f=f))
+
+        targets = {"arclength": ("cumulative_from_left", arclength),
+                   "kahler_res": ("kahler_defect", kahler_res),
+                   "kappa": ("curvature_sup_proxy", kappa),
+                   "heat_res": ("laplacian_f2", heat_res)}
+        for column in planted:
+            monkeypatch.setattr(evo, *targets[column])
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         t_k = ref.rows[k, 0]
-        assert (f"flow halted: floating-point overflow encountered in "
-                f"multiply at t = {t_k:.6g}\n") in err, err
+        assert (f"flow halted: floating-point {error} at t = "
+                f"{t_k:.6g}\n") in err, err
         trace = read_trace(out)
         assert np.array_equal(trace.rows, ref.rows[:k])
         assert np.array_equal(trace.boundary, ref.boundary[:k])
@@ -632,6 +670,51 @@ class TestBatchedMonitor:
             assert column[-1] > evo.RESIDUAL_GROWTH_MAX * column[0]
         else:
             assert batched.column("dt")[-1] == 0.0
+
+
+    def test_gate_halt_equals_row_by_row(self, monkeypatch):
+        # Stages sized past the stability edge, one trace row in ten.  The
+        # batched run steps on past the row that trips the gate, so its
+        # later trace rows and snapshots must be dropped, and a later row
+        # of the same block that overflows must not name the halt.
+        monkeypatch.setattr(evo, "CFL_MAX", 0.5)
+        spec, state = canonical_preset(80)
+        cfg = FlowConfig(cells=80, t_end=0.3, trace_every=10,
+                         snapshot_every=3)
+        bound, fill = evo.MONITOR_BLOCK, evo._monitor_block
+
+        def halt(block):
+            monkeypatch.setattr(evo, "MONITOR_BLOCK", block)
+            with pytest.raises(FlowHalt, match=r"(kahler|heat)_res grew") \
+                    as info:
+                run_flow(spec, state, cfg)
+            return info.value
+
+        one_by_one = halt(1)
+        t_trip = one_by_one.trace.column("t")[-1]
+        later = []
+
+        def poisoned(spec, block, dsigma):
+            # Rows after the trip overflow in f_i^2, their first operation.
+            later.extend(entry[0] for entry in block if entry[0] > t_trip)
+            block = [entry[:2] + (entry[2] * 1e200,) + entry[3:]
+                     if entry[0] > t_trip else entry for entry in block]
+            return fill(spec, block, dsigma)
+
+        monkeypatch.setattr(evo, "_monitor_block", poisoned)
+        batched = halt(bound)
+        assert later
+        assert str(batched) == str(one_by_one)
+        assert np.array_equal(batched.trace.rows, one_by_one.trace.rows)
+        assert np.array_equal(batched.trace.boundary,
+                              one_by_one.trace.boundary)
+        assert len(batched.snapshots) == len(one_by_one.snapshots) > 1
+        for got, want in zip(batched.snapshots, one_by_one.snapshots):
+            assert got.t == want.t
+            for field in ("a", "h", "f"):
+                assert np.array_equal(getattr(got, field),
+                                      getattr(want, field))
+        assert batched.snapshots[-1].t < t_trip
 
 
 TWO_FACTOR = geo.BundleSpec(n=(1, 1), k=(2.0, 1.0), q=(2, 1))
@@ -788,18 +871,14 @@ def test_benchmark_hooks_see_every_stage(tmp_path):
     for child in ("geometry.stacked_derivs", "evolution.rhs_core"):
         parents = [parent for name, parent in spans if name == child]
         assert sorted(parents) == stages, child
-    # The monitor probes, each directly under run_flow: the residual
-    # columns' functions once per trace row, the batched columns' once per
+    # The monitor probes, each directly under run_flow and called once per
     # flush of at most MONITOR_BLOCK rows.
     trace_rows = len((tmp_path / "out" / "trace.csv").read_text()
                      .splitlines()) - 1
     flushes = -(-trace_rows // evo.MONITOR_BLOCK)
     assert flushes > 1
-    for probe, calls in (("kahler_defect", trace_rows),
-                         ("laplacian_f2", trace_rows),
-                         ("curvature_sup_proxy", flushes),
-                         ("endpoint_even", flushes),
-                         ("cumulative_from_left", flushes)):
+    for probe in ("curvature_sup_proxy", "kahler_defect", "laplacian_f2",
+                  "endpoint_even", "cumulative_from_left"):
         parents = [spans[parent][0] for name, parent in spans
                    if name == f"geometry.{probe}"]
-        assert parents == ["evolution.run_flow"] * calls, probe
+        assert parents == ["evolution.run_flow"] * flushes, probe

@@ -274,6 +274,11 @@ def test_stacked_calls_equal_per_state_calls(case):
     assert list(kappa) == [geo.curvature_sup_proxy(spec, j) for j in jets]
     assert len(set(kappa)) == len(states)
     assert list(kappa) not in (sorted(kappa), sorted(kappa)[::-1])
+    for fn in (geo.kahler_defect, geo.laplacian_f2):
+        stacked = fn(spec, stack_jets(jets))
+        assert stacked.shape == (len(states), spec.r, states[0].cells)
+        for entry, j in zip(stacked, jets):
+            assert np.array_equal(entry, fn(spec, j)), fn.__name__
     dsigma = states[0].dsigma
     for parity, rows in ((geo.EVEN, [state.a for state in states]),
                          (geo.ODD, [state.h for state in states])):

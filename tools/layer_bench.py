@@ -7,11 +7,11 @@ The config comes from ``make_config`` in perfbench/run.py, which is
 imported as is (importing it pins BLAS to one thread, as the benchmark
 does).  Each repeat runs ``evolution.run_flow`` once in this process with
 timers around the module attributes run_flow calls: ``_stage`` (one RHS
-evaluation), ``rkl2_step`` (one step, its s - 1 inner stages included),
-``_residual_columns`` (the eager part of a trace row) and
-``_monitor_block`` (one flush of the batched part).  The first repeat
-warms caches and is dropped; medians over the rest are printed as us per
-call, and the trace-row cost as (eager + flush time) / trace rows.
+evaluation), ``rkl2_step`` (one step, its s - 1 inner stages included)
+and ``_monitor_block`` (one flush, which fills every column of its trace
+rows).  The first repeat warms caches and is dropped; medians over the
+rest are printed as us per call, and the trace-row cost as flush time /
+trace rows.
 """
 
 from __future__ import annotations
@@ -89,10 +89,10 @@ def main(argv=None) -> int:
                                                    args.seed)))
         cfg = load_config(path)
 
-    names = ("_stage", "rkl2_step", "_residual_columns", "_monitor_block")
+    names = ("_stage", "rkl2_step", "_monitor_block")
     timers = Timers(evolution, names)
     samples = {key: [] for key in ("run_flow_ms", "stage_us", "step_us",
-                                   "row_us", "eager_us", "flush_us")}
+                                   "row_us")}
     for _ in range(args.repeats):
         timers.reset()
         start = time.perf_counter()
@@ -104,10 +104,7 @@ def main(argv=None) -> int:
         samples["stage_us"].append(1e6 * busy["_stage"] / calls["_stage"])
         samples["step_us"].append(
             1e6 * busy["rkl2_step"] / max(calls["rkl2_step"], 1))
-        samples["eager_us"].append(1e6 * busy["_residual_columns"] / rows)
-        samples["flush_us"].append(1e6 * busy["_monitor_block"] / rows)
-        samples["row_us"].append(samples["eager_us"][-1]
-                                 + samples["flush_us"][-1])
+        samples["row_us"].append(1e6 * busy["_monitor_block"] / rows)
 
     med = {key: statistics.median(vals[1:]) for key, vals in samples.items()}
     print(f"workload {args.workload} seed {args.seed}: trace rows {rows}, "
@@ -120,7 +117,7 @@ def main(argv=None) -> int:
     print(f"rkl2_step           {med['step_us']:9.2f} us per call "
           f"(inner stages included)")
     print(f"trace row           {med['row_us']:9.2f} us per row "
-          f"(eager {med['eager_us']:.2f} + flush {med['flush_us']:.2f})")
+          f"(flush time / rows)")
     return 0
 
 
