@@ -10,15 +10,14 @@ module wraps them behind the ``bundleflow`` command.
 
 __version__ = "0.1.0"
 
-from .geometry import (BundleSpec, Jets, ProfileState, RicciComponents,
-                       cell_centers, curvature_sup_proxy, kahler_defect,
-                       laplacian_f2, profile_jets, ricci_full, ricci_kahler)
+from .geometry import (BundleSpec, Jets, ProfileState, cell_centers,
+                       curvature_sup_proxy, kahler_defect, laplacian_f2)
 from .initial_data import (PRESETS, ClosingCheck, ClosingReport,
                            ProfileTemplate, build_general_profile,
                            build_kahler_profile, calabi_preset,
                            canonical_preset, sample_h, validate_closing)
 from .evolution import (FlowConfig, FlowHalt, InvalidInitialState,
-                        arclength, flow_rhs, regrid_uniform, run_flow)
+                        arclength, regrid_uniform, run_flow)
 from .analysis import (BoundarySlope, FlowTrace, SingularTimeEstimate,
                        SingularityReport, analyze_run, boundary_linear_check,
                        classify_degeneration, classify_singularity_type,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import BundleSpec, endpoint_even
+from .geometry import BundleSpec
 
 TYPE_I = "TypeI"
 TYPE_II = "TypeII-suspect"
@@ -331,33 +331,25 @@ def schwarz_fit(trace: FlowTrace, t_hat: float) -> float:
     return best
 
 
-def classify_degeneration(snapshots, trace: FlowTrace,
-                          stop_floor: float) -> str:
+def classify_degeneration(trace: FlowTrace, stop_floor: float) -> str:
     """Label the degeneration pattern at the end of a run.
 
     A quantity counts as collapsed when it sits below FLOOR_MULTIPLE *
-    stop_floor at the final recorded time.  Fiber collapse: max h^2
-    collapsed with every min f_i^2 comfortably above.  Section contraction:
-    at one endpoint all (full) or some but not all (partial) of the f_i^2
-    collapsed while the fiber stays noncollapsed.  Anything else is
-    Indeterminate.
+    stop_floor in the last trace row.  Fiber collapse: max h^2 collapsed
+    with every min f_i^2 comfortably above.  Section contraction: at one
+    endpoint all (full) or some but not all (partial) of the f_i^2
+    collapsed while the fiber stays noncollapsed.  Anything else, and an
+    empty trace, is Indeterminate.
     """
-    level = FLOOR_MULTIPLE * stop_floor
-    if trace.rows.shape[0] > 0:
-        h2_max = float(trace.column("h_max")[-1]) ** 2
-        f2_min = np.array([trace.column(f"f{i}sq_min")[-1]
-                           for i in range(1, trace.r + 1)])
-        ends = {side: np.array([trace.bcolumn(f"f{i}sq_{side}")[-1]
-                                for i in range(1, trace.r + 1)])
-                for side in ("left", "right")}
-    elif snapshots:
-        final = snapshots[-1]
-        f2 = final.f ** 2
-        h2_max = float((final.h ** 2).max())
-        f2_min = f2.min(axis=1)
-        ends = dict(zip(("left", "right"), endpoint_even(f2)))
-    else:
+    if trace.rows.shape[0] == 0:
         return INDETERMINATE
+    level = FLOOR_MULTIPLE * stop_floor
+    h2_max = float(trace.column("h_max")[-1]) ** 2
+    f2_min = np.array([trace.column(f"f{i}sq_min")[-1]
+                       for i in range(1, trace.r + 1)])
+    ends = {side: np.array([trace.bcolumn(f"f{i}sq_{side}")[-1]
+                            for i in range(1, trace.r + 1)])
+            for side in ("left", "right")}
 
     if h2_max < level and np.all(f2_min > level):
         return FIBER_COLLAPSE
@@ -370,26 +362,25 @@ def classify_degeneration(snapshots, trace: FlowTrace,
     return INDETERMINATE
 
 
-def analyze_run(trace: FlowTrace, snapshots,
+def analyze_run(trace: FlowTrace, snapshot_times,
                 stop_floor: float) -> SingularityReport:
     """Full singularity report for one finished run.
 
     Combines the singular-time estimate, the Type I/II verdict, the Schwarz
     constant, the degeneration label, and the blow-up factor sequence
-    K_i = kappa(t_i) at the snapshot times before t_hat.
+    K_i = kappa(t_i) at the snapshot times t_i before t_hat.
     """
     est = estimate_singular_time(trace)
     typei_sup, verdict, plateau_ratio, growth_ratio = \
         classify_singularity_type(trace, est.t_hat)
     schwarz_c = schwarz_fit(trace, est.t_hat)
-    case = classify_degeneration(snapshots, trace, stop_floor)
+    case = classify_degeneration(trace, stop_floor)
     rescale = []
     if est.t_hat is not None and trace.rows.shape[0] > 1:
         t = trace.column("t")
         kappa = trace.column("kappa")
-        for snap in snapshots:
-            if snap.t < est.t_hat:
-                rescale.append(float(np.interp(snap.t, t, kappa)))
+        rescale = [float(np.interp(ts, t, kappa)) for ts in snapshot_times
+                   if ts < est.t_hat]
     return SingularityReport(
         t_hat=est.t_hat, typei_sup=typei_sup, verdict=verdict,
         schwarz_c=schwarz_c, case=case, rescale_factors=rescale,

@@ -297,8 +297,9 @@ def write_outputs(trace: FlowTrace, snapshots, report: SingularityReport,
     """Persist a run directory; returns the manifest mapping.
 
     ``raw_config`` (the validated input config) is written as config.json.
-    Snapshot files this call did not write are deleted.  The manifest
-    digests every artifact with sha256.
+    Snapshot files this call did not write are deleted, and so are the
+    plots of render_plots, which show the run the directory held before.
+    The manifest digests every artifact with sha256.
     """
     out = Path(out_dir)
     snapdir = out / "snapshots"
@@ -331,6 +332,10 @@ def write_outputs(trace: FlowTrace, snapshots, report: SingularityReport,
         if f"snapshots/{path.name}" not in keep:
             path.unlink()
     files += snap_names
+    for pattern in ("profiles.svg", "typeI.svg", "boundary.svg",
+                    "field_*.svg"):
+        for path in out.glob(pattern):
+            path.unlink()
 
     _json_dump(out / "report.json", report_to_dict(report))
     _json_dump(out / "config.json", raw_config)
@@ -536,11 +541,16 @@ def render_plots(out_dir, field=None):
     Plots: final profiles H and F_i against arclength; the Type I quantity
     (T_hat - t) kappa against log10(T_hat - t) when a singular time is on
     record; the boundary f_i^2 series; optionally one named trace column
-    against t.  An empty trace produces no files and an explicit message;
-    a final snapshot whose arclength overflows is a ConfigError naming it.
+    against t.  A field that is not a trace column is a ConfigError before
+    any file is written.  An empty trace produces no files and an explicit
+    message; a final snapshot whose arclength overflows is a ConfigError
+    naming it.
     """
     out = Path(out_dir)
     trace = read_trace(out)
+    if field is not None and field not in trace.columns:
+        raise ConfigError(f"unknown trace column '{field}' "
+                          f"(available: {', '.join(trace.columns)})")
     if trace.rows.shape[0] == 0:
         print("no plots written: trace is empty")
         return []
@@ -596,9 +606,6 @@ def render_plots(out_dir, field=None):
         written.append(out / "boundary.svg")
 
     if field is not None:
-        if field not in trace.columns:
-            raise ConfigError(f"unknown trace column '{field}' "
-                              f"(available: {', '.join(trace.columns)})")
         if _svg_plot(out / f"field_{field}.svg",
                      [(field, trace.column("t"), trace.column(field))],
                      field, "t", field):
@@ -643,13 +650,15 @@ def _cmd_run(args) -> int:
     except FlowHalt as halt:
         trace = halt.trace
         snapshots = halt.snapshots
-        report = analyze_run(trace, snapshots, cfg.flow.stop_floor)
+        report = analyze_run(trace, [s.t for s in snapshots],
+                             cfg.flow.stop_floor)
         write_outputs(trace, snapshots, report, out_dir,
                       raw_config=cfg.raw)
         print(f"error: flow halted: {halt}", file=sys.stderr)
         print(f"partial results written to {out_dir}", file=sys.stderr)
         return 3
-    report = analyze_run(trace, snapshots, cfg.flow.stop_floor)
+    report = analyze_run(trace, [s.t for s in snapshots],
+                         cfg.flow.stop_floor)
     write_outputs(trace, snapshots, report, out_dir, raw_config=cfg.raw)
     _print_report(report, trace)
     bound, exceeded = li_yau_monitor(trace)
@@ -664,8 +673,10 @@ def _cmd_analyze(args) -> int:
     """Recompute report.json and manifest.json; nothing else is rewritten.
 
     Parse errors are reported first, then any difference between the
-    inputs and manifest.json; either exits 2 before anything is written.
-    Only flow.stop_floor is read from config.json, but a top-level
+    inputs and manifest.json, then a report number that is not finite;
+    each exits 2 before anything is written.  Every snapshot is parsed in
+    full, as part of that check, although the report reads only their
+    times.  Only flow.stop_floor is read from config.json, but a top-level
     section or flow key that run rejects is an error here too.
     """
     out = Path(args.rundir)
@@ -685,8 +696,16 @@ def _cmd_analyze(args) -> int:
             raise ConfigError(f"{config_path}: {exc}") from exc
     digests = _digests(out, files)
     _verify_manifest(out, digests)
-    report = analyze_run(trace, snapshots, stop_floor)
-    _json_dump(out / "report.json", report_to_dict(report))
+    # Positive but subnormal trace values overflow the fits; the report,
+    # not a warning, shows it.
+    with np.errstate(all="ignore"):
+        report = analyze_run(trace, [s.t for s in snapshots], stop_floor)
+    doc = report_to_dict(report)
+    for key, value in doc.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{out / 'trace.csv'} gives the report a "
+                              f"non-finite {key} ({value})")
+    _json_dump(out / "report.json", doc)
     digests.update(_digests(out, ["report.json"]))
     _write_manifest(out, digests)
     _print_report(report, trace)

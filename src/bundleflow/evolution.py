@@ -139,28 +139,13 @@ class FlowConfig:
 
 def _rhs_core(Y, jet_s, jet_ss, coef):
     """d/dt of Y = (a; h; f_1..f_r) from the arclength jets of (h; f_1..f_r):
-    minus Y times the Ricci rows.  Every entry point ends here."""
+    minus Y times the Ricci rows."""
     return -Y * ricci_rows(Y[1:], jet_s, jet_ss, coef)
 
 
-def flow_rhs(spec: BundleSpec, state: ProfileState, jets: Jets):
-    """Time derivatives (da/dt, dh/dt, df_i/dt) at the given state.
-
-    ``jets`` are the arclength jets of ``state``: ``profile_jets(state)``,
-    whose parity ghosts assume data that closes smoothly (run_flow
-    validates this once up front), or exact analytic jets.  Raises FlowHalt
-    naming the first offending component and cell if any derivative is
-    non-finite.
-    """
-    Y = np.vstack([state.a, jets.h, jets.f])
-    ydot = _rhs_core(Y, np.vstack([jets.h_s, jets.f_s]),
-                     np.vstack([jets.h_ss, jets.f_ss]),
-                     ricci_coefficients(spec))
-    _check_finite_rhs(ydot, state.t)
-    return ydot[0], ydot[1], ydot[2:]
-
-
 def _check_finite_rhs(ydot, t):
+    """Raise FlowHalt naming the first component and cell of the stacked
+    time derivative ydot that is not finite."""
     if np.isfinite(ydot).all():
         return
     names = ["a", "h"] + [f"f{i + 1}" for i in range(ydot.shape[0] - 2)]

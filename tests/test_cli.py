@@ -1,5 +1,6 @@
 """Config loading, run directories, verbs, exit codes, and SVG output."""
 
+import hashlib
 import json
 import math
 import os
@@ -339,6 +340,7 @@ class TestRunVerb:
 
     def test_rerun_removes_stale_snapshots(self, tmp_path, capsys):
         out = tmp_path / "run"
+        kept = []
         for t_end, count in ((0.05, 5), (0.001, 2)):
             cfg = write_config(tmp_path / "c.json",
                                flow={"cells": 32, "t_end": t_end,
@@ -351,6 +353,11 @@ class TestRunVerb:
                             if n.startswith("snapshots/"))
             assert on_disk == listed
             assert len(on_disk) == count
+            # The earlier run's plots are gone; other files stay.
+            assert [p.name for p in out.glob("*.svg")] == kept
+            assert main(["plot", str(out), "--field", "kappa"]) == 0
+            (out / "notes.svg").write_text("<svg/>")
+            kept = ["notes.svg"]
         final = read_snapshots(out)[-1]
         assert final.t == pytest.approx(0.001, abs=1e-12)
         assert main(["plot", str(out)]) == 0
@@ -433,6 +440,11 @@ class TestAnalyzeVerb:
         ("zero floor", "trace column f1sq_min must be positive"),
         # JSON integers are unbounded; this one has no float value.
         ("huge t", "snap_00001.json is not a snapshot"),
+        # Positive but subnormal, with the manifest updated to match: the
+        # fits overflow to inf, which report.json must not hold.
+        ("tiny floor", "trace.csv gives the report a non-finite schwarz_C"),
+        ("tiny kappa",
+         "trace.csv gives the report a non-finite plateau_ratio"),
     ])
     def test_malformed_rundir_exits_two(self, tmp_path, capsys, damage,
                                         needle):
@@ -446,14 +458,21 @@ class TestAnalyzeVerb:
             raw = json.loads((out / "config.json").read_text())
             raw["analysis"] = {"decades": 2.0}
             (out / "config.json").write_text(json.dumps(raw))
-        elif damage == "zero floor":
+        elif damage in ("zero floor", "tiny floor", "tiny kappa"):
             path = out / "trace.csv"
             lines = path.read_text().splitlines()
-            column = lines[0].split(",").index("f1sq_min")
-            cells = lines[1].split(",")
-            cells[column] = "0.0"
-            lines[1] = ",".join(cells)
+            name = "kappa" if damage == "tiny kappa" else "f1sq_min"
+            column = lines[0].split(",").index(name)
+            row = 1 if damage == "zero floor" else -2
+            cells = lines[row].split(",")
+            cells[column] = "0.0" if damage == "zero floor" else "1e-320"
+            lines[row] = ",".join(cells)
             path.write_text("\n".join(lines) + "\n")
+            if damage != "zero floor":
+                manifest = json.loads((out / "manifest.json").read_text())
+                manifest["files"]["trace.csv"] = hashlib.sha256(
+                    path.read_bytes()).hexdigest()
+                (out / "manifest.json").write_text(json.dumps(manifest))
         elif damage == "huge t":
             path = out / "snapshots" / "snap_00001.json"
             snap = json.loads(path.read_text())
@@ -464,9 +483,14 @@ class TestAnalyzeVerb:
                           else "trace.csv")
             text = path.read_text()
             path.write_text(text[:len(text) // 2])
+        stored = [(out / name).read_bytes()
+                  for name in ("report.json", "manifest.json")]
         capsys.readouterr()
         assert main(["analyze", str(out)]) == 2
-        assert needle in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert needle in err, err
+        assert [(out / name).read_bytes()
+                for name in ("report.json", "manifest.json")] == stored
 
     @pytest.mark.parametrize("damage,needle", [
         ("edited", "snap_00001.json does not match its digest in"),
@@ -572,13 +596,15 @@ class TestPlotVerb:
         cfg = write_config(tmp_path / "c.json", output={"dir": str(out)})
         assert main(["run", str(cfg)]) == 0
         capsys.readouterr()
+        # The field is checked before any plot is written.
+        assert main(["plot", str(out), "--field", "bogus"]) == 2
+        assert "unknown trace column" in capsys.readouterr().err
+        assert list(out.glob("*.svg")) == []
         # The zero-duration run has a single row and no singular-time
         # estimate, so a plain plot skips the Type I figure.
         assert main(["plot", str(out)]) == 0
+        assert (out / "profiles.svg").exists()
         assert not (out / "typeI.svg").exists()
-        capsys.readouterr()
-        assert main(["plot", str(out), "--field", "bogus"]) == 2
-        assert "unknown trace column" in capsys.readouterr().err
 
     def test_report_that_is_not_an_object_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"

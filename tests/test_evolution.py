@@ -20,11 +20,12 @@ from bundleflow.analysis import boundary_linear_check
 from bundleflow.cli import main, read_snapshots, read_trace
 from bundleflow.evolution import (MAX_REL_CHANGE, STEP_CAP, FlowConfig,
                                   FlowHalt, InvalidInitialState, _dt_bound,
-                                  _stage, arclength, flow_rhs, regrid_uniform,
+                                  _stage, arclength, regrid_uniform,
                                   rkl2_step, run_flow)
 from bundleflow.initial_data import (ProfileTemplate, build_kahler_profile,
                                      calabi_preset, canonical_preset,
                                      validate_closing)
+from reference import flow_rhs, profile_jets
 
 CANON = geo.BundleSpec(n=(1,), k=(2.0,), q=(2,), lam=(1.0,))
 
@@ -62,7 +63,7 @@ class TestFlowRhs:
     def test_discrete_stencils_match_analytic_jets(self):
         state, jets = canonical_state(400)
         exact = flow_rhs(CANON, state, jets=jets)
-        approx = flow_rhs(CANON, state, geo.profile_jets(state))
+        approx = flow_rhs(CANON, state, profile_jets(state))
         for got, want in zip(approx, exact):
             assert np.max(np.abs(got - want)) <= 1e-6
 
@@ -71,7 +72,7 @@ class TestFlowRhs:
         # the left closed end and -2 q_j - 2 k_j on the right (0 and -8
         # here), and the discrete scheme reproduces this to rounding.
         spec, state = canonical_preset(400)
-        _, _, fdot = flow_rhs(spec, state, geo.profile_jets(state))
+        _, _, fdot = flow_rhs(spec, state, profile_jets(state))
         df2dt = 2.0 * state.f[0] * fdot[0]
         left, right = geo.endpoint_even(df2dt)
         assert abs(left - 0.0) <= 1e-6
@@ -79,7 +80,7 @@ class TestFlowRhs:
 
     def test_heat_identity_on_kahler_data(self):
         spec, state = canonical_preset(400)
-        jets = geo.profile_jets(state)
+        jets = profile_jets(state)
         _, _, fdot = flow_rhs(spec, state, jets=jets)
         lap = geo.laplacian_f2(spec, jets)
         k_col = spec.factor_arrays()[1]
@@ -93,7 +94,7 @@ class TestFlowRhs:
         bad = dataclasses.replace(state, h=h)
         with np.errstate(invalid="ignore"):
             with pytest.raises(FlowHalt, match="cell"):
-                flow_rhs(CANON, bad, geo.profile_jets(bad))
+                flow_rhs(CANON, bad, profile_jets(bad))
 
     @given(st.floats(min_value=0.2, max_value=5.0))
     @example(0.3125)
@@ -101,11 +102,11 @@ class TestFlowRhs:
         # (a, h, f) -> sqrt(K)(a, h, f) with t -> K t: the right-hand side
         # must come back divided by sqrt(K).
         state, _ = canonical_state(64)
-        base = flow_rhs(CANON, state, geo.profile_jets(state))
+        base = flow_rhs(CANON, state, profile_jets(state))
         root = math.sqrt(K)
         scaled = dataclasses.replace(state, a=root * state.a,
                                      h=root * state.h, f=root * state.f)
-        moved = flow_rhs(CANON, scaled, geo.profile_jets(scaled))
+        moved = flow_rhs(CANON, scaled, profile_jets(scaled))
         for got, want in zip(moved, base):
             want = want / root
             # Stencil rounding is relative to a row's largest entries (at
@@ -635,6 +636,35 @@ class TestBatchedMonitor:
         assert kept == [snap.t for snap in ref_snaps[:k]]
         assert max(kept) < t_k
 
+    def test_halt_at_row_zero_leaves_no_snapshots(self, monkeypatch,
+                                                  tmp_path, capsys):
+        # Every snapshot sits at or after row 0's t, so a halt that drops
+        # row 0 drops them all: a run directory with an empty trace has no
+        # snapshots, and analyze has nothing but the empty trace to read.
+        spec, state = canonical_preset(48)
+
+        def arclength(u, dsigma, parity):
+            # A real overflow (13 * 3e307) in row 0's arclength column.
+            row0 = (u == state.a).all(axis=-1, keepdims=True)
+            return geo.cumulative_from_left(
+                u * np.where(row0, 1e307, 1.0), dsigma, parity)
+
+        monkeypatch.setattr(evo, "cumulative_from_left", arclength)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "flow": {"cells": 48, "t_end": 0.3, "snapshot_every": 1},
+            "initial": {"preset": "canonical"}}))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 3
+        assert ("flow halted: floating-point overflow encountered in "
+                "multiply at t = 0\n") in capsys.readouterr().err
+        assert read_trace(out).rows.shape[0] == 0
+        assert list((out / "snapshots").iterdir()) == []
+        assert main(["analyze", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "verdict: NoSingularity" in printed
+        assert "degeneration case: Indeterminate" in printed
+
     @pytest.mark.parametrize("halt", ["residual", "underflow"])
     def test_halt_rows_are_filled(self, monkeypatch, halt):
         if halt == "residual":
@@ -741,7 +771,7 @@ class TestMonitorColumns:
         assert len(snaps) == trace.rows.shape[0] >= 5
         _, k_col, q_col, _ = spec.factor_arrays()
         for row, brow, snap in zip(trace.rows, trace.boundary, snaps):
-            jets = geo.profile_jets(snap)
+            jets = profile_jets(snap)
             fdot = flow_rhs(spec, snap, jets=jets)[2]
             f2 = snap.f * snap.f
             heat = np.abs(2.0 * snap.f * fdot - geo.laplacian_f2(spec, jets)
@@ -833,7 +863,7 @@ class TestOneKernel:
             stencil = geo.Stencil(geo.field_parities(spec.r), snap.cells,
                                   snap.dsigma)
             ydot, u_s, u_ss = _stage(Y, stencil, geo.ricci_coefficients(spec))
-            jets = geo.profile_jets(snap)
+            jets = profile_jets(snap)
             assert np.array_equal(jets.h_s, u_s[1])
             assert np.array_equal(jets.h_ss, u_ss[1])
             assert np.array_equal(jets.f_s, u_s[2:])

