@@ -13,9 +13,9 @@ __version__ = "0.1.0"
 from .geometry import (BundleSpec, Jets, ProfileState, cell_centers,
                        curvature_sup_proxy, kahler_defect, laplacian_f2)
 from .initial_data import (PRESETS, ClosingCheck, ClosingReport,
-                           ProfileTemplate, build_general_profile,
-                           build_kahler_profile, calabi_preset,
-                           canonical_preset, sample_h, validate_closing)
+                           build_general_profile, build_kahler_profile,
+                           calabi_preset, canonical_preset, sample_h,
+                           validate_closing)
 from .evolution import (FlowConfig, FlowHalt, InvalidInitialState,
                         arclength, regrid_uniform, run_flow)
 from .analysis import (BoundarySlope, FlowTrace, SingularTimeEstimate,

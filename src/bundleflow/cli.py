@@ -36,8 +36,8 @@ from .analysis import (FlowTrace, SingularityReport, analyze_run,
 from .evolution import FlowConfig, FlowHalt, InvalidInitialState, arclength, \
     run_flow
 from .geometry import BundleSpec, ProfileState
-from .initial_data import (PRESETS, ProfileTemplate, build_general_profile,
-                           build_kahler_profile)
+from .initial_data import PRESETS, build_general_profile, \
+    build_kahler_profile
 
 TOP_SECTIONS = {"bundle", "initial", "flow", "output"}
 
@@ -161,27 +161,30 @@ def _parse_template(section, spec, cells):
     if mode not in ("kahler", "general"):
         raise ConfigError("initial.template.mode must be 'kahler' "
                           "or 'general'")
-    f0 = None
-    if "f0" in t:
-        f0 = tuple(_number_list(t["f0"], "initial.template.f0"))
-    f_templates = None
-    if "f_templates" in t:
+    key, other = (("f0", "f_templates") if mode == "kahler"
+                  else ("f_templates", "f0"))
+    if other in t:
+        raise ConfigError(f"initial.template.{other} is not valid with "
+                          f"mode '{mode}'")
+    if key not in t:
+        raise ConfigError(f"initial.template.{key} is required")
+    if mode == "kahler":
+        build = build_kahler_profile
+        samples = _number_list(t["f0"], "initial.template.f0")
+    else:
+        build = build_general_profile
         rows = t["f_templates"]
         if not isinstance(rows, list) or not rows:
             raise ConfigError("initial.template.f_templates must be an "
                               "array of per-factor sample arrays")
-        samples = [_number_list(row, f"initial.template.f_templates[{i}]")
-                   for i, row in enumerate(rows)]
-        if len({len(row) for row in samples}) > 1:
+        rows = [_number_list(row, f"initial.template.f_templates[{i}]")
+                for i, row in enumerate(rows)]
+        if len({len(row) for row in rows}) > 1:
             raise ConfigError("initial.template.f_templates rows must all "
                               "have the same length")
-        f_templates = np.array(samples)
+        samples = np.array(rows)
     try:
-        tmpl = ProfileTemplate(length=length, h_template=h, f0=f0,
-                               mode=mode, f_templates=f_templates)
-        if mode == "kahler":
-            return build_kahler_profile(spec, tmpl, cells)
-        return build_general_profile(spec, tmpl, cells)
+        return build(spec, length, h, samples, cells)
     except (ValueError, FloatingPointError) as exc:
         raise ConfigError(f"initial.template: {exc}") from exc
 
@@ -642,24 +645,21 @@ def _cmd_run(args) -> int:
     if out_dir is None:
         raise ConfigError("no output directory: set output.dir in the "
                           "config or pass --out")
+    halt = None
     try:
         trace, snapshots = run_flow(cfg.spec, cfg.state0, cfg.flow)
     except InvalidInitialState as exc:
         print(f"error: initial data rejected: {exc}", file=sys.stderr)
         return 2
-    except FlowHalt as halt:
-        trace = halt.trace
-        snapshots = halt.snapshots
-        report = analyze_run(trace, [s.t for s in snapshots],
-                             cfg.flow.stop_floor)
-        write_outputs(trace, snapshots, report, out_dir,
-                      raw_config=cfg.raw)
-        print(f"error: flow halted: {halt}", file=sys.stderr)
-        print(f"partial results written to {out_dir}", file=sys.stderr)
-        return 3
+    except FlowHalt as exc:
+        halt, trace, snapshots = exc, exc.trace, exc.snapshots
     report = analyze_run(trace, [s.t for s in snapshots],
                          cfg.flow.stop_floor)
     write_outputs(trace, snapshots, report, out_dir, raw_config=cfg.raw)
+    if halt is not None:
+        print(f"error: flow halted: {halt}", file=sys.stderr)
+        print(f"partial results written to {out_dir}", file=sys.stderr)
+        return 3
     _print_report(report, trace)
     bound, exceeded = li_yau_monitor(trace)
     if exceeded:

@@ -377,7 +377,6 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
     t_end = state0.t + cfg.t_end
     blocks, pending, snapshots = [], [], []
     step = 0
-    last_snap = -1
 
     def current_state():
         return ProfileState(t=t, sigma=sigma, a=Y[0].copy(),
@@ -460,9 +459,7 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
             if stop or step % cfg.trace_every == 0:
                 take_row(ydot, u_s, u_ss, dt)
             if stop or step % cfg.snapshot_every == 0:
-                if last_snap != step:
-                    snapshots.append(current_state())
-                    last_snap = step
+                snapshots.append(current_state())
             if stop:
                 break
 

@@ -299,10 +299,6 @@ class Jets:
     f_ss: np.ndarray
 
     @property
-    def cells(self) -> int:
-        return self.h.shape[-1]
-
-    @property
     def r(self) -> int:
         return self.f.shape[-2]
 

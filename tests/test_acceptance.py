@@ -50,7 +50,7 @@ def canonical_800():
 
 @pytest.fixture(scope="module")
 def calabi_run():
-    spec, state = calabi_preset(2, 1, 400)
+    spec, state = calabi_preset(400)
     cfg = FlowConfig(cells=400, cfl=0.35, t_end=1.0, stop_floor=1e-3,
                      snapshot_every=4000, trace_every=10)
     trace, snaps, seconds = _timed_run(spec, state, cfg)

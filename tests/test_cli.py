@@ -99,9 +99,21 @@ class TestLoadConfig:
         (lambda c: c["bundle"].update(twist=[1]), "bundle.twist"),
         (lambda c: c["initial"]["template"].update(shape="x"),
          "initial.template.shape"),
-        (lambda c: c["initial"]["template"].update(
-            f_templates=[[1, 2, 3], [1, 2]]),
+        (lambda c: (c["initial"]["template"].pop("f0"),
+                    c["initial"]["template"].update(
+                        mode="general", f_templates=[[1, 2, 3], [1, 2]])),
          "initial.template.f_templates rows must all have the same length"),
+        # Each mode takes its own key and rejects the other mode's.
+        (lambda c: c["initial"]["template"].update(f_templates=[[1, 2, 3]]),
+         "initial.template.f_templates is not valid with mode 'kahler'"),
+        (lambda c: c["initial"]["template"].update(mode="general",
+                                                   f0=[-5.0]),
+         "initial.template.f0 is not valid with mode 'general'"),
+        (lambda c: c["initial"]["template"].pop("f0"),
+         "initial.template.f0 is required"),
+        (lambda c: (c["initial"]["template"].pop("f0"),
+                    c["initial"]["template"].update(mode="general")),
+         "initial.template.f_templates is required"),
         (lambda c: c.pop("initial"), "initial section is required"),
         (lambda c: c["initial"].pop("template"), "exactly one"),
         # The verdict thresholds are constants, not settings.
@@ -115,6 +127,9 @@ class TestLoadConfig:
          "initial.params: n must be an integer, got 2.5"),
         (calabi_params({"k_lens": 1.5}),
          "initial.params: k_lens must be an integer, got 1.5"),
+        (calabi_params({"twist": 5}),
+         "initial.params: calabi_preset() got an unexpected keyword "
+         "argument 'twist'"),
         (calabi_params({"k1": True}), "initial.params.k1 must be a number"),
         (calabi_params({"f0": True}), "initial.params.f0 must be a number"),
         (calabi_params({"length": 1e400}),

@@ -22,9 +22,8 @@ from bundleflow.evolution import (MAX_REL_CHANGE, STEP_CAP, FlowConfig,
                                   FlowHalt, InvalidInitialState, _dt_bound,
                                   _stage, arclength, regrid_uniform,
                                   rkl2_step, run_flow)
-from bundleflow.initial_data import (ProfileTemplate, build_kahler_profile,
-                                     calabi_preset, canonical_preset,
-                                     validate_closing)
+from bundleflow.initial_data import (build_kahler_profile, calabi_preset,
+                                     canonical_preset, validate_closing)
 from reference import flow_rhs, profile_jets
 
 CANON = geo.BundleSpec(n=(1,), k=(2.0,), q=(2,), lam=(1.0,))
@@ -675,7 +674,7 @@ class TestBatchedMonitor:
             pattern = r"(kahler|heat)_res grew"
         else:
             # Far below the default floor the collapse outruns the step.
-            spec, state = calabi_preset(2, 1, 32, f0=6.0)
+            spec, state = calabi_preset(32, f0=6.0)
             cfg = FlowConfig(cells=32, t_end=1.0, stop_floor=1e-15)
             pattern = "time step underflow"
         bound = evo.MONITOR_BLOCK
@@ -760,8 +759,8 @@ class TestMonitorColumns:
             regrid = 10.0
         else:
             spec = TWO_FACTOR
-            state = build_kahler_profile(
-                spec, ProfileTemplate(length=math.pi, f0=(2.0, 3.0)), 32)
+            state = build_kahler_profile(spec, math.pi, "sinusoidal",
+                                         (2.0, 3.0), 32)
             # Just above 1: the gauge is resampled after every step, so the
             # rows also cover regridded states.
             regrid = 1.0 + 1e-12
@@ -812,8 +811,8 @@ class TestRegridGate:
     def run(self, monkeypatch, regrid_threshold):
         # The two-factor template of the twofactor_64 benchmark workload.
         spec = geo.BundleSpec(n=(1, 1), k=(2.0, 1.0), q=(2, 1))
-        state = build_kahler_profile(
-            spec, ProfileTemplate(length=math.pi, f0=(2.0, 3.0)), 64)
+        state = build_kahler_profile(spec, math.pi, "sinusoidal",
+                                     (2.0, 3.0), 64)
         calls = []
 
         def counted(st):
@@ -852,8 +851,8 @@ class TestOneKernel:
             spec, state = canonical_preset(32)
         else:
             spec = TWO_FACTOR
-            state = build_kahler_profile(
-                spec, ProfileTemplate(length=math.pi, f0=(2.0, 3.0)), 32)
+            state = build_kahler_profile(spec, math.pi, "sinusoidal",
+                                         (2.0, 3.0), 32)
         # The end of a short run adds a nonuniform gauge a, so the chain
         # rule's a' term is exercised too.
         _, snaps = run_flow(spec, state, FlowConfig(cells=32, t_end=0.05))

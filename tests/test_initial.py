@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import bundleflow.geometry as geo
-from bundleflow.initial_data import (PRESETS, ProfileTemplate,
-                                     build_general_profile,
+from bundleflow.initial_data import (PRESETS, build_general_profile,
                                      build_kahler_profile, calabi_preset,
                                      canonical_preset, sample_h,
                                      validate_closing)
@@ -62,7 +61,7 @@ class TestValidateClosing:
     def test_factor_slope_check_is_scale_invariant(self, length):
         # The Calabi data has the same shape at every length, so it must
         # close, with the same end-slope residual, at every length.
-        _, state = calabi_preset(2, 1, 16, length=length)
+        _, state = calabi_preset(16, length=length)
         report = validate_closing(state)
         assert report.passed, report.failures()
         slopes = [c.residual for c in report.checks
@@ -94,63 +93,50 @@ class TestKahlerBuild:
 
     def test_negative_twist_profile(self):
         spec = geo.BundleSpec(n=(1,), k=(2.0,), q=(-2,))
-        tmpl = ProfileTemplate(length=math.pi, f0=(6.0,), mode="kahler")
-        state = build_kahler_profile(spec, tmpl, 400)
+        state = build_kahler_profile(spec, math.pi, "sinusoidal", (6.0,),
+                                     400)
         f2 = state.f[0] ** 2
         assert np.all(np.diff(f2) < 0.0)
         assert geo.kahler_defect(spec, ref.profile_jets(state)).max() <= 1e-8
 
     def test_rejects_positivity_loss_interior(self):
         spec = geo.BundleSpec(n=(1,), k=(2.0,), q=(-2,))
-        tmpl = ProfileTemplate(length=math.pi, f0=(2.0,), mode="kahler")
         with pytest.raises(ValueError, match="s ="):
-            build_kahler_profile(spec, tmpl, 200)
+            build_kahler_profile(spec, math.pi, "sinusoidal", (2.0,), 200)
 
     def test_rejects_positivity_loss_at_right_endpoint(self):
         # All cell centers stay positive; only the closed right end dips
         # below zero, so the endpoint extrapolation must catch it.
         spec = geo.BundleSpec(n=(1,), k=(2.0,), q=(-2,))
-        tmpl = ProfileTemplate(length=math.pi, f0=(4.0 - 1e-5,), mode="kahler")
         with pytest.raises(ValueError, match="increase f0"):
-            build_kahler_profile(spec, tmpl, 200)
+            build_kahler_profile(spec, math.pi, "sinusoidal", (4.0 - 1e-5,),
+                                 200)
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            ProfileTemplate(length=-1.0, f0=(2.0,))
-        with pytest.raises(ValueError):
-            ProfileTemplate(length=1.0, mode="other")
+        with pytest.raises(ValueError, match="length must be positive"):
+            build_kahler_profile(CANON, -1.0, "sinusoidal", (2.0,), 64)
         with pytest.raises(ValueError, match="one value per factor"):
-            build_kahler_profile(
-                CANON, ProfileTemplate(length=math.pi, f0=(2.0, 3.0)), 64)
+            build_kahler_profile(CANON, math.pi, "sinusoidal", (2.0, 3.0), 64)
         with pytest.raises(ValueError, match="positive"):
-            build_kahler_profile(
-                CANON, ProfileTemplate(length=math.pi, f0=(0.0,)), 64)
-        with pytest.raises(ValueError, match="kahler"):
-            build_kahler_profile(
-                CANON,
-                ProfileTemplate(length=math.pi, f0=(2.0,), mode="general",
-                                f_templates=np.ones((1, 64))), 64)
+            build_kahler_profile(CANON, math.pi, "sinusoidal", (0.0,), 64)
 
 
 class TestGeneralBuild:
     def test_constant_factor_accepted(self):
-        tmpl = ProfileTemplate(length=math.pi, mode="general",
-                               f_templates=np.full((1, 96), 4.0))
-        state = build_general_profile(CANON, tmpl, 96)
+        state = build_general_profile(CANON, math.pi, "sinusoidal",
+                                      np.full((1, 96), 4.0), 96)
         assert np.allclose(state.f, 2.0)
 
     def test_sloped_factor_rejected(self):
         s = math.pi * geo.cell_centers(96)
-        tmpl = ProfileTemplate(length=math.pi, mode="general",
-                               f_templates=(4.0 + np.sin(s))[None, :])
         with pytest.raises(ValueError, match="smooth closure"):
-            build_general_profile(CANON, tmpl, 96)
+            build_general_profile(CANON, math.pi, "sinusoidal",
+                                  (4.0 + np.sin(s))[None, :], 96)
 
     def test_shape_mismatch_rejected(self):
-        tmpl = ProfileTemplate(length=math.pi, mode="general",
-                               f_templates=np.full((2, 96), 4.0))
         with pytest.raises(ValueError, match="shape"):
-            build_general_profile(CANON, tmpl, 96)
+            build_general_profile(CANON, math.pi, "sinusoidal",
+                                  np.full((2, 96), 4.0), 96)
 
 
 class TestPresets:
@@ -160,7 +146,7 @@ class TestPresets:
         assert state.cells == 64
 
     def test_calabi_defaults(self):
-        spec, state = calabi_preset(2, 1, 200)
+        spec, state = calabi_preset(200)
         assert spec.n == (1,)
         assert spec.k == (4.0,)
         assert spec.q == (1,)
@@ -172,18 +158,18 @@ class TestPresets:
 
     def test_calabi_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="n must be"):
-            calabi_preset(1, 1, 64)
+            calabi_preset(64, n=1)
         with pytest.raises(ValueError, match="k_lens"):
-            calabi_preset(2, 0, 64)
+            calabi_preset(64, k_lens=0)
         with pytest.raises(ValueError, match="n must be an integer"):
-            calabi_preset(2.5, 1, 64)
+            calabi_preset(64, n=2.5)
         with pytest.raises(ValueError, match="k_lens must be an integer"):
-            calabi_preset(2, 1.5, 64)
+            calabi_preset(64, k_lens=1.5)
 
     def test_registry_rejects_unknown_params(self):
-        with pytest.raises(ValueError, match="no parameters"):
+        with pytest.raises(TypeError, match="'n'"):
             PRESETS["canonical"](64, n=3)
-        with pytest.raises(ValueError, match="unknown calabi"):
+        with pytest.raises(TypeError, match="'twist'"):
             PRESETS["calabi"](64, twist=5)
         spec, state = PRESETS["calabi"](64, n=3, k_lens=2)
         assert spec.n == (2,)
@@ -193,18 +179,13 @@ class TestPresets:
 
 def test_sample_h_templates():
     sigma = geo.cell_centers(64)
-    tmpl = ProfileTemplate(length=2.0, h_template="sinusoidal", f0=(1.0,))
-    h = sample_h(tmpl, sigma)
+    h = sample_h("sinusoidal", 2.0, sigma)
     assert h.max() == pytest.approx(2.0 / math.pi, rel=1e-3)
-    bump = sample_h(ProfileTemplate(length=2.0, h_template="bump",
-                                    f0=(1.0,)), sigma)
+    bump = sample_h("bump", 2.0, sigma)
     assert bump.max() == pytest.approx(0.5, rel=1e-3)
-    explicit = sample_h(ProfileTemplate(length=2.0, h_template=h,
-                                        f0=(1.0,)), sigma)
+    explicit = sample_h(h, 2.0, sigma)
     assert np.array_equal(explicit, h)
     with pytest.raises(ValueError, match="unknown h template"):
-        sample_h(ProfileTemplate(length=1.0, h_template="sawtooth",
-                                 f0=(1.0,)), sigma)
+        sample_h("sawtooth", 1.0, sigma)
     with pytest.raises(ValueError, match="cell count"):
-        sample_h(ProfileTemplate(length=1.0, h_template=h[:10],
-                                 f0=(1.0,)), sigma)
+        sample_h(h[:10], 1.0, sigma)

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 import bundleflow.geometry as geo
-from bundleflow.initial_data import (ProfileTemplate, build_kahler_profile,
-                                     canonical_preset)
+from bundleflow.initial_data import build_kahler_profile, canonical_preset
 from koszul_oracle import berger_ricci, profile_to_berger, round_sphere_residual
 import reference as ref
 
@@ -51,7 +50,6 @@ def test_oracle_matches_canonical_instance():
 
 def test_oracle_matches_second_instance():
     spec = geo.BundleSpec(n=(1,), k=(3.0,), q=(1,))
-    state = build_kahler_profile(
-        spec, ProfileTemplate(length=np.pi, f0=(2.5,)), 64)
+    state = build_kahler_profile(spec, np.pi, "sinusoidal", (2.5,), 64)
     cells = np.linspace(3, 60, 10).astype(int)
     _compare(spec, state, cells, 1e-8)
