@@ -13,8 +13,9 @@ partial trace is still persisted).
 A run directory contains trace.csv and boundary.csv (fixed column
 contracts), snapshots/snap_NNNNN.json, report.json, config.json (the
 validated input config, byte-preserved for reproducibility) and
-manifest.json with sha256 digests of every artifact.  All floats are
-written with Python repr, so identical runs produce byte-identical files.
+manifest.json with sha256 digests of every artifact.  Each JSON artifact
+is one line with sorted keys and no whitespace.  All floats are written
+with Python repr, so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -277,7 +278,10 @@ def _read_csv(path):
 
 
 def _json_dump(path, obj):
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    # One line without whitespace: json's C encoder, and no indentation
+    # bytes in the run directory.
+    Path(path).write_text(json.dumps(obj, sort_keys=True,
+                                     separators=(",", ":")) + "\n")
 
 
 def report_to_dict(report: SingularityReport) -> dict:
@@ -437,14 +441,36 @@ def _snapshot_paths(out_dir):
     return sorted((Path(out_dir) / "snapshots").glob("snap_*.json"))
 
 
+def _finite_array(v, path):
+    arr = np.array(v, float)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        first = np.argwhere(~finite)[0]
+        raise ConfigError(path + "".join(f"[{i}]" for i in first)
+                          + " must be a finite number")
+    return arr
+
+
 def read_snapshot(path) -> ProfileState:
-    """Load one stored snapshot file."""
+    """Load one stored snapshot file.
+
+    ``t`` must be a finite number, ``cells`` the length of ``sigma``, and
+    every entry of ``sigma``, ``a``, ``h`` and ``f`` finite; anything else
+    is a ConfigError that names the file.  Positivity is not checked: a
+    run that stops at the floor snapshots its stop state.
+    """
     d = _read_json(Path(path))
     try:
-        return ProfileState(
-            t=d["t"], sigma=np.array(d["sigma"], float),
-            a=np.array(d["a"], float), h=np.array(d["h"], float),
-            f=np.array(d["f"], float))
+        t = _number(d["t"], "t")
+        cells = _integer(d["cells"], "cells")
+        arrays = {key: _finite_array(d[key], key)
+                  for key in ("sigma", "a", "h", "f")}
+        if cells != arrays["sigma"].size:
+            raise ConfigError(f"cells is {cells} but sigma has "
+                              f"{arrays['sigma'].size} entries")
+        return ProfileState(t=t, **arrays)
+    except ConfigError as exc:
+        raise ConfigError(f"{path} is not a snapshot: {exc}") from exc
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path} is not a snapshot: {exc!r}") from exc
 
@@ -624,6 +650,9 @@ def _print_report(report: SingularityReport, trace: FlowTrace):
     t = trace.column("t")
     if t.size:
         print(f"trace: {t.size} rows, t in [{t[0]:.6g}, {t[-1]:.6g}]")
+        print(f"residuals: max kahler_res "
+              f"{trace.column('kahler_res').max():.6g}, max heat_res "
+              f"{trace.column('heat_res').max():.6g}")
     else:
         print("trace: empty")
     if report.t_hat is None:

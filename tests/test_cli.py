@@ -419,10 +419,33 @@ class TestAnalyzeVerb:
                            output={"dir": str(out)})
         assert main(["run", str(cfg)]) == 0
         before = (out / "report.json").read_bytes()
-        capsys.readouterr()
+        trace = read_trace(out)
+        residuals = (f"residuals: max kahler_res "
+                     f"{trace.column('kahler_res').max():.6g}, max heat_res "
+                     f"{trace.column('heat_res').max():.6g}\n")
+        assert residuals in capsys.readouterr().out
         assert main(["analyze", str(out)]) == 0
         assert (out / "report.json").read_bytes() == before
-        assert "verdict" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "verdict" in printed
+        assert residuals in printed
+
+    def test_json_artifacts_are_compact(self, tmp_path):
+        # One line per file: sorted keys, no whitespace, a final newline.
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json",
+                           flow={"cells": 32, "t_end": 0.004,
+                                 "snapshot_every": 1},
+                           output={"dir": str(out)})
+        for argv in (["run", str(cfg)], ["analyze", str(out)]):
+            assert main(argv) == 0
+            paths = sorted(out.rglob("*.json"))
+            assert len(paths) == 5
+            for path in paths:
+                text = path.read_text()
+                assert text == json.dumps(
+                    json.loads(text), sort_keys=True,
+                    separators=(",", ":")) + "\n", path.name
 
     def test_rewrites_only_report_and_manifest(self, tmp_path):
         out = tmp_path / "run"
@@ -460,6 +483,13 @@ class TestAnalyzeVerb:
         ("tiny floor", "trace.csv gives the report a non-finite schwarz_C"),
         ("tiny kappa",
          "trace.csv gives the report a non-finite plateau_ratio"),
+        # Valid JSON with the manifest updated to match: only the snapshot
+        # checks can tell.
+        ("bad cells", "snap_00001.json is not a snapshot: cells is 999 but "
+                      "sigma has 32 entries"),
+        ("bool t", "snap_00001.json is not a snapshot: t must be a number"),
+        ("nan a", "snap_00001.json is not a snapshot: a[3] must be a finite "
+                  "number"),
     ])
     def test_malformed_rundir_exits_two(self, tmp_path, capsys, damage,
                                         needle):
@@ -469,6 +499,13 @@ class TestAnalyzeVerb:
                                  "snapshot_every": 1},
                            output={"dir": str(out)})
         assert main(["run", str(cfg)]) == 0
+
+        def redigest(name):
+            manifest = json.loads((out / "manifest.json").read_text())
+            manifest["files"][name] = hashlib.sha256(
+                (out / name).read_bytes()).hexdigest()
+            (out / "manifest.json").write_text(json.dumps(manifest))
+
         if damage == "analysis":
             raw = json.loads((out / "config.json").read_text())
             raw["analysis"] = {"decades": 2.0}
@@ -484,10 +521,18 @@ class TestAnalyzeVerb:
             lines[row] = ",".join(cells)
             path.write_text("\n".join(lines) + "\n")
             if damage != "zero floor":
-                manifest = json.loads((out / "manifest.json").read_text())
-                manifest["files"]["trace.csv"] = hashlib.sha256(
-                    path.read_bytes()).hexdigest()
-                (out / "manifest.json").write_text(json.dumps(manifest))
+                redigest("trace.csv")
+        elif damage in ("bad cells", "bool t", "nan a"):
+            name = "snapshots/snap_00001.json"
+            snap = json.loads((out / name).read_text())
+            if damage == "bad cells":
+                snap["cells"] = 999
+            elif damage == "bool t":
+                snap["t"] = True
+            else:
+                snap["a"][3] = math.nan
+            (out / name).write_text(json.dumps(snap))
+            redigest(name)
         elif damage == "huge t":
             path = out / "snapshots" / "snap_00001.json"
             snap = json.loads(path.read_text())
@@ -506,6 +551,13 @@ class TestAnalyzeVerb:
         assert needle in err, err
         assert [(out / name).read_bytes()
                 for name in ("report.json", "manifest.json")] == stored
+        if "snap_00001.json is not a snapshot" in needle:
+            # It is the final snapshot, which plot draws.
+            assert not (out / "snapshots" / "snap_00002.json").exists()
+            assert main(["plot", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert needle in err, err
+            assert list(out.glob("*.svg")) == []
 
     @pytest.mark.parametrize("damage,needle", [
         ("edited", "snap_00001.json does not match its digest in"),

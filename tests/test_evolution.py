@@ -663,6 +663,7 @@ class TestBatchedMonitor:
         printed = capsys.readouterr().out
         assert "verdict: NoSingularity" in printed
         assert "degeneration case: Indeterminate" in printed
+        assert "trace: empty" in printed and "residuals" not in printed
 
     @pytest.mark.parametrize("halt", ["residual", "underflow"])
     def test_halt_rows_are_filled(self, monkeypatch, halt):

@@ -9,9 +9,12 @@ does).  Each repeat runs ``evolution.run_flow`` once in this process with
 timers around the module attributes run_flow calls: ``_stage`` (one RHS
 evaluation), ``rkl2_step`` (one step, its s - 1 inner stages included)
 and ``_monitor_block`` (one flush, which fills every column of its trace
-rows).  The first repeat warms caches and is dropped; medians over the
-rest are printed as us per call, and the trace-row cost as flush time /
-trace rows.
+rows).  The persistence layer is timed the same way on the last run's
+trace and snapshots: ``cli.write_outputs`` into a temporary run
+directory, then ``cli.read_snapshots`` on that directory, with the bytes
+the write leaves there.  The first repeat warms caches and is dropped;
+medians over the rest are printed as us per call (ms for the persistence
+calls), and the trace-row cost as flush time / trace rows.
 """
 
 from __future__ import annotations
@@ -81,7 +84,8 @@ def main(argv=None) -> int:
                      f"{', '.join(sorted(run.WORKLOADS))}")
     sys.path.insert(0, str(ROOT / "src"))
     from bundleflow import evolution
-    from bundleflow.cli import load_config
+    from bundleflow.analysis import analyze_run
+    from bundleflow.cli import load_config, read_snapshots, write_outputs
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
@@ -96,7 +100,8 @@ def main(argv=None) -> int:
     for _ in range(args.repeats):
         timers.reset()
         start = time.perf_counter()
-        trace, _ = evolution.run_flow(cfg.spec, cfg.state0, cfg.flow)
+        trace, snapshots = evolution.run_flow(cfg.spec, cfg.state0,
+                                              cfg.flow)
         wall = time.perf_counter() - start
         rows = trace.rows.shape[0]
         busy, calls = timers.busy, timers.calls
@@ -105,6 +110,22 @@ def main(argv=None) -> int:
         samples["step_us"].append(
             1e6 * busy["rkl2_step"] / max(calls["rkl2_step"], 1))
         samples["row_us"].append(1e6 * busy["_monitor_block"] / rows)
+
+    report = analyze_run(trace, [s.t for s in snapshots],
+                         cfg.flow.stop_floor)
+    samples["write_ms"], samples["read_ms"] = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(args.repeats):
+            start = time.perf_counter()
+            write_outputs(trace, snapshots, report, tmp, raw_config=cfg.raw)
+            samples["write_ms"].append(1e3 * (time.perf_counter() - start))
+            start = time.perf_counter()
+            read_snapshots(tmp)
+            samples["read_ms"].append(1e3 * (time.perf_counter() - start))
+        written = sum(p.stat().st_size for p in Path(tmp).rglob("*")
+                      if p.is_file())
+        snap_bytes = sum(p.stat().st_size
+                         for p in Path(tmp).glob("snapshots/*.json"))
 
     med = {key: statistics.median(vals[1:]) for key, vals in samples.items()}
     print(f"workload {args.workload} seed {args.seed}: trace rows {rows}, "
@@ -118,6 +139,10 @@ def main(argv=None) -> int:
           f"(inner stages included)")
     print(f"trace row           {med['row_us']:9.2f} us per row "
           f"(flush time / rows)")
+    print(f"write_outputs       {med['write_ms']:9.2f} ms per call "
+          f"({written} bytes, {len(snapshots)} snapshots)")
+    print(f"read_snapshots      {med['read_ms']:9.2f} ms per call "
+          f"({snap_bytes} bytes)")
     return 0
 
 
