@@ -18,10 +18,8 @@ from .initial_data import (PRESETS, ClosingCheck, ClosingReport,
                            validate_closing)
 from .evolution import (FlowConfig, FlowHalt, InvalidInitialState,
                         arclength, regrid_uniform, run_flow)
-from .analysis import (BoundarySlope, FlowTrace, SingularTimeEstimate,
-                       SingularityReport, analyze_run, boundary_linear_check,
-                       classify_degeneration, classify_singularity_type,
-                       estimate_singular_time, li_yau_monitor, schwarz_fit,
-                       trace_columns)
+from .analysis import (FlowTrace, analyze_run, classify_degeneration,
+                       classify_singularity_type, estimate_singular_time,
+                       li_yau_monitor, schwarz_fit, trace_columns)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,12 +1,13 @@
 """Diagnostics on flow traces and snapshots.
 
 Everything here is a pure function of recorded data: the trace column
-contract, the check of the exact linear motion of the boundary values of
-f_i^2, the Li-Yau gradient monitor, and the singularity toolbox
+contract, the Li-Yau gradient monitor, and the singularity toolbox
 (singular-time estimation, Type I/II classification through the
 scale-invariant quantity (T_hat - t) * kappa, Schwarz-type lower-bound
-fitting, degeneration-case labeling, and the blow-up factor sequence).  The
-residual columns of the trace are computed by evolution.run_flow.
+fitting, degeneration-case labeling, and the blow-up factor sequence).
+analyze_run combines them into the mapping that a run directory stores as
+report.json.  The residual columns of the trace are computed by
+evolution.run_flow.
 
 A finite run cannot observe a lim sup, so the verdicts rest on three fixed
 thresholds, the module constants PLATEAU_FACTOR, WINDOW_DECADES and
@@ -16,11 +17,9 @@ these values by the synthetic Type I/II models of the acceptance suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import BundleSpec
 
 TYPE_I = "TypeI"
 TYPE_II = "TypeII-suspect"
@@ -118,76 +117,6 @@ class FlowTrace:
             raise ValueError("trace times must be strictly increasing")
 
 
-@dataclass
-class SingularTimeEstimate:
-    """Consensus singular time with its two independent estimators.
-
-    ``t_floor`` extrapolates the monitored floors (boundary f^2 laws, which
-    are exactly linear, plus max h^2 and min f^2 late-window fits) to their
-    first root; ``t_kappa`` extrapolates 1/kappa linearly.  The consensus
-    prefers the floor value and falls back to the curvature fit.
-    """
-
-    t_hat: float
-    t_floor: float
-    t_kappa: float
-
-
-@dataclass
-class BoundarySlope:
-    """Fitted against expected endpoint slope of one f_i^2 series."""
-
-    factor: int
-    side: str
-    fitted: float
-    expected: float
-    error: float
-    rel_error: float
-
-
-@dataclass
-class SingularityReport:
-    """Aggregated singularity diagnostics of one run."""
-
-    t_hat: float
-    typei_sup: float
-    verdict: str
-    schwarz_c: float
-    case: str
-    rescale_factors: list = field(default_factory=list)
-    t_floor: float = None
-    t_kappa: float = None
-    plateau_ratio: float = None
-    growth_ratio: float = None
-
-
-def boundary_linear_check(spec: BundleSpec, trace: FlowTrace):
-    """Fit endpoint f_i^2 against t and compare with the exact linear law.
-
-    The flow moves each boundary value of f_i^2 at the constant rate
-    2 q_i - 2 k_i on the left end and -2 q_i - 2 k_i on the right.  Returns
-    one BoundarySlope per factor and side; relative errors are normalized
-    by 2(|q_i| + |k_i|), the natural scale of the two slopes.
-    """
-    if trace.boundary.shape[0] < 2:
-        raise ValueError("need at least two trace rows to fit slopes")
-    t = trace.bcolumn("t")
-    out = []
-    for i in range(1, trace.r + 1):
-        q = spec.q[i - 1]
-        k = spec.k[i - 1]
-        scale = 2.0 * (abs(q) + abs(k))
-        for side, expected in (("left", 2.0 * q - 2.0 * k),
-                               ("right", -2.0 * q - 2.0 * k)):
-            series = trace.bcolumn(f"f{i}sq_{side}")
-            slope = float(np.polyfit(t, series, 1)[0])
-            err = abs(slope - expected)
-            out.append(BoundarySlope(
-                factor=i, side=side, fitted=slope, expected=expected,
-                error=err, rel_error=err / scale if scale > 0.0 else err))
-    return out
-
-
 def li_yau_monitor(trace: FlowTrace):
     """Check sup Q_j along a trace against its initial sup.
 
@@ -229,7 +158,7 @@ def _linear_root(t, y):
     return float(-intercept / slope)
 
 
-def estimate_singular_time(trace: FlowTrace) -> SingularTimeEstimate:
+def estimate_singular_time(trace: FlowTrace):
     """Extrapolate monitored decays to a singular-time estimate.
 
     Floor candidates: the boundary f_i^2 series fitted over the whole trace
@@ -238,9 +167,11 @@ def estimate_singular_time(trace: FlowTrace) -> SingularTimeEstimate:
     final trace time is t_floor.  Independently, 1/kappa is fitted late and
     its root gives t_kappa.  The consensus t_hat takes t_floor when
     available, else t_kappa, else None (no singularity indicated).
+
+    Returns (t_hat, t_floor, t_kappa).
     """
     if trace.rows.shape[0] < 2:
-        return SingularTimeEstimate(t_hat=None, t_floor=None, t_kappa=None)
+        return None, None, None
     t = trace.column("t")
     t_last = t[-1]
     late = _late_mask(t, LATE_FRACTION)
@@ -268,7 +199,7 @@ def estimate_singular_time(trace: FlowTrace) -> SingularTimeEstimate:
             t_kappa = root
 
     t_hat = t_floor if t_floor is not None else t_kappa
-    return SingularTimeEstimate(t_hat=t_hat, t_floor=t_floor, t_kappa=t_kappa)
+    return t_hat, t_floor, t_kappa
 
 
 def classify_singularity_type(trace: FlowTrace, t_hat: float):
@@ -362,27 +293,33 @@ def classify_degeneration(trace: FlowTrace, stop_floor: float) -> str:
     return INDETERMINATE
 
 
-def analyze_run(trace: FlowTrace, snapshot_times,
-                stop_floor: float) -> SingularityReport:
-    """Full singularity report for one finished run.
+def analyze_run(trace: FlowTrace, snapshot_times, stop_floor: float) -> dict:
+    """Full singularity report for one finished run, as stored in report.json.
 
-    Combines the singular-time estimate, the Type I/II verdict, the Schwarz
-    constant, the degeneration label, and the blow-up factor sequence
-    K_i = kappa(t_i) at the snapshot times t_i before t_hat.
+    Combines the singular-time estimate (T_hat, with its two estimators
+    t_floor and t_kappa), the Type I/II verdict, the Schwarz constant, the
+    degeneration label, and the blow-up factor sequence K_i = kappa(t_i) at
+    the snapshot times t_i before T_hat.  A diagnostic that does not apply
+    to the run is None.
     """
-    est = estimate_singular_time(trace)
+    t_hat, t_floor, t_kappa = estimate_singular_time(trace)
     typei_sup, verdict, plateau_ratio, growth_ratio = \
-        classify_singularity_type(trace, est.t_hat)
-    schwarz_c = schwarz_fit(trace, est.t_hat)
-    case = classify_degeneration(trace, stop_floor)
+        classify_singularity_type(trace, t_hat)
     rescale = []
-    if est.t_hat is not None and trace.rows.shape[0] > 1:
+    if t_hat is not None and trace.rows.shape[0] > 1:
         t = trace.column("t")
         kappa = trace.column("kappa")
         rescale = [float(np.interp(ts, t, kappa)) for ts in snapshot_times
-                   if ts < est.t_hat]
-    return SingularityReport(
-        t_hat=est.t_hat, typei_sup=typei_sup, verdict=verdict,
-        schwarz_c=schwarz_c, case=case, rescale_factors=rescale,
-        t_floor=est.t_floor, t_kappa=est.t_kappa,
-        plateau_ratio=plateau_ratio, growth_ratio=growth_ratio)
+                   if ts < t_hat]
+    return {
+        "T_hat": t_hat,
+        "typeI_sup": typei_sup,
+        "verdict": verdict,
+        "schwarz_C": schwarz_fit(trace, t_hat),
+        "case": classify_degeneration(trace, stop_floor),
+        "rescale_factors": rescale,
+        "t_floor": t_floor,
+        "t_kappa": t_kappa,
+        "plateau_ratio": plateau_ratio,
+        "growth_ratio": growth_ratio,
+    }

@@ -32,8 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (FlowTrace, SingularityReport, analyze_run,
-                       boundary_columns, li_yau_monitor, trace_columns)
+from .analysis import (FlowTrace, analyze_run, boundary_columns,
+                       li_yau_monitor, trace_columns)
 from .evolution import FlowConfig, FlowHalt, InvalidInitialState, arclength, \
     run_flow
 from .geometry import BundleSpec, ProfileState
@@ -284,29 +284,15 @@ def _json_dump(path, obj):
                                      separators=(",", ":")) + "\n")
 
 
-def report_to_dict(report: SingularityReport) -> dict:
-    return {
-        "T_hat": report.t_hat,
-        "typeI_sup": report.typei_sup,
-        "verdict": report.verdict,
-        "schwarz_C": report.schwarz_c,
-        "case": report.case,
-        "rescale_factors": list(report.rescale_factors),
-        "t_floor": report.t_floor,
-        "t_kappa": report.t_kappa,
-        "plateau_ratio": report.plateau_ratio,
-        "growth_ratio": report.growth_ratio,
-    }
-
-
-def write_outputs(trace: FlowTrace, snapshots, report: SingularityReport,
-                  out_dir, raw_config: dict) -> dict:
+def write_outputs(trace: FlowTrace, snapshots, report: dict, out_dir,
+                  raw_config: dict) -> dict:
     """Persist a run directory; returns the manifest mapping.
 
-    ``raw_config`` (the validated input config) is written as config.json.
-    Snapshot files this call did not write are deleted, and so are the
-    plots of render_plots, which show the run the directory held before.
-    The manifest digests every artifact with sha256.
+    ``report`` (the mapping of analysis.analyze_run) is written as
+    report.json and ``raw_config`` (the validated input config) as
+    config.json.  Snapshot files this call did not write are deleted, and
+    so are the plots of render_plots, which show the run the directory held
+    before.  The manifest digests every artifact with sha256.
     """
     out = Path(out_dir)
     snapdir = out / "snapshots"
@@ -344,7 +330,7 @@ def write_outputs(trace: FlowTrace, snapshots, report: SingularityReport,
         for path in out.glob(pattern):
             path.unlink()
 
-    _json_dump(out / "report.json", report_to_dict(report))
+    _json_dump(out / "report.json", report)
     _json_dump(out / "config.json", raw_config)
     files += ["report.json", "config.json"]
     return _write_manifest(out, _digests(out, files))
@@ -441,7 +427,22 @@ def _snapshot_paths(out_dir):
     return sorted((Path(out_dir) / "snapshots").glob("snap_*.json"))
 
 
-def _finite_array(v, path):
+def _finite_array(v, path, ndim):
+    """Float array of a JSON array of finite numbers (ndim 2: of such arrays).
+
+    Each entry is checked by its JSON type, as _number checks a scalar:
+    numpy would read a string, a boolean or null as a number.
+    """
+    rows = [(path, v)]
+    if ndim == 2 and isinstance(v, list):
+        rows = [(f"{path}[{i}]", row) for i, row in enumerate(v)]
+    for where, row in rows:
+        if not isinstance(row, list):
+            raise ConfigError(f"{where} must be an array")
+        if not set(map(type, row)) <= {float, int}:
+            j = next(j for j, x in enumerate(row)
+                     if type(x) not in (float, int))
+            raise ConfigError(f"{where}[{j}] must be a number")
     arr = np.array(v, float)
     finite = np.isfinite(arr)
     if not finite.all():
@@ -455,15 +456,15 @@ def read_snapshot(path) -> ProfileState:
     """Load one stored snapshot file.
 
     ``t`` must be a finite number, ``cells`` the length of ``sigma``, and
-    every entry of ``sigma``, ``a``, ``h`` and ``f`` finite; anything else
-    is a ConfigError that names the file.  Positivity is not checked: a
-    run that stops at the floor snapshots its stop state.
+    every entry of ``sigma``, ``a``, ``h`` and every row of ``f`` a finite
+    number; anything else is a ConfigError that names the file.  Positivity
+    is not checked: a run that stops at the floor snapshots its stop state.
     """
     d = _read_json(Path(path))
     try:
         t = _number(d["t"], "t")
         cells = _integer(d["cells"], "cells")
-        arrays = {key: _finite_array(d[key], key)
+        arrays = {key: _finite_array(d[key], key, 2 if key == "f" else 1)
                   for key in ("sigma", "a", "h", "f")}
         if cells != arrays["sigma"].size:
             raise ConfigError(f"cells is {cells} but sigma has "
@@ -646,7 +647,7 @@ def render_plots(out_dir, field=None):
 # Entry points.
 
 
-def _print_report(report: SingularityReport, trace: FlowTrace):
+def _print_report(report: dict, trace: FlowTrace):
     t = trace.column("t")
     if t.size:
         print(f"trace: {t.size} rows, t in [{t[0]:.6g}, {t[-1]:.6g}]")
@@ -655,17 +656,17 @@ def _print_report(report: SingularityReport, trace: FlowTrace):
               f"{trace.column('heat_res').max():.6g}")
     else:
         print("trace: empty")
-    if report.t_hat is None:
+    if report["T_hat"] is None:
         print("singular time: none detected")
     else:
-        print(f"singular time estimate: {report.t_hat:.6g} "
-              f"(floor {report.t_floor}, kappa {report.t_kappa})")
-    print(f"verdict: {report.verdict}")
-    if report.typei_sup is not None:
-        print(f"type I sup: {report.typei_sup:.6g}")
-    if report.schwarz_c is not None:
-        print(f"schwarz constant: {report.schwarz_c:.6g}")
-    print(f"degeneration case: {report.case}")
+        print(f"singular time estimate: {report['T_hat']:.6g} "
+              f"(floor {report['t_floor']}, kappa {report['t_kappa']})")
+    print(f"verdict: {report['verdict']}")
+    if report["typeI_sup"] is not None:
+        print(f"type I sup: {report['typeI_sup']:.6g}")
+    if report["schwarz_C"] is not None:
+        print(f"schwarz constant: {report['schwarz_C']:.6g}")
+    print(f"degeneration case: {report['case']}")
 
 
 def _cmd_run(args) -> int:
@@ -729,12 +730,11 @@ def _cmd_analyze(args) -> int:
     # not a warning, shows it.
     with np.errstate(all="ignore"):
         report = analyze_run(trace, [s.t for s in snapshots], stop_floor)
-    doc = report_to_dict(report)
-    for key, value in doc.items():
+    for key, value in report.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{out / 'trace.csv'} gives the report a "
                               f"non-finite {key} ({value})")
-    _json_dump(out / "report.json", doc)
+    _json_dump(out / "report.json", report)
     digests.update(_digests(out, ["report.json"]))
     _write_manifest(out, digests)
     _print_report(report, trace)

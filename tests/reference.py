@@ -1,6 +1,6 @@
-"""Single-state entry points to the production kernels, and the Kahler-form
+"""Single-state entry points to the production kernels, the Kahler-form
 Ricci expressions that the curvature tests check geometry.ricci_rows
-against.
+against, and the fit of the exact linear boundary laws of a trace.
 
 The package ships only what its verbs call.  These helpers call the same
 kernels on the arrays of one ProfileState or one set of Jets, so the tests
@@ -18,6 +18,9 @@ from bundleflow.evolution import _check_finite_rhs, _rhs_core
 # and the horizontal coefficients rho_i with respect to g_i, so that the
 # horizontal block is rho_i pi_i^* g_i.
 Ricci = namedtuple("Ricci", "nn zz horiz")
+# Fitted against expected endpoint slope of one f_i^2 series.
+BoundarySlope = namedtuple("BoundarySlope",
+                           "factor side fitted expected error rel_error")
 
 
 def profile_jets(state):
@@ -73,3 +76,30 @@ def flow_rhs(spec, state, jets):
     ydot = _rhs_core(Y, u_s, u_ss, geo.ricci_coefficients(spec))
     _check_finite_rhs(ydot, state.t)
     return ydot[0], ydot[1], ydot[2:]
+
+
+def boundary_linear_check(spec, trace):
+    """Fit endpoint f_i^2 against t and compare with the exact linear law.
+
+    The flow moves each boundary value of f_i^2 at the constant rate
+    2 q_i - 2 k_i on the left end and -2 q_i - 2 k_i on the right.  Returns
+    one BoundarySlope per factor and side; relative errors are normalized
+    by 2(|q_i| + |k_i|), the natural scale of the two slopes.
+    """
+    if trace.boundary.shape[0] < 2:
+        raise ValueError("need at least two trace rows to fit slopes")
+    t = trace.bcolumn("t")
+    out = []
+    for i in range(1, trace.r + 1):
+        q = spec.q[i - 1]
+        k = spec.k[i - 1]
+        scale = 2.0 * (abs(q) + abs(k))
+        for side, expected in (("left", 2.0 * q - 2.0 * k),
+                               ("right", -2.0 * q - 2.0 * k)):
+            series = trace.bcolumn(f"f{i}sq_{side}")
+            slope = float(np.polyfit(t, series, 1)[0])
+            err = abs(slope - expected)
+            out.append(BoundarySlope(
+                factor=i, side=side, fitted=slope, expected=expected,
+                error=err, rel_error=err / scale if scale > 0.0 else err))
+    return out

@@ -10,8 +10,7 @@ import bundleflow.geometry as geo
 from bundleflow.analysis import (FIBER_COLLAPSE, FULL_CONTRACTION,
                                  INDETERMINATE, NO_SINGULARITY,
                                  PARTIAL_CONTRACTION, TYPE_I, TYPE_II,
-                                 FlowTrace, analyze_run,
-                                 boundary_linear_check, boundary_columns,
+                                 FlowTrace, analyze_run, boundary_columns,
                                  classify_degeneration,
                                  classify_singularity_type,
                                  estimate_singular_time, li_yau_monitor,
@@ -101,7 +100,7 @@ class TestBoundaryCheck:
     def test_exact_synthetic_slopes(self):
         t = np.linspace(0.0, 0.5, 26)
         trace = make_trace(t, left=np.full(t.size, 3.0), right=6.0 - 8.0 * t)
-        slopes = boundary_linear_check(CANON, trace)
+        slopes = ref.boundary_linear_check(CANON, trace)
         assert len(slopes) == 2
         by_side = {s.side: s for s in slopes}
         assert by_side["left"].expected == 0.0
@@ -113,7 +112,7 @@ class TestBoundaryCheck:
     def test_needs_two_rows(self):
         trace = make_trace(np.array([0.0]))
         with pytest.raises(ValueError, match="two trace rows"):
-            boundary_linear_check(CANON, trace)
+            ref.boundary_linear_check(CANON, trace)
 
 
 class TestLiYau:
@@ -137,47 +136,47 @@ class TestLiYau:
 class TestSingularTime:
     def test_linear_boundary_floor(self):
         t = np.linspace(0.0, 0.5, 51)
-        est = estimate_singular_time(make_trace(t, left=6.0 - 8.0 * t))
-        assert est.t_hat == pytest.approx(0.75, rel=1e-12)
-        assert est.t_floor == est.t_hat
-        assert est.t_kappa is None
+        t_hat, t_floor, t_kappa = estimate_singular_time(
+            make_trace(t, left=6.0 - 8.0 * t))
+        assert t_hat == pytest.approx(0.75, rel=1e-12)
+        assert t_floor == t_hat
+        assert t_kappa is None
 
     def test_curvature_fallback(self):
         t = np.linspace(0.0, 0.4, 81)
-        est = estimate_singular_time(make_trace(t, kappa=1.0 / (0.5 - t)))
-        assert est.t_hat == est.t_kappa
-        assert est.t_hat == pytest.approx(0.5, rel=1e-10)
-        assert est.t_floor is None
+        t_hat, t_floor, t_kappa = estimate_singular_time(
+            make_trace(t, kappa=1.0 / (0.5 - t)))
+        assert t_hat == t_kappa
+        assert t_hat == pytest.approx(0.5, rel=1e-10)
+        assert t_floor is None
 
     def test_earliest_floor_wins(self):
         t = np.linspace(0.0, 0.5, 51)
         trace = make_trace(t, left=6.0 - 8.0 * t, f1sq_min=1.0 - t,
                            kappa=1.0 / (0.9 - t))
-        est = estimate_singular_time(trace)
-        assert est.t_hat == pytest.approx(0.75, rel=1e-10)
-        assert est.t_kappa == pytest.approx(0.9, rel=1e-8)
-        assert est.t_hat == est.t_floor
+        t_hat, t_floor, t_kappa = estimate_singular_time(trace)
+        assert t_hat == pytest.approx(0.75, rel=1e-10)
+        assert t_kappa == pytest.approx(0.9, rel=1e-8)
+        assert t_hat == t_floor
 
     def test_roots_inside_window_are_ignored(self):
         t = np.linspace(0.0, 0.5, 51)
-        est = estimate_singular_time(make_trace(t, left=0.8 - 2.0 * t))
-        assert est.t_hat is None
-        assert est.t_floor is None and est.t_kappa is None
+        assert estimate_singular_time(
+            make_trace(t, left=0.8 - 2.0 * t)) == (None, None, None)
 
     def test_constant_trace_reports_none(self):
-        est = estimate_singular_time(make_trace(np.linspace(0.0, 1.0, 20)))
-        assert est.t_hat is None and est.t_floor is None \
-            and est.t_kappa is None
-        est = estimate_singular_time(make_trace(np.array([0.0])))
-        assert est.t_hat is None and est.t_floor is None \
-            and est.t_kappa is None
+        assert estimate_singular_time(
+            make_trace(np.linspace(0.0, 1.0, 20))) == (None, None, None)
+        assert estimate_singular_time(
+            make_trace(np.array([0.0]))) == (None, None, None)
 
     def test_time_translation_covariance(self):
         t = np.linspace(0.0, 0.5, 51)
         series = 6.0 - 8.0 * t
-        base = estimate_singular_time(make_trace(t, left=series))
-        shifted = estimate_singular_time(make_trace(t + 2.0, left=series))
-        assert shifted.t_hat == pytest.approx(base.t_hat + 2.0, rel=1e-10)
+        base, _, _ = estimate_singular_time(make_trace(t, left=series))
+        shifted, _, _ = estimate_singular_time(
+            make_trace(t + 2.0, left=series))
+        assert shifted == pytest.approx(base + 2.0, rel=1e-10)
 
 
 class TestClassifier:
@@ -291,24 +290,25 @@ class TestAnalyzeRun:
     def test_self_similar_collapse_report(self):
         t, tau, trace = self._collapse_trace()
         report = analyze_run(trace, [0.0, 0.3, 0.499], stop_floor=1e-3)
-        assert report.t_hat == pytest.approx(0.5, rel=1e-10)
-        assert report.t_floor == pytest.approx(0.5, rel=1e-10)
-        assert report.t_kappa == pytest.approx(0.5, rel=1e-10)
-        assert report.verdict == TYPE_I
-        assert report.typei_sup == pytest.approx(0.5, rel=1e-10)
-        assert report.schwarz_c == pytest.approx(0.5 / 3.5, rel=1e-10)
-        assert report.case == FIBER_COLLAPSE
-        assert len(report.rescale_factors) == 3
-        assert report.rescale_factors[0] == pytest.approx(1.0, rel=1e-6)
-        assert report.rescale_factors[1] == pytest.approx(2.5, rel=5e-2)
-        assert report.rescale_factors[2] == pytest.approx(500.0, rel=5e-2)
-        assert np.all(np.diff(report.rescale_factors) > 0.0)
+        assert report["T_hat"] == pytest.approx(0.5, rel=1e-10)
+        assert report["t_floor"] == pytest.approx(0.5, rel=1e-10)
+        assert report["t_kappa"] == pytest.approx(0.5, rel=1e-10)
+        assert report["verdict"] == TYPE_I
+        assert report["typeI_sup"] == pytest.approx(0.5, rel=1e-10)
+        assert report["schwarz_C"] == pytest.approx(0.5 / 3.5, rel=1e-10)
+        assert report["case"] == FIBER_COLLAPSE
+        factors = report["rescale_factors"]
+        assert len(factors) == 3
+        assert factors[0] == pytest.approx(1.0, rel=1e-6)
+        assert factors[1] == pytest.approx(2.5, rel=5e-2)
+        assert factors[2] == pytest.approx(500.0, rel=5e-2)
+        assert np.all(np.diff(factors) > 0.0)
 
     def test_quiet_run_reports_no_singularity(self):
         trace = make_trace(np.linspace(0.0, 1.0, 30))
         report = analyze_run(trace, [], stop_floor=1e-3)
-        assert report.t_hat is None
-        assert report.verdict == NO_SINGULARITY
-        assert report.schwarz_c is None
-        assert report.case == INDETERMINATE
-        assert report.rescale_factors == []
+        assert report["T_hat"] is None
+        assert report["verdict"] == NO_SINGULARITY
+        assert report["schwarz_C"] is None
+        assert report["case"] == INDETERMINATE
+        assert report["rescale_factors"] == []

@@ -12,12 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bundleflow.cli as cli
 import bundleflow.geometry as geo
 from bundleflow.analysis import (NO_SINGULARITY, FlowTrace, analyze_run,
                                  trace_columns)
 from bundleflow.cli import (ConfigError, load_config, main, read_snapshots,
-                            read_trace, render_plots, report_to_dict,
-                            write_outputs)
+                            read_trace, render_plots, write_outputs)
 
 POINT_RE = re.compile(r'points="([^"]+)"')
 
@@ -490,6 +490,13 @@ class TestAnalyzeVerb:
         ("bool t", "snap_00001.json is not a snapshot: t must be a number"),
         ("nan a", "snap_00001.json is not a snapshot: a[3] must be a finite "
                   "number"),
+        # Entries that numpy would read as numbers: checked by JSON type.
+        ("string h, bool a",
+         "snap_00001.json is not a snapshot: a[2] must be a number"),
+        ("string h", "snap_00001.json is not a snapshot: h[3] must be a "
+                     "number"),
+        ("null f", "snap_00001.json is not a snapshot: f[0][5] must be a "
+                   "number"),
     ])
     def test_malformed_rundir_exits_two(self, tmp_path, capsys, damage,
                                         needle):
@@ -522,15 +529,22 @@ class TestAnalyzeVerb:
             path.write_text("\n".join(lines) + "\n")
             if damage != "zero floor":
                 redigest("trace.csv")
-        elif damage in ("bad cells", "bool t", "nan a"):
+        elif damage in ("bad cells", "bool t", "nan a", "string h, bool a",
+                        "string h", "null f"):
             name = "snapshots/snap_00001.json"
             snap = json.loads((out / name).read_text())
             if damage == "bad cells":
                 snap["cells"] = 999
             elif damage == "bool t":
                 snap["t"] = True
-            else:
+            elif damage == "nan a":
                 snap["a"][3] = math.nan
+            elif damage == "null f":
+                snap["f"][0][5] = None
+            else:
+                snap["h"][3] = "0.5"
+                if damage == "string h, bool a":
+                    snap["a"][2] = True
             (out / name).write_text(json.dumps(snap))
             redigest(name)
         elif damage == "huge t":
@@ -617,18 +631,36 @@ class TestAnalyzeVerb:
         assert main(["analyze", str(out)]) == 0
         stored = json.loads((out / "report.json").read_text())
         assert stored["T_hat"] == pytest.approx(0.5, rel=1e-6)
-        assert stored["verdict"] == report.verdict
+        assert stored["verdict"] == report["verdict"]
 
 
-class TestReportSerialization:
-    def test_round_trip(self, tmp_path):
-        _, report = synthetic_run_dir(tmp_path / "syn")
-        d = report_to_dict(report)
-        assert set(d) == {"T_hat", "typeI_sup", "verdict", "schwarz_C",
-                          "case", "rescale_factors", "t_floor", "t_kappa",
-                          "plateau_ratio", "growth_ratio"}
-        stored = json.loads((tmp_path / "syn" / "report.json").read_text())
-        assert stored == d
+class TestReportMapping:
+    def test_analyze_run_mapping_is_report_json(self, tmp_path,
+                                                monkeypatch):
+        # run and analyze write analyze_run's mapping as it is: no second
+        # spelling of the report between the analysis and the file.
+        returned = []
+
+        def recorded(*args, **kwargs):
+            returned.append(analyze_run(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(cli, "analyze_run", recorded)
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json",
+                           flow={"cells": 32, "t_end": 0.004,
+                                 "snapshot_every": 1},
+                           output={"dir": str(out)})
+        for argv in (["run", str(cfg)], ["analyze", str(out)]):
+            assert main(argv) == 0
+            report = returned.pop()
+            assert set(report) == {
+                "T_hat", "typeI_sup", "verdict", "schwarz_C", "case",
+                "rescale_factors", "t_floor", "t_kappa", "plateau_ratio",
+                "growth_ratio"}
+            assert report["T_hat"] is not None
+            assert len(report["rescale_factors"]) == 2
+            assert json.loads((out / "report.json").read_text()) == report
 
 
 class TestPlotVerb:

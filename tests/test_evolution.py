@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import bundleflow.geometry as geo
 import bundleflow.evolution as evo
-from bundleflow.analysis import boundary_linear_check
 from bundleflow.cli import main, read_snapshots, read_trace
 from bundleflow.evolution import (MAX_REL_CHANGE, STEP_CAP, FlowConfig,
                                   FlowHalt, InvalidInitialState, _dt_bound,
@@ -24,7 +23,7 @@ from bundleflow.evolution import (MAX_REL_CHANGE, STEP_CAP, FlowConfig,
                                   rkl2_step, run_flow)
 from bundleflow.initial_data import (build_kahler_profile, calabi_preset,
                                      canonical_preset, validate_closing)
-from reference import flow_rhs, profile_jets
+from reference import boundary_linear_check, flow_rhs, profile_jets
 
 CANON = geo.BundleSpec(n=(1,), k=(2.0,), q=(2,), lam=(1.0,))
 
@@ -912,3 +911,21 @@ def test_benchmark_hooks_see_every_stage(tmp_path):
         parents = [spans[parent][0] for name, parent in spans
                    if name == f"geometry.{probe}"]
         assert parents == ["evolution.run_flow"] * flushes, probe
+
+
+def test_layer_bench_runs_on_a_workload():
+    # tools/layer_bench.py drives run_flow, analyze_run, write_outputs and
+    # read_snapshots directly; this keeps it running when their API moves.
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(evo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(root / "tools" / "layer_bench.py"),
+         "--workload", "calabi_48", "--repeats", "2"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    for layer in ("run_flow", "write_outputs", "read_snapshots"):
+        assert any(re.match(rf"{layer} +\d+\.\d+ ms", line)
+                   for line in lines), (layer, proc.stdout)

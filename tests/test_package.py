@@ -6,14 +6,6 @@ from pathlib import Path
 
 import bundleflow
 
-# Exported but not yet called by the package: ROADMAP item 4 makes the
-# run report its worst rel_error.  Remove the entry when that lands.
-NOT_YET_CALLED = {"boundary_linear_check"}
-# boundary_linear_check returns BoundarySlope, so its fields get a reader
-# when that function gets a caller; the exemption goes with the entry.
-UNREAD_UNTIL_CALLED = ({"BoundarySlope"}
-                       if "boundary_linear_check" in NOT_YET_CALLED
-                       else set())
 PACKAGE = Path(bundleflow.__file__).parent
 
 
@@ -31,11 +23,9 @@ def test_public_surface_is_pinned():
         "FlowConfig", "FlowHalt", "InvalidInitialState", "arclength",
         "regrid_uniform", "run_flow",
         # analysis
-        "BoundarySlope", "FlowTrace", "SingularTimeEstimate",
-        "SingularityReport", "analyze_run", "boundary_linear_check",
-        "classify_degeneration", "classify_singularity_type",
-        "estimate_singular_time", "li_yau_monitor", "schwarz_fit",
-        "trace_columns",
+        "FlowTrace", "analyze_run", "classify_degeneration",
+        "classify_singularity_type", "estimate_singular_time",
+        "li_yau_monitor", "schwarz_fit", "trace_columns",
     }
 
 
@@ -54,7 +44,7 @@ def test_every_export_is_used_by_the_package():
     exported = {name for name in bundleflow.__all__
                 if not isinstance(getattr(bundleflow, name),
                                   types.ModuleType)}
-    assert exported - used == NOT_YET_CALLED
+    assert exported - used == set()
 
 
 def _is_dataclass(decorator):
@@ -85,4 +75,4 @@ def test_every_dataclass_field_is_read():
                            if isinstance(stmt, ast.AnnAssign)
                            and isinstance(stmt.target, ast.Name)}
     unread = {(cls, name) for cls, name in fields if name not in read}
-    assert {cls for cls, _ in unread} == UNREAD_UNTIL_CALLED, sorted(unread)
+    assert unread == set(), sorted(unread)
