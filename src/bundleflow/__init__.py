@@ -20,6 +20,6 @@ from .evolution import (FlowConfig, FlowHalt, InvalidInitialState,
                         arclength, regrid_uniform, run_flow)
 from .analysis import (FlowTrace, analyze_run, classify_degeneration,
                        classify_singularity_type, estimate_singular_time,
-                       li_yau_monitor, schwarz_fit, trace_columns)
+                       schwarz_fit, trace_columns)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

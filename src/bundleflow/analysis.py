@@ -1,10 +1,10 @@
 """Diagnostics on flow traces and snapshots.
 
 Everything here is a pure function of recorded data: the trace column
-contract, the Li-Yau gradient monitor, and the singularity toolbox
-(singular-time estimation, Type I/II classification through the
-scale-invariant quantity (T_hat - t) * kappa, Schwarz-type lower-bound
-fitting, degeneration-case labeling, and the blow-up factor sequence).
+contract and the singularity toolbox (singular-time estimation, Type I/II
+classification through the scale-invariant quantity (T_hat - t) * kappa,
+Schwarz-type lower-bound fitting, degeneration-case labeling, and the
+blow-up factor sequence).
 analyze_run combines them into the mapping that a run directory stores as
 report.json.  The residual columns of the trace are computed by
 evolution.run_flow.
@@ -14,10 +14,6 @@ thresholds, the module constants PLATEAU_FACTOR, WINDOW_DECADES and
 FLOOR_MULTIPLE.  They are operational stand-ins, calibrated at exactly
 these values by the synthetic Type I/II models of the acceptance suite.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +59,6 @@ def boundary_columns(r: int):
     return cols
 
 
-@dataclass
 class FlowTrace:
     """Monitored scalar series of one run.
 
@@ -73,9 +68,8 @@ class FlowTrace:
     f columns store f^2; gradient columns store sup |d(f^2)/ds|.
     """
 
-    r: int
-    rows: np.ndarray
-    boundary: np.ndarray
+    def __init__(self, r, rows, boundary):
+        self.r, self.rows, self.boundary = r, rows, boundary
 
     @property
     def columns(self):
@@ -115,23 +109,6 @@ class FlowTrace:
         t = self.column("t")
         if t.size > 1 and not np.all(np.diff(t) > 0.0):
             raise ValueError("trace times must be strictly increasing")
-
-
-def li_yau_monitor(trace: FlowTrace):
-    """Check sup Q_j along a trace against its initial sup.
-
-    Returns (bound, list of times where some factor exceeds it); the bound
-    is the largest initial sup over the factors, so the check is a pure
-    monotonicity-style monitor.
-    """
-    if trace.rows.shape[0] == 0:
-        return 0.0, []
-    t = trace.column("t")
-    sups = np.stack([trace.column(f"liyau_sup_{i}")
-                     for i in range(1, trace.r + 1)])
-    bound = float(sups[:, 0].max())
-    exceeded = np.flatnonzero((sups > bound * (1.0 + 1e-12)).any(axis=0))
-    return bound, [float(t[j]) for j in exceeded]
 
 
 def _late_mask(t: np.ndarray, fraction: float) -> np.ndarray:

@@ -18,22 +18,16 @@ is one line with sorted keys and no whitespace.  All floats are written
 with Python repr, so identical runs produce byte-identical files.
 """
 
-from __future__ import annotations
-
-import argparse
-import csv
-import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .analysis import (FlowTrace, analyze_run, boundary_columns,
-                       li_yau_monitor, trace_columns)
+from .analysis import FlowTrace, analyze_run, boundary_columns, trace_columns
 from .evolution import FlowConfig, FlowHalt, InvalidInitialState, arclength, \
     run_flow
 from .geometry import BundleSpec, ProfileState
@@ -50,15 +44,8 @@ class ConfigError(ValueError):
     """Configuration rejected; message carries the offending field path."""
 
 
-@dataclass
-class RunConfig:
-    """Validated run description with defaults applied."""
-
-    spec: BundleSpec
-    state0: ProfileState
-    flow: FlowConfig
-    out_dir: str
-    raw: dict
+RunConfig = namedtuple("RunConfig", "spec state0 flow out_dir raw")
+RunConfig.__doc__ = "Validated run description with defaults applied."
 
 
 def _expect_mapping(obj, path):
@@ -270,10 +257,10 @@ def _write_csv(path, header, rows):
 
 
 def _read_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
+    # _write_csv's format: unquoted names and repr floats, comma separated.
+    with open(path) as fh:
+        header = next(fh).rstrip("\n").split(",")
+        rows = [[float(v) for v in line.split(",")] for line in fh]
     return header, rows
 
 
@@ -338,6 +325,7 @@ def write_outputs(trace: FlowTrace, snapshots, report: dict, out_dir,
 
 def _digests(out: Path, files) -> dict:
     """sha256 hex digest of each named artifact of the run directory."""
+    import hashlib  # Loads OpenSSL; only the manifest needs it.
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in files}
 
@@ -669,9 +657,9 @@ def _print_report(report: dict, trace: FlowTrace):
     print(f"degeneration case: {report['case']}")
 
 
-def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    out_dir = args.out or cfg.out_dir
+def _cmd_run(config, out) -> int:
+    cfg = load_config(config)
+    out_dir = out or cfg.out_dir
     if out_dir is None:
         raise ConfigError("no output directory: set output.dir in the "
                           "config or pass --out")
@@ -691,15 +679,11 @@ def _cmd_run(args) -> int:
         print(f"partial results written to {out_dir}", file=sys.stderr)
         return 3
     _print_report(report, trace)
-    bound, exceeded = li_yau_monitor(trace)
-    if exceeded:
-        print(f"li-yau monitor: bound {bound:.6g} exceeded at "
-              f"{len(exceeded)} times (first t = {exceeded[0]:.6g})")
     print(f"outputs written to {out_dir}")
     return 0
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(rundir) -> int:
     """Recompute report.json and manifest.json; nothing else is rewritten.
 
     Parse errors are reported first, then any difference between the
@@ -709,7 +693,7 @@ def _cmd_analyze(args) -> int:
     times.  Only flow.stop_floor is read from config.json, but a top-level
     section or flow key that run rejects is an error here too.
     """
-    out = Path(args.rundir)
+    out = Path(rundir)
     trace = read_trace(out)
     snapshots = read_snapshots(out)
     config_path = out / "config.json"
@@ -741,37 +725,75 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_plot(args) -> int:
-    written = render_plots(args.rundir, field=args.field)
+def _cmd_plot(rundir, field) -> int:
+    written = render_plots(rundir, field=field)
     for path in written:
         print(f"wrote {path}")
     return 0
 
 
+def _parse_args(argv):
+    """Split argv into a verb's command and its keyword arguments.
+
+    -h or --help prints the usage and exits 0.  A missing or unknown verb,
+    a missing or extra positional argument, an unknown option and an
+    option without a value print the usage to stderr and exit 2.  An
+    option takes its value as the next argument or after '=', before or
+    after the positional one; option names are not abbreviated.
+    """
+    usage = """\
+usage: bundleflow run CONFIG [--out DIR]
+       bundleflow analyze RUNDIR
+       bundleflow plot RUNDIR [--field NAME]
+
+Simulate and analyze the reduced flow on circle-bundle ansatz metrics.
+
+  run      integrate the flow that the JSON file CONFIG describes; --out
+           overrides its output.dir
+  analyze  recompute report.json and manifest.json of a run directory
+  plot     write SVG plots of a run directory; --field also plots that
+           trace column against t
+"""
+
+    def fail(message):
+        print(f"{usage}\nbundleflow: error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+    if "-h" in argv or "--help" in argv:
+        print(usage, end="")
+        raise SystemExit(0)
+    # Each verb's command, its positional argument, then its options.
+    verbs = {"run": (_cmd_run, "config", "out"),
+             "analyze": (_cmd_analyze, "rundir"),
+             "plot": (_cmd_plot, "rundir", "field")}
+    if not argv or argv[0] not in verbs:
+        fail(f"expected a verb, run, analyze or plot, not "
+             f"{repr(argv[0]) if argv else 'nothing'}")
+    command, name, *options = verbs[argv[0]]
+    kwargs, positional, args = dict.fromkeys(options), [], iter(argv[1:])
+    for arg in args:
+        if not arg.startswith("-"):
+            positional.append(arg)
+            continue
+        option, eq, value = arg.partition("=")
+        if not option.startswith("--") or option[2:] not in kwargs:
+            fail(f"unrecognized option '{option}'")
+        value = value if eq else next(args, None)
+        if value is None:
+            fail(f"option {option} expects a value")
+        kwargs[option[2:]] = value
+    if len(positional) != 1:
+        fail(f"{argv[0]} takes one {name.upper()} argument, not "
+             f"{len(positional)}")
+    kwargs[name] = positional[0]
+    return command, kwargs
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="bundleflow",
-        description="Simulate and analyze the reduced flow on circle-bundle "
-                    "ansatz metrics.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser("run", help="integrate a configured flow")
-    p_run.add_argument("config", help="path to a JSON run configuration")
-    p_run.add_argument("--out", default=None,
-                       help="output directory (overrides output.dir)")
-    p_analyze = sub.add_parser("analyze",
-                               help="recompute the report for a run dir")
-    p_analyze.add_argument("rundir", help="existing run directory")
-    p_plot = sub.add_parser("plot", help="emit SVG plots for a run dir")
-    p_plot.add_argument("rundir", help="existing run directory")
-    p_plot.add_argument("--field", default=None,
-                        help="also plot this trace column against t")
-    args = parser.parse_args(argv)
+    command, kwargs = _parse_args(sys.argv[1:] if argv is None
+                                  else list(argv))
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        return _cmd_plot(args)
+        return command(**kwargs)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

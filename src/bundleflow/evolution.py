@@ -41,11 +41,7 @@ dropped: the partial results of a monitor that fills and gates one row
 at a time, reached up to MONITOR_BLOCK - 1 traced rows later.
 """
 
-from __future__ import annotations
-
-import dataclasses
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,7 +91,6 @@ class InvalidInitialState(ValueError):
     """Initial data rejected before any stepping was attempted."""
 
 
-@dataclass
 class FlowConfig:
     """Run parameters for the time integration.
 
@@ -110,15 +105,11 @@ class FlowConfig:
     stage count is sized at the stability edge CFL_MAX itself.
     """
 
-    cells: int = 400
-    cfl: float = 0.2
-    t_end: float = 1.0
-    stop_floor: float = 1e-3
-    snapshot_every: int = 100
-    regrid_threshold: float = 10.0
-    trace_every: int = 1
-
-    def __post_init__(self):
+    def __init__(self, cells=400, cfl=0.2, t_end=1.0, stop_floor=1e-3,
+                 snapshot_every=100, regrid_threshold=10.0, trace_every=1):
+        self.cells, self.cfl, self.t_end = cells, cfl, t_end
+        self.stop_floor, self.regrid_threshold = stop_floor, regrid_threshold
+        self.snapshot_every, self.trace_every = snapshot_every, trace_every
         if int(self.cells) != self.cells or self.cells < 8:
             raise ValueError("cells must be an integer >= 8")
         self.cells = int(self.cells)
@@ -336,9 +327,9 @@ def regrid_uniform(state: ProfileState) -> ProfileState:
     ext = stacked_parity(rows, field_parities(state.r)[1:])
     s_tgt = (np.arange(state.cells) + 0.5) * (total / state.cells)
     resampled = _lagrange_resample(s_ext, ext, s_tgt)
-    return dataclasses.replace(
-        state, sigma=cell_centers(state.cells),
-        a=np.full(state.cells, total), h=resampled[0], f=resampled[1:])
+    return ProfileState(t=state.t, sigma=cell_centers(state.cells),
+                        a=np.full(state.cells, total), h=resampled[0],
+                        f=resampled[1:])
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")

@@ -24,9 +24,7 @@ smooth-closure endpoint behavior of the family: H and its even s-derivatives
 vanish at the ends while the F_i have vanishing odd derivatives there.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -45,7 +43,6 @@ FIVE_POINT_WEIGHTS = np.array([[1.0, -8.0, 0.0, 8.0, -1.0],
                                [-1.0, 16.0, -30.0, 16.0, -1.0]])
 
 
-@dataclass(frozen=True)
 class BundleSpec:
     """Discrete data of the bundle: base factors and circle twisting.
 
@@ -62,17 +59,14 @@ class BundleSpec:
         Defaults to |k_i| per factor, which has the right order of magnitude
         for Einstein factors but is a heuristic; supply measured bounds when
         available.
+
+    Specs compare and hash by value, (n, k, q, lam).
     """
 
-    n: tuple
-    k: tuple
-    q: tuple
-    lam: tuple = None
-
-    def __post_init__(self):
-        n = tuple(int(v) for v in self.n)
-        k = tuple(float(v) for v in self.k)
-        q = tuple(int(v) for v in self.q)
+    def __init__(self, n, k, q, lam=None):
+        n = tuple(int(v) for v in n)
+        k = tuple(float(v) for v in k)
+        q = tuple(int(v) for v in q)
         if len(n) < 1:
             raise ValueError("need at least one base factor")
         if not (len(n) == len(k) == len(q)):
@@ -81,23 +75,29 @@ class BundleSpec:
             raise ValueError("all n_i must be >= 1")
         if any(v == 0 for v in q):
             raise ValueError("all q_i must be nonzero")
-        if self.lam is None:
+        if lam is None:
             lam = tuple(abs(v) for v in k)
         else:
-            lam = tuple(float(v) for v in self.lam)
+            lam = tuple(float(v) for v in lam)
             if len(lam) != len(n):
                 raise ValueError("lam must match n in length")
             if any(v < 0 for v in lam):
                 raise ValueError("all lam_i must be >= 0")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "lam", lam)
+        self.n, self.k, self.q, self.lam = n, k, q, lam
         columns = tuple(np.array(v, float).reshape(len(n), 1)
                         for v in (n, k, q, lam))
         for col in columns:
             col.flags.writeable = False
-        object.__setattr__(self, "_columns", columns)
+        self._columns = columns
+
+    def __eq__(self, other):
+        if not isinstance(other, BundleSpec):
+            return NotImplemented
+        return (self.n, self.k, self.q, self.lam) \
+            == (other.n, other.k, other.q, other.lam)
+
+    def __hash__(self):
+        return hash((self.n, self.k, self.q, self.lam))
 
     @property
     def r(self) -> int:
@@ -117,7 +117,6 @@ def cell_centers(cells: int) -> np.ndarray:
     return (np.arange(cells) + 0.5) / cells
 
 
-@dataclass(frozen=True)
 class ProfileState:
     """Radial profile functions on a cell-centered grid at one flow time.
 
@@ -128,17 +127,11 @@ class ProfileState:
     be constructed before being validated).
     """
 
-    t: float
-    sigma: np.ndarray
-    a: np.ndarray
-    h: np.ndarray
-    f: np.ndarray
-
-    def __post_init__(self):
-        sigma = np.asarray(self.sigma, float)
-        a = np.asarray(self.a, float)
-        h = np.asarray(self.h, float)
-        f = np.atleast_2d(np.asarray(self.f, float))
+    def __init__(self, t, sigma, a, h, f):
+        sigma = np.asarray(sigma, float)
+        a = np.asarray(a, float)
+        h = np.asarray(h, float)
+        f = np.atleast_2d(np.asarray(f, float))
         m = sigma.size
         if m < 4:
             raise ValueError("need at least 4 cells")
@@ -150,11 +143,8 @@ class ProfileState:
         centers = (np.arange(m) + 0.5) * d
         if not np.allclose(sigma, centers, rtol=0.0, atol=1e-12):
             raise ValueError("sigma must be the uniform cell centers of (0,1)")
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "f", f)
+        self.t = float(t)
+        self.sigma, self.a, self.h, self.f = sigma, a, h, f
 
     @property
     def cells(self) -> int:
@@ -278,8 +268,7 @@ def cumulative_from_left(u: np.ndarray, dsigma: float, parity: float):
 # Arclength jets.
 # ----------------------------------------------------------------------
 
-@dataclass
-class Jets:
+class Jets(namedtuple("Jets", "h h_s h_ss f f_s f_ss")):
     """Values and first two arclength derivatives of the profiles.
 
     ``h`` has shape (M,), ``f`` shape (r, M); the suffixes _s and _ss denote
@@ -291,12 +280,7 @@ class Jets:
     take the jets of a stack of K states, h (K, M) and f (K, r, M).
     """
 
-    h: np.ndarray
-    h_s: np.ndarray
-    h_ss: np.ndarray
-    f: np.ndarray
-    f_s: np.ndarray
-    f_ss: np.ndarray
+    __slots__ = ()
 
     @property
     def r(self) -> int:

@@ -19,10 +19,8 @@ by integrating H with fourth-order quadrature.  Shipped presets:
     stays bounded.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -61,21 +59,16 @@ def sample_h(h_template, length: float, sigma: np.ndarray) -> np.ndarray:
     return h
 
 
-@dataclass
-class ClosingCheck:
-    """One endpoint condition: its residual and whether that is in bounds."""
-
-    name: str
-    side: str
-    residual: float
-    ok: bool
+ClosingCheck = namedtuple("ClosingCheck", "name side residual ok")
+ClosingCheck.__doc__ = \
+    "One endpoint condition: its residual and whether that is in bounds."
 
 
-@dataclass
 class ClosingReport:
     """Structured result of the smooth-closure validation."""
 
-    checks: list = field(default_factory=list)
+    def __init__(self):
+        self.checks = []
 
     @property
     def passed(self) -> bool:

@@ -1,6 +1,5 @@
 """Singularity diagnostics on synthetic and short real traces."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +12,8 @@ from bundleflow.analysis import (FIBER_COLLAPSE, FULL_CONTRACTION,
                                  FlowTrace, analyze_run, boundary_columns,
                                  classify_degeneration,
                                  classify_singularity_type,
-                                 estimate_singular_time, li_yau_monitor,
-                                 schwarz_fit, trace_columns)
+                                 estimate_singular_time, schwarz_fit,
+                                 trace_columns)
 from bundleflow.evolution import FlowConfig, run_flow
 from bundleflow.initial_data import canonical_preset
 import reference as ref
@@ -23,7 +22,7 @@ CANON = geo.BundleSpec(n=(1,), k=(2.0,), q=(2,), lam=(1.0,))
 
 
 def make_trace(t, kappa=1.0, h_max=1.0, f1sq_min=4.0, f1sq_max=None,
-               left=None, right=None, liyau=1.0):
+               left=None, right=None):
     """Single-factor trace with the given series; scalars broadcast."""
     t = np.asarray(t, float)
     n = t.size
@@ -41,7 +40,7 @@ def make_trace(t, kappa=1.0, h_max=1.0, f1sq_min=4.0, f1sq_max=None,
     zeros = np.zeros(n)
     rows = np.column_stack([
         t, zeros, kappa, 0.5 * h_max, h_max, fmin, fmax,
-        zeros, zeros, np.ones(n), col(liyau), np.full(n, math.pi)])
+        zeros, zeros, np.ones(n), np.ones(n), np.full(n, math.pi)])
     boundary = np.column_stack([t, col(left, fmin), col(right, fmin)])
     trace = FlowTrace(r=1, rows=rows, boundary=boundary)
     trace.validate()
@@ -124,13 +123,6 @@ class TestLiYau:
         assert 4.0 * f_s[200] ** 2 == pytest.approx(1.0, abs=1e-8)
         assert monitor_row(spec, state, "liyau_sup_1") \
             == pytest.approx(8.0 - 4.0 * math.sqrt(3.0), abs=1e-4)
-
-    def test_monitor_flags_excursions(self):
-        t = np.array([0.0, 1.0, 2.0])
-        bound, exceeded = li_yau_monitor(make_trace(t, liyau=[1.0, 0.9, 0.8]))
-        assert bound == 1.0 and exceeded == []
-        bound, exceeded = li_yau_monitor(make_trace(t, liyau=[1.0, 1.2, 0.8]))
-        assert bound == 1.0 and exceeded == [1.0]
 
 
 class TestSingularTime:
@@ -269,8 +261,8 @@ class TestRescale:
         spec, state = canonical_preset(64)
         K = 3.7
         root = math.sqrt(K)
-        zoom = dataclasses.replace(state, a=root * state.a, h=root * state.h,
-                                   f=root * state.f)
+        zoom = geo.ProfileState(state.t, state.sigma, root * state.a,
+                                root * state.h, root * state.f)
         base = geo.curvature_sup_proxy(spec, ref.profile_jets(state))
         assert geo.curvature_sup_proxy(spec, ref.profile_jets(zoom)) \
             == pytest.approx(base / K, rel=1e-10)

@@ -795,3 +795,44 @@ def test_help_and_missing_verb():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_names_every_verb(capsys, flag):
+    with pytest.raises(SystemExit) as info:
+        main([flag])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    for verb in ("run", "analyze", "plot"):
+        assert f"bundleflow {verb} " in out
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["run"], ["analyze", "a", "b"], ["plot", "d", "--field"],
+    ["run", "c.json", "--bogus"],
+    # Option names are matched whole, not as prefixes.
+    ["run", "c.json", "--ou", "d"],
+])
+def test_usage_errors_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bundleflow run CONFIG [--out DIR]\n")
+    assert "bundleflow: error: " in err
+
+
+def test_options_go_before_or_after_the_positional(tmp_path):
+    cfg = write_config(tmp_path / "c.json")
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    assert main(["run", f"--out={out1}", str(cfg)]) == 0
+    assert main(["run", str(cfg), "--out", str(out2)]) == 0
+    files = sorted(p.relative_to(out1) for p in out1.rglob("*"))
+    assert files == sorted(p.relative_to(out2) for p in out2.rglob("*"))
+    for name in files:
+        if (out1 / name).is_file():
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    assert main(["plot", "--field=kappa", str(out1)]) == 0
+    assert main(["plot", "--field", "kappa", str(out2)]) == 0
+    assert (out1 / "field_kappa.svg").read_bytes() \
+        == (out2 / "field_kappa.svg").read_bytes()

@@ -1,7 +1,6 @@
 """Curvature layer: frozen midpoint anchors, cross-form agreement,
 stencil accuracy, and parabolic scaling laws."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -250,14 +249,16 @@ def stack_case(case):
             f=np.vstack([np.sqrt(2.0 + running),
                          np.sqrt(8.0 - 2.0 * running)]))
         if case == "r2_regridded":
-            base = regrid_uniform(dataclasses.replace(
-                base, a=base.a * (1.0 + 0.3 * bump)))
+            base = regrid_uniform(geo.ProfileState(
+                base.t, base.sigma, base.a * (1.0 + 0.3 * bump), base.h,
+                base.f))
             assert np.ptp(base.a) == 0.0
     # Out of order, so that no stack entry's value follows from its
     # neighbours'.
-    return spec, [dataclasses.replace(base, a=base.a * (1.0 + 0.02 * j * bump),
-                                      h=base.h * (1.0 + 0.01 * j),
-                                      f=base.f * (1.0 + 0.03 * j * bump))
+    return spec, [geo.ProfileState(base.t, base.sigma,
+                                   base.a * (1.0 + 0.02 * j * bump),
+                                   base.h * (1.0 + 0.01 * j),
+                                   base.f * (1.0 + 0.03 * j * bump))
                   for j in (3, 0, 4, 1, 2)]
 
 
@@ -350,7 +351,7 @@ def test_profile_state_validation():
     state = geo.ProfileState(t=0.0, sigma=sigma, a=np.ones(cells),
                              h=np.ones(cells), f=np.ones((1, cells)))
     state.validate()
-    bad = dataclasses.replace(state, f=-state.f)
+    bad = geo.ProfileState(state.t, state.sigma, state.a, state.h, -state.f)
     with pytest.raises(ValueError):
         bad.validate()
 
@@ -363,9 +364,8 @@ def test_profile_state_validation():
 @given(st.floats(min_value=0.2, max_value=5.0))
 def test_proxy_scaling_law(K):
     state = canonical_state(128)
-    scaled = dataclasses.replace(state, a=math.sqrt(K) * state.a,
-                                 h=math.sqrt(K) * state.h,
-                                 f=math.sqrt(K) * state.f)
+    scaled = geo.ProfileState(state.t, state.sigma, math.sqrt(K) * state.a,
+                              math.sqrt(K) * state.h, math.sqrt(K) * state.f)
     assert geo.curvature_sup_proxy(CANON, ref.profile_jets(scaled)) \
         == pytest.approx(
             geo.curvature_sup_proxy(CANON, ref.profile_jets(state)) / K,
@@ -375,9 +375,8 @@ def test_proxy_scaling_law(K):
 @given(st.floats(min_value=0.2, max_value=5.0))
 def test_ricci_and_oneill_scaling(K):
     state = canonical_state(128)
-    scaled = dataclasses.replace(state, a=math.sqrt(K) * state.a,
-                                 h=math.sqrt(K) * state.h,
-                                 f=math.sqrt(K) * state.f)
+    scaled = geo.ProfileState(state.t, state.sigma, math.sqrt(K) * state.a,
+                              math.sqrt(K) * state.h, math.sqrt(K) * state.f)
     ric = ref.ricci_full(CANON, ref.profile_jets(state))
     ric_k = ref.ricci_full(CANON, ref.profile_jets(scaled))
     assert ric_k.nn[64] == pytest.approx(ric.nn[64] / K, rel=1e-10)

@@ -1,6 +1,12 @@
-"""The package exports, and its dataclasses hold, only what production reads."""
+"""The package exports, and its records hold, only what production reads;
+importing it loads no stdlib module that no verb needs."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import types
 from pathlib import Path
 
@@ -25,7 +31,7 @@ def test_public_surface_is_pinned():
         # analysis
         "FlowTrace", "analyze_run", "classify_degeneration",
         "classify_singularity_type", "estimate_singular_time",
-        "li_yau_monitor", "schwarz_fit", "trace_columns",
+        "schwarz_fit", "trace_columns",
     }
 
 
@@ -47,20 +53,40 @@ def test_every_export_is_used_by_the_package():
     assert exported - used == set()
 
 
-def _is_dataclass(decorator):
-    if isinstance(decorator, ast.Call):
-        decorator = decorator.func
-    return (getattr(decorator, "id", None) == "dataclass"
-            or getattr(decorator, "attr", None) == "dataclass")
+# The records of the package: namedtuples and the classes whose __init__
+# stores the fields.
+RECORDS = {"RunConfig", "Jets", "ClosingCheck", "BundleSpec", "ProfileState",
+           "FlowConfig", "FlowTrace", "ClosingReport"}
 
 
-def test_every_dataclass_field_is_read():
+def _record_fields(tree):
+    """(record, field) pairs of one module: the field list of each
+    namedtuple call and the self.<name> attributes each __init__ assigns."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "namedtuple"):
+            name, fields = (arg.value for arg in node.args)
+            yield from ((name, field) for field in fields.split())
+        elif isinstance(node, ast.ClassDef):
+            for init in node.body:
+                if not (isinstance(init, ast.FunctionDef)
+                        and init.name == "__init__"):
+                    continue
+                yield from ((node.name, sub.attr) for sub in ast.walk(init)
+                            if isinstance(sub, ast.Attribute)
+                            and isinstance(sub.ctx, ast.Store)
+                            and getattr(sub.value, "id", None) == "self")
+
+
+def test_every_record_field_is_read():
     # A field counts as read when some module of the package loads it as
     # an attribute or names it in a getattr call; a field that is only
     # ever written is a go-between nothing consumes.
     read, fields = set(), set()
     for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        fields |= set(_record_fields(tree))
+        for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute)
                     and isinstance(node.ctx, ast.Load)):
                 read.add(node.attr)
@@ -69,10 +95,40 @@ def test_every_dataclass_field_is_read():
                   and len(node.args) >= 2
                   and isinstance(node.args[1], ast.Constant)):
                 read.add(node.args[1].value)
-            elif (isinstance(node, ast.ClassDef)
-                  and any(map(_is_dataclass, node.decorator_list))):
-                fields |= {(node.name, stmt.target.id) for stmt in node.body
-                           if isinstance(stmt, ast.AnnAssign)
-                           and isinstance(stmt.target, ast.Name)}
+    # Every record is seen, so the check below is not vacuous.
+    assert RECORDS <= {cls for cls, _ in fields}
     unread = {(cls, name) for cls, name in fields if name not in read}
     assert unread == set(), sorted(unread)
+
+
+def test_verbs_import_only_what_they_use(tmp_path):
+    # A fresh interpreter: the stdlib modules that importing bundleflow.cli
+    # adds to numpy's, and whether plot then loads hashlib (OpenSSL), which
+    # only writing or checking a manifest needs.
+    from bundleflow.cli import main
+
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"flow": {"cells": 32, "t_end": 0.004},
+                               "initial": {"preset": "canonical"}}))
+    rundir = tmp_path / "run"
+    assert main(["run", str(cfg), "--out", str(rundir)]) == 0
+    script = textwrap.dedent("""
+        import sys
+        import numpy
+        before = set(sys.modules)
+        import bundleflow.cli as cli
+        added = sorted(set(sys.modules) - before)
+        code = cli.main(["plot", sys.argv[1]])
+        print(added, code, "hashlib" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(rundir)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    added, code, hashlib_loaded = proc.stdout.splitlines()[-1].rsplit(" ", 2)
+    unneeded = {"argparse", "gettext", "csv", "dataclasses", "hashlib",
+                "_hashlib"}
+    assert unneeded & set(ast.literal_eval(added)) == set()
+    assert (code, hashlib_loaded) == ("0", "False")

@@ -3,6 +3,13 @@
     python tools/layer_bench.py [--workload canonical_80] [--seed 1]
                                 [--repeats 7]
 
+First the start-up cost that every verb process pays: in each of
+``--repeats`` fresh interpreters, the wall time of ``import
+bundleflow.cli`` after ``import numpy``, and the modules outside the
+package that this import adds to numpy's.  The median time is printed
+with the modules of the last interpreter.  When the interpreter writes
+no bytecode cache, the time includes compiling the package.
+
 The config comes from ``make_config`` in perfbench/run.py, which is
 imported as is (importing it pins BLAS to one thread, as the benchmark
 does).  Each repeat runs ``evolution.run_flow`` once in this process with
@@ -22,7 +29,9 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -30,6 +39,33 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+
+STARTUP_PROBE = """
+import sys
+import time
+import numpy
+before = set(sys.modules)
+start = time.perf_counter()
+import bundleflow.cli
+elapsed = time.perf_counter() - start
+added = sorted(name for name in set(sys.modules) - before
+               if name.partition(".")[0] != "bundleflow")
+print(1e3 * elapsed, *added)
+"""
+
+
+def startup(repeats):
+    """(median ms of the import, the modules it adds) over fresh
+    interpreters."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    times = []
+    for _ in range(repeats):
+        out = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        ms, *added = out.stdout.split()
+        times.append(float(ms))
+    return statistics.median(times), added
 
 
 def load_perfbench():
@@ -78,6 +114,7 @@ def main(argv=None) -> int:
     if args.repeats < 2:
         parser.error("--repeats must be at least 2 (the first is warm-up)")
 
+    startup_ms, startup_added = startup(args.repeats)
     run = load_perfbench()
     if args.workload not in run.WORKLOADS:
         parser.error(f"unknown workload {args.workload!r}; choose from "
@@ -133,6 +170,9 @@ def main(argv=None) -> int:
           f"flushes {calls['_monitor_block']} (at most "
           f"{evolution.MONITOR_BLOCK} rows each); medians of "
           f"{args.repeats - 1} runs after one warm-up")
+    print(f"startup             {startup_ms:9.2f} ms import bundleflow.cli "
+          f"after numpy (median of {args.repeats} interpreters); adds "
+          f"{' '.join(startup_added) or 'nothing'}")
     print(f"run_flow            {med['run_flow_ms']:9.2f} ms")
     print(f"_stage              {med['stage_us']:9.2f} us per call")
     print(f"rkl2_step           {med['step_us']:9.2f} us per call "
