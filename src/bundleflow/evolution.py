@@ -7,8 +7,14 @@ system is
 
     d/dt (a; h; f_i) = -(a Ric_nn; h Ric_zz; rho_i / f_i)
 
-with the Ricci rows of geometry.ricci_rows evaluated on the arclength jets
-of the profiles (converted from sigma derivatives through a).
+which a stage evaluates as Y * (coef @ features) on the stacked state
+Y = (a; h; f_i): stacked_derivs gives the sigma derivatives of every row,
+geometry.ricci_rows fills the features of (h; f_i) (u_ss/u, the products
+(u_s/u)_m (u_s/u)_j, h^2/f_i^4 and 1/f_i^2) from them with the chain rule
+for ds = a dsigma folded in, and one product with the constant matrix
+coef of geometry.ricci_coefficients, the minus sign included, gives the
+rows d/dt log Y.  A stage forms no arclength jets: the monitor converts
+the sigma derivatives of its traced rows once per block.
 
 Time stepping is the second-order Runge-Kutta-Legendre scheme RKL2
 (Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014), an s-stage explicit
@@ -29,16 +35,17 @@ RESIDUAL_GROWTH_MAX times its first-row value.
 
 Every trace column and the boundary row are filled in one place,
 _monitor_block.  A traced step only keeps its state, time derivative and
-first-stage jets; once MONITOR_BLOCK = 64 rows are pending, the run ends
-or it halts, one call each of curvature_sup_proxy, kahler_defect,
-laplacian_f2, cumulative_from_left and endpoint_even fills them on the
-stacked states, and the residual gate then reads the filled rows in
-order.  Every cell is bit-identical to the row-by-row call, so artifacts
-are byte-identical to a row-by-row monitor's.  A run halts at the first
-row that raises a floating-point error (the row is dropped) or trips the
-gate (the row is kept), and the snapshots from that row's step on are
-dropped: the partial results of a monitor that fills and gates one row
-at a time, reached up to MONITOR_BLOCK - 1 traced rows later.
+first-stage sigma derivatives; once MONITOR_BLOCK = 64 rows are pending,
+the run ends or it halts, one call each of arclength_derivs,
+curvature_sup_proxy, kahler_defect, laplacian_f2, cumulative_from_left
+and endpoint_even fills them on the stacked states, and the residual gate
+then reads the filled rows in order.  Every cell is bit-identical to the
+row-by-row call, so artifacts are byte-identical to a row-by-row
+monitor's.  A run halts at the first row that raises a floating-point
+error (the row is dropped) or trips the gate (the row is kept), and the
+snapshots from that row's step on are dropped: the partial results of a
+monitor that fills and gates one row at a time, reached up to
+MONITOR_BLOCK - 1 traced rows later.
 """
 
 import functools
@@ -128,10 +135,10 @@ class FlowConfig:
             raise ValueError("regrid_threshold must exceed 1")
 
 
-def _rhs_core(Y, jet_s, jet_ss, coef):
-    """d/dt of Y = (a; h; f_1..f_r) from the arclength jets of (h; f_1..f_r):
-    minus Y times the Ricci rows."""
-    return -Y * ricci_rows(Y[1:], jet_s, jet_ss, coef)
+def _rhs_core(Y, d1, d2, coef):
+    """d/dt of Y = (a; h; f_1..f_r) from its sigma derivatives d1, d2:
+    Y times the rows d/dt log Y of ricci_rows."""
+    return Y * ricci_rows(Y, d1, d2, coef)
 
 
 def _check_finite_rhs(ydot, t):
@@ -150,16 +157,18 @@ def _check_finite_rhs(ydot, t):
 def _stage(Y, stencil, coef):
     """One RHS evaluation on the stacked array (a; h; f_1..f_r).
 
-    Returns the stacked time derivative together with the arclength jets of
-    all rows, which the run loop reuses for its monitor columns.
+    Returns the stacked time derivative together with the sigma
+    derivatives (d1, d2) of all rows, which the run loop keeps for the
+    monitor columns of a traced step.
     """
-    u_s, u_ss = arclength_derivs(*stacked_derivs(Y, stencil), Y[0])
-    return _rhs_core(Y, u_s[1:], u_ss[1:], coef), u_s, u_ss
+    d1, d2 = stacked_derivs(Y, stencil)
+    return _rhs_core(Y, d1, d2, coef), d1, d2
 
 
-def _stack_jets(Y, u_s, u_ss):
+def _stack_jets(Y, d1, d2):
     """Jets of the (h; f) rows of stacked states Y = (a; h; f_1..f_r) from
-    their arclength derivatives; leading batch axes pass through."""
+    their sigma derivatives; leading batch axes pass through."""
+    u_s, u_ss = arclength_derivs(d1, d2, Y[..., 0, :])
     return Jets(h=Y[..., 1, :], h_s=u_s[..., 1, :], h_ss=u_ss[..., 1, :],
                 f=Y[..., 2:, :], f_s=u_s[..., 2:, :], f_ss=u_ss[..., 2:, :])
 
@@ -167,18 +176,18 @@ def _stack_jets(Y, u_s, u_ss):
 def _monitor_block(spec, block, dsigma):
     """Trace and boundary rows of a block of monitor entries.
 
-    Each entry is (t, dt, Y, ydot, u_s, u_ss) with Y the stacked state of
-    the row, ydot its time derivative and u_s, u_ss its first stage's
-    arclength jets.  One call per block of each geometry routine on the
-    stacked states fills the columns, bit-identical to the same calls row
-    by row.  The operations run in the order f_i^2, kappa, kahler_res,
-    heat_res, extrema, gradient columns, arclength, endpoints, so a
-    one-entry block raises the first floating-point error of its row in
-    that order.
+    Each entry is (t, dt, Y, ydot, d1, d2) with Y the stacked state of
+    the row, ydot its time derivative and d1, d2 its first stage's sigma
+    derivatives.  One call per block of arclength_derivs and of each
+    geometry routine on the stacked states fills the columns,
+    bit-identical to the same calls row by row.  The operations run in
+    the order arclength jets, f_i^2, kappa, kahler_res, heat_res, extrema,
+    gradient columns, arclength, endpoints, so a one-entry block raises
+    the first floating-point error of its row in that order.
     """
-    t, dt, Y, ydot, u_s, u_ss = zip(*block)
+    t, dt, Y, ydot, d1, d2 = zip(*block)
     Y, ydot = np.stack(Y), np.stack(ydot)
-    jets = _stack_jets(Y, np.stack(u_s), np.stack(u_ss))
+    jets = _stack_jets(Y, np.stack(d1), np.stack(d2))
     h, f, f_s = jets.h, jets.f, jets.f_s
     r = spec.r
     f2 = f * f
@@ -378,10 +387,10 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
 
     dt_min = DT_UNDERFLOW * cfg.t_end
 
-    def take_row(ydot, u_s, u_ss, dt_col):
-        # Y, ydot, u_s and u_ss are fresh arrays every step, so the entry
+    def take_row(ydot, d1, d2, dt_col):
+        # Y, ydot, d1 and d2 are fresh arrays every step, so the entry
         # holds them without copying.
-        pending.append((t, dt_col, Y, ydot, u_s, u_ss))
+        pending.append((t, dt_col, Y, ydot, d1, d2))
         if len(pending) == MONITOR_BLOCK:
             flush()
 
@@ -431,7 +440,7 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
                 Y = np.vstack([regridded.a[None, :], regridded.h[None, :],
                                regridded.f])
                 lo, hi = Y.min(axis=1), Y.max(axis=1)
-            ydot, u_s, u_ss = _stage(Y, stencil, coef)
+            ydot, d1, d2 = _stage(Y, stencil, coef)
             _check_finite_rhs(ydot, t)
             fmin = lo[2:].min()
             h_absmax = max(abs(lo[1]), abs(hi[1]))
@@ -445,10 +454,10 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
                     dt, s = _dt_bound(Y, ydot, lo[0], t, t_end, dsigma,
                                       dt_min)
                 except FlowHalt:
-                    take_row(ydot, u_s, u_ss, 0.0)
+                    take_row(ydot, d1, d2, 0.0)
                     raise
             if stop or step % cfg.trace_every == 0:
-                take_row(ydot, u_s, u_ss, dt)
+                take_row(ydot, d1, d2, dt)
             if stop or step % cfg.snapshot_every == 0:
                 snapshots.append(current_state())
             if stop:

@@ -139,9 +139,10 @@ class ProfileState:
             raise ValueError("a and h must match the grid length")
         if f.ndim != 2 or f.shape[1] != m:
             raise ValueError("f must have shape (r, cells)")
-        d = 1.0 / m
-        centers = (np.arange(m) + 0.5) * d
-        if not np.allclose(sigma, centers, rtol=0.0, atol=1e-12):
+        centers = (np.arange(m) + 0.5) * (1.0 / m)
+        # Rejects what allclose(atol=1e-12, rtol=0) rejects, NaN and inf
+        # entries included, for a tenth of its cost.
+        if not np.abs(sigma - centers).max() <= 1e-12:
             raise ValueError("sigma must be the uniform cell centers of (0,1)")
         self.t = float(t)
         self.sigma, self.a, self.h, self.f = sigma, a, h, f
@@ -175,27 +176,33 @@ class ProfileState:
 # Grid calculus: parity ghosts, stencils, endpoint values, quadrature.
 # ----------------------------------------------------------------------
 
-def stacked_parity(rows: np.ndarray, parity: np.ndarray,
-                   out: np.ndarray = None) -> np.ndarray:
+def _ghosts(parity: np.ndarray, cells: int):
+    """Gather index (M + 4,) and sign array (F, M + 4) of the parity
+    extension: column j of the extension is sign[:, j] * rows[:, index[j]]."""
+    index = np.concatenate([[1, 0], np.arange(cells), [cells - 1, cells - 2]])
+    sign = np.ones((parity.size, cells + 4))
+    sign[:, :2] = sign[:, -2:] = np.reshape(parity, (-1, 1))
+    return index, sign
+
+
+def stacked_parity(rows: np.ndarray, parity: np.ndarray) -> np.ndarray:
     """Parity-extend fields; rows (F, M) -> (F, M + 4), parity (F, 1)."""
-    if out is None:
-        out = np.empty((rows.shape[0], rows.shape[1] + 4))
-    out[:, 2:-2] = rows
-    np.multiply(rows[:, 1::-1], parity, out=out[:, :2])
-    np.multiply(rows[:, :-3:-1], parity, out=out[:, -2:])
-    return out
+    index, sign = _ghosts(parity, rows.shape[1])
+    return rows[:, index] * sign
 
 
 class Stencil:
-    """Per-run workspace of ``stacked_derivs`` (F fields, M cells): parity
-    column, ghosted buffer (F, M + 4) that each call overwrites, read-only
-    (F, 5, M) five-point window view of it, (2, 5) weights over dsigma."""
+    """Per-run workspace of ``stacked_derivs`` (F fields, M cells): gather
+    index and sign array of the parity ghosts, ghosted buffer (F, M + 4)
+    that each call overwrites, read-only (F, 5, M) five-point window view
+    of it, (2, 5) weights over dsigma."""
 
     def __init__(self, parity: np.ndarray, cells: int, dsigma: float):
-        self.parity = np.reshape(parity, (-1, 1))
-        self.ghosted = np.empty((self.parity.size, cells + 4))
+        self.index, self.sign = _ghosts(parity, cells)
+        self.ghosted = np.empty(self.sign.shape)
+        fields = self.sign.shape[0]
         row, col = self.ghosted.strides
-        self.windows = as_strided(self.ghosted, (self.parity.size, 5, cells),
+        self.windows = as_strided(self.ghosted, (fields, 5, cells),
                                   (row, col, col), writeable=False)
         self.weights = FIVE_POINT_WEIGHTS / np.array(
             [[12.0 * dsigma], [12.0 * dsigma * dsigma]])
@@ -206,19 +213,27 @@ def stacked_derivs(rows: np.ndarray, stencil: Stencil):
 
     Fourth-order five-point stencils evaluated with parity ghosts; exact to
     O(dsigma^4) for fields whose smooth extension has the stated parity.
-    One product of the weights with the window view gives both.
+    One gather and one sign product fill the ghosted buffer, and one
+    product of the weights with its window view gives both derivatives.
+    The product is written into a fresh (2, F, M) array, so d1 and d2 are
+    contiguous: elementwise work on them skips numpy's strided loops.
     """
-    stacked_parity(rows, stencil.parity, stencil.ghosted)
-    both = stencil.weights @ stencil.windows
-    return both[:, 0], both[:, 1]
+    ghosted = stencil.ghosted
+    np.take(rows, stencil.index, axis=1, out=ghosted, mode="clip")
+    np.multiply(ghosted, stencil.sign, out=ghosted)
+    both = np.empty((2,) + rows.shape)
+    np.matmul(stencil.weights, stencil.windows, out=both.transpose(1, 0, 2))
+    return both[0], both[1]
 
 
 def arclength_derivs(d1: np.ndarray, d2: np.ndarray, a: np.ndarray):
     """Arclength (u_s, u_ss) = (u'/a, (u'' - u_s a')/a^2) from the sigma
-    derivatives of stacked fields whose row 0 is a."""
-    inv_a = 1.0 / a
+    derivatives (F, M) of stacked fields whose row 0 is a, shape (M,).
+    Leading batch axes, d1 (K, F, M) and a (K, M), pass through, each
+    entry bit-identical to the one-stack call."""
+    inv_a = 1.0 / a[..., None, :]
     u_s = d1 * inv_a
-    return u_s, (d2 - u_s * d1[0]) * (inv_a * inv_a)
+    return u_s, (d2 - u_s * d1[..., :1, :]) * (inv_a * inv_a)
 
 
 def endpoint_even(u: np.ndarray):
@@ -296,33 +311,47 @@ def field_parities(r: int) -> np.ndarray:
 # Curvature.
 # ----------------------------------------------------------------------
 
-def ricci_coefficients(spec: BundleSpec):
-    """Factor matrices of ricci_rows, signs included.
+def ricci_coefficients(spec: BundleSpec) -> np.ndarray:
+    """The constant matrix of ricci_rows, the flow's minus sign included.
 
-    Returns (lead, trace, mix, q_i^2 / 2, k_i): ``lead`` (r+2, r+1) maps
-    the quotients (h_ss/h; f_i,ss/f_i) to the second-derivative terms of
-    every output row, ``trace`` = (1, 2 n_1, .., 2 n_r) gives tr L from
-    (h_s/h; f_i,s/f_i), and ``mix`` (r+1, r) = (n_1 .. n_r; -identity)
-    places the twist terms in the rows (Ric_zz; rho_i / f_i^2).  The last
-    two are (r, 1) columns.
+    Its K = (r+1) + (r+1)^2 + 2r columns act on the features of u =
+    (h; f_1..f_r) in this order, with s = u_s/u and t = (1, 2 n_1, ..,
+    2 n_r), so that tr L = t . s.  Before the sign flip the entries are
+    the coefficients of ricci_rows' formulas:
+
+        u_ss/u       r+1 columns     Ric_nn: -t;  Ric_zz: -1 on h_ss/h;
+                                     rho_i/f_i^2: -1 on f_i,ss/f_i
+        s_m s_j      (r+1)^2, m      on the row of u_m (Ric_zz for m = 0,
+                     major           rho_m/f_m^2 else): delta_mj - t_j
+        h^2/f_i^4    r columns       Ric_zz: n_i q_i^2/2;
+                                     rho_i/f_i^2: -q_i^2/2
+        1/f_i^2      r columns       rho_i/f_i^2: k_i
+
+    The (r+2) x K result maps the features to d/dt log (a; h; f_i).
     """
-    n_col, k_col, q_col, _ = spec.factor_arrays()
-    r = spec.r
-    trace = np.concatenate([[1.0], 2.0 * n_col[:, 0]])
-    lead = np.zeros((r + 2, r + 1))
-    lead[0] = -trace
-    lead[1, 0] = -1.0
-    lead[2:, 1:] = -np.eye(r)
-    mix = np.vstack([n_col[:, 0], -np.eye(r)])
-    return lead, trace, mix, 0.5 * q_col * q_col, k_col
+    n, k, q = (col[:, 0] for col in spec.factor_arrays()[:3])
+    r1 = spec.r + 1
+    sq = r1 + r1 * r1                   # first h^2/f_i^4 column
+    t = np.concatenate([[1.0], 2.0 * n])
+    half_q2 = 0.5 * q * q
+    ricci = np.zeros((r1 + 1, sq + 2 * spec.r))
+    ricci[0, :r1] = -t
+    ricci[1:, :r1] = -np.eye(r1)
+    for m in range(r1):
+        ricci[1 + m, r1 + m * r1:r1 + (m + 1) * r1] = np.eye(r1)[m] - t
+    ricci[1, sq:sq + r1 - 1] = n * half_q2
+    ricci[2:, sq:sq + r1 - 1] = -np.diag(half_q2)
+    ricci[2:, sq + r1 - 1:] = np.diag(k)
+    return -ricci
 
 
-def ricci_rows(u, u_s, u_ss, coef):
-    """Ricci curvature of the full metric from stacked jets.
+def ricci_rows(Y, d1, d2, coef):
+    """Minus the Ricci curvature of the full metric, from a stacked state.
 
-    ``u`` holds the rows (h; f_1..f_r), ``u_s`` and ``u_ss`` their
-    arclength derivatives and ``coef`` the output of ricci_coefficients.
-    Returns the stacked rows (Ric_nn; Ric_zz; rho_i / f_i^2), with
+    ``Y`` holds the rows (a; h; f_1..f_r), ``d1`` and ``d2`` their first
+    and second sigma derivatives (stacked_derivs) and ``coef`` the matrix
+    of ricci_coefficients.  Returns the stacked rows
+    -(Ric_nn; Ric_zz; rho_i / f_i^2) = d/dt log (a; h; f_i), with
 
         Ric(nu, nu)     = -h_ss/h - sum 2 n_i f_i,ss/f_i
         Ric(zhat, zhat) = sum n_i q_i^2 h^2/(2 f_i^4)
@@ -330,20 +359,32 @@ def ricci_rows(u, u_s, u_ss, coef):
         rho_i / f_i^2   = k_i/f_i^2 - (f_i,s/f_i) tr L - f_i,ss/f_i
                           + (f_i,s/f_i)^2 - q_i^2 h^2/(2 f_i^4)
 
-    and tr L = h_s/h + sum 2 n_j f_j,s/f_j.  Written over the whole stack:
-    lead @ (u_ss/u), minus (u_s/u)(tr L - u_s/u) on every row but the
-    first, plus mix @ twist and k_i/f_i^2 on the f rows.  The flow
-    right-hand side comes from here; 1/f^4 is formed as (1/f^2)^2.
+    and tr L = h_s/h + sum 2 n_j f_j,s/f_j.  Every row is linear in the
+    features of u = (h; f_1..f_r) that ricci_coefficients lists: u_ss/u,
+    the products (u_s/u)_m (u_s/u)_j, h^2/f_i^4 and 1/f_i^2.  They are
+    filled from the sigma derivatives with the chain rule for ds = a
+    dsigma folded in,
+
+        u_s/u = (u'/u) / a,    u_ss/u = (u''/u - (u'/u)(a'/a)) / a^2,
+
+    so one matrix product gives every row.
     """
-    lead, trace, mix, half_q2, k = coef
-    inv = 1.0 / u
-    shape = u_s * inv                   # h_s/h; f_i,s/f_i
-    rows = lead @ (u_ss * inv)
-    rows[1:] -= shape * (trace @ shape - shape)
-    inv_f2 = inv[1:] * inv[1:]
-    rows[1:] += mix @ (half_q2 * (u[0] * u[0]) * inv_f2 * inv_f2)
-    rows[2:] += k * inv_f2
-    return rows
+    r1 = Y.shape[0] - 1
+    sq = r1 + r1 * r1                   # end of the u_ss/u and s_m s_j rows
+    inv = 1.0 / Y
+    log_d = d1 * inv                    # a'/a; u'/u
+    log_u = log_d[1:]
+    feats = np.empty((coef.shape[1], Y.shape[1]))
+    # a^2 u_ss/u and a^2 s_m s_j, then one scaling by 1/a^2.
+    lead = np.multiply(d2[1:], inv[1:], out=feats[:r1])
+    lead -= log_u * log_d[0]
+    np.multiply(log_u[:, None], log_u, out=feats[r1:sq].reshape(r1, r1, -1))
+    inv_a = inv[0]
+    feats[:sq] *= inv_a * inv_a
+    inv_f2 = np.multiply(inv[2:], inv[2:], out=feats[sq + r1 - 1:])
+    twist = Y[1] * inv_f2               # h/f_i^2
+    np.multiply(twist, twist, out=feats[sq:sq + r1 - 1])
+    return np.dot(coef, feats)
 
 
 def _trace_l(n, j: Jets) -> np.ndarray:

@@ -12,7 +12,7 @@ from collections import namedtuple
 import numpy as np
 
 import bundleflow.geometry as geo
-from bundleflow.evolution import _check_finite_rhs, _rhs_core
+from bundleflow.evolution import _check_finite_rhs, _stage
 
 # Diagonal Ricci data in the canonical frame: Ric(nu, nu), Ric(zhat, zhat)
 # and the horizontal coefficients rho_i with respect to g_i, so that the
@@ -24,7 +24,8 @@ BoundarySlope = namedtuple("BoundarySlope",
 
 
 def profile_jets(state):
-    """Arclength jets of a state, by the same kernel as a flow stage."""
+    """Arclength jets of a state, by the stencils of a flow stage and the
+    chain rule of the trace monitor."""
     rows = np.vstack([state.a, state.h, state.f])
     stencil = geo.Stencil(geo.field_parities(state.r), state.cells,
                           state.dsigma)
@@ -34,15 +35,18 @@ def profile_jets(state):
                     f=state.f, f_s=u_s[2:], f_ss=u_ss[2:])
 
 
-def _stacked(jets):
-    """The rows (h; f_1..f_r) of jets and their two arclength derivatives."""
-    return (np.vstack([jets.h, jets.f]), np.vstack([jets.h_s, jets.f_s]),
-            np.vstack([jets.h_ss, jets.f_ss]))
+def _unit_lapse(jets):
+    """The (Y, d1, d2) of geometry.ricci_rows for arclength jets: with
+    a = 1 sigma is arclength, so the jets are the sigma derivatives."""
+    one, zero = np.ones_like(jets.h), np.zeros_like(jets.h)
+    return (np.vstack([one, jets.h, jets.f]),
+            np.vstack([zero, jets.h_s, jets.f_s]),
+            np.vstack([zero, jets.h_ss, jets.f_ss]))
 
 
 def ricci_full(spec, jets):
-    """geometry.ricci_rows on the jets of one state."""
-    rows = geo.ricci_rows(*_stacked(jets), geo.ricci_coefficients(spec))
+    """geometry.ricci_rows on the jets of one state, at a = 1."""
+    rows = -geo.ricci_rows(*_unit_lapse(jets), geo.ricci_coefficients(spec))
     return Ricci(nn=rows[0], zz=rows[1], horiz=rows[2:] * jets.f ** 2)
 
 
@@ -65,15 +69,25 @@ def ricci_kahler(spec, jets):
     return Ricci(nn=mixed, zz=mixed.copy(), horiz=horiz)
 
 
-def flow_rhs(spec, state, jets):
-    """Time derivatives (da/dt, dh/dt, df_i/dt) at a state from its jets.
+def flow_rhs(spec, state, jets=None):
+    """Time derivatives (da/dt, dh/dt, df_i/dt) at a state.
 
-    The flow's own _rhs_core and _check_finite_rhs, so a non-finite
-    derivative raises FlowHalt naming its component and cell.
+    Without ``jets`` this is the flow's own _stage on the state, bit for
+    bit the derivative a run computes there.  Exact arclength ``jets``
+    replace the stencils: the rows come from ricci_rows at a = 1 and are
+    multiplied by (a; h; f).  Either way the flow's _check_finite_rhs
+    runs, so a non-finite derivative raises FlowHalt naming its component
+    and cell.
     """
-    Y = np.vstack([state.a, jets.h, jets.f])
-    _, u_s, u_ss = _stacked(jets)
-    ydot = _rhs_core(Y, u_s, u_ss, geo.ricci_coefficients(spec))
+    coef = geo.ricci_coefficients(spec)
+    if jets is None:
+        Y = np.vstack([state.a, state.h, state.f])
+        stencil = geo.Stencil(geo.field_parities(state.r), state.cells,
+                              state.dsigma)
+        ydot = _stage(Y, stencil, coef)[0]
+    else:
+        Y = np.vstack([state.a, jets.h, jets.f])
+        ydot = Y * geo.ricci_rows(*_unit_lapse(jets), coef)
     _check_finite_rhs(ydot, state.t)
     return ydot[0], ydot[1], ydot[2:]
 

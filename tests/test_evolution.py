@@ -60,7 +60,7 @@ class TestFlowRhs:
     def test_discrete_stencils_match_analytic_jets(self):
         state, jets = canonical_state(400)
         exact = flow_rhs(CANON, state, jets=jets)
-        approx = flow_rhs(CANON, state, profile_jets(state))
+        approx = flow_rhs(CANON, state)
         for got, want in zip(approx, exact):
             assert np.max(np.abs(got - want)) <= 1e-6
 
@@ -69,7 +69,7 @@ class TestFlowRhs:
         # the left closed end and -2 q_j - 2 k_j on the right (0 and -8
         # here), and the discrete scheme reproduces this to rounding.
         spec, state = canonical_preset(400)
-        _, _, fdot = flow_rhs(spec, state, profile_jets(state))
+        _, _, fdot = flow_rhs(spec, state)
         df2dt = 2.0 * state.f[0] * fdot[0]
         left, right = geo.endpoint_even(df2dt)
         assert abs(left - 0.0) <= 1e-6
@@ -78,7 +78,7 @@ class TestFlowRhs:
     def test_heat_identity_on_kahler_data(self):
         spec, state = canonical_preset(400)
         jets = profile_jets(state)
-        _, _, fdot = flow_rhs(spec, state, jets=jets)
+        _, _, fdot = flow_rhs(spec, state)
         lap = geo.laplacian_f2(spec, jets)
         k_col = spec.factor_arrays()[1]
         resid = np.abs(2.0 * state.f * fdot - lap + 2.0 * k_col)
@@ -91,7 +91,7 @@ class TestFlowRhs:
         bad = geo.ProfileState(state.t, state.sigma, state.a, h, state.f)
         with np.errstate(invalid="ignore"):
             with pytest.raises(FlowHalt, match="cell"):
-                flow_rhs(CANON, bad, profile_jets(bad))
+                flow_rhs(CANON, bad)
 
     @given(st.floats(min_value=0.2, max_value=5.0))
     @example(0.3125)
@@ -99,11 +99,11 @@ class TestFlowRhs:
         # (a, h, f) -> sqrt(K)(a, h, f) with t -> K t: the right-hand side
         # must come back divided by sqrt(K).
         state, _ = canonical_state(64)
-        base = flow_rhs(CANON, state, profile_jets(state))
+        base = flow_rhs(CANON, state)
         root = math.sqrt(K)
         scaled = geo.ProfileState(state.t, state.sigma, root * state.a,
                                   root * state.h, root * state.f)
-        moved = flow_rhs(CANON, scaled, profile_jets(scaled))
+        moved = flow_rhs(CANON, scaled)
         for got, want in zip(moved, base):
             want = want / root
             # Stencil rounding is relative to a row's largest entries (at
@@ -769,7 +769,7 @@ class TestMonitorColumns:
         _, k_col, q_col, _ = spec.factor_arrays()
         for row, brow, snap in zip(trace.rows, trace.boundary, snaps):
             jets = profile_jets(snap)
-            fdot = flow_rhs(spec, snap, jets=jets)[2]
+            fdot = flow_rhs(spec, snap)[2]
             f2 = snap.f * snap.f
             heat = np.abs(2.0 * snap.f * fdot - geo.laplacian_f2(spec, jets)
                           + 2.0 * k_col)
@@ -859,13 +859,14 @@ class TestOneKernel:
             Y = np.vstack([snap.a, snap.h, snap.f])
             stencil = geo.Stencil(geo.field_parities(spec.r), snap.cells,
                                   snap.dsigma)
-            ydot, u_s, u_ss = _stage(Y, stencil, geo.ricci_coefficients(spec))
+            ydot, d1, d2 = _stage(Y, stencil, geo.ricci_coefficients(spec))
+            u_s, u_ss = geo.arclength_derivs(d1, d2, snap.a)
             jets = profile_jets(snap)
             assert np.array_equal(jets.h_s, u_s[1])
             assert np.array_equal(jets.h_ss, u_ss[1])
             assert np.array_equal(jets.f_s, u_s[2:])
             assert np.array_equal(jets.f_ss, u_ss[2:])
-            adot, hdot, fdot = flow_rhs(spec, snap, jets)
+            adot, hdot, fdot = flow_rhs(spec, snap)
             assert np.array_equal(adot, ydot[0])
             assert np.array_equal(hdot, ydot[1])
             assert np.array_equal(fdot, ydot[2:])
@@ -926,4 +927,7 @@ def test_layer_bench_runs_on_a_workload():
     lines = proc.stdout.splitlines()
     for layer in ("startup", "run_flow", "write_outputs", "read_snapshots"):
         assert any(re.match(rf"{layer} +\d+\.\d+ ms", line)
+                   for line in lines), (layer, proc.stdout)
+    for layer in ("_stage", "stacked_derivs", "_rhs_core"):
+        assert any(re.match(rf"{layer} +\d+\.\d+ us per call", line)
                    for line in lines), (layer, proc.stdout)

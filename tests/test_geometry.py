@@ -118,18 +118,31 @@ def test_two_factor_instance():
     assert geo.curvature_sup_proxy(spec, jets) >= cross.max() - 1e-12
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
-def test_ricci_rows_match_docstring_formulas(r):
-    # The whole-stack matrix form against the per-row formulas of its
-    # docstring, written out term by term on random positive jets.
+@pytest.mark.parametrize("r, lapse", [
+    (1, "unit"), (2, "unit"), (3, "unit"),
+    (1, "nonuniform"), (2, "nonuniform"), (3, "nonuniform")],
+    ids=["1", "2", "3", "1-nonuniform", "2-nonuniform", "3-nonuniform"])
+def test_ricci_rows_match_docstring_formulas(r, lapse):
+    # The feature matrix against the per-row formulas of its docstring,
+    # written out term by term on random positive rows and random sigma
+    # derivatives.  A nonuniform lapse (random positive a and a') checks
+    # the chain rule folded into the features against arclength jets
+    # u_s = u'/a, u_ss = (u'' - u_s a')/a^2; a'' must not matter.
     rng = np.random.default_rng(r)
     spec = geo.BundleSpec(n=rng.integers(1, 4, r),
                           k=rng.uniform(-3.0, 3.0, r),
                           q=rng.choice([-3, -2, -1, 1, 2, 3], r))
     cells = 40
     u = rng.uniform(0.5, 2.0, (r + 1, cells))
-    u_s = rng.uniform(-1.0, 1.0, (r + 1, cells))
-    u_ss = rng.uniform(-1.0, 1.0, (r + 1, cells))
+    u1 = rng.uniform(-1.0, 1.0, (r + 1, cells))
+    u2 = rng.uniform(-1.0, 1.0, (r + 1, cells))
+    if lapse == "unit":
+        a, a1 = np.ones(cells), np.zeros(cells)
+    else:
+        a, a1 = rng.uniform(0.5, 2.0, cells), rng.uniform(-1.0, 1.0, cells)
+    a2 = rng.uniform(-1.0, 1.0, cells)
+    u_s = u1 / a
+    u_ss = (u2 - u_s * a1) / a ** 2
     h, h_s, h_ss = u[0], u_s[0], u_ss[0]
     f, f_s, f_ss = u[1:], u_s[1:], u_ss[1:]
     n, k, q = spec.n, spec.k, spec.q
@@ -143,7 +156,10 @@ def test_ricci_rows_match_docstring_formulas(r):
     expected += [k[i] / f[i] ** 2 - f_s[i] / f[i] * trace_l
                  - f_ss[i] / f[i] + (f_s[i] / f[i]) ** 2 - twist[i]
                  for i in range(r)]
-    rows = geo.ricci_rows(u, u_s, u_ss, geo.ricci_coefficients(spec))
+    coef = geo.ricci_coefficients(spec)
+    assert coef.shape == (r + 2, (r + 1) + (r + 1) ** 2 + 2 * r)
+    rows = -geo.ricci_rows(np.vstack([a, u]), np.vstack([a1, u1]),
+                           np.vstack([a2, u2]), coef)
     assert rows.shape == (r + 2, cells)
     for row, want in zip(rows, expected):
         assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
@@ -348,6 +364,19 @@ def test_profile_state_validation():
         geo.ProfileState(t=0.0, sigma=np.linspace(0, 1, cells),
                          a=np.ones(cells), h=np.ones(cells),
                          f=np.ones((1, cells)))
+    # The grid check rejects a NaN entry and an offset past 1e-12, and
+    # accepts one below it.
+    for entry, accepted in ((np.nan, False), (sigma[5] + 2e-12, False),
+                            (sigma[5] + 5e-13, True)):
+        moved = sigma.copy()
+        moved[5] = entry
+        if accepted:
+            geo.ProfileState(t=0.0, sigma=moved, a=np.ones(cells),
+                             h=np.ones(cells), f=np.ones((1, cells)))
+        else:
+            with pytest.raises(ValueError, match="uniform cell centers"):
+                geo.ProfileState(t=0.0, sigma=moved, a=np.ones(cells),
+                                 h=np.ones(cells), f=np.ones((1, cells)))
     state = geo.ProfileState(t=0.0, sigma=sigma, a=np.ones(cells),
                              h=np.ones(cells), f=np.ones((1, cells)))
     state.validate()

@@ -12,11 +12,14 @@ no bytecode cache, the time includes compiling the package.
 
 The config comes from ``make_config`` in perfbench/run.py, which is
 imported as is (importing it pins BLAS to one thread, as the benchmark
-does).  Each repeat runs ``evolution.run_flow`` once in this process with
-timers around the module attributes run_flow calls: ``_stage`` (one RHS
-evaluation), ``rkl2_step`` (one step, its s - 1 inner stages included)
-and ``_monitor_block`` (one flush, which fills every column of its trace
-rows).  The persistence layer is timed the same way on the last run's
+does).  Each repeat runs ``evolution.run_flow`` twice in this process with
+timers around the module attributes run_flow calls.  The first run times
+``_stage`` (one RHS evaluation), ``rkl2_step`` (one step, its s - 1 inner
+stages included) and ``_monitor_block`` (one flush, which fills every
+column of its trace rows); the second times the two layers inside a
+stage, ``stacked_derivs`` (the stencils) and ``_rhs_core`` (the RHS from
+the stencils' derivatives), so their timers do not add to the first
+run's.  The persistence layer is timed the same way on the last run's
 trace and snapshots: ``cli.write_outputs`` into a temporary run
 directory, then ``cli.read_snapshots`` on that directory, with the bytes
 the write leaves there.  The first repeat warms caches and is dropped;
@@ -78,13 +81,20 @@ def load_perfbench():
 
 
 class Timers:
-    """Inclusive wall time and call count per wrapped attribute."""
+    """Inclusive wall time and call count per wrapped attribute, until
+    ``restore`` puts the original attributes back."""
 
     def __init__(self, module, names):
         self.busy = dict.fromkeys(names, 0.0)
         self.calls = dict.fromkeys(names, 0)
-        for name in names:
-            setattr(module, name, self._wrap(getattr(module, name), name))
+        self.module = module
+        self.originals = {name: getattr(module, name) for name in names}
+        for name, fn in self.originals.items():
+            setattr(module, name, self._wrap(fn, name))
+
+    def restore(self):
+        for name, fn in self.originals.items():
+            setattr(self.module, name, fn)
 
     def _wrap(self, fn, name):
         busy, calls, clock = self.busy, self.calls, time.perf_counter
@@ -99,10 +109,6 @@ class Timers:
 
         return timed
 
-    def reset(self):
-        for name in self.busy:
-            self.busy[name] = 0.0
-            self.calls[name] = 0
 
 
 def main(argv=None) -> int:
@@ -130,23 +136,34 @@ def main(argv=None) -> int:
                                                    args.seed)))
         cfg = load_config(path)
 
-    names = ("_stage", "rkl2_step", "_monitor_block")
-    timers = Timers(evolution, names)
+    def timed_run(names):
+        timers = Timers(evolution, names)
+        try:
+            start = time.perf_counter()
+            result = evolution.run_flow(cfg.spec, cfg.state0, cfg.flow)
+            wall = time.perf_counter() - start
+        finally:
+            timers.restore()
+        return result, wall, timers.busy, timers.calls
+
+    def per_call(busy, calls, name):
+        return 1e6 * busy[name] / max(calls[name], 1)
+
     samples = {key: [] for key in ("run_flow_ms", "stage_us", "step_us",
-                                   "row_us")}
+                                   "row_us", "derivs_us", "rhs_core_us")}
     for _ in range(args.repeats):
-        timers.reset()
-        start = time.perf_counter()
-        trace, snapshots = evolution.run_flow(cfg.spec, cfg.state0,
-                                              cfg.flow)
-        wall = time.perf_counter() - start
+        (trace, snapshots), wall, busy, calls = timed_run(
+            ("_stage", "rkl2_step", "_monitor_block"))
         rows = trace.rows.shape[0]
-        busy, calls = timers.busy, timers.calls
         samples["run_flow_ms"].append(1e3 * wall)
-        samples["stage_us"].append(1e6 * busy["_stage"] / calls["_stage"])
-        samples["step_us"].append(
-            1e6 * busy["rkl2_step"] / max(calls["rkl2_step"], 1))
+        samples["stage_us"].append(per_call(busy, calls, "_stage"))
+        samples["step_us"].append(per_call(busy, calls, "rkl2_step"))
         samples["row_us"].append(1e6 * busy["_monitor_block"] / rows)
+        _, _, inner, inner_calls = timed_run(("stacked_derivs", "_rhs_core"))
+        samples["derivs_us"].append(
+            per_call(inner, inner_calls, "stacked_derivs"))
+        samples["rhs_core_us"].append(
+            per_call(inner, inner_calls, "_rhs_core"))
 
     report = analyze_run(trace, [s.t for s in snapshots],
                          cfg.flow.stop_floor)
@@ -175,6 +192,10 @@ def main(argv=None) -> int:
           f"{' '.join(startup_added) or 'nothing'}")
     print(f"run_flow            {med['run_flow_ms']:9.2f} ms")
     print(f"_stage              {med['stage_us']:9.2f} us per call")
+    print(f"stacked_derivs      {med['derivs_us']:9.2f} us per call "
+          f"(timed in a second run)")
+    print(f"_rhs_core           {med['rhs_core_us']:9.2f} us per call "
+          f"(timed in a second run)")
     print(f"rkl2_step           {med['step_us']:9.2f} us per call "
           f"(inner stages included)")
     print(f"trace row           {med['row_us']:9.2f} us per row "
