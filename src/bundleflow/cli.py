@@ -296,8 +296,6 @@ def write_outputs(trace: FlowTrace, snapshots, report: dict, out_dir,
     for idx, snap in enumerate(snapshots):
         payload = {
             "t": snap.t,
-            "cells": snap.cells,
-            "sigma": snap.sigma.tolist(),
             "a": snap.a.tolist(),
             "h": snap.h.tolist(),
             "f": snap.f.tolist(),
@@ -443,20 +441,18 @@ def _finite_array(v, path, ndim):
 def read_snapshot(path) -> ProfileState:
     """Load one stored snapshot file.
 
-    ``t`` must be a finite number, ``cells`` the length of ``sigma``, and
-    every entry of ``sigma``, ``a``, ``h`` and every row of ``f`` a finite
-    number; anything else is a ConfigError that names the file.  Positivity
-    is not checked: a run that stops at the floor snapshots its stop state.
+    ``t`` must be a finite number and every entry of ``a``, ``h`` and every
+    row of ``f`` a finite number, with ``h`` and each row of ``f`` as long
+    as ``a`` and at least 4 cells; anything else is a ConfigError that
+    names the file.  Other keys are ignored, so snapshots that also store
+    the grid (``sigma`` and ``cells``) read the same.  Positivity is not
+    checked: a run that stops at the floor snapshots its stop state.
     """
     d = _read_json(Path(path))
     try:
         t = _number(d["t"], "t")
-        cells = _integer(d["cells"], "cells")
         arrays = {key: _finite_array(d[key], key, 2 if key == "f" else 1)
-                  for key in ("sigma", "a", "h", "f")}
-        if cells != arrays["sigma"].size:
-            raise ConfigError(f"cells is {cells} but sigma has "
-                              f"{arrays['sigma'].size} entries")
+                  for key in ("a", "h", "f")}
         return ProfileState(t=t, **arrays)
     except ConfigError as exc:
         raise ConfigError(f"{path} is not a snapshot: {exc}") from exc

@@ -54,7 +54,7 @@ import numpy as np
 
 from .analysis import FlowTrace
 from .geometry import (EVEN, BundleSpec, Jets, ProfileState, Stencil,
-                       arclength_derivs, cell_centers, cumulative_from_left,
+                       arclength_derivs, cumulative_from_left,
                        curvature_sup_proxy, endpoint_even, field_parities,
                        kahler_defect, laplacian_f2, ricci_coefficients,
                        ricci_rows, stacked_derivs, stacked_parity)
@@ -336,9 +336,8 @@ def regrid_uniform(state: ProfileState) -> ProfileState:
     ext = stacked_parity(rows, field_parities(state.r)[1:])
     s_tgt = (np.arange(state.cells) + 0.5) * (total / state.cells)
     resampled = _lagrange_resample(s_ext, ext, s_tgt)
-    return ProfileState(t=state.t, sigma=cell_centers(state.cells),
-                        a=np.full(state.cells, total), h=resampled[0],
-                        f=resampled[1:])
+    return ProfileState(t=state.t, a=np.full(state.cells, total),
+                        h=resampled[0], f=resampled[1:])
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")
@@ -370,8 +369,7 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
         raise InvalidInitialState(f"initial data does not close: {bad}")
 
     dsigma = state0.dsigma
-    stencil = Stencil(field_parities(spec.r), cfg.cells, dsigma)
-    sigma = state0.sigma
+    stencil = Stencil(field_parities(spec.r), cfg.cells)
     Y = np.vstack([state0.a[None, :], state0.h[None, :], state0.f])
     t = state0.t
     t_end = state0.t + cfg.t_end
@@ -379,8 +377,8 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
     step = 0
 
     def current_state():
-        return ProfileState(t=t, sigma=sigma, a=Y[0].copy(),
-                            h=Y[1].copy(), f=Y[2:].copy())
+        return ProfileState(t=t, a=Y[0].copy(), h=Y[1].copy(),
+                            f=Y[2:].copy())
 
     def rhs(Yj):
         return _stage(Yj, stencil, coef)[0]

@@ -120,32 +120,26 @@ def cell_centers(cells: int) -> np.ndarray:
 class ProfileState:
     """Radial profile functions on a cell-centered grid at one flow time.
 
-    Arrays: ``sigma`` holds the M cell centers, ``a`` the radial lapse
-    (ds = a dsigma), ``h`` the fiber length H, and ``f`` the (r, M) conformal
-    factors F_i.  Grid structure is checked on construction; positivity is
-    checked by :meth:`validate` (mid-step integrator states may transiently
-    be constructed before being validated).
+    Arrays: ``a`` holds the radial lapse (ds = a dsigma) at the M cell
+    centers, ``h`` the fiber length H, and ``f`` the (r, M) conformal
+    factors F_i; ``sigma`` is the grid they sit on, the centers
+    cell_centers(M), derived from M = len(a).  Shapes are checked on
+    construction; positivity is checked by :meth:`validate` (mid-step
+    integrator states may transiently be constructed before being
+    validated).
     """
 
-    def __init__(self, t, sigma, a, h, f):
-        sigma = np.asarray(sigma, float)
+    def __init__(self, t, a, h, f):
         a = np.asarray(a, float)
         h = np.asarray(h, float)
         f = np.atleast_2d(np.asarray(f, float))
-        m = sigma.size
-        if m < 4:
-            raise ValueError("need at least 4 cells")
-        if a.shape != (m,) or h.shape != (m,):
-            raise ValueError("a and h must match the grid length")
-        if f.ndim != 2 or f.shape[1] != m:
+        if a.ndim != 1 or h.shape != a.shape:
+            raise ValueError("a and h must be rows of one length")
+        if f.ndim != 2 or f.shape[1] != a.size:
             raise ValueError("f must have shape (r, cells)")
-        centers = (np.arange(m) + 0.5) * (1.0 / m)
-        # Rejects what allclose(atol=1e-12, rtol=0) rejects, NaN and inf
-        # entries included, for a tenth of its cost.
-        if not np.abs(sigma - centers).max() <= 1e-12:
-            raise ValueError("sigma must be the uniform cell centers of (0,1)")
         self.t = float(t)
-        self.sigma, self.a, self.h, self.f = sigma, a, h, f
+        self.sigma = cell_centers(a.size)
+        self.a, self.h, self.f = a, h, f
 
     @property
     def cells(self) -> int:
@@ -195,9 +189,10 @@ class Stencil:
     """Per-run workspace of ``stacked_derivs`` (F fields, M cells): gather
     index and sign array of the parity ghosts, ghosted buffer (F, M + 4)
     that each call overwrites, read-only (F, 5, M) five-point window view
-    of it, (2, 5) weights over dsigma."""
+    of it, (2, 5) weights over dsigma = 1 / cells."""
 
-    def __init__(self, parity: np.ndarray, cells: int, dsigma: float):
+    def __init__(self, parity: np.ndarray, cells: int):
+        dsigma = 1.0 / cells
         self.index, self.sign = _ghosts(parity, cells)
         self.ghosted = np.empty(self.sign.shape)
         fields = self.sign.shape[0]

@@ -187,7 +187,7 @@ def build_kahler_profile(spec: BundleSpec, length: float, h_template,
                 f"factor {i + 1}: F^2 drops to {min(f2.min(), end_value):.6g}"
                 f" by s = {s_bad:.6g}; increase f0 or shorten the interval")
         f[i] = np.sqrt(f2)
-    return ProfileState(t=0.0, sigma=sigma, a=a, h=h, f=f)
+    return ProfileState(t=0.0, a=a, h=h, f=f)
 
 
 def build_general_profile(spec: BundleSpec, length: float, h_template,
@@ -209,7 +209,7 @@ def build_general_profile(spec: BundleSpec, length: float, h_template,
         raise ValueError("f_templates must be positive everywhere")
 
     a = np.full(cells, float(length))
-    state = ProfileState(t=0.0, sigma=sigma, a=a, h=h, f=np.sqrt(f2))
+    state = ProfileState(t=0.0, a=a, h=h, f=np.sqrt(f2))
     report = validate_closing(state)
     if not report.passed:
         bad = "; ".join(f"{c.side} {c.name}" for c in report.failures())

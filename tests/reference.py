@@ -27,8 +27,7 @@ def profile_jets(state):
     """Arclength jets of a state, by the stencils of a flow stage and the
     chain rule of the trace monitor."""
     rows = np.vstack([state.a, state.h, state.f])
-    stencil = geo.Stencil(geo.field_parities(state.r), state.cells,
-                          state.dsigma)
+    stencil = geo.Stencil(geo.field_parities(state.r), state.cells)
     u_s, u_ss = geo.arclength_derivs(*geo.stacked_derivs(rows, stencil),
                                      state.a)
     return geo.Jets(h=state.h, h_s=u_s[1], h_ss=u_ss[1],
@@ -82,8 +81,7 @@ def flow_rhs(spec, state, jets=None):
     coef = geo.ricci_coefficients(spec)
     if jets is None:
         Y = np.vstack([state.a, state.h, state.f])
-        stencil = geo.Stencil(geo.field_parities(state.r), state.cells,
-                              state.dsigma)
+        stencil = geo.Stencil(geo.field_parities(state.r), state.cells)
         ydot = _stage(Y, stencil, coef)[0]
     else:
         Y = np.vstack([state.a, jets.h, jets.f])

@@ -219,4 +219,4 @@ def test_criterion_10_reruns_byte_identical_and_schema_stable(tmp_path):
     assert bheader == "t,f1sq_left,f1sq_right"
     snap = json.loads(
         (out1 / "snapshots" / "snap_00000.json").read_text())
-    assert set(snap) == {"t", "cells", "sigma", "a", "h", "f"}
+    assert set(snap) == {"t", "a", "h", "f"}

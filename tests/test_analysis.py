@@ -261,8 +261,8 @@ class TestRescale:
         spec, state = canonical_preset(64)
         K = 3.7
         root = math.sqrt(K)
-        zoom = geo.ProfileState(state.t, state.sigma, root * state.a,
-                                root * state.h, root * state.f)
+        zoom = geo.ProfileState(state.t, root * state.a, root * state.h,
+                                root * state.f)
         base = geo.curvature_sup_proxy(spec, ref.profile_jets(state))
         assert geo.curvature_sup_proxy(spec, ref.profile_jets(zoom)) \
             == pytest.approx(base / K, rel=1e-10)

@@ -469,6 +469,38 @@ class TestAnalyzeVerb:
             assert path.stat().st_mtime_ns == 10 ** 9, path.name
         assert (out / "manifest.json").read_bytes() == manifest
 
+    def test_snapshots_that_store_the_grid_still_read(self, tmp_path,
+                                                       capsys):
+        # Earlier versions also stored sigma and cells in each snapshot;
+        # such a run directory analyzes and plots as before.
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json",
+                           flow={"cells": 32, "t_end": 0.004,
+                                 "snapshot_every": 1},
+                           output={"dir": str(out)})
+        assert main(["run", str(cfg)]) == 0
+        assert main(["plot", str(out), "--field", "kappa"]) == 0
+        svgs = {path.name: path.read_bytes() for path in out.glob("*.svg")}
+        assert "field_kappa.svg" in svgs
+        manifest = json.loads((out / "manifest.json").read_text())
+        paths = sorted((out / "snapshots").glob("snap_*.json"))
+        assert len(paths) == 2
+        for path in paths:
+            snap = json.loads(path.read_text())
+            snap["cells"] = len(snap["a"])
+            snap["sigma"] = geo.cell_centers(len(snap["a"])).tolist()
+            cli._json_dump(path, snap)
+            manifest["files"][f"snapshots/{path.name}"] = hashlib.sha256(
+                path.read_bytes()).hexdigest()
+        cli._json_dump(out / "manifest.json", manifest)
+        report = (out / "report.json").read_bytes()
+        capsys.readouterr()
+        assert main(["analyze", str(out)]) == 0
+        assert (out / "report.json").read_bytes() == report
+        assert main(["plot", str(out), "--field", "kappa"]) == 0
+        assert {path.name: path.read_bytes()
+                for path in out.glob("*.svg")} == svgs
+
     @pytest.mark.parametrize("damage,needle", [
         # Thresholds that older versions read from config.json.
         ("analysis", "config.json: unknown key 'analysis'"),
@@ -485,8 +517,10 @@ class TestAnalyzeVerb:
          "trace.csv gives the report a non-finite plateau_ratio"),
         # Valid JSON with the manifest updated to match: only the snapshot
         # checks can tell.
-        ("bad cells", "snap_00001.json is not a snapshot: cells is 999 but "
-                      "sigma has 32 entries"),
+        ("short h", "snap_00001.json is not a snapshot: ValueError('a and h "
+                    "must be rows of one length')"),
+        ("short f row", "snap_00001.json is not a snapshot: ValueError('f "
+                        "must have shape (r, cells)')"),
         ("bool t", "snap_00001.json is not a snapshot: t must be a number"),
         ("nan a", "snap_00001.json is not a snapshot: a[3] must be a finite "
                   "number"),
@@ -529,12 +563,14 @@ class TestAnalyzeVerb:
             path.write_text("\n".join(lines) + "\n")
             if damage != "zero floor":
                 redigest("trace.csv")
-        elif damage in ("bad cells", "bool t", "nan a", "string h, bool a",
-                        "string h", "null f"):
+        elif damage in ("short h", "short f row", "bool t", "nan a",
+                        "string h, bool a", "string h", "null f"):
             name = "snapshots/snap_00001.json"
             snap = json.loads((out / name).read_text())
-            if damage == "bad cells":
-                snap["cells"] = 999
+            if damage == "short h":
+                snap["h"].pop()
+            elif damage == "short f row":
+                snap["f"][0].pop()
             elif damage == "bool t":
                 snap["t"] = True
             elif damage == "nan a":

@@ -39,9 +39,7 @@ def canonical_analytic_jets(cells):
 
 def canonical_state(cells):
     s, jets = canonical_analytic_jets(cells)
-    sigma = geo.cell_centers(cells)
-    return geo.ProfileState(t=0.0, sigma=sigma,
-                            a=np.full(cells, math.pi), h=jets.h,
+    return geo.ProfileState(t=0.0, a=np.full(cells, math.pi), h=jets.h,
                             f=jets.f.copy()), jets
 
 
@@ -88,7 +86,7 @@ class TestFlowRhs:
         state, _ = canonical_state(64)
         h = state.h.copy()
         h[10] = np.nan
-        bad = geo.ProfileState(state.t, state.sigma, state.a, h, state.f)
+        bad = geo.ProfileState(state.t, state.a, h, state.f)
         with np.errstate(invalid="ignore"):
             with pytest.raises(FlowHalt, match="cell"):
                 flow_rhs(CANON, bad)
@@ -101,8 +99,8 @@ class TestFlowRhs:
         state, _ = canonical_state(64)
         base = flow_rhs(CANON, state)
         root = math.sqrt(K)
-        scaled = geo.ProfileState(state.t, state.sigma, root * state.a,
-                                  root * state.h, root * state.f)
+        scaled = geo.ProfileState(state.t, root * state.a, root * state.h,
+                                  root * state.f)
         moved = flow_rhs(CANON, scaled)
         for got, want in zip(moved, base):
             want = want / root
@@ -170,8 +168,7 @@ class TestFlowConfig:
 def stacked(spec, state):
     """The stacked state (a; h; f), its first stage and the RHS closure,
     built as run_flow builds them."""
-    stencil = geo.Stencil(geo.field_parities(spec.r), state.cells,
-                          state.dsigma)
+    stencil = geo.Stencil(geo.field_parities(spec.r), state.cells)
     coef = geo.ricci_coefficients(spec)
 
     def rhs(Y):
@@ -228,7 +225,7 @@ class TestStepAdaptive:
         cells = 16
         sigma = geo.cell_centers(cells)
         state = geo.ProfileState(
-            t=0.0, sigma=sigma, a=np.full(cells, math.pi),
+            t=0.0, a=np.full(cells, math.pi),
             h=np.sin(math.pi * sigma), f=np.full((1, cells), 0.05))
         Y, ydot, _ = stacked(CANON, state)
         _, dt, _ = step(CANON, state)
@@ -289,7 +286,7 @@ class TestStabilityEdge:
         # eigenvalues in [-16/3, 0] / dsigma^2; forward Euler is stable on
         # it up to dt = 2 / (16/3) dsigma^2 = CFL_MAX dsigma^2.
         dsigma = 1.0 / cells
-        stencil = geo.Stencil(np.array([[parity]]), cells, dsigma)
+        stencil = geo.Stencil(np.array([[parity]]), cells)
         unit = np.eye(cells)
         matrix = np.column_stack(
             [geo.stacked_derivs(unit[j][None, :], stencil)[1][0]
@@ -414,7 +411,7 @@ class TestRegrid:
         a = math.pi * (1.0 + 0.2 * np.cos(2.0 * math.pi * sigma))
         s = math.pi * sigma + 0.1 * np.sin(2.0 * math.pi * sigma)
         state = geo.ProfileState(
-            t=0.5, sigma=sigma, a=a, h=np.sin(s),
+            t=0.5, a=a, h=np.sin(s),
             f=np.sqrt(4.0 - 2.0 * np.cos(s))[None, :])
         out = regrid_uniform(state)
         assert out.t == 0.5
@@ -477,8 +474,7 @@ class TestRunFlow:
         cells = 64
         sigma = geo.cell_centers(cells)
         s = math.pi * sigma
-        state = geo.ProfileState(t=0.0, sigma=sigma,
-                                 a=np.full(cells, math.pi),
+        state = geo.ProfileState(t=0.0, a=np.full(cells, math.pi),
                                  h=s * (math.pi - s),
                                  f=np.full((1, cells), 2.0))
         with pytest.raises(InvalidInitialState, match="does not close"):
@@ -857,8 +853,7 @@ class TestOneKernel:
         assert np.ptp(snaps[-1].a) > 0.0
         for snap in (state, snaps[-1]):
             Y = np.vstack([snap.a, snap.h, snap.f])
-            stencil = geo.Stencil(geo.field_parities(spec.r), snap.cells,
-                                  snap.dsigma)
+            stencil = geo.Stencil(geo.field_parities(spec.r), snap.cells)
             ydot, d1, d2 = _stage(Y, stencil, geo.ricci_coefficients(spec))
             u_s, u_ss = geo.arclength_derivs(d1, d2, snap.a)
             jets = profile_jets(snap)

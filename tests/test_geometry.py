@@ -35,7 +35,7 @@ def canonical_state(cells):
     sigma = geo.cell_centers(cells)
     s = math.pi * sigma
     return geo.ProfileState(
-        t=0.0, sigma=sigma, a=np.full(cells, math.pi), h=np.sin(s),
+        t=0.0, a=np.full(cells, math.pi), h=np.sin(s),
         f=np.sqrt(4.0 - 2.0 * np.cos(s))[None, :])
 
 
@@ -87,7 +87,7 @@ def test_cross_form_agreement_all_cells():
 def test_kahler_defect_of_constant_factor_profile():
     cells = 128
     sigma = geo.cell_centers(cells)
-    state = geo.ProfileState(t=0.0, sigma=sigma, a=np.full(cells, math.pi),
+    state = geo.ProfileState(t=0.0, a=np.full(cells, math.pi),
                              h=np.sin(math.pi * sigma),
                              f=np.full((1, cells), 2.0))
     jets = ref.profile_jets(state)
@@ -104,7 +104,7 @@ def test_two_factor_instance():
     running = 1.0 - np.cos(s)  # integral of h = sin over arclength
     f1 = np.sqrt(2.0 + 1.0 * running)
     f2 = np.sqrt(8.0 - 2.0 * running)
-    state = geo.ProfileState(t=0.0, sigma=sigma, a=np.full(cells, math.pi),
+    state = geo.ProfileState(t=0.0, a=np.full(cells, math.pi),
                              h=np.sin(s), f=np.vstack([f1, f2]))
     jets = ref.profile_jets(state)
     assert geo.kahler_defect(spec, jets).max() < 1e-5
@@ -172,10 +172,9 @@ def test_ricci_rows_match_docstring_formulas(r, lapse):
 def test_stencils_exact_parity_trig():
     for cells in (64, 128):
         sigma = geo.cell_centers(cells)
-        d = 1.0 / cells
         odd = np.sin(math.pi * sigma)
         even = np.cos(2.0 * math.pi * sigma)
-        stencil = geo.Stencil(np.array([geo.ODD, geo.EVEN]), cells, d)
+        stencil = geo.Stencil(np.array([geo.ODD, geo.EVEN]), cells)
         (d1, e1), (d2, e2) = geo.stacked_derivs(np.vstack([odd, even]),
                                                 stencil)
         assert np.abs(d1 - math.pi * np.cos(math.pi * sigma)).max() < 1e-5
@@ -261,18 +260,16 @@ def stack_case(case):
         spec = geo.BundleSpec(n=(1, 2), k=(2.0, 6.0), q=(1, -2))
         running = 1.0 - np.cos(s)
         base = geo.ProfileState(
-            t=0.0, sigma=sigma, a=np.full(cells, math.pi), h=np.sin(s),
+            t=0.0, a=np.full(cells, math.pi), h=np.sin(s),
             f=np.vstack([np.sqrt(2.0 + running),
                          np.sqrt(8.0 - 2.0 * running)]))
         if case == "r2_regridded":
             base = regrid_uniform(geo.ProfileState(
-                base.t, base.sigma, base.a * (1.0 + 0.3 * bump), base.h,
-                base.f))
+                base.t, base.a * (1.0 + 0.3 * bump), base.h, base.f))
             assert np.ptp(base.a) == 0.0
     # Out of order, so that no stack entry's value follows from its
     # neighbours'.
-    return spec, [geo.ProfileState(base.t, base.sigma,
-                                   base.a * (1.0 + 0.02 * j * bump),
+    return spec, [geo.ProfileState(base.t, base.a * (1.0 + 0.02 * j * bump),
                                    base.h * (1.0 + 0.01 * j),
                                    base.f * (1.0 + 0.03 * j * bump))
                   for j in (3, 0, 4, 1, 2)]
@@ -359,28 +356,22 @@ def test_factor_arrays_are_built_once_and_read_only():
 
 def test_profile_state_validation():
     cells = 16
-    sigma = geo.cell_centers(cells)
-    with pytest.raises(ValueError):
-        geo.ProfileState(t=0.0, sigma=np.linspace(0, 1, cells),
-                         a=np.ones(cells), h=np.ones(cells),
-                         f=np.ones((1, cells)))
-    # The grid check rejects a NaN entry and an offset past 1e-12, and
-    # accepts one below it.
-    for entry, accepted in ((np.nan, False), (sigma[5] + 2e-12, False),
-                            (sigma[5] + 5e-13, True)):
-        moved = sigma.copy()
-        moved[5] = entry
-        if accepted:
-            geo.ProfileState(t=0.0, sigma=moved, a=np.ones(cells),
-                             h=np.ones(cells), f=np.ones((1, cells)))
-        else:
-            with pytest.raises(ValueError, match="uniform cell centers"):
-                geo.ProfileState(t=0.0, sigma=moved, a=np.ones(cells),
-                                 h=np.ones(cells), f=np.ones((1, cells)))
-    state = geo.ProfileState(t=0.0, sigma=sigma, a=np.ones(cells),
-                             h=np.ones(cells), f=np.ones((1, cells)))
+    state = geo.ProfileState(t=0.0, a=np.ones(cells), h=np.ones(cells),
+                             f=np.ones((1, cells)))
     state.validate()
-    bad = geo.ProfileState(state.t, state.sigma, state.a, state.h, -state.f)
+    assert np.array_equal(state.sigma, geo.cell_centers(cells))
+    # The grid is derived from len(a): h and the rows of f must match it,
+    # and it needs at least 4 cells.
+    for a, h, f in ((np.ones(3), np.ones(3), np.ones((1, 3))),
+                    (state.a, state.h[1:], state.f),
+                    (state.a, state.h, state.f[:, 1:])):
+        with pytest.raises(ValueError):
+            geo.ProfileState(0.0, a, h, f)
+    a = state.a.copy()
+    a[5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        geo.ProfileState(state.t, a, state.h, state.f).validate()
+    bad = geo.ProfileState(state.t, state.a, state.h, -state.f)
     with pytest.raises(ValueError):
         bad.validate()
 
@@ -393,7 +384,7 @@ def test_profile_state_validation():
 @given(st.floats(min_value=0.2, max_value=5.0))
 def test_proxy_scaling_law(K):
     state = canonical_state(128)
-    scaled = geo.ProfileState(state.t, state.sigma, math.sqrt(K) * state.a,
+    scaled = geo.ProfileState(state.t, math.sqrt(K) * state.a,
                               math.sqrt(K) * state.h, math.sqrt(K) * state.f)
     assert geo.curvature_sup_proxy(CANON, ref.profile_jets(scaled)) \
         == pytest.approx(
@@ -404,7 +395,7 @@ def test_proxy_scaling_law(K):
 @given(st.floats(min_value=0.2, max_value=5.0))
 def test_ricci_and_oneill_scaling(K):
     state = canonical_state(128)
-    scaled = geo.ProfileState(state.t, state.sigma, math.sqrt(K) * state.a,
+    scaled = geo.ProfileState(state.t, math.sqrt(K) * state.a,
                               math.sqrt(K) * state.h, math.sqrt(K) * state.f)
     ric = ref.ricci_full(CANON, ref.profile_jets(state))
     ric_k = ref.ricci_full(CANON, ref.profile_jets(scaled))

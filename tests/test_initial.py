@@ -18,7 +18,7 @@ CANON = geo.BundleSpec(n=(1,), k=(2.0,), q=(2,), lam=(1.0,))
 def _state_from(h_fn, f2_fn, cells=128, length=math.pi):
     sigma = geo.cell_centers(cells)
     s = length * sigma
-    return geo.ProfileState(t=0.0, sigma=sigma, a=np.full(cells, length),
+    return geo.ProfileState(t=0.0, a=np.full(cells, length),
                             h=h_fn(s), f=np.sqrt(f2_fn(s))[None, :])
 
 
