@@ -454,9 +454,11 @@ def read_snapshot(path) -> ProfileState:
         arrays = {key: _finite_array(d[key], key, 2 if key == "f" else 1)
                   for key in ("a", "h", "f")}
         return ProfileState(t=t, **arrays)
-    except ConfigError as exc:
+    except ValueError as exc:
+        # The field checks (ConfigError) and ProfileState's shape checks
+        # word their errors as sentences.
         raise ConfigError(f"{path} is not a snapshot: {exc}") from exc
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{path} is not a snapshot: {exc!r}") from exc
 
 

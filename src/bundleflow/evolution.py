@@ -8,13 +8,17 @@ system is
     d/dt (a; h; f_i) = -(a Ric_nn; h Ric_zz; rho_i / f_i)
 
 which a stage evaluates as Y * (coef @ features) on the stacked state
-Y = (a; h; f_i): stacked_derivs gives the sigma derivatives of every row,
-geometry.ricci_rows fills the features of (h; f_i) (u_ss/u, the products
-(u_s/u)_m (u_s/u)_j, h^2/f_i^4 and 1/f_i^2) from them with the chain rule
-for ds = a dsigma folded in, and one product with the constant matrix
-coef of geometry.ricci_coefficients, the minus sign included, gives the
-rows d/dt log Y.  A stage forms no arclength jets: the monitor converts
-the sigma derivatives of its traced rows once per block.
+Y = (a; h; f_i): stacked_derivs gives the (2, F, M) block of sigma
+derivatives of every row, geometry.ricci_rows fills the features (Y''/Y,
+every (u'/u)(Y'/Y), both over a^2, h^2/f_i^4 and 1/Y^2, u = (h; f_i))
+from it into the buffer of the run's geometry.RicciFeatures, and one
+product with the constant matrix coef of geometry.ricci_coefficients,
+the chain rule for ds = a dsigma and the minus sign included, gives the
+rows d/dt log Y.  The stage writes Y times them into the array it is
+given.  It makes 13 numpy calls, the stencils included, plus two views
+(the stencil product's transposed output and the h row), and forms no
+arclength jets: the monitor converts the sigma derivatives of its traced
+rows once per block.
 
 Time stepping is the second-order Runge-Kutta-Legendre scheme RKL2
 (Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014), an s-stage explicit
@@ -32,6 +36,14 @@ evaluations per step (5.0 on a 48-cell Calabi collapse).  Runs halt at
 t_end, when a monitored floor (min f_i^2 or max h^2) drops below
 stop_floor, or when a residual column of the monitor row grows past
 RESIDUAL_GROWTH_MAX times its first-row value.
+
+A step evaluates its first stage into a fresh array, since a traced step
+keeps it.  rkl2_step's zeroed (5, F, M) buffer holds that ydot, the
+latest inner stage, which each stage writes in place, and three rotating
+increments; the inner stages read Y + d from one array per step.  The
+min/max pass, the stop tests, dt and the stage count run on Python
+floats: a result that overflows the double range is redone on float64,
+whose FloatingPointError halts the run as numpy scalars would have.
 
 Every trace column and the boundary row are filled in one place,
 _monitor_block.  A traced step only keeps its state, time derivative and
@@ -53,11 +65,11 @@ import functools
 import numpy as np
 
 from .analysis import FlowTrace
-from .geometry import (EVEN, BundleSpec, Jets, ProfileState, Stencil,
-                       arclength_derivs, cumulative_from_left,
+from .geometry import (EVEN, BundleSpec, Jets, ProfileState, RicciFeatures,
+                       Stencil, arclength_derivs, cumulative_from_left,
                        curvature_sup_proxy, endpoint_even, field_parities,
-                       kahler_defect, laplacian_f2, ricci_coefficients,
-                       ricci_rows, stacked_derivs, stacked_parity)
+                       kahler_defect, laplacian_f2, ricci_rows,
+                       stacked_derivs, stacked_parity)
 from .initial_data import validate_closing
 
 # A step this far below the requested horizon means the adaptive control
@@ -135,10 +147,11 @@ class FlowConfig:
             raise ValueError("regrid_threshold must exceed 1")
 
 
-def _rhs_core(Y, d1, d2, coef):
-    """d/dt of Y = (a; h; f_1..f_r) from its sigma derivatives d1, d2:
-    Y times the rows d/dt log Y of ricci_rows."""
-    return Y * ricci_rows(Y, d1, d2, coef)
+def _rhs_core(Y, derivs, ricci, out):
+    """d/dt of Y = (a; h; f_1..f_r) from the (2, F, M) block of its sigma
+    derivatives, written into ``out``: Y times the rows d/dt log Y of
+    ricci_rows."""
+    return np.multiply(Y, ricci_rows(Y, derivs, ricci), out=out)
 
 
 def _check_finite_rhs(ydot, t):
@@ -154,21 +167,23 @@ def _check_finite_rhs(ydot, t):
                            f"at cell {bad[0]} (t = {t:.6g})")
 
 
-def _stage(Y, stencil, coef):
+def _stage(Y, stencil, ricci, out):
     """One RHS evaluation on the stacked array (a; h; f_1..f_r).
 
-    Returns the stacked time derivative together with the sigma
-    derivatives (d1, d2) of all rows, which the run loop keeps for the
-    monitor columns of a traced step.
+    Writes the stacked time derivative into ``out`` and returns it
+    together with the (2, F, M) block of sigma derivatives of all rows,
+    which the run loop keeps for the monitor columns of a traced step.
     """
-    d1, d2 = stacked_derivs(Y, stencil)
-    return _rhs_core(Y, d1, d2, coef), d1, d2
+    derivs = stacked_derivs(Y, stencil)
+    return _rhs_core(Y, derivs, ricci, out), derivs
 
 
-def _stack_jets(Y, d1, d2):
+def _stack_jets(Y, derivs):
     """Jets of the (h; f) rows of stacked states Y = (a; h; f_1..f_r) from
-    their sigma derivatives; leading batch axes pass through."""
-    u_s, u_ss = arclength_derivs(d1, d2, Y[..., 0, :])
+    the blocks (..., 2, F, M) of their sigma derivatives; leading batch
+    axes pass through."""
+    u_s, u_ss = arclength_derivs(derivs[..., 0, :, :], derivs[..., 1, :, :],
+                                 Y[..., 0, :])
     return Jets(h=Y[..., 1, :], h_s=u_s[..., 1, :], h_ss=u_ss[..., 1, :],
                 f=Y[..., 2:, :], f_s=u_s[..., 2:, :], f_ss=u_ss[..., 2:, :])
 
@@ -176,18 +191,18 @@ def _stack_jets(Y, d1, d2):
 def _monitor_block(spec, block, dsigma):
     """Trace and boundary rows of a block of monitor entries.
 
-    Each entry is (t, dt, Y, ydot, d1, d2) with Y the stacked state of
-    the row, ydot its time derivative and d1, d2 its first stage's sigma
-    derivatives.  One call per block of arclength_derivs and of each
-    geometry routine on the stacked states fills the columns,
-    bit-identical to the same calls row by row.  The operations run in
+    Each entry is (t, dt, Y, ydot, derivs) with Y the stacked state of
+    the row, ydot its time derivative and derivs the block of its first
+    stage's sigma derivatives.  One call per block of arclength_derivs
+    and of each geometry routine on the stacked states fills the
+    columns, bit-identical to the same calls row by row.  The operations run in
     the order arclength jets, f_i^2, kappa, kahler_res, heat_res, extrema,
     gradient columns, arclength, endpoints, so a one-entry block raises
     the first floating-point error of its row in that order.
     """
-    t, dt, Y, ydot, d1, d2 = zip(*block)
+    t, dt, Y, ydot, derivs = zip(*block)
     Y, ydot = np.stack(Y), np.stack(ydot)
-    jets = _stack_jets(Y, np.stack(d1), np.stack(d2))
+    jets = _stack_jets(Y, np.stack(derivs))
     h, f, f_s = jets.h, jets.f, jets.f_s
     r = spec.r
     f2 = f * f
@@ -226,6 +241,27 @@ def _check_residual_growth(t, res, first):
                 f"{start:.3e}: the integration has gone unstable")
 
 
+def _redo_in_float64(op, x):
+    """``op`` repeated on the float64 of the Python float ``x``.
+
+    The step bookkeeping runs on Python floats, which overflow to inf
+    silently, or raise OverflowError for **.  The same operation on
+    float64 raises FloatingPointError under run_flow's errstate, which
+    halts the run with numpy's own message; each bookkeeping result that
+    left the double range is redone here, so a run halts where and as the
+    float64 arithmetic would have halted it.
+    """
+    return op(np.float64(x))
+
+
+def _square(x):
+    """x |x| of a Python float, an overflow trapped as on float64."""
+    y = x * abs(x)
+    if abs(y) == np.inf:
+        y = _redo_in_float64(lambda v: v * abs(v), x)
+    return y
+
+
 def _dt_bound(Y, ydot, a_min, t, t_end, dsigma, dt_min):
     """Size and stage count (dt, s) of the next RKL2 step from Y = (a; h; f).
 
@@ -235,12 +271,21 @@ def _dt_bound(Y, ydot, a_min, t, t_end, dsigma, dt_min):
     below dt_min means the control has collapsed and raises FlowHalt;
     after that check dt is capped at t_end - t.  s is the smallest s >= 2
     whose stability interval (s^2 + s - 2)/4 forward-Euler steps covers dt.
+    The scalars are Python floats, their overflows trapped as on float64.
     """
-    dt_euler = CFL_MAX * (a_min * dsigma) ** 2
-    rate = 2.0 * np.abs(ydot[1:] / Y[1:]).max()
+    try:
+        dt_euler = CFL_MAX * (a_min * dsigma) ** 2
+    except OverflowError:
+        dt_euler = CFL_MAX * _redo_in_float64(lambda a: (a * dsigma) ** 2,
+                                              a_min)
+    peak = float(np.abs(ydot[1:] / Y[1:]).max())
     dt = dt_euler
-    if rate > 0.0:
-        dt = min(MAX_REL_CHANGE, STEP_CAP * dsigma * dsigma) / rate
+    if peak > 0.0:
+        cap = min(MAX_REL_CHANGE, STEP_CAP * dsigma * dsigma)
+        rate = 2.0 * peak
+        dt = cap / rate
+        if rate == np.inf or dt == np.inf:
+            dt = _redo_in_float64(lambda v: cap / (2.0 * v), peak)
     if dt < dt_min:
         raise FlowHalt(f"time step underflow: dt = {dt:.3e} at t = {t:.6g}")
     dt = min(dt, t_end - t)
@@ -274,14 +319,17 @@ def _rkl2_weights(s):
 def rkl2_step(Y, ydot, dt, s, rhs):
     """Advance the stacked state Y by one s-stage RKL2 step of size dt.
 
-    ``ydot`` is rhs(Y), the first stage, which the caller has already
-    evaluated; the step makes s - 1 further calls of ``rhs``.  The
-    recursion runs on the increments d_j = Y_j - Y, so a zero right-hand
-    side returns Y unchanged bit for bit.  One (5, F, M) buffer holds
-    ydot, the latest stage RHS and d_j in slot 2 + j % 3, and each update
+    ``ydot`` is the first stage, the RHS at Y, which the caller has
+    already evaluated; the step makes s - 1 further calls rhs(Yj, out),
+    each of which writes the RHS at Yj into ``out``.  The recursion runs
+    on the increments d_j = Y_j - Y, so a zero right-hand side returns Y
+    unchanged bit for bit.  One zeroed (5, F, M) buffer holds ydot, the
+    latest stage RHS, which each stage writes in place, and d_j in slot
+    2 + j % 3; each update
     d_j = mu d_{j-1} + nu d_{j-2} + mu_t rhs(Y + d_{j-1}) + gamma_t ydot
     is one product of a weight row with the whole buffer.  The row's zero
     entry reads the slot being overwritten, so no slot may hold garbage.
+    The stage input Y + d_{j-1} is formed in one array per step.
     """
     fixed, per_dt = _rkl2_weights(s)
     weights = fixed + dt * per_dt
@@ -289,8 +337,9 @@ def rkl2_step(Y, ydot, dt, s, rhs):
     flat = buf.reshape(5, -1)
     buf[0] = ydot
     np.multiply(ydot, weights[1, 3], out=buf[3])
+    stage_in, stage_out = np.empty_like(Y), buf[1]
     for j in range(2, s + 1):
-        buf[1] = rhs(Y + buf[2 + (j - 1) % 3])
+        rhs(np.add(Y, buf[2 + (j - 1) % 3], out=stage_in), stage_out)
         np.dot(weights[j], flat, out=flat[2 + j % 3])
     return Y + buf[2 + s % 3]
 
@@ -360,7 +409,7 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
     try:
         state0.validate()
         closing = validate_closing(state0)
-        coef = ricci_coefficients(spec)
+        ricci = RicciFeatures(spec, cfg.cells)
     except (ValueError, FloatingPointError) as exc:
         raise InvalidInitialState(str(exc)) from exc
     if not closing.passed:
@@ -380,15 +429,16 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
         return ProfileState(t=t, a=Y[0].copy(), h=Y[1].copy(),
                             f=Y[2:].copy())
 
-    def rhs(Yj):
-        return _stage(Yj, stencil, coef)[0]
+    def rhs(Yj, out):
+        _stage(Yj, stencil, ricci, out)
 
     dt_min = DT_UNDERFLOW * cfg.t_end
+    t_stop = t_end - DT_UNDERFLOW * max(t_end, 1.0)
 
-    def take_row(ydot, d1, d2, dt_col):
-        # Y, ydot, d1 and d2 are fresh arrays every step, so the entry
+    def take_row(ydot, derivs, dt_col):
+        # Y, ydot and derivs are fresh arrays every step, so the entry
         # holds them without copying.
-        pending.append((t, dt_col, Y, ydot, d1, d2))
+        pending.append((t, dt_col, Y, ydot, derivs))
         if len(pending) == MONITOR_BLOCK:
             flush()
 
@@ -430,21 +480,19 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
     try:
         while True:
             # One min and one max pass per step serve the regrid gate (on
-            # the state the last step produced), the stop tests and dt.
-            lo, hi = Y.min(axis=1), Y.max(axis=1)
-            # Python floats: a huge threshold overflows to inf, untrapped.
-            if step and float(hi[0]) > cfg.regrid_threshold * float(lo[0]):
+            # the state the last step produced), the stop tests and dt, on
+            # Python floats.  A huge threshold overflows to inf, untrapped.
+            lo, hi = Y.min(axis=1).tolist(), Y.max(axis=1).tolist()
+            if step and hi[0] > cfg.regrid_threshold * lo[0]:
                 regridded = regrid_uniform(current_state())
                 Y = np.vstack([regridded.a[None, :], regridded.h[None, :],
                                regridded.f])
-                lo, hi = Y.min(axis=1), Y.max(axis=1)
-            ydot, d1, d2 = _stage(Y, stencil, coef)
+                lo, hi = Y.min(axis=1).tolist(), Y.max(axis=1).tolist()
+            ydot, derivs = _stage(Y, stencil, ricci, np.empty_like(Y))
             _check_finite_rhs(ydot, t)
-            fmin = lo[2:].min()
-            h_absmax = max(abs(lo[1]), abs(hi[1]))
-            stop = (t >= t_end - DT_UNDERFLOW * max(t_end, 1.0)
-                    or fmin * abs(fmin) < cfg.stop_floor
-                    or h_absmax * h_absmax < cfg.stop_floor
+            stop = (t >= t_stop
+                    or _square(min(lo[2:])) < cfg.stop_floor
+                    or _square(max(abs(lo[1]), abs(hi[1]))) < cfg.stop_floor
                     or lo[0] <= 0.0)
             dt = 0.0
             if not stop:
@@ -452,10 +500,10 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
                     dt, s = _dt_bound(Y, ydot, lo[0], t, t_end, dsigma,
                                       dt_min)
                 except FlowHalt:
-                    take_row(ydot, d1, d2, 0.0)
+                    take_row(ydot, derivs, 0.0)
                     raise
             if stop or step % cfg.trace_every == 0:
-                take_row(ydot, d1, d2, dt)
+                take_row(ydot, derivs, dt)
             if stop or step % cfg.snapshot_every == 0:
                 snapshots.append(current_state())
             if stop:

@@ -203,22 +203,24 @@ class Stencil:
             [[12.0 * dsigma], [12.0 * dsigma * dsigma]])
 
 
-def stacked_derivs(rows: np.ndarray, stencil: Stencil):
-    """First and second sigma-derivatives (d1, d2) of stacked fields.
+def stacked_derivs(rows: np.ndarray, stencil: Stencil) -> np.ndarray:
+    """First and second sigma-derivatives of stacked fields, as one
+    (2, F, M) block: block[0] holds d/dsigma of every row, block[1]
+    d^2/dsigma^2.
 
     Fourth-order five-point stencils evaluated with parity ghosts; exact to
     O(dsigma^4) for fields whose smooth extension has the stated parity.
     One gather and one sign product fill the ghosted buffer, and one
     product of the weights with its window view gives both derivatives.
-    The product is written into a fresh (2, F, M) array, so d1 and d2 are
-    contiguous: elementwise work on them skips numpy's strided loops.
+    The product is written into a fresh contiguous block, so elementwise
+    work on it, or on either derivative, skips numpy's strided loops.
     """
     ghosted = stencil.ghosted
-    np.take(rows, stencil.index, axis=1, out=ghosted, mode="clip")
+    rows.take(stencil.index, axis=1, out=ghosted, mode="clip")
     np.multiply(ghosted, stencil.sign, out=ghosted)
-    both = np.empty((2,) + rows.shape)
-    np.matmul(stencil.weights, stencil.windows, out=both.transpose(1, 0, 2))
-    return both[0], both[1]
+    block = np.empty((2,) + rows.shape)
+    np.matmul(stencil.weights, stencil.windows, out=block.transpose(1, 0, 2))
+    return block
 
 
 def arclength_derivs(d1: np.ndarray, d2: np.ndarray, a: np.ndarray):
@@ -309,44 +311,80 @@ def field_parities(r: int) -> np.ndarray:
 def ricci_coefficients(spec: BundleSpec) -> np.ndarray:
     """The constant matrix of ricci_rows, the flow's minus sign included.
 
-    Its K = (r+1) + (r+1)^2 + 2r columns act on the features of u =
-    (h; f_1..f_r) in this order, with s = u_s/u and t = (1, 2 n_1, ..,
+    Its K = 2F + (r+1) F + r + F columns, F = r + 2, act on the features
+    that ricci_rows fills from Y = (a; h; f_1..f_r) and its sigma
+    derivatives, with u = (h; f_1..f_r), s = u_s/u and t = (1, 2 n_1, ..,
     2 n_r), so that tr L = t . s.  Before the sign flip the entries are
     the coefficients of ricci_rows' formulas:
 
-        u_ss/u       r+1 columns     Ric_nn: -t;  Ric_zz: -1 on h_ss/h;
-                                     rho_i/f_i^2: -1 on f_i,ss/f_i
-        s_m s_j      (r+1)^2, m      on the row of u_m (Ric_zz for m = 0,
-                     major           rho_m/f_m^2 else): delta_mj - t_j
-        h^2/f_i^4    r columns       Ric_zz: n_i q_i^2/2;
-                                     rho_i/f_i^2: -q_i^2/2
-        1/f_i^2      r columns       rho_i/f_i^2: k_i
+        Y'/Y              F columns    unused
+        Y''/Y / a^2       F columns    a''/a unused; on u_m''/u_m:
+                                       Ric_nn: -t_m;  Ric_zz: -1 (m = 0);
+                                       rho_m/f_m^2: -1 (m > 0)
+        (u'/u)_m (Y'/Y)_j (r+1) F,     j = 0, -(u'/u)(a'/a) of u_ss/u: minus
+        / a^2             m major      the u_m''/u_m column; j > 0, s_m s_j
+                                       on the row of u_m (Ric_zz for m = 0,
+                                       rho_m/f_m^2 else): delta_mj - t_j
+        h^2/f_i^4         r columns    Ric_zz: n_i q_i^2/2;
+                                       rho_i/f_i^2: -q_i^2/2
+        1/Y^2             F columns    1/a^2, 1/h^2 unused;
+                                       on 1/f_i^2, rho_i/f_i^2: k_i
 
-    The (r+2) x K result maps the features to d/dt log (a; h; f_i).
+    The unused columns are zero: ricci_rows fills them because the
+    products that hold them fill whole blocks.  The F x K result maps
+    the features to d/dt log (a; h; f_i); RicciFeatures holds it.
     """
     n, k, q = (col[:, 0] for col in spec.factor_arrays()[:3])
     r1 = spec.r + 1
-    sq = r1 + r1 * r1                   # first h^2/f_i^4 column
+    fields = r1 + 1
+    ss = 2 * fields                     # first (u'/u)_m (Y'/Y)_j column
+    tw = ss + r1 * fields               # first h^2/f_i^4 column
     t = np.concatenate([[1.0], 2.0 * n])
     half_q2 = 0.5 * q * q
-    ricci = np.zeros((r1 + 1, sq + 2 * spec.r))
-    ricci[0, :r1] = -t
-    ricci[1:, :r1] = -np.eye(r1)
+    ricci = np.zeros((fields, tw + spec.r + fields))
+    lap = ricci[:, fields + 1:ss]       # the u''/u columns
+    lap[0] = -t
+    lap[1:] = -np.eye(r1)
+    products = np.zeros((fields, r1, fields))
+    products[:, :, 0] = -lap
     for m in range(r1):
-        ricci[1 + m, r1 + m * r1:r1 + (m + 1) * r1] = np.eye(r1)[m] - t
-    ricci[1, sq:sq + r1 - 1] = n * half_q2
-    ricci[2:, sq:sq + r1 - 1] = -np.diag(half_q2)
-    ricci[2:, sq + r1 - 1:] = np.diag(k)
+        products[1 + m, m, 1:] = np.eye(r1)[m] - t
+    ricci[:, ss:tw] = products.reshape(fields, -1)
+    ricci[1, tw:tw + r1 - 1] = n * half_q2
+    ricci[2:, tw:tw + r1 - 1] = -np.diag(half_q2)
+    ricci[2:, -(r1 - 1):] = np.diag(k)
     return -ricci
 
 
-def ricci_rows(Y, d1, d2, coef):
+class RicciFeatures:
+    """Per-run workspace of ``ricci_rows`` for the stacked states of one
+    spec on M cells: the constant (F, K) matrix ``coef`` of
+    ricci_coefficients, F = r + 2, and the (K, M) feature buffer that
+    each call overwrites, with the views of it that the call writes
+    through, made once."""
+
+    def __init__(self, spec: BundleSpec, cells: int):
+        self.coef = ricci_coefficients(spec)
+        fields = spec.r + 2
+        ss = 2 * fields                 # first (u'/u)_m (Y'/Y)_j row
+        tw = ss + (fields - 1) * fields  # first h^2/f_i^4 row
+        self.buffer = np.empty((self.coef.shape[1], cells))
+        log_d = self.buffer[:ss].reshape(2, fields, cells)
+        inv2 = self.buffer[-fields:]
+        self.views = (
+            log_d, log_d[0, 1:, None], log_d[0],
+            self.buffer[ss:tw].reshape(fields - 1, fields, cells),
+            inv2, self.buffer[fields:tw], inv2[0], inv2[2:],
+            self.buffer[tw:-fields])
+
+
+def ricci_rows(Y, derivs, ricci: RicciFeatures):
     """Minus the Ricci curvature of the full metric, from a stacked state.
 
-    ``Y`` holds the rows (a; h; f_1..f_r), ``d1`` and ``d2`` their first
-    and second sigma derivatives (stacked_derivs) and ``coef`` the matrix
-    of ricci_coefficients.  Returns the stacked rows
-    -(Ric_nn; Ric_zz; rho_i / f_i^2) = d/dt log (a; h; f_i), with
+    ``Y`` holds the rows (a; h; f_1..f_r), ``derivs`` their first and
+    second sigma derivatives as the (2, F, M) block of stacked_derivs and
+    ``ricci`` the workspace of the spec and grid.  Returns the stacked
+    rows -(Ric_nn; Ric_zz; rho_i / f_i^2) = d/dt log (a; h; f_i), with
 
         Ric(nu, nu)     = -h_ss/h - sum 2 n_i f_i,ss/f_i
         Ric(zhat, zhat) = sum n_i q_i^2 h^2/(2 f_i^4)
@@ -354,32 +392,28 @@ def ricci_rows(Y, d1, d2, coef):
         rho_i / f_i^2   = k_i/f_i^2 - (f_i,s/f_i) tr L - f_i,ss/f_i
                           + (f_i,s/f_i)^2 - q_i^2 h^2/(2 f_i^4)
 
-    and tr L = h_s/h + sum 2 n_j f_j,s/f_j.  Every row is linear in the
-    features of u = (h; f_1..f_r) that ricci_coefficients lists: u_ss/u,
-    the products (u_s/u)_m (u_s/u)_j, h^2/f_i^4 and 1/f_i^2.  They are
-    filled from the sigma derivatives with the chain rule for ds = a
-    dsigma folded in,
+    and tr L = h_s/h + sum 2 n_j f_j,s/f_j.  With the chain rule for
+    ds = a dsigma,
 
         u_s/u = (u'/u) / a,    u_ss/u = (u''/u - (u'/u)(a'/a)) / a^2,
 
-    so one matrix product gives every row.
+    every row is linear in the features of ricci_coefficients.  Five
+    products fill them: Y'/Y and Y''/Y as one product of the block with
+    1/Y, every (u'/u)(Y'/Y) as one outer product, 1/Y^2, and h^2/f_i^4
+    as the square of h times 1/f_i^2.  One scaling by 1/a^2 and one
+    product with the coefficient matrix then give every row, in eight
+    numpy calls.
     """
-    r1 = Y.shape[0] - 1
-    sq = r1 + r1 * r1                   # end of the u_ss/u and s_m s_j rows
+    (log_d, log_u, log_y, products, inv2, scaled, inv_a2, inv_f2,
+     twist2) = ricci.views
     inv = 1.0 / Y
-    log_d = d1 * inv                    # a'/a; u'/u
-    log_u = log_d[1:]
-    feats = np.empty((coef.shape[1], Y.shape[1]))
-    # a^2 u_ss/u and a^2 s_m s_j, then one scaling by 1/a^2.
-    lead = np.multiply(d2[1:], inv[1:], out=feats[:r1])
-    lead -= log_u * log_d[0]
-    np.multiply(log_u[:, None], log_u, out=feats[r1:sq].reshape(r1, r1, -1))
-    inv_a = inv[0]
-    feats[:sq] *= inv_a * inv_a
-    inv_f2 = np.multiply(inv[2:], inv[2:], out=feats[sq + r1 - 1:])
+    np.multiply(derivs, inv, out=log_d)
+    np.multiply(log_u, log_y, out=products)
+    np.multiply(inv, inv, out=inv2)
+    np.multiply(scaled, inv_a2, out=scaled)
     twist = Y[1] * inv_f2               # h/f_i^2
-    np.multiply(twist, twist, out=feats[sq:sq + r1 - 1])
-    return np.dot(coef, feats)
+    np.multiply(twist, twist, out=twist2)
+    return np.dot(ricci.coef, ricci.buffer)
 
 
 def _trace_l(n, j: Jets) -> np.ndarray:

@@ -35,17 +35,18 @@ def profile_jets(state):
 
 
 def _unit_lapse(jets):
-    """The (Y, d1, d2) of geometry.ricci_rows for arclength jets: with
+    """The (Y, derivs) of geometry.ricci_rows for arclength jets: with
     a = 1 sigma is arclength, so the jets are the sigma derivatives."""
     one, zero = np.ones_like(jets.h), np.zeros_like(jets.h)
     return (np.vstack([one, jets.h, jets.f]),
-            np.vstack([zero, jets.h_s, jets.f_s]),
-            np.vstack([zero, jets.h_ss, jets.f_ss]))
+            np.stack([np.vstack([zero, jets.h_s, jets.f_s]),
+                      np.vstack([zero, jets.h_ss, jets.f_ss])]))
 
 
 def ricci_full(spec, jets):
     """geometry.ricci_rows on the jets of one state, at a = 1."""
-    rows = -geo.ricci_rows(*_unit_lapse(jets), geo.ricci_coefficients(spec))
+    rows = -geo.ricci_rows(*_unit_lapse(jets),
+                           geo.RicciFeatures(spec, jets.h.size))
     return Ricci(nn=rows[0], zz=rows[1], horiz=rows[2:] * jets.f ** 2)
 
 
@@ -78,14 +79,14 @@ def flow_rhs(spec, state, jets=None):
     runs, so a non-finite derivative raises FlowHalt naming its component
     and cell.
     """
-    coef = geo.ricci_coefficients(spec)
+    ricci = geo.RicciFeatures(spec, state.cells)
     if jets is None:
         Y = np.vstack([state.a, state.h, state.f])
         stencil = geo.Stencil(geo.field_parities(state.r), state.cells)
-        ydot = _stage(Y, stencil, coef)[0]
+        ydot = _stage(Y, stencil, ricci, np.empty_like(Y))[0]
     else:
         Y = np.vstack([state.a, jets.h, jets.f])
-        ydot = Y * geo.ricci_rows(*_unit_lapse(jets), coef)
+        ydot = Y * geo.ricci_rows(*_unit_lapse(jets), ricci)
     _check_finite_rhs(ydot, state.t)
     return ydot[0], ydot[1], ydot[2:]
 

@@ -517,10 +517,10 @@ class TestAnalyzeVerb:
          "trace.csv gives the report a non-finite plateau_ratio"),
         # Valid JSON with the manifest updated to match: only the snapshot
         # checks can tell.
-        ("short h", "snap_00001.json is not a snapshot: ValueError('a and h "
-                    "must be rows of one length')"),
-        ("short f row", "snap_00001.json is not a snapshot: ValueError('f "
-                        "must have shape (r, cells)')"),
+        ("short h", "snap_00001.json is not a snapshot: a and h must be "
+                    "rows of one length"),
+        ("short f row", "snap_00001.json is not a snapshot: f must have "
+                        "shape (r, cells)"),
         ("bool t", "snap_00001.json is not a snapshot: t must be a number"),
         ("nan a", "snap_00001.json is not a snapshot: a[3] must be a finite "
                   "number"),

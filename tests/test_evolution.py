@@ -169,13 +169,13 @@ def stacked(spec, state):
     """The stacked state (a; h; f), its first stage and the RHS closure,
     built as run_flow builds them."""
     stencil = geo.Stencil(geo.field_parities(spec.r), state.cells)
-    coef = geo.ricci_coefficients(spec)
+    ricci = geo.RicciFeatures(spec, state.cells)
 
-    def rhs(Y):
-        return _stage(Y, stencil, coef)[0]
+    def rhs(Y, out):
+        return _stage(Y, stencil, ricci, out)[0]
 
     Y = np.vstack([state.a[None, :], state.h[None, :], state.f])
-    return Y, rhs(Y), rhs
+    return Y, rhs(Y, np.empty_like(Y)), rhs
 
 
 def relative_rate(Y, ydot):
@@ -191,7 +191,7 @@ def step(spec, state, t_left=1.0, dt_min=0.0, rhs=None):
     """One run_flow step: _dt_bound, then rkl2_step; returns (Y, dt, s)."""
     Y, ydot, stage_rhs = stacked(spec, state)
     if rhs is not None:
-        stage_rhs, ydot = rhs, rhs(Y)
+        stage_rhs, ydot = rhs, rhs(Y, np.empty_like(Y))
     dt, s = _dt_bound(Y, ydot, Y[0].min(), 0.0, t_left, state.dsigma,
                       dt_min)
     return rkl2_step(Y, ydot, dt, s, stage_rhs), dt, s
@@ -237,8 +237,9 @@ class TestStepAdaptive:
     def test_zero_rhs_is_fixed_point(self):
         spec, state = canonical_preset(64)
 
-        def zero_rhs(Y):
-            return np.zeros_like(Y)
+        def zero_rhs(Y, out):
+            out.fill(0.0)
+            return out
 
         new, dt, s = step(spec, state, rhs=zero_rhs)
         assert np.array_equal(new[0], state.a)
@@ -304,11 +305,11 @@ class TestStabilityEdge:
         edge = (s * s + s - 2) / 2.0
         lam = np.linspace(-edge, 0.0, 2001)[None, :]
 
-        def rhs(Y):
-            return lam * Y
+        def rhs(Y, out):
+            return np.multiply(lam, Y, out=out)
 
         Y = np.ones_like(lam)
-        growth = np.abs(rkl2_step(Y, rhs(Y), 1.0, s, rhs))
+        growth = np.abs(rkl2_step(Y, rhs(Y, np.empty_like(Y)), 1.0, s, rhs))
         assert growth.max() <= 1.0 + 1e-12
 
 
@@ -325,7 +326,8 @@ def textbook_rkl2_step(Y, ydot, dt, s, rhs):
         nu = -(j - 1) / j * b[j] / b[j - 2]
         mu_t = mu * w1 * dt
         gamma_t = -(1.0 - b[j - 1]) * mu_t
-        d, d_prev = (mu * d + nu * d_prev + mu_t * rhs(Y + d)
+        d, d_prev = (mu * d + nu * d_prev
+                     + mu_t * rhs(Y + d, np.empty_like(Y))
                      + gamma_t * ydot), d
     return Y + d
 
@@ -338,10 +340,11 @@ class TestRkl2:
         rng = np.random.default_rng(s)
         Y = rng.uniform(0.5, 2.0, (3, 20))
 
-        def rhs(Yj):
-            return np.sin(3.0 * Yj) - Yj * Yj * np.roll(Yj, 1, axis=1)
+        def rhs(Yj, out):
+            return np.subtract(np.sin(3.0 * Yj),
+                               Yj * Yj * np.roll(Yj, 1, axis=1), out=out)
 
-        ydot = rhs(Y)
+        ydot = rhs(Y, np.empty_like(Y))
         new = rkl2_step(Y, ydot, 0.05, s, rhs)
         ref = textbook_rkl2_step(Y, ydot, 0.05, s, rhs)
         assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref - Y).max()
@@ -355,7 +358,8 @@ class TestRkl2:
         def integrate(n):
             Y = Y0
             for _ in range(n):
-                Y = rkl2_step(Y, rhs(Y), 0.02 / n, 5, rhs)
+                Y = rkl2_step(Y, rhs(Y, np.empty_like(Y)), 0.02 / n, 5,
+                              rhs)
             return Y
 
         ref = integrate(256)
@@ -499,6 +503,47 @@ class TestRunFlow:
         assert halt.trace.rows.shape == (1, 12)
         assert halt.trace.rows[0, 1] == 0.0
         assert halt.snapshots == []
+
+
+class TestBookkeepingOverflow:
+    """The stop tests and _dt_bound square a floor, the fiber length and
+    the forward-Euler step.  A square that leaves the double range halts
+    the run (exit 3) with the message of the float64 overflow, whatever
+    scalar type the step bookkeeping computes in."""
+
+    @pytest.mark.parametrize("scale, op", [
+        # f ~ 1e160: min f^2 overflows in the stop test.
+        pytest.param((1.0, 1.0, 1e160), "multiply", id="floor"),
+        # h ~ 2e154 over f ~ 1e40: max h^2 overflows, the RHS does not.
+        pytest.param((1.0, 2e154, 1e40), "multiply", id="fiber"),
+        # a ~ 1e157: (min a dsigma)^2 overflows in _dt_bound.
+        pytest.param((1e157, 1.0, 1.0), "power", id="euler-step"),
+    ])
+    def test_overflowing_square_halts_with_its_message(
+            self, monkeypatch, tmp_path, capsys, scale, op):
+        # The first step lands on a state scaled row by row; the next
+        # step's bookkeeping overflows before any trace row is taken.
+        step = evo.rkl2_step
+
+        def scaled_step(*args):
+            monkeypatch.setattr(evo, "rkl2_step", step)
+            return step(*args) * np.array(scale)[:, None]
+
+        monkeypatch.setattr(evo, "rkl2_step", scaled_step)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"flow": {"cells": 48, "t_end": 0.3},
+                                   "initial": {"preset": "canonical"}}))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        with np.errstate(over="raise"), \
+                pytest.raises(FloatingPointError) as overflow:
+            if op == "power":
+                np.float64(1e200) ** 2
+            else:
+                np.float64(1e200) * np.float64(1e200)
+        t = read_trace(out).column("dt")[0]
+        assert f"floating-point {overflow.value} at t = {t:.6g}" in err, err
 
 
 class TestResidualGate:
@@ -854,7 +899,9 @@ class TestOneKernel:
         for snap in (state, snaps[-1]):
             Y = np.vstack([snap.a, snap.h, snap.f])
             stencil = geo.Stencil(geo.field_parities(spec.r), snap.cells)
-            ydot, d1, d2 = _stage(Y, stencil, geo.ricci_coefficients(spec))
+            ydot, (d1, d2) = _stage(Y, stencil,
+                                    geo.RicciFeatures(spec, snap.cells),
+                                    np.empty_like(Y))
             u_s, u_ss = geo.arclength_derivs(d1, d2, snap.a)
             jets = profile_jets(snap)
             assert np.array_equal(jets.h_s, u_s[1])
@@ -869,9 +916,9 @@ class TestOneKernel:
 
 def test_benchmark_hooks_see_every_stage(tmp_path):
     # perfbench/child.py counts and traces the flow through the module
-    # attributes evolution._stage, stacked_derivs and _rhs_core; a stage
-    # that bypassed them would leave rhs_evals and the per-layer spans
-    # wrong without failing anything else.
+    # attributes evolution._stage, _dt_bound, stacked_derivs and
+    # _rhs_core; a stage or step that bypassed them would leave rhs_evals,
+    # steps and the per-layer spans wrong without failing anything else.
     root = Path(__file__).resolve().parents[1]
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"flow": {"cells": 64, "t_end": 0.3},
@@ -894,10 +941,13 @@ def test_benchmark_hooks_see_every_stage(tmp_path):
     for child in ("geometry.stacked_derivs", "evolution.rhs_core"):
         parents = [parent for name, parent in spans if name == child]
         assert sorted(parents) == stages, child
-    # The monitor probes, each directly under run_flow and called once per
-    # flush of at most MONITOR_BLOCK rows.
+    # The run traces every step and its final state, and the benchmark
+    # counts steps through evolution._dt_bound, called once per step.
     trace_rows = len((tmp_path / "out" / "trace.csv").read_text()
                      .splitlines()) - 1
+    assert doc["counts"]["steps"] == trace_rows - 1 > 0
+    # The monitor probes, each directly under run_flow and called once per
+    # flush of at most MONITOR_BLOCK rows.
     flushes = -(-trace_rows // evo.MONITOR_BLOCK)
     assert flushes > 1
     for probe in ("curvature_sup_proxy", "kahler_defect", "laplacian_f2",
@@ -923,6 +973,8 @@ def test_layer_bench_runs_on_a_workload():
     for layer in ("startup", "run_flow", "write_outputs", "read_snapshots"):
         assert any(re.match(rf"{layer} +\d+\.\d+ ms", line)
                    for line in lines), (layer, proc.stdout)
-    for layer in ("_stage", "stacked_derivs", "_rhs_core"):
+    for layer in ("_stage", "stacked_derivs", "_rhs_core", "rkl2_step"):
         assert any(re.match(rf"{layer} +\d+\.\d+ us per call", line)
                    for line in lines), (layer, proc.stdout)
+    assert any(re.match(r"step bookkeeping +\d+\.\d+ us per step", line)
+               for line in lines), proc.stdout

@@ -157,9 +157,11 @@ def test_ricci_rows_match_docstring_formulas(r, lapse):
                  - f_ss[i] / f[i] + (f_s[i] / f[i]) ** 2 - twist[i]
                  for i in range(r)]
     coef = geo.ricci_coefficients(spec)
-    assert coef.shape == (r + 2, (r + 1) + (r + 1) ** 2 + 2 * r)
-    rows = -geo.ricci_rows(np.vstack([a, u]), np.vstack([a1, u1]),
-                           np.vstack([a2, u2]), coef)
+    fields = r + 2
+    assert coef.shape == (fields, 2 * fields + (r + 1) * fields + r + fields)
+    derivs = np.stack([np.vstack([a1, u1]), np.vstack([a2, u2])])
+    rows = -geo.ricci_rows(np.vstack([a, u]), derivs,
+                           geo.RicciFeatures(spec, cells))
     assert rows.shape == (r + 2, cells)
     for row, want in zip(rows, expected):
         assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()

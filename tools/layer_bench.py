@@ -19,10 +19,14 @@ stages included) and ``_monitor_block`` (one flush, which fills every
 column of its trace rows); the second times the two layers inside a
 stage, ``stacked_derivs`` (the stencils) and ``_rhs_core`` (the RHS from
 the stencils' derivatives), so their timers do not add to the first
-run's.  The persistence layer is timed the same way on the last run's
-trace and snapshots: ``cli.write_outputs`` into a temporary run
-directory, then ``cli.read_snapshots`` on that directory, with the bytes
-the write leaves there.  The first repeat warms caches and is dropped;
+run's.  The step bookkeeping is the first run's wall time outside
+``_stage`` and ``_monitor_block`` per step: the min/max pass, the stop
+tests, dt and the stage count, ``rkl2_step``'s updates between its
+stages, the snapshots and the timers' own calls.  The persistence layer
+is timed the same way on the last run's trace and snapshots:
+``cli.write_outputs`` into a temporary run directory, then
+``cli.read_snapshots`` on that directory, with the bytes the write
+leaves there.  The first repeat warms caches and is dropped;
 medians over the rest are printed as us per call (ms for the persistence
 calls), and the trace-row cost as flush time / trace rows.
 """
@@ -150,7 +154,8 @@ def main(argv=None) -> int:
         return 1e6 * busy[name] / max(calls[name], 1)
 
     samples = {key: [] for key in ("run_flow_ms", "stage_us", "step_us",
-                                   "row_us", "derivs_us", "rhs_core_us")}
+                                   "bookkeeping_us", "row_us", "derivs_us",
+                                   "rhs_core_us")}
     for _ in range(args.repeats):
         (trace, snapshots), wall, busy, calls = timed_run(
             ("_stage", "rkl2_step", "_monitor_block"))
@@ -158,6 +163,9 @@ def main(argv=None) -> int:
         samples["run_flow_ms"].append(1e3 * wall)
         samples["stage_us"].append(per_call(busy, calls, "_stage"))
         samples["step_us"].append(per_call(busy, calls, "rkl2_step"))
+        samples["bookkeeping_us"].append(
+            1e6 * (wall - busy["_stage"] - busy["_monitor_block"])
+            / max(calls["rkl2_step"], 1))
         samples["row_us"].append(1e6 * busy["_monitor_block"] / rows)
         _, _, inner, inner_calls = timed_run(("stacked_derivs", "_rhs_core"))
         samples["derivs_us"].append(
@@ -198,6 +206,8 @@ def main(argv=None) -> int:
           f"(timed in a second run)")
     print(f"rkl2_step           {med['step_us']:9.2f} us per call "
           f"(inner stages included)")
+    print(f"step bookkeeping    {med['bookkeeping_us']:9.2f} us per step "
+          f"(run_flow - _stage - _monitor_block)")
     print(f"trace row           {med['row_us']:9.2f} us per row "
           f"(flush time / rows)")
     print(f"write_outputs       {med['write_ms']:9.2f} ms per call "
