@@ -42,8 +42,11 @@ keeps it.  rkl2_step's zeroed (5, F, M) buffer holds that ydot, the
 latest inner stage, which each stage writes in place, and three rotating
 increments; the inner stages read Y + d from one array per step.  The
 min/max pass, the stop tests, dt and the stage count run on Python
-floats: a result that overflows the double range is redone on float64,
-whose FloatingPointError halts the run as numpy scalars would have.
+floats, where an overflow is a silent inf that each test reads correctly:
+an infinite f_i^2 or h^2 is not below stop_floor, an infinite
+forward-Euler step sets no stage limit (s = 2), and an infinite rate
+gives dt = 0, which halts as a dt underflow.  Data that really leave the
+double range halt in the stage, the monitor or the residual gate.
 
 Every trace column and the boundary row are filled in one place,
 _monitor_block.  A traced step only keeps its state, time derivative and
@@ -241,27 +244,6 @@ def _check_residual_growth(t, res, first):
                 f"{start:.3e}: the integration has gone unstable")
 
 
-def _redo_in_float64(op, x):
-    """``op`` repeated on the float64 of the Python float ``x``.
-
-    The step bookkeeping runs on Python floats, which overflow to inf
-    silently, or raise OverflowError for **.  The same operation on
-    float64 raises FloatingPointError under run_flow's errstate, which
-    halts the run with numpy's own message; each bookkeeping result that
-    left the double range is redone here, so a run halts where and as the
-    float64 arithmetic would have halted it.
-    """
-    return op(np.float64(x))
-
-
-def _square(x):
-    """x |x| of a Python float, an overflow trapped as on float64."""
-    y = x * abs(x)
-    if abs(y) == np.inf:
-        y = _redo_in_float64(lambda v: v * abs(v), x)
-    return y
-
-
 def _dt_bound(Y, ydot, a_min, t, t_end, dsigma, dt_min):
     """Size and stage count (dt, s) of the next RKL2 step from Y = (a; h; f).
 
@@ -271,21 +253,17 @@ def _dt_bound(Y, ydot, a_min, t, t_end, dsigma, dt_min):
     below dt_min means the control has collapsed and raises FlowHalt;
     after that check dt is capped at t_end - t.  s is the smallest s >= 2
     whose stability interval (s^2 + s - 2)/4 forward-Euler steps covers dt.
-    The scalars are Python floats, their overflows trapped as on float64.
+    The scalars are Python floats, whose overflows are silent infs: an
+    infinite forward-Euler step covers any dt, so s = 2, and an infinite
+    rate gives dt = 0 and the dt-underflow halt.
     """
-    try:
-        dt_euler = CFL_MAX * (a_min * dsigma) ** 2
-    except OverflowError:
-        dt_euler = CFL_MAX * _redo_in_float64(lambda a: (a * dsigma) ** 2,
-                                              a_min)
+    x = a_min * dsigma
+    dt_euler = CFL_MAX * (x * x)
     peak = float(np.abs(ydot[1:] / Y[1:]).max())
     dt = dt_euler
     if peak > 0.0:
         cap = min(MAX_REL_CHANGE, STEP_CAP * dsigma * dsigma)
-        rate = 2.0 * peak
-        dt = cap / rate
-        if rate == np.inf or dt == np.inf:
-            dt = _redo_in_float64(lambda v: cap / (2.0 * v), peak)
+        dt = cap / (2.0 * peak)
     if dt < dt_min:
         raise FlowHalt(f"time step underflow: dt = {dt:.3e} at t = {t:.6g}")
     dt = min(dt, t_end - t)
@@ -481,7 +459,7 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
         while True:
             # One min and one max pass per step serve the regrid gate (on
             # the state the last step produced), the stop tests and dt, on
-            # Python floats.  A huge threshold overflows to inf, untrapped.
+            # Python floats, whose overflows are infs the tests read right.
             lo, hi = Y.min(axis=1).tolist(), Y.max(axis=1).tolist()
             if step and hi[0] > cfg.regrid_threshold * lo[0]:
                 regridded = regrid_uniform(current_state())
@@ -490,9 +468,10 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
                 lo, hi = Y.min(axis=1).tolist(), Y.max(axis=1).tolist()
             ydot, derivs = _stage(Y, stencil, ricci, np.empty_like(Y))
             _check_finite_rhs(ydot, t)
+            f_min, h_max = min(lo[2:]), max(abs(lo[1]), abs(hi[1]))
             stop = (t >= t_stop
-                    or _square(min(lo[2:])) < cfg.stop_floor
-                    or _square(max(abs(lo[1]), abs(hi[1]))) < cfg.stop_floor
+                    or f_min * abs(f_min) < cfg.stop_floor
+                    or h_max * h_max < cfg.stop_floor
                     or lo[0] <= 0.0)
             dt = 0.0
             if not stop:

@@ -37,7 +37,6 @@ ODD = -1.0
 END_EVEN_WEIGHTS = np.array([150.0, -25.0, 3.0]) / 128.0
 HALF_CELL_ODD = np.array([625.0 / 2304.0, -37.0 / 4608.0, 13.0 / 23040.0])
 HALF_CELL_EVEN = np.array([401.0 / 720.0, -31.0 / 480.0, 11.0 / 1440.0])
-STEP_WEIGHTS = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0
 # Five-point d/dsigma (over 12 dsigma) and d^2/dsigma^2 (over 12 dsigma^2).
 FIVE_POINT_WEIGHTS = np.array([[1.0, -8.0, 0.0, 8.0, -1.0],
                                [-1.0, 16.0, -30.0, 16.0, -1.0]])

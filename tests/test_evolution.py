@@ -505,24 +505,41 @@ class TestRunFlow:
         assert halt.snapshots == []
 
 
+def _overflow_message(ufunc):
+    """numpy's FloatingPointError text for an array ``ufunc`` that
+    overflows."""
+    with np.errstate(over="raise"), \
+            pytest.raises(FloatingPointError) as overflow:
+        ufunc(*[np.array([1e200])] * ufunc.nin)
+    return str(overflow.value)
+
+
 class TestBookkeepingOverflow:
     """The stop tests and _dt_bound square a floor, the fiber length and
-    the forward-Euler step.  A square that leaves the double range halts
-    the run (exit 3) with the message of the float64 overflow, whatever
-    scalar type the step bookkeeping computes in."""
+    the forward-Euler step on Python floats, where an overflow is an inf:
+    not below the floor, no stage limit, and dt = 0 for an infinite rate.
+    A state whose squares leave the double range still halts the run
+    (exit 3), where its data fail: in the monitor or the residual gate."""
 
-    @pytest.mark.parametrize("scale, op", [
-        # f ~ 1e160: min f^2 overflows in the stop test.
-        pytest.param((1.0, 1.0, 1e160), "multiply", id="floor"),
-        # h ~ 2e154 over f ~ 1e40: max h^2 overflows, the RHS does not.
-        pytest.param((1.0, 2e154, 1e40), "multiply", id="fiber"),
-        # a ~ 1e157: (min a dsigma)^2 overflows in _dt_bound.
-        pytest.param((1e157, 1.0, 1.0), "power", id="euler-step"),
+    @pytest.mark.parametrize("scale, reason", [
+        # f ~ 1e160: the monitor's f^2 overflows.
+        pytest.param((1.0, 1.0, 1e160),
+                     f"floating-point {_overflow_message(np.multiply)}",
+                     id="floor"),
+        # h ~ 2e154 over f ~ 1e40: the monitor's h^2 overflows, the RHS
+        # does not.
+        pytest.param((1.0, 2e154, 1e40),
+                     f"floating-point {_overflow_message(np.square)}",
+                     id="fiber"),
+        # a ~ 1e157: (min a dsigma)^2 is inf, so s = 2, and the stages
+        # break the Kahler relation past the residual gate.
+        pytest.param((1e157, 1.0, 1.0), "kahler_res grew to ",
+                     id="euler-step"),
     ])
     def test_overflowing_square_halts_with_its_message(
-            self, monkeypatch, tmp_path, capsys, scale, op):
-        # The first step lands on a state scaled row by row; the next
-        # step's bookkeeping overflows before any trace row is taken.
+            self, monkeypatch, tmp_path, capsys, scale, reason):
+        # The first step lands on a state scaled row by row; the run
+        # halts on the row of that state.
         step = evo.rkl2_step
 
         def scaled_step(*args):
@@ -536,14 +553,28 @@ class TestBookkeepingOverflow:
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        with np.errstate(over="raise"), \
-                pytest.raises(FloatingPointError) as overflow:
-            if op == "power":
-                np.float64(1e200) ** 2
-            else:
-                np.float64(1e200) * np.float64(1e200)
         t = read_trace(out).column("dt")[0]
-        assert f"floating-point {overflow.value} at t = {t:.6g}" in err, err
+        assert re.search(rf"flow halted: {re.escape(reason)}.* at "
+                         rf"t = {t:.6g}\b", err), err
+
+    # _dt_bound as run_flow calls it, with numpy's errors trapped.
+    @np.errstate(over="raise", divide="raise", invalid="raise")
+    def test_infinite_euler_step_sets_no_stage_limit(self):
+        Y = np.ones((3, 48))
+        ydot = np.full_like(Y, 0.01)
+        t, t_end, dsigma = 0.0, 10.0, 1.0 / 48
+        dt, s = _dt_bound(Y, ydot, 1e160, t, t_end, dsigma, 1e-12)
+        cap = min(MAX_REL_CHANGE, STEP_CAP * dsigma * dsigma)
+        assert s == 2
+        assert dt == min(cap / (2.0 * 0.01), t_end - t)
+
+    @np.errstate(over="raise", divide="raise", invalid="raise")
+    def test_infinite_rate_halts_as_a_dt_underflow(self):
+        Y = np.ones((3, 48))
+        ydot = np.zeros_like(Y)
+        ydot[1, 5] = 1e308
+        with pytest.raises(FlowHalt, match="time step underflow"):
+            _dt_bound(Y, ydot, 1.0, 0.0, 1.0, 1.0 / 48, 1e-14)
 
 
 class TestResidualGate:
@@ -959,14 +990,16 @@ def test_benchmark_hooks_see_every_stage(tmp_path):
 
 def test_layer_bench_runs_on_a_workload():
     # tools/layer_bench.py drives run_flow, analyze_run, write_outputs and
-    # read_snapshots directly; this keeps it running when their API moves.
+    # read_snapshots directly; this keeps it running when their API moves,
+    # and its in-process A/B running against a second copy of this tree.
     root = Path(__file__).resolve().parents[1]
     src = str(Path(evo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, str(root / "tools" / "layer_bench.py"),
-         "--workload", "calabi_48", "--repeats", "2"],
+         "--workload", "calabi_48", "--repeats", "2", "--against",
+         str(root)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -977,4 +1010,10 @@ def test_layer_bench_runs_on_a_workload():
         assert any(re.match(rf"{layer} +\d+\.\d+ us per call", line)
                    for line in lines), (layer, proc.stdout)
     assert any(re.match(r"step bookkeeping +\d+\.\d+ us per step", line)
+               for line in lines), proc.stdout
+    for side in ("this", "against"):
+        assert any(re.match(rf"run_flow {side} +\d+\.\d+ ms$", line)
+                   for line in lines), (side, proc.stdout)
+    assert any(re.match(r"paired ratio +\d+\.\d+ this / against \(median\);"
+                        r" faster in [01] rounds this, [01] against$", line)
                for line in lines), proc.stdout

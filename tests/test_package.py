@@ -53,6 +53,33 @@ def test_every_export_is_used_by_the_package():
     assert exported - used == set()
 
 
+def test_every_module_name_is_read():
+    # Every module-level function, class and assigned name of the package
+    # is loaded somewhere in it, as a bare name or as an attribute, by a
+    # module other than __init__; one that is only defined is dead code.
+    defined, loaded = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((path.stem, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                defined |= {(path.stem, name.id) for name in ast.walk(node)
+                            if isinstance(name, ast.Name)
+                            and isinstance(name.ctx, ast.Store)}
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                loaded.add(node.attr)
+    unread = {(module, name) for module, name in defined
+              if name not in loaded and name != "__all__"}
+    assert unread == set(), sorted(unread)
+
+
 # The records of the package: namedtuples and the classes whose __init__
 # stores the fields.
 RECORDS = {"RunConfig", "Jets", "ClosingCheck", "BundleSpec", "ProfileState",

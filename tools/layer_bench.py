@@ -1,7 +1,7 @@
 """In-process layer timings of run_flow on a perfbench workload config.
 
     python tools/layer_bench.py [--workload canonical_80] [--seed 1]
-                                [--repeats 7]
+                                [--repeats 7] [--against DIR]
 
 First the start-up cost that every verb process pays: in each of
 ``--repeats`` fresh interpreters, the wall time of ``import
@@ -29,6 +29,15 @@ is timed the same way on the last run's trace and snapshots:
 leaves there.  The first repeat warms caches and is dropped;
 medians over the rest are printed as us per call (ms for the persistence
 calls), and the trace-row cost as flush time / trace rows.
+
+``--against DIR`` compares this tree with another checkout in one
+process, where the host's drift between processes cannot swamp the
+difference: DIR/src/bundleflow is imported under a second package name,
+each tree loads the config with its own ``cli.load_config``, and the two
+``run_flow`` calls, untimed inside, alternate for ``--repeats`` rounds,
+the first a warm-up, the order swapped each round.  Printed are both
+medians, the median of the per-round ratio this / DIR and the number of
+rounds each side was faster.
 """
 
 from __future__ import annotations
@@ -73,6 +82,28 @@ def startup(repeats):
         ms, *added = out.stdout.split()
         times.append(float(ms))
     return statistics.median(times), added
+
+
+def load_tree(src, name):
+    """Import the bundleflow package under the source directory ``src`` as
+    the package ``name``, whose submodules then import by that name."""
+    init = src / "bundleflow" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[name])
+
+
+def alternate(runs, repeats):
+    """Wall ms of each of the two callables ``runs`` over ``repeats``
+    rounds, the order swapped each round and the first round dropped."""
+    times = ([], [])
+    for i in range(repeats):
+        for side in (i % 2, 1 - i % 2):
+            start = time.perf_counter()
+            runs[side]()
+            times[side].append(1e3 * (time.perf_counter() - start))
+    return times[0][1:], times[1][1:]
 
 
 def load_perfbench():
@@ -120,9 +151,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="canonical_80")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--against", type=Path, metavar="DIR")
     args = parser.parse_args(argv)
     if args.repeats < 2:
         parser.error("--repeats must be at least 2 (the first is warm-up)")
+    if args.against and not (args.against / "src" / "bundleflow"
+                             / "__init__.py").is_file():
+        parser.error(f"{args.against} has no src/bundleflow package")
 
     startup_ms, startup_added = startup(args.repeats)
     run = load_perfbench()
@@ -139,6 +174,11 @@ def main(argv=None) -> int:
         path.write_text(json.dumps(run.make_config(args.workload,
                                                    args.seed)))
         cfg = load_config(path)
+        if args.against:
+            load_tree(args.against / "src", "bundleflow_against")
+            other_cfg = importlib.import_module(
+                "bundleflow_against.cli").load_config(path)
+            other = importlib.import_module("bundleflow_against.evolution")
 
     def timed_run(names):
         timers = Timers(evolution, names)
@@ -214,6 +254,21 @@ def main(argv=None) -> int:
           f"({written} bytes, {len(snapshots)} snapshots)")
     print(f"read_snapshots      {med['read_ms']:9.2f} ms per call "
           f"({snap_bytes} bytes)")
+    if args.against:
+        this_ms, other_ms = alternate(
+            (lambda: evolution.run_flow(cfg.spec, cfg.state0, cfg.flow),
+             lambda: other.run_flow(other_cfg.spec, other_cfg.state0,
+                                    other_cfg.flow)),
+            args.repeats)
+        ratio = statistics.median(a / b for a, b in zip(this_ms, other_ms))
+        won = sum(a < b for a, b in zip(this_ms, other_ms))
+        lost = sum(a > b for a, b in zip(this_ms, other_ms))
+        print(f"against             {args.against}: run_flow alternated "
+              f"in this process, {len(this_ms)} rounds after one warm-up")
+        print(f"run_flow this       {statistics.median(this_ms):9.2f} ms")
+        print(f"run_flow against    {statistics.median(other_ms):9.2f} ms")
+        print(f"paired ratio        {ratio:9.3f} this / against (median); "
+              f"faster in {won} rounds this, {lost} against")
     return 0
 
 
