@@ -46,7 +46,6 @@ def trace_columns(r: int):
         cols += [f"f{i}sq_min", f"f{i}sq_max"]
     cols += ["kahler_res", "heat_res"]
     cols += [f"grad_sup_{i}" for i in range(1, r + 1)]
-    cols += [f"liyau_sup_{i}" for i in range(1, r + 1)]
     cols.append("arclength")
     return cols
 
@@ -65,7 +64,7 @@ class FlowTrace:
     ``rows`` has one line per recorded step with the columns of
     :func:`trace_columns`; ``boundary`` carries the extrapolated endpoint
     values of each f_i^2 against the same times.  h columns store h itself,
-    f columns store f^2; gradient columns store sup |d(f^2)/ds|.
+    f columns store f^2 and ``grad_sup_i`` stores sup |d(f_i^2)/ds|.
     """
 
     def __init__(self, r, rows, boundary):

@@ -86,20 +86,20 @@ def _number_list(v, path):
     return [_number(x, f"{path}[{i}]") for i, x in enumerate(v)]
 
 
+def _integer_list(v, path):
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{path} must be a nonempty array of integers")
+    return [_integer(x, f"{path}[{i}]") for i, x in enumerate(v)]
+
+
 def _parse_bundle(section):
     b = _expect_mapping(section, "bundle")
     _reject_unknown(b, {"n", "k", "q", "lambda"}, "bundle")
     for key in ("n", "k", "q"):
         if key not in b:
             raise ConfigError(f"bundle.{key} is required")
-    n = [_integer(v, f"bundle.n[{i}]") for i, v in enumerate(b["n"])] \
-        if isinstance(b["n"], list) and b["n"] else None
-    if n is None:
-        raise ConfigError("bundle.n must be a nonempty array of integers")
-    q = [_integer(v, f"bundle.q[{i}]") for i, v in enumerate(b["q"])] \
-        if isinstance(b["q"], list) and b["q"] else None
-    if q is None:
-        raise ConfigError("bundle.q must be a nonempty array of integers")
+    n = _integer_list(b["n"], "bundle.n")
+    q = _integer_list(b["q"], "bundle.q")
     for i, v in enumerate(q):
         if v == 0:
             raise ConfigError(f"bundle.q[{i}] must be nonzero")
@@ -250,10 +250,10 @@ def load_config(path) -> RunConfig:
 # Persistence.
 
 
-def _write_csv(path, header, rows):
+def _csv_bytes(header, rows) -> bytes:
     lines = [",".join(header)]
     lines += [",".join(map(repr, row)) for row in rows.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _read_csv(path):
@@ -264,11 +264,27 @@ def _read_csv(path):
     return header, rows
 
 
-def _json_dump(path, obj):
+def _json_bytes(obj) -> bytes:
     # One line without whitespace: json's C encoder, and no indentation
     # bytes in the run directory.
-    Path(path).write_text(json.dumps(obj, sort_keys=True,
-                                     separators=(",", ":")) + "\n")
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":"))
+            + "\n").encode()
+
+
+def _json_dump(path, obj):
+    Path(path).write_bytes(_json_bytes(obj))
+
+
+def _sha256(data: bytes) -> str:
+    import hashlib  # Loads OpenSSL; only the manifest needs it.
+    return hashlib.sha256(data).hexdigest()
+
+
+def _store(out: Path, name, data: bytes, digests: dict):
+    """Write the artifact ``name`` of the run directory and record the
+    sha256 digest of the bytes written in ``digests``."""
+    (out / name).write_bytes(data)
+    digests[name] = _sha256(data)
 
 
 def write_outputs(trace: FlowTrace, snapshots, report: dict, out_dir,
@@ -279,20 +295,18 @@ def write_outputs(trace: FlowTrace, snapshots, report: dict, out_dir,
     report.json and ``raw_config`` (the validated input config) as
     config.json.  Snapshot files this call did not write are deleted, and
     so are the plots of render_plots, which show the run the directory held
-    before.  The manifest digests every artifact with sha256.
+    before.  Each artifact is encoded once, and the manifest holds the
+    sha256 digest of the bytes written.
     """
     out = Path(out_dir)
     snapdir = out / "snapshots"
     snapdir.mkdir(parents=True, exist_ok=True)
-    files = []
+    digests = {}
 
-    _write_csv(out / "trace.csv", trace_columns(trace.r), trace.rows)
-    files.append("trace.csv")
-    _write_csv(out / "boundary.csv", boundary_columns(trace.r),
-               trace.boundary)
-    files.append("boundary.csv")
-
-    snap_names = []
+    _store(out, "trace.csv", _csv_bytes(trace_columns(trace.r), trace.rows),
+           digests)
+    _store(out, "boundary.csv",
+           _csv_bytes(boundary_columns(trace.r), trace.boundary), digests)
     for idx, snap in enumerate(snapshots):
         payload = {
             "t": snap.t,
@@ -300,32 +314,26 @@ def write_outputs(trace: FlowTrace, snapshots, report: dict, out_dir,
             "h": snap.h.tolist(),
             "f": snap.f.tolist(),
         }
-        name = f"snapshots/snap_{idx:05d}.json"
-        _json_dump(out / name, payload)
-        snap_names.append(name)
+        _store(out, f"snapshots/snap_{idx:05d}.json", _json_bytes(payload),
+               digests)
     # A shorter rerun into the same directory must not leave the earlier
     # run's later snapshots behind for analyze and plot to pick up.
-    keep = set(snap_names)
     for path in _snapshot_paths(out):
-        if f"snapshots/{path.name}" not in keep:
+        if f"snapshots/{path.name}" not in digests:
             path.unlink()
-    files += snap_names
     for pattern in ("profiles.svg", "typeI.svg", "boundary.svg",
                     "field_*.svg"):
         for path in out.glob(pattern):
             path.unlink()
 
-    _json_dump(out / "report.json", report)
-    _json_dump(out / "config.json", raw_config)
-    files += ["report.json", "config.json"]
-    return _write_manifest(out, _digests(out, files))
+    _store(out, "report.json", _json_bytes(report), digests)
+    _store(out, "config.json", _json_bytes(raw_config), digests)
+    return _write_manifest(out, digests)
 
 
 def _digests(out: Path, files) -> dict:
     """sha256 hex digest of each named artifact of the run directory."""
-    import hashlib  # Loads OpenSSL; only the manifest needs it.
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in files}
+    return {name: _sha256((out / name).read_bytes()) for name in files}
 
 
 def _write_manifest(out: Path, digests) -> dict:
@@ -380,7 +388,13 @@ def _read_json(path: Path) -> dict:
 
 
 def read_trace(out_dir) -> FlowTrace:
-    """Load trace.csv and boundary.csv back into a FlowTrace."""
+    """Load trace.csv and boundary.csv back into a FlowTrace.
+
+    The number r of base factors is the count of grad_sup_i columns in the
+    header, which must then be trace_columns(r).  A trace.csv of the
+    earlier layout, with r liyau_sup_i columns just before arclength,
+    reads without them, as read_snapshot ignores sigma and cells.
+    """
     out = Path(out_dir)
     try:
         header, rows = _read_csv(out / "trace.csv")
@@ -389,18 +403,21 @@ def read_trace(out_dir) -> FlowTrace:
         raise ConfigError(f"cannot read run directory {out}: {exc}") from exc
     except (StopIteration, ValueError) as exc:
         raise ConfigError(f"malformed trace CSV in {out}: {exc!r}") from exc
-    width = len(header)
-    if width < 12 or (width - 8) % 4:
-        raise ConfigError("trace.csv does not match the column contract")
-    r = (width - 8) // 4
-    if header != trace_columns(r):
+    r = sum(name.startswith("grad_sup_") for name in header)
+    columns = trace_columns(r)
+    dropped = [f"liyau_sup_{i}" for i in range(1, r + 1)]
+    if r and header == columns[:-1] + dropped + columns[-1:]:
+        # A row of another width keeps a wrong width, which validate finds.
+        header, rows = columns, [row[:-1 - r] + row[-1:] for row in rows]
+    if not r or header != columns:
         raise ConfigError("trace.csv does not match the column contract")
     if bheader != boundary_columns(r):
         raise ConfigError("boundary.csv does not match the column contract")
     try:
-        rows_arr = np.array(rows, float) if rows else np.zeros((0, width))
+        rows_arr = np.array(rows, float) if rows \
+            else np.zeros((0, len(header)))
         brows_arr = np.array(brows, float) if brows \
-            else np.zeros((0, 1 + 2 * r))
+            else np.zeros((0, len(bheader)))
         trace = FlowTrace(r=r, rows=rows_arr, boundary=brows_arr)
         trace.validate()
     except ValueError as exc:
@@ -716,8 +733,7 @@ def _cmd_analyze(rundir) -> int:
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{out / 'trace.csv'} gives the report a "
                               f"non-finite {key} ({value})")
-    _json_dump(out / "report.json", report)
-    digests.update(_digests(out, ["report.json"]))
+    _store(out, "report.json", _json_bytes(report), digests)
     _write_manifest(out, digests)
     _print_report(report, trace)
     return 0

@@ -67,7 +67,7 @@ import functools
 
 import numpy as np
 
-from .analysis import FlowTrace
+from .analysis import FlowTrace, boundary_columns, trace_columns
 from .geometry import (EVEN, BundleSpec, Jets, ProfileState, RicciFeatures,
                        Stencil, arclength_derivs, cumulative_from_left,
                        curvature_sup_proxy, endpoint_even, field_parities,
@@ -95,6 +95,8 @@ RESIDUAL_GROWTH_MAX = 100.0
 CFL_MAX = 0.375
 # Trace rows are filled in blocks of at most this many rows.
 MONITOR_BLOCK = 64
+# The trace columns that the residual gate reads.
+RESIDUAL_COLUMNS = ("kahler_res", "heat_res")
 
 
 class FlowHalt(RuntimeError):
@@ -197,34 +199,39 @@ def _monitor_block(spec, block, dsigma):
     Each entry is (t, dt, Y, ydot, derivs) with Y the stacked state of
     the row, ydot its time derivative and derivs the block of its first
     stage's sigma derivatives.  One call per block of arclength_derivs
-    and of each geometry routine on the stacked states fills the
-    columns, bit-identical to the same calls row by row.  The operations run in
+    and of each geometry routine on the stacked states fills the columns
+    of trace_columns and boundary_columns, each located by its name,
+    bit-identical to the same calls row by row.  The operations run in
     the order arclength jets, f_i^2, kappa, kahler_res, heat_res, extrema,
-    gradient columns, arclength, endpoints, so a one-entry block raises
-    the first floating-point error of its row in that order.
+    grad_sup_i, arclength, endpoints, so a one-entry block raises the
+    first floating-point error of its row in that order.
     """
     t, dt, Y, ydot, derivs = zip(*block)
     Y, ydot = np.stack(Y), np.stack(ydot)
     jets = _stack_jets(Y, np.stack(derivs))
-    h, f, f_s = jets.h, jets.f, jets.f_s
+    h, f = jets.h, jets.f
     r = spec.r
     f2 = f * f
-    rows = np.empty((len(block), 8 + 4 * r))
-    rows[:, 0] = t
-    rows[:, 1] = dt
-    rows[:, 2] = curvature_sup_proxy(spec, jets=jets)
-    rows[:, 5 + 2 * r] = kahler_defect(spec, jets=jets).max(axis=(-2, -1))
-    rows[:, 6 + 2 * r] = np.abs(
+    columns = trace_columns(r)
+    col = columns.index
+    f_lo, grad = col("f1sq_min"), col("grad_sup_1")
+    rows = np.empty((len(block), len(columns)))
+    rows[:, col("t")] = t
+    rows[:, col("dt")] = dt
+    rows[:, col("kappa")] = curvature_sup_proxy(spec, jets=jets)
+    rows[:, col("kahler_res")] = kahler_defect(spec, jets=jets).max(
+        axis=(-2, -1))
+    rows[:, col("heat_res")] = np.abs(
         2.0 * f * ydot[:, 2:] - laplacian_f2(spec, jets)
         + 2.0 * spec.factor_arrays()[1]).max(axis=(-2, -1))
-    rows[:, 3] = h.min(axis=-1)
-    rows[:, 4] = h.max(axis=-1)
-    rows[:, 5:5 + 2 * r:2] = f2.min(axis=-1)
-    rows[:, 6:6 + 2 * r:2] = f2.max(axis=-1)
-    rows[:, 7 + 2 * r:7 + 3 * r] = np.abs(2.0 * f * f_s).max(axis=-1)
-    rows[:, 7 + 3 * r:7 + 4 * r] = (4.0 * f_s * f_s).max(axis=-1)
-    rows[:, -1] = cumulative_from_left(Y[:, 0], dsigma, EVEN)[1]
-    brows = np.empty((len(block), 1 + 2 * r))
+    rows[:, col("h_min")] = h.min(axis=-1)
+    rows[:, col("h_max")] = h.max(axis=-1)
+    rows[:, f_lo:f_lo + 2 * r:2] = f2.min(axis=-1)
+    rows[:, f_lo + 1:f_lo + 2 * r:2] = f2.max(axis=-1)
+    rows[:, grad:grad + r] = np.abs(2.0 * f * jets.f_s).max(axis=-1)
+    rows[:, col("arclength")] = cumulative_from_left(Y[:, 0], dsigma,
+                                                     EVEN)[1]
+    brows = np.empty((len(block), len(boundary_columns(r))))
     brows[:, 0] = t
     brows[:, 1::2], brows[:, 2::2] = endpoint_even(f2)
     return rows, brows
@@ -236,7 +243,7 @@ def _check_residual_growth(t, res, first):
     values ``first`` in the first row.  A residual that starts at exactly
     zero has no scale and is not gated.
     """
-    for name, value, start in zip(("kahler_res", "heat_res"), res, first):
+    for name, value, start in zip(RESIDUAL_COLUMNS, res, first):
         if 0.0 < start and value > RESIDUAL_GROWTH_MAX * start:
             raise FlowHalt(
                 f"{name} grew to {value:.3e} at t = {t:.6g}, more "
@@ -423,9 +430,10 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
     def drop_snapshots_from(t_row):
         snapshots[:] = [sn for sn in snapshots if sn.t < t_row]
 
+    gate = [trace_columns(spec.r).index(name) for name in RESIDUAL_COLUMNS]
+
     def keep(rows, brows):
         # Gate the filled rows in order; one that trips is the last kept.
-        gate = slice(5 + 2 * spec.r, 7 + 2 * spec.r)
         first = (blocks[0][0] if blocks else rows)[0, gate].tolist()
         for i, res in enumerate(rows[:, gate].tolist()):
             try:
@@ -508,8 +516,8 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
 
 def _assemble_trace(r, blocks):
     if not blocks:
-        return FlowTrace(r=r, rows=np.zeros((0, 8 + 4 * r)),
-                         boundary=np.zeros((0, 1 + 2 * r)))
+        return FlowTrace(r=r, rows=np.zeros((0, len(trace_columns(r)))),
+                         boundary=np.zeros((0, len(boundary_columns(r)))))
     rows, brows = zip(*blocks)
     return FlowTrace(r=r, rows=np.concatenate(rows),
                      boundary=np.concatenate(brows))

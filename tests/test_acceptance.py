@@ -181,8 +181,7 @@ def test_criterion_09_synthetic_models_classified_correctly():
         kappa = (0.5 - t) ** (-power)
         rows = np.column_stack([
             t, zeros, kappa, np.ones(n), np.ones(n), np.full(n, 4.0),
-            np.full(n, 5.0), zeros, zeros, np.ones(n), np.ones(n),
-            np.full(n, math.pi)])
+            np.full(n, 5.0), zeros, zeros, np.ones(n), np.full(n, math.pi)])
         boundary = np.column_stack([t, np.full(n, 4.0), np.full(n, 4.0)])
         return FlowTrace(r=1, rows=rows, boundary=boundary)
 
@@ -214,7 +213,7 @@ def test_criterion_10_reruns_byte_identical_and_schema_stable(tmp_path):
     assert header == ",".join(trace_columns(1))
     assert header.split(",") == [
         "t", "dt", "kappa", "h_min", "h_max", "f1sq_min", "f1sq_max",
-        "kahler_res", "heat_res", "grad_sup_1", "liyau_sup_1", "arclength"]
+        "kahler_res", "heat_res", "grad_sup_1", "arclength"]
     bheader = (out1 / "boundary.csv").read_text().splitlines()[0]
     assert bheader == "t,f1sq_left,f1sq_right"
     snap = json.loads(

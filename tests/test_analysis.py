@@ -40,7 +40,7 @@ def make_trace(t, kappa=1.0, h_max=1.0, f1sq_min=4.0, f1sq_max=None,
     zeros = np.zeros(n)
     rows = np.column_stack([
         t, zeros, kappa, 0.5 * h_max, h_max, fmin, fmax,
-        zeros, zeros, np.ones(n), np.ones(n), np.full(n, math.pi)])
+        zeros, zeros, np.ones(n), np.full(n, math.pi)])
     boundary = np.column_stack([t, col(left, fmin), col(right, fmin)])
     trace = FlowTrace(r=1, rows=rows, boundary=boundary)
     trace.validate()
@@ -57,13 +57,11 @@ class TestTraceContract:
     def test_column_orders(self):
         assert trace_columns(1) == [
             "t", "dt", "kappa", "h_min", "h_max", "f1sq_min", "f1sq_max",
-            "kahler_res", "heat_res", "grad_sup_1", "liyau_sup_1",
-            "arclength"]
+            "kahler_res", "heat_res", "grad_sup_1", "arclength"]
         cols2 = trace_columns(2)
-        assert len(cols2) == 16
+        assert len(cols2) == 14
         assert cols2[5:9] == ["f1sq_min", "f1sq_max", "f2sq_min", "f2sq_max"]
-        assert cols2[-5:] == ["grad_sup_1", "grad_sup_2", "liyau_sup_1",
-                              "liyau_sup_2", "arclength"]
+        assert cols2[-3:] == ["grad_sup_1", "grad_sup_2", "arclength"]
         assert boundary_columns(2) == [
             "t", "f1sq_left", "f1sq_right", "f2sq_left", "f2sq_right"]
 
@@ -121,7 +119,7 @@ class TestLiYau:
         # peaks at 8 - 4 sqrt(3) where cos s = 2 - sqrt(3).
         f_s = ref.profile_jets(state).f_s[0]
         assert 4.0 * f_s[200] ** 2 == pytest.approx(1.0, abs=1e-8)
-        assert monitor_row(spec, state, "liyau_sup_1") \
+        assert (4.0 * f_s * f_s).max() \
             == pytest.approx(8.0 - 4.0 * math.sqrt(3.0), abs=1e-4)
 
 
@@ -249,7 +247,7 @@ class TestDegeneration:
     def test_indeterminate_and_fallbacks(self):
         trace = make_trace(np.linspace(0.0, 0.5, 5))
         assert classify_degeneration(trace, 1e-3) == INDETERMINATE
-        empty = FlowTrace(r=1, rows=np.zeros((0, 12)),
+        empty = FlowTrace(r=1, rows=np.zeros((0, len(trace_columns(1)))),
                           boundary=np.zeros((0, 3)))
         assert classify_degeneration(empty, 1e-3) == INDETERMINATE
 
@@ -257,7 +255,8 @@ class TestDegeneration:
 class TestRescale:
     def test_curvature_and_gradient_laws(self):
         # Multiplying the metric by K sends (a, h, f) to sqrt(K) times
-        # themselves: curvature divides by K, the Li-Yau sup is invariant.
+        # themselves: curvature divides by K, and sup |d(f^2)/ds| grows by
+        # sqrt(K) since f_s is invariant.
         spec, state = canonical_preset(64)
         K = 3.7
         root = math.sqrt(K)
@@ -266,8 +265,8 @@ class TestRescale:
         base = geo.curvature_sup_proxy(spec, ref.profile_jets(state))
         assert geo.curvature_sup_proxy(spec, ref.profile_jets(zoom)) \
             == pytest.approx(base / K, rel=1e-10)
-        assert monitor_row(spec, zoom, "liyau_sup_1") \
-            == pytest.approx(monitor_row(spec, state, "liyau_sup_1"),
+        assert monitor_row(spec, zoom, "grad_sup_1") \
+            == pytest.approx(root * monitor_row(spec, state, "grad_sup_1"),
                              rel=1e-12)
 
 

@@ -57,7 +57,7 @@ def synthetic_run_dir(out):
     rows = np.column_stack([
         t, zeros, 1.0 / (2.0 * tau), np.sqrt(2.0 * tau) / 2.0,
         np.sqrt(2.0 * tau), 3.0 + tau, 6.0 + tau, zeros, zeros,
-        np.ones(n), np.ones(n), np.full(n, math.pi)])
+        np.ones(n), np.full(n, math.pi)])
     boundary = np.column_stack([t, np.full(n, 6.0), 6.0 - 8.0 * t])
     trace = FlowTrace(r=1, rows=rows, boundary=boundary)
     report = analyze_run(trace, [], stop_floor=1e-3)
@@ -147,6 +147,14 @@ class TestLoadConfig:
          "flow.t_end must be a finite number"),
         (lambda c: (c.pop("bundle"), c.update(initial={"preset": []})),
          "initial.preset '[]' unknown"),
+        (lambda c: c["bundle"].update(n=[]),
+         "bundle.n must be a nonempty array of integers"),
+        (lambda c: c["bundle"].update(q=2),
+         "bundle.q must be a nonempty array of integers"),
+        (lambda c: c["bundle"].update(n=[1.0]), "bundle.n[0] must be an "
+                                                "integer"),
+        (lambda c: c["bundle"].update(q=[1, 0]),
+         "bundle.q[1] must be nonzero"),
     ])
     def test_rejections_name_the_field(self, tmp_path, mutate, needle):
         conf = {"flow": {"cells": 32, "t_end": 0.0},
@@ -501,6 +509,61 @@ class TestAnalyzeVerb:
         assert {path.name: path.read_bytes()
                 for path in out.glob("*.svg")} == svgs
 
+    @pytest.mark.parametrize("sections", [
+        {},
+        {"bundle": {"n": [1, 1], "k": [2.0, 1.0], "q": [1, 1]},
+         "initial": {"template": {"length": math.pi, "f0": [0.5, 3.0]}}},
+    ], ids=["one factor", "two factors"])
+    def test_trace_with_liyau_columns_still_reads(self, tmp_path, capsys,
+                                                  sections):
+        # Earlier versions also stored liyau_sup_i (sup 4 f_i,s^2) just
+        # before arclength; such a trace.csv analyzes and plots as before,
+        # and the dropped columns are no longer plot fields.
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json",
+                           flow={"cells": 32, "t_end": 0.004},
+                           output={"dir": str(out)}, **sections)
+        assert main(["run", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(out)]) == 0
+        printed = capsys.readouterr().out
+        trace = read_trace(out)
+        report = (out / "report.json").read_bytes()
+        assert main(["plot", str(out), "--field", "kappa"]) == 0
+        svgs = {path.name: path.read_bytes() for path in out.glob("*.svg")}
+        assert "field_kappa.svg" in svgs
+        capsys.readouterr()
+        assert main(["plot", str(out), "--field", "liyau_sup_1"]) == 2
+        unknown = capsys.readouterr().err
+        assert "unknown trace column 'liyau_sup_1' (available: " \
+            + ", ".join(trace.columns) + ")" in unknown, unknown
+
+        path = out / "trace.csv"
+        lines = path.read_text().splitlines()
+        dropped = [f"liyau_sup_{i}" for i in range(1, trace.r + 1)]
+        for j, line in enumerate(lines):
+            cells = line.split(",")
+            extra = dropped if j == 0 else ["0.25"] * trace.r
+            lines[j] = ",".join(cells[:-1] + extra + cells[-1:])
+        path.write_text("\n".join(lines) + "\n")
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["files"]["trace.csv"] = hashlib.sha256(
+            path.read_bytes()).hexdigest()
+        cli._json_dump(out / "manifest.json", manifest)
+
+        old = read_trace(out)
+        assert old.columns == trace.columns
+        assert np.array_equal(old.rows, trace.rows)
+        assert main(["analyze", str(out)]) == 0
+        assert capsys.readouterr().out == printed
+        assert (out / "report.json").read_bytes() == report
+        assert main(["plot", str(out), "--field", "kappa"]) == 0
+        assert {path.name: path.read_bytes()
+                for path in out.glob("*.svg")} == svgs
+        capsys.readouterr()
+        assert main(["plot", str(out), "--field", "liyau_sup_1"]) == 2
+        assert capsys.readouterr().err == unknown
+
     @pytest.mark.parametrize("damage,needle", [
         # Thresholds that older versions read from config.json.
         ("analysis", "config.json: unknown key 'analysis'"),
@@ -782,7 +845,7 @@ class TestPlotVerb:
 
     def test_empty_trace_prints_message(self, tmp_path, capsys):
         out = tmp_path / "empty"
-        trace = FlowTrace(r=1, rows=np.zeros((0, 12)),
+        trace = FlowTrace(r=1, rows=np.zeros((0, len(trace_columns(1)))),
                           boundary=np.zeros((0, 3)))
         report = analyze_run(trace, [], stop_floor=1e-3)
         write_outputs(trace, [], report, out, raw_config={"flow": {}})

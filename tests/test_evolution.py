@@ -430,7 +430,7 @@ class TestRunFlow:
         spec, state = canonical_preset(64)
         cfg = FlowConfig(cells=64, t_end=0.0)
         trace, snaps = run_flow(spec, state, cfg)
-        assert trace.rows.shape == (1, 12)
+        assert trace.rows.shape == (1, 11)
         assert trace.rows[0, 0] == 0.0
         assert trace.rows[0, 1] == 0.0
         assert len(snaps) == 1
@@ -500,7 +500,7 @@ class TestRunFlow:
         with pytest.raises(FlowHalt, match="underflow") as info:
             run_flow(spec, state, cfg)
         halt = info.value
-        assert halt.trace.rows.shape == (1, 12)
+        assert halt.trace.rows.shape == (1, 11)
         assert halt.trace.rows[0, 1] == 0.0
         assert halt.snapshots == []
 
@@ -857,8 +857,6 @@ class TestMonitorColumns:
                 want[f"f{i + 1}sq_max"] = f2[i].max()
                 want[f"grad_sup_{i + 1}"] = np.abs(
                     2.0 * snap.f[i] * jets.f_s[i]).max()
-                want[f"liyau_sup_{i + 1}"] = (
-                    4.0 * jets.f_s[i] * jets.f_s[i]).max()
                 want_b += geo.endpoint_even(f2[i])
             got = dict(zip(trace.columns, row))
             assert set(got) == set(want) | {"dt"}
