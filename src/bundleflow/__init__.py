@@ -12,10 +12,9 @@ __version__ = "0.1.0"
 
 from .geometry import (BundleSpec, Jets, ProfileState, cell_centers,
                        curvature_sup_proxy, kahler_defect, laplacian_f2)
-from .initial_data import (PRESETS, ClosingCheck, ClosingReport,
-                           build_general_profile, build_kahler_profile,
-                           calabi_preset, canonical_preset, sample_h,
-                           validate_closing)
+from .initial_data import (PRESETS, ClosingCheck, build_general_profile,
+                           build_kahler_profile, calabi_preset,
+                           canonical_preset, sample_h, validate_closing)
 from .evolution import (FlowConfig, FlowHalt, InvalidInitialState,
                         arclength, regrid_uniform, run_flow)
 from .analysis import (FlowTrace, analyze_run, classify_degeneration,

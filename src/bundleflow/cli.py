@@ -12,7 +12,7 @@ partial trace is still persisted).
 
 A run directory contains trace.csv and boundary.csv (fixed column
 contracts), snapshots/snap_NNNNN.json, report.json, config.json (the
-validated input config, byte-preserved for reproducibility) and
+validated input config, re-encoded rather than copied byte for byte) and
 manifest.json with sha256 digests of every artifact.  Each JSON artifact
 is one line with sorted keys and no whitespace.  All floats are written
 with Python repr, so identical runs produce byte-identical files.

@@ -223,7 +223,7 @@ def _monitor_block(spec, block, dsigma):
         axis=(-2, -1))
     rows[:, col("heat_res")] = np.abs(
         2.0 * f * ydot[:, 2:] - laplacian_f2(spec, jets)
-        + 2.0 * spec.factor_arrays()[1]).max(axis=(-2, -1))
+        + 2.0 * spec.k).max(axis=(-2, -1))
     rows[:, col("h_min")] = h.min(axis=-1)
     rows[:, col("h_max")] = h.max(axis=-1)
     rows[:, f_lo:f_lo + 2 * r:2] = f2.min(axis=-1)
@@ -393,13 +393,13 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
             f"state has {state0.cells} cells but config says {cfg.cells}")
     try:
         state0.validate()
-        closing = validate_closing(state0)
+        failures = [c for c in validate_closing(state0) if not c.ok]
         ricci = RicciFeatures(spec, cfg.cells)
     except (ValueError, FloatingPointError) as exc:
         raise InvalidInitialState(str(exc)) from exc
-    if not closing.passed:
+    if failures:
         bad = "; ".join(f"{c.side} {c.name} (residual {c.residual:.3g})"
-                        for c in closing.failures())
+                        for c in failures)
         raise InvalidInitialState(f"initial data does not close: {bad}")
 
     dsigma = state0.dsigma

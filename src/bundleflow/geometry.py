@@ -59,7 +59,8 @@ class BundleSpec:
         for Einstein factors but is a heuristic; supply measured bounds when
         available.
 
-    Specs compare and hash by value, (n, k, q, lam).
+    Each is stored as a read-only (r, 1) float column, the fields ``n``,
+    ``k``, ``q`` and ``lam``, which broadcast against (r, M) rows.
     """
 
     def __init__(self, n, k, q, lam=None):
@@ -82,31 +83,15 @@ class BundleSpec:
                 raise ValueError("lam must match n in length")
             if any(v < 0 for v in lam):
                 raise ValueError("all lam_i must be >= 0")
-        self.n, self.k, self.q, self.lam = n, k, q, lam
-        columns = tuple(np.array(v, float).reshape(len(n), 1)
-                        for v in (n, k, q, lam))
+        columns = [np.array(v, float).reshape(-1, 1) for v in (n, k, q, lam)]
         for col in columns:
             col.flags.writeable = False
-        self._columns = columns
-
-    def __eq__(self, other):
-        if not isinstance(other, BundleSpec):
-            return NotImplemented
-        return (self.n, self.k, self.q, self.lam) \
-            == (other.n, other.k, other.q, other.lam)
-
-    def __hash__(self):
-        return hash((self.n, self.k, self.q, self.lam))
+        self.n, self.k, self.q, self.lam = columns
 
     @property
     def r(self) -> int:
         """Number of base factors."""
         return len(self.n)
-
-    def factor_arrays(self):
-        """Per-factor constants (n, k, q, lam) as read-only (r, 1) float
-        columns for broadcasting, built once per spec."""
-        return self._columns
 
 
 def cell_centers(cells: int) -> np.ndarray:
@@ -333,7 +318,7 @@ def ricci_coefficients(spec: BundleSpec) -> np.ndarray:
     products that hold them fill whole blocks.  The F x K result maps
     the features to d/dt log (a; h; f_i); RicciFeatures holds it.
     """
-    n, k, q = (col[:, 0] for col in spec.factor_arrays()[:3])
+    n, k, q = spec.n[:, 0], spec.k[:, 0], spec.q[:, 0]
     r1 = spec.r + 1
     fields = r1 + 1
     ss = 2 * fields                     # first (u'/u)_m (Y'/Y)_j column
@@ -424,10 +409,9 @@ def laplacian_f2(spec: BundleSpec, jets: Jets) -> np.ndarray:
     """Laplacian of every f_i^2 directly from arclength jets, shape (r, M)
     for one state and (K, r, M) for a stack, each entry bit-identical to
     the one-state call."""
-    n = spec.factor_arrays()[0]
     f, f_s, f_ss = jets.f, jets.f_s, jets.f_ss
     return (2.0 * f * f_ss + 2.0 * f_s ** 2
-            + _trace_l(n, jets)[..., None, :] * 2.0 * f * f_s)
+            + _trace_l(spec.n, jets)[..., None, :] * 2.0 * f * f_s)
 
 
 def kahler_defect(spec: BundleSpec, jets: Jets) -> np.ndarray:
@@ -437,8 +421,7 @@ def kahler_defect(spec: BundleSpec, jets: Jets) -> np.ndarray:
     one-state call; identically zero exactly when the metric is Kahler for
     the bundle complex structure.
     """
-    q = spec.factor_arrays()[2]
-    return np.abs(q * jets.h[..., None, :] - 2.0 * jets.f * jets.f_s)
+    return np.abs(spec.q * jets.h[..., None, :] - 2.0 * jets.f * jets.f_s)
 
 
 def curvature_sup_proxy(spec: BundleSpec, jets: Jets):
@@ -457,16 +440,15 @@ def curvature_sup_proxy(spec: BundleSpec, jets: Jets):
     j = jets
     if spec.r != j.r:
         raise ValueError("spec and jets disagree on the number of factors")
-    _, _, q, lam = spec.factor_arrays()
     shape_h = j.h_s / j.h
     shape_f = j.f_s / j.f
-    twist = q ** 2 * j.h[..., None, :] ** 2 / (2.0 * j.f ** 4)
+    twist = spec.q ** 2 * j.h[..., None, :] ** 2 / (2.0 * j.f ** 4)
     kap = np.abs(j.h_ss / j.h)
     np.maximum(kap, np.abs(j.f_ss / j.f).max(axis=-2), out=kap)
     np.maximum(kap, np.abs(0.5 * twist
                            - shape_h[..., None, :] * shape_f).max(axis=-2),
                out=kap)
-    np.maximum(kap, (lam / j.f ** 2 + 1.5 * twist
+    np.maximum(kap, (spec.lam / j.f ** 2 + 1.5 * twist
                      + shape_f ** 2).max(axis=-2), out=kap)
     r = spec.r
     if r > 1:

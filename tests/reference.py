@@ -59,7 +59,7 @@ def ricci_kahler(spec, jets):
     These expressions assume q_i H = (F_i^2)_s and share no code with
     ricci_rows.
     """
-    n, k, _, _ = spec.factor_arrays()
+    n, k = spec.n, spec.k
     shape_h = jets.h_s / jets.h
     shape_f = jets.f_s / jets.f
     trace_l = shape_h + (2.0 * n * shape_f).sum(axis=0)
@@ -104,8 +104,8 @@ def boundary_linear_check(spec, trace):
     t = trace.bcolumn("t")
     out = []
     for i in range(1, trace.r + 1):
-        q = spec.q[i - 1]
-        k = spec.k[i - 1]
+        q = spec.q[i - 1, 0]
+        k = spec.k[i - 1, 0]
         scale = 2.0 * (abs(q) + abs(k))
         for side, expected in (("left", 2.0 * q - 2.0 * k),
                                ("right", -2.0 * q - 2.0 * k)):

@@ -84,7 +84,7 @@ def test_criterion_02_curvature_matches_koszul_oracle():
     spec, state = canonical_preset(64)
     jets = ref.profile_jets(state)
     oracle = berger_ricci(*profile_to_berger(
-        spec.k[0], spec.q[0], jets.f[0], jets.f_s[0], jets.f_ss[0],
+        spec.k[0, 0], spec.q[0, 0], jets.f[0], jets.f_s[0], jets.f_ss[0],
         jets.h, jets.h_s, jets.h_ss))
     ric = ref.ricci_full(spec, jets)
     for c in np.linspace(3, 60, 10).astype(int):

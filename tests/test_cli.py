@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import bundleflow.cli as cli
+import bundleflow.evolution as evo
 import bundleflow.geometry as geo
+import bundleflow.initial_data as initial_data
 from bundleflow.analysis import (NO_SINGULARITY, FlowTrace, analyze_run,
                                  trace_columns)
 from bundleflow.cli import (ConfigError, load_config, main, read_snapshots,
@@ -68,8 +70,9 @@ def synthetic_run_dir(out):
 class TestLoadConfig:
     def test_minimal_preset_config(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "c.json"))
-        assert cfg.spec == geo.BundleSpec(n=(1,), k=(2.0,), q=(2,),
-                                          lam=(1.0,))
+        spec = cfg.spec
+        assert np.array_equal(np.hstack([spec.n, spec.k, spec.q, spec.lam]),
+                              [[1, 2, 2, 1]])
         assert cfg.state0.cells == 32
         assert cfg.flow.cfl == 0.2
         assert cfg.flow.stop_floor == 1e-3
@@ -85,7 +88,7 @@ class TestLoadConfig:
         }))
         cfg = load_config(path)
         # lambda defaults to |k| when omitted.
-        assert cfg.spec.lam == (2.0,)
+        assert np.array_equal(cfg.spec.lam, [[2.0]])
         assert cfg.state0.f.shape == (1, 48)
         assert cfg.out_dir == str(tmp_path / "out")
 
@@ -155,6 +158,21 @@ class TestLoadConfig:
                                                 "integer"),
         (lambda c: c["bundle"].update(q=[1, 0]),
          "bundle.q[1] must be nonzero"),
+        (lambda c: c["bundle"].update(k=2.0),
+         "bundle.k must be a nonempty array of numbers"),
+        (lambda c: c["initial"]["template"].pop("length"),
+         "initial.template.length is required"),
+        (lambda c: c["initial"]["template"].update(h=5),
+         "initial.template.h must be a name or an array"),
+        (lambda c: c["initial"]["template"].update(h=[0.1, 0.2]),
+         "initial.template: sampled h template must match the cell count"),
+        (lambda c: c["initial"]["template"].update(mode="hermitian"),
+         "initial.template.mode must be 'kahler' or 'general'"),
+        (lambda c: (c["initial"]["template"].pop("f0"),
+                    c["initial"]["template"].update(mode="general",
+                                                    f_templates=3)),
+         "initial.template.f_templates must be an array of per-factor "
+         "sample arrays"),
     ])
     def test_rejections_name_the_field(self, tmp_path, mutate, needle):
         conf = {"flow": {"cells": 32, "t_end": 0.0},
@@ -339,6 +357,58 @@ class TestRunVerb:
             "initial": {"template": {"length": math.pi, "f0": [4.0]}}}))
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "bundle.q[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("template, message", [
+        ({"h": [0.0 if i == 5 else math.pi / 32 * (i + 0.5)
+                for i in range(32)], "f0": [4.0]},
+         "fiber length h must be positive at cell centers\n"),
+        ({"mode": "general",
+          "f_templates": [[4.0 + math.sin(math.pi / 32 * (i + 0.5))
+                           for i in range(32)]]},
+         "initial data does not close: left end slope of f1^2 (residual "),
+    ], ids=["zero h sample", "unclosed general template"])
+    def test_rejected_initial_data_exits_two(self, tmp_path, capsys,
+                                             template, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "flow": {"cells": 32, "t_end": 0.0},
+            "bundle": {"n": [1], "k": [2.0], "q": [2]},
+            "initial": {"template": {"length": math.pi, **template}}}))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: initial data rejected: " + message), err
+        assert not (tmp_path / "o").exists()
+
+    def test_general_template_is_closure_checked_once(self, tmp_path,
+                                                      monkeypatch):
+        # Whichever module's attribute a caller goes through, one run
+        # checks closure once, in run_flow.
+        check, calls = initial_data.validate_closing, []
+
+        def counted(state):
+            calls.append(state)
+            return check(state)
+
+        monkeypatch.setattr(initial_data, "validate_closing", counted)
+        monkeypatch.setattr(evo, "validate_closing", counted)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "flow": {"cells": 32, "t_end": 0.002},
+            "bundle": {"n": [1], "k": [2.0], "q": [2]},
+            "initial": {"template": {"length": math.pi, "mode": "general",
+                                     "f_templates": [[4.0] * 32]}}}))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+
+    def test_out_path_that_is_a_file_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 20] Not a directory: "), err
+        assert "Traceback" not in err
+        assert out.read_text() == "not a directory"
 
     def test_non_finite_number_exits_two(self, tmp_path, capsys):
         # 1e400 parses as inf; without the finiteness check the run would

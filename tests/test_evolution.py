@@ -78,8 +78,7 @@ class TestFlowRhs:
         jets = profile_jets(state)
         _, _, fdot = flow_rhs(spec, state)
         lap = geo.laplacian_f2(spec, jets)
-        k_col = spec.factor_arrays()[1]
-        resid = np.abs(2.0 * state.f * fdot - lap + 2.0 * k_col)
+        resid = np.abs(2.0 * state.f * fdot - lap + 2.0 * spec.k)
         assert resid.max() <= 1e-6
 
     def test_nonfinite_state_raises_flow_halt(self):
@@ -456,7 +455,7 @@ class TestRunFlow:
         assert trace.column("kahler_res").max() <= 1e-5
         assert trace.column("heat_res").max() <= 1e-5
         final = snaps[-1]
-        assert validate_closing(final).passed
+        assert all(c.ok for c in validate_closing(final))
         assert np.all(final.h > 0.0)
 
     def test_trace_every_thins_rows(self):
@@ -483,6 +482,17 @@ class TestRunFlow:
                                  f=np.full((1, cells), 2.0))
         with pytest.raises(InvalidInitialState, match="does not close"):
             run_flow(CANON, state, FlowConfig(cells=cells, t_end=0.01))
+
+    @pytest.mark.parametrize("field, message", [
+        ("h", "fiber length h must be positive at cell centers"),
+        ("a", "lapse a must be positive")])
+    def test_rejects_nonpositive_state(self, field, message):
+        spec, state = canonical_preset(64)
+        rows = {"a": state.a.copy(), "h": state.h.copy()}
+        rows[field][7] = 0.0 if field == "h" else -1.0
+        bad = geo.ProfileState(0.0, rows["a"], rows["h"], state.f)
+        with pytest.raises(InvalidInitialState, match=f"^{message}$"):
+            run_flow(spec, bad, FlowConfig(cells=64, t_end=0.01))
 
     def test_stop_floor_halts_before_t_end(self):
         spec, state = canonical_preset(64)
@@ -838,13 +848,12 @@ class TestMonitorColumns:
                          snapshot_every=1, regrid_threshold=regrid)
         trace, snaps = run_flow(spec, state, cfg)
         assert len(snaps) == trace.rows.shape[0] >= 5
-        _, k_col, q_col, _ = spec.factor_arrays()
         for row, brow, snap in zip(trace.rows, trace.boundary, snaps):
             jets = profile_jets(snap)
             fdot = flow_rhs(spec, snap)[2]
             f2 = snap.f * snap.f
             heat = np.abs(2.0 * snap.f * fdot - geo.laplacian_f2(spec, jets)
-                          + 2.0 * k_col)
+                          + 2.0 * spec.k)
             want = {"t": snap.t,
                     "kappa": geo.curvature_sup_proxy(spec, jets=jets),
                     "h_min": snap.h.min(), "h_max": snap.h.max(),
@@ -864,7 +873,7 @@ class TestMonitorColumns:
                 assert got[name] == value, name
             # The f_ss terms cancel, so heat_res is the Kahler defect times
             # |q_i h + 2 f_i f_i,s| / f_i^2: first order in that defect.
-            closed = np.abs((q_col * snap.h) ** 2
+            closed = np.abs((spec.q * snap.h) ** 2
                             - (2.0 * snap.f * jets.f_s) ** 2) / f2
             assert got["heat_res"] == pytest.approx(closed.max(), abs=1e-12)
             assert list(brow) == want_b

@@ -97,7 +97,7 @@ def test_kahler_defect_of_constant_factor_profile():
 
 def test_two_factor_instance():
     spec = geo.BundleSpec(n=(1, 2), k=(2.0, 6.0), q=(1, -2))
-    assert spec.lam == (2.0, 6.0)
+    assert np.array_equal(spec.lam, [[2.0], [6.0]])
     cells = 256
     sigma = geo.cell_centers(cells)
     s = math.pi * sigma
@@ -145,7 +145,7 @@ def test_ricci_rows_match_docstring_formulas(r, lapse):
     u_ss = (u2 - u_s * a1) / a ** 2
     h, h_s, h_ss = u[0], u_s[0], u_ss[0]
     f, f_s, f_ss = u[1:], u_s[1:], u_ss[1:]
-    n, k, q = spec.n, spec.k, spec.q
+    n, k, q = spec.n[:, 0], spec.k[:, 0], spec.q[:, 0]
     sum_f_s = sum(2 * n[i] * f_s[i] / f[i] for i in range(r))
     trace_l = h_s / h + sum_f_s
     twist = [q[i] ** 2 * h ** 2 / (2.0 * f[i] ** 4) for i in range(r)]
@@ -332,28 +332,20 @@ def test_bundle_spec_validation():
     with pytest.raises(ValueError):
         geo.BundleSpec(n=(1, 1), k=(2.0,), q=(1, 2))
     spec = geo.BundleSpec(n=(1,), k=(-4.0,), q=(3,))
-    assert spec.lam == (4.0,)
+    assert np.array_equal(spec.lam, [[4.0]])
 
 
-def test_factor_arrays_are_built_once_and_read_only():
+def test_spec_columns_are_read_only():
     spec = geo.BundleSpec(n=(1, 2), k=(2.0, -6.0), q=(1, -2), lam=(0.5, 3.0))
-    arrays = spec.factor_arrays()
-    want = ([[1.0], [2.0]], [[2.0], [-6.0]], [[1.0], [-2.0]], [[0.5], [3.0]])
-    for got, values in zip(arrays, want):
+    want = {"n": [[1.0], [2.0]], "k": [[2.0], [-6.0]], "q": [[1.0], [-2.0]],
+            "lam": [[0.5], [3.0]]}
+    for name, values in want.items():
+        got = getattr(spec, name)
         assert got.dtype == float and np.array_equal(got, values)
         assert not got.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             got[0, 0] = 9.0
-    again = spec.factor_arrays()
-    assert len(again) == 4
-    assert all(first is second for first, second in zip(arrays, again))
-    for got, values in zip(again, want):
-        assert np.array_equal(got, values)
-    # The cached columns are not fields: equality and hashing still see
-    # only (n, k, q, lam).
-    twin = geo.BundleSpec(n=(1, 2), k=(2.0, -6.0), q=(1, -2), lam=(0.5, 3.0))
-    assert twin == spec and hash(twin) == hash(spec)
-    assert twin.factor_arrays()[0] is not arrays[0]
+    assert spec.r == 2
 
 
 def test_profile_state_validation():

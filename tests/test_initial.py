@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import bundleflow.geometry as geo
+from bundleflow.evolution import FlowConfig, InvalidInitialState, run_flow
 from bundleflow.initial_data import (PRESETS, build_general_profile,
                                      build_kahler_profile, calabi_preset,
                                      canonical_preset, sample_h,
@@ -25,36 +26,30 @@ def _state_from(h_fn, f2_fn, cells=128, length=math.pi):
 class TestValidateClosing:
     def test_accepts_sinusoidal_kahler_data(self):
         _, state = canonical_preset(128)
-        report = validate_closing(state)
-        assert report.passed, report.failures()
+        checks = validate_closing(state)
+        assert all(c.ok for c in checks), checks
 
     def test_accepts_bump_profile(self):
         state = _state_from(lambda s: s * (math.pi - s) / math.pi,
                             lambda s: 4.0 + 0.0 * s)
-        assert validate_closing(state).passed
+        assert all(c.ok for c in validate_closing(state))
 
     def test_rejects_wrong_end_slope(self):
         # H = s (pi - s) has |H'| = pi at the ends, not 1.
         state = _state_from(lambda s: s * (math.pi - s),
                             lambda s: 4.0 + 0.0 * s)
-        report = validate_closing(state)
-        assert not report.passed
-        names = {c.name for c in report.failures()}
+        names = {c.name for c in validate_closing(state) if not c.ok}
         assert "arclength slope of H" in names
 
     def test_rejects_nonvanishing_h(self):
         state = _state_from(lambda s: 0.5 + 0.4 * np.sin(s),
                             lambda s: 4.0 + 0.0 * s)
-        report = validate_closing(state)
-        assert not report.passed
-        names = {c.name for c in report.failures()}
+        names = {c.name for c in validate_closing(state) if not c.ok}
         assert "fiber length H at end" in names
 
     def test_rejects_sloped_factor(self):
         state = _state_from(np.sin, lambda s: 4.0 + np.sin(s))
-        report = validate_closing(state)
-        assert not report.passed
-        names = {c.name for c in report.failures()}
+        names = {c.name for c in validate_closing(state) if not c.ok}
         assert "end slope of f1^2" in names
 
     @pytest.mark.parametrize("length", [math.pi, 10.0, 1e3, 1e4, 1e6])
@@ -62,18 +57,17 @@ class TestValidateClosing:
         # The Calabi data has the same shape at every length, so it must
         # close, with the same end-slope residual, at every length.
         _, state = calabi_preset(16, length=length)
-        report = validate_closing(state)
-        assert report.passed, report.failures()
-        slopes = [c.residual for c in report.checks
+        checks = validate_closing(state)
+        assert all(c.ok for c in checks), checks
+        slopes = [c.residual for c in checks
                   if c.name == "end slope of f1^2"]
         assert slopes == pytest.approx([1.985e-4] * 2, rel=1e-3)
 
     def test_report_lists_both_sides(self):
         _, state = canonical_preset(64)
-        report = validate_closing(state)
-        sides = {c.side for c in report.checks}
-        assert sides == {"left", "right"}
-        assert len(report.checks) == 2 * (3 + 2)  # per side: 3 h + 2 f checks
+        checks = validate_closing(state)
+        assert [c.side for c in checks] == ["left"] * 5 + ["right"] * 5
+        assert len(checks) == 2 * (3 + 2)  # per side: 3 h + 2 f checks
 
 
 class TestKahlerBuild:
@@ -128,10 +122,14 @@ class TestGeneralBuild:
         assert np.allclose(state.f, 2.0)
 
     def test_sloped_factor_rejected(self):
+        # The builder does not check closure; run_flow refuses to start.
         s = math.pi * geo.cell_centers(96)
-        with pytest.raises(ValueError, match="smooth closure"):
-            build_general_profile(CANON, math.pi, "sinusoidal",
-                                  (4.0 + np.sin(s))[None, :], 96)
+        state = build_general_profile(CANON, math.pi, "sinusoidal",
+                                      (4.0 + np.sin(s))[None, :], 96)
+        with pytest.raises(InvalidInitialState,
+                           match=r"does not close: left end slope of f1\^2 "
+                                 r"\(residual "):
+            run_flow(CANON, state, FlowConfig(cells=96, t_end=0.01))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
@@ -142,19 +140,19 @@ class TestGeneralBuild:
 class TestPresets:
     def test_canonical_spec(self):
         spec, state = canonical_preset(64)
-        assert spec == CANON
+        for name in ("n", "k", "q", "lam"):
+            assert np.array_equal(getattr(spec, name), getattr(CANON, name))
         assert state.cells == 64
 
     def test_calabi_defaults(self):
         spec, state = calabi_preset(200)
-        assert spec.n == (1,)
-        assert spec.k == (4.0,)
-        assert spec.q == (1,)
+        assert np.array_equal(np.hstack([spec.n, spec.k, spec.q]),
+                              [[1, 4, 1]])
         f2 = state.f[0] ** 2
         assert f2[0] == pytest.approx(6.0, abs=1e-2)
         assert f2[-1] == pytest.approx(8.0, abs=1e-2)
         assert geo.kahler_defect(spec, ref.profile_jets(state)).max() <= 1e-8
-        assert validate_closing(state).passed
+        assert all(c.ok for c in validate_closing(state))
 
     def test_calabi_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="n must be"):
@@ -172,9 +170,8 @@ class TestPresets:
         with pytest.raises(TypeError, match="'twist'"):
             PRESETS["calabi"](64, twist=5)
         spec, state = PRESETS["calabi"](64, n=3, k_lens=2)
-        assert spec.n == (2,)
-        assert spec.k == (6.0,)
-        assert spec.q == (2,)
+        assert np.array_equal(np.hstack([spec.n, spec.k, spec.q]),
+                              [[2, 6, 2]])
 
 
 def test_sample_h_templates():

@@ -21,7 +21,7 @@ import reference as ref
 def _compare(spec, state, cells_to_check, tol):
     jets = ref.profile_jets(state)
     oracle = berger_ricci(*profile_to_berger(
-        spec.k[0], spec.q[0], jets.f[0], jets.f_s[0], jets.f_ss[0],
+        spec.k[0, 0], spec.q[0, 0], jets.f[0], jets.f_s[0], jets.f_ss[0],
         jets.h, jets.h_s, jets.h_ss))
     worst = 0.0
     ric = ref.ricci_full(spec, jets)

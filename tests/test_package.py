@@ -23,8 +23,9 @@ def test_public_surface_is_pinned():
         "BundleSpec", "Jets", "ProfileState", "cell_centers",
         "curvature_sup_proxy", "kahler_defect", "laplacian_f2",
         # initial_data
-        "PRESETS", "ClosingCheck", "ClosingReport", "build_general_profile", "build_kahler_profile", "calabi_preset",
-        "canonical_preset", "sample_h", "validate_closing",
+        "PRESETS", "ClosingCheck", "build_general_profile",
+        "build_kahler_profile", "calabi_preset", "canonical_preset",
+        "sample_h", "validate_closing",
         # evolution
         "FlowConfig", "FlowHalt", "InvalidInitialState", "arclength",
         "regrid_uniform", "run_flow",
@@ -83,7 +84,7 @@ def test_every_module_name_is_read():
 # The records of the package: namedtuples and the classes whose __init__
 # stores the fields.
 RECORDS = {"RunConfig", "Jets", "ClosingCheck", "BundleSpec", "ProfileState",
-           "FlowConfig", "FlowTrace", "ClosingReport"}
+           "FlowConfig", "FlowTrace"}
 
 
 def _record_fields(tree):
