@@ -678,6 +678,12 @@ def _cmd_run(config, out) -> int:
     if out_dir is None:
         raise ConfigError("no output directory: set output.dir in the "
                           "config or pass --out")
+    # A file on the output path fails here, before the flow is integrated,
+    # with the error mkdir would give; the check creates nothing.
+    try:
+        (Path(out_dir) / "snapshots").stat()
+    except FileNotFoundError:
+        pass
     halt = None
     try:
         trace, snapshots = run_flow(cfg.spec, cfg.state0, cfg.flow)
@@ -751,9 +757,10 @@ def _parse_args(argv):
 
     -h or --help prints the usage and exits 0.  A missing or unknown verb,
     a missing or extra positional argument, an unknown option and an
-    option without a value print the usage to stderr and exit 2.  An
-    option takes its value as the next argument or after '=', before or
-    after the positional one; option names are not abbreviated.
+    option without a value or with an empty one print the usage to stderr
+    and exit 2.  An option takes its value as the next argument or after
+    '=', before or after the positional one; option names are not
+    abbreviated.
     """
     usage = """\
 usage: bundleflow run CONFIG [--out DIR]
@@ -793,7 +800,7 @@ Simulate and analyze the reduced flow on circle-bundle ansatz metrics.
         if not option.startswith("--") or option[2:] not in kwargs:
             fail(f"unrecognized option '{option}'")
         value = value if eq else next(args, None)
-        if value is None:
+        if not value:
             fail(f"option {option} expects a value")
         kwargs[option[2:]] = value
     if len(positional) != 1:

@@ -40,6 +40,13 @@ HALF_CELL_EVEN = np.array([401.0 / 720.0, -31.0 / 480.0, 11.0 / 1440.0])
 # Five-point d/dsigma (over 12 dsigma) and d^2/dsigma^2 (over 12 dsigma^2).
 FIVE_POINT_WEIGHTS = np.array([[1.0, -8.0, 0.0, 8.0, -1.0],
                                [-1.0, 16.0, -30.0, 16.0, -1.0]])
+# The quartic through the five centers nearest an end, read off at the end:
+# its value, dsigma times its inward slope, and its values at the ghost
+# centers dsigma/2 and 3 dsigma/2 beyond the end.
+END_QUARTIC = np.array([[315 / 128, -105 / 32, 189 / 64, -45 / 32, 35 / 128],
+                        [-31 / 8, 229 / 24, -75 / 8, 37 / 8, -11 / 12],
+                        [5.0, -10.0, 10.0, -5.0, 1.0],
+                        [15.0, -40.0, 45.0, -24.0, 5.0]])
 
 
 class BundleSpec:

@@ -1,9 +1,12 @@
 """Construction and validation of initial profile states.
 
-States built here satisfy the smooth-closure endpoint conditions (H -> 0
-with unit arclength slope, even conformal factors) and, in Kahler mode, the
-compatibility q_i H = d(F_i^2)/ds with the bundle complex structure, imposed
-by integrating H with fourth-order quadrature.  Shipped presets:
+A state describes a smooth metric only if it meets the smooth-closure
+endpoint conditions (H -> 0 with unit arclength slope, even conformal
+factors); validate_closing measures them on any state, reading each end off
+the quartic through its five nearest samples by the constant END_QUARTIC
+table, with no fits.  Kahler-mode states also satisfy the compatibility
+q_i H = d(F_i^2)/ds with the bundle complex structure, imposed by
+integrating H with fourth-order quadrature.  Shipped presets:
 
 ``canonical``
     One CP^1 base factor with n = 1, k = 2, q = 2 and H = sin s on [0, pi],
@@ -24,12 +27,13 @@ from collections import namedtuple
 
 import numpy as np
 
-from .geometry import (BundleSpec, ProfileState, ODD, cell_centers,
-                       cumulative_from_left)
+from .geometry import (END_QUARTIC, BundleSpec, ProfileState, ODD,
+                       cell_centers, cumulative_from_left, field_parities)
 
 # Bound on every endpoint residual.  Discretization error of the quartic
-# endpoint fits is O(dsigma^4), orders below it; genuine closure
-# violations (wrong slope, uneven factors) exceed it by orders.
+# through the five samples nearest an end is O(dsigma^4), orders below it;
+# genuine closure violations (wrong slope, uneven factors) exceed it by
+# orders.
 CLOSING_TOL = 0.02
 
 
@@ -70,58 +74,34 @@ def validate_closing(state: ProfileState):
     max F_i^2 per interval arclength so that the test does not depend on
     the interval's size; the samples near the end are consistent with an
     odd extension of h and an even extension of each f_i^2.  All endpoint
-    values come from the interpolating quartic through the five samples
-    nearest the end, not from the parity ghosts, so no parity is assumed
-    by the measurement itself.  Returns the list of ClosingChecks, left
-    end first, and never raises on failures.
+    values are read off the quartic through the five samples nearest the
+    end, by the constant END_QUARTIC table, not from the parity ghosts, so
+    no parity is assumed by the measurement itself.  Returns the list of
+    ClosingChecks, left end first, and never raises on failures.
     """
-    checks = []
-    h_scale = max(np.abs(state.h).max(), 1e-300)
+    rows = np.vstack([state.a, state.h, state.f ** 2])
+    parity = field_parities(state.r)
+    scale = np.maximum(np.abs(rows).max(axis=1), 1e-300)
     # Midpoint rule: dsigma first, so the sum cannot overflow.
     length = float(np.sum(state.a * state.dsigma))
-    ghost_x = np.array([0.5, 1.5]) * state.dsigma
-
-    for side in ("left", "right"):
-        if side == "left":
-            x = state.sigma[:5]
-            take = slice(None, 5)
-            orient = 1.0
-        else:
-            x = 1.0 - state.sigma[-5:][::-1]
-            take = slice(None, -6, -1)
-            orient = -1.0
-
-        def check(name, residual):
-            checks.append(
-                ClosingCheck(name, side, residual, residual <= CLOSING_TOL))
-
-        # Quartic coefficients as Python floats, highest first: c[-1] is
-        # the value and c[-2] the d/dsigma slope at the end (x = 0).
-        h5 = state.h[take]
-        c_h = np.polyfit(x, h5, 4).tolist()
-        a_end = np.polyfit(x, state.a[take], 4).tolist()[-1]
-        # d/dsigma toward increasing sigma, converted to arclength; the
-        # right-end x axis points inward so the sign flips there.
-        h_slope = orient * c_h[-2] / a_end
-        check("fiber length H at end", abs(c_h[-1]) / h_scale)
-        check("arclength slope of H", abs(h_slope - orient))
-        # Parity of h: an odd extension satisfies h(-x) = -h(x); compare the
-        # fit at the ghost positions with the mirrored interior samples.
-        mirror = np.polyval(c_h, -ghost_x)
-        check("odd parity of h",
-              np.abs(mirror + np.interp(ghost_x, x, h5)).max() / h_scale)
-
-        for i in range(state.r):
-            f2 = state.f[i] ** 2
-            f2_5 = f2[take]
-            f2_scale = max(np.abs(f2).max(), 1e-300)
-            c_f = np.polyfit(x, f2_5, 4).tolist()
-            f2_slope = orient * c_f[-2] / a_end
-            check(f"end slope of f{i + 1}^2",
-                  abs(f2_slope) * length / f2_scale)
-            check(f"even parity of f{i + 1}^2",
-                  np.abs(np.polyval(c_f, -ghost_x)
-                         - np.interp(ghost_x, x, f2_5)).max() / f2_scale)
+    checks = []
+    for side, near in (("left", rows[:, :5]), ("right", rows[:, :-6:-1])):
+        # Per row: the end value, dsigma times the inward slope, and the
+        # two ghost values.  The end value of a turns slopes into d/ds, and
+        # a parity extension mirrors the nearest samples into the ghosts.
+        end = END_QUARTIC @ near.T
+        slope = end[1] / state.dsigma / end[0, 0]
+        mirror = np.abs(end[2:].T - parity * near[:, :2]).max(axis=1) / scale
+        residuals = [("fiber length H at end", abs(end[0, 1]) / scale[1]),
+                     ("arclength slope of H", abs(slope[1] - 1.0)),
+                     ("odd parity of h", mirror[1])]
+        for i in range(2, state.r + 2):
+            residuals += [
+                (f"end slope of f{i - 1}^2",
+                 abs(slope[i]) * length / scale[i]),
+                (f"even parity of f{i - 1}^2", mirror[i])]
+        checks += [ClosingCheck(name, side, residual, residual <= CLOSING_TOL)
+                   for name, residual in residuals]
     return checks
 
 

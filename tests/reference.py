@@ -1,6 +1,7 @@
 """Single-state entry points to the production kernels, the Kahler-form
 Ricci expressions that the curvature tests check geometry.ricci_rows
-against, and the fit of the exact linear boundary laws of a trace.
+against, the fit of the exact linear boundary laws of a trace, and a
+least-squares formulation of the smooth-closure checks.
 
 The package ships only what its verbs call.  These helpers call the same
 kernels on the arrays of one ProfileState or one set of Jets, so the tests
@@ -13,6 +14,7 @@ import numpy as np
 
 import bundleflow.geometry as geo
 from bundleflow.evolution import _check_finite_rhs, _stage
+from bundleflow.initial_data import CLOSING_TOL, ClosingCheck
 
 # Diagonal Ricci data in the canonical frame: Ric(nu, nu), Ric(zhat, zhat)
 # and the horizontal coefficients rho_i with respect to g_i, so that the
@@ -116,3 +118,58 @@ def boundary_linear_check(spec, trace):
                 factor=i, side=side, fitted=slope, expected=expected,
                 error=err, rel_error=err / scale if scale > 0.0 else err))
     return out
+
+
+def closing_checks_polyfit(state):
+    """initial_data.validate_closing as least-squares quartic fits.
+
+    This is the formulation the closed-form END_QUARTIC table replaced: at
+    each end np.polyfit fits a quartic in the distance from the end to the
+    five samples of h, of a and of each f_i^2 nearest it, and np.polyval
+    and np.interp read the fit and the samples at the ghost positions.
+    Five points determine the quartic, so both give the same ClosingCheck
+    list up to rounding.
+    """
+    checks = []
+    h_scale = max(np.abs(state.h).max(), 1e-300)
+    length = float(np.sum(state.a * state.dsigma))
+    ghost_x = np.array([0.5, 1.5]) * state.dsigma
+
+    for side in ("left", "right"):
+        if side == "left":
+            x = state.sigma[:5]
+            take = slice(None, 5)
+            orient = 1.0
+        else:
+            x = 1.0 - state.sigma[-5:][::-1]
+            take = slice(None, -6, -1)
+            orient = -1.0
+
+        def check(name, residual):
+            checks.append(
+                ClosingCheck(name, side, residual, residual <= CLOSING_TOL))
+
+        # Coefficients highest first: c[-1] is the value and c[-2] the
+        # d/dsigma slope at the end (x = 0).
+        h5 = state.h[take]
+        c_h = np.polyfit(x, h5, 4).tolist()
+        a_end = np.polyfit(x, state.a[take], 4).tolist()[-1]
+        h_slope = orient * c_h[-2] / a_end
+        check("fiber length H at end", abs(c_h[-1]) / h_scale)
+        check("arclength slope of H", abs(h_slope - orient))
+        mirror = np.polyval(c_h, -ghost_x)
+        check("odd parity of h",
+              np.abs(mirror + np.interp(ghost_x, x, h5)).max() / h_scale)
+
+        for i in range(state.r):
+            f2 = state.f[i] ** 2
+            f2_5 = f2[take]
+            f2_scale = max(np.abs(f2).max(), 1e-300)
+            c_f = np.polyfit(x, f2_5, 4).tolist()
+            f2_slope = orient * c_f[-2] / a_end
+            check(f"end slope of f{i + 1}^2",
+                  abs(f2_slope) * length / f2_scale)
+            check(f"even parity of f{i + 1}^2",
+                  np.abs(np.polyval(c_f, -ghost_x)
+                         - np.interp(ghost_x, x, f2_5)).max() / f2_scale)
+    return checks

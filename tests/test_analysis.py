@@ -193,6 +193,21 @@ class TestClassifier:
         assert growth == pytest.approx(10.0, rel=5e-2)
         assert sup == pytest.approx(1e3, rel=1e-2)
 
+    def test_sparse_final_decade_falls_back_to_two_nearest_rows(self):
+        # tau = 0.5, 0.1, 0.001: the final decade, tau <= 0.01, holds one
+        # row, so the plateau compares the two rows nearest t_hat.
+        trace = make_trace([0.0, 0.4, 0.499], kappa=[2.0, 10.0, 3000.0])
+        sup, verdict, plateau, growth = classify_singularity_type(trace, 0.5)
+        assert plateau == pytest.approx(3.0, rel=1e-9)
+        assert verdict == TYPE_II
+        assert sup == pytest.approx(3.0, rel=1e-9)
+        assert growth == pytest.approx(3.0, rel=1e-9)
+
+    def test_fewer_than_two_rows_before_estimate(self):
+        trace = make_trace([0.0, 0.6, 0.7])
+        assert classify_singularity_type(trace, 0.5) \
+            == (None, NO_SINGULARITY, None, None)
+
     def test_no_estimate_gives_no_verdict(self):
         trace = make_trace(np.linspace(0.0, 1.0, 10))
         sup, verdict, plateau, growth = classify_singularity_type(trace, None)
@@ -214,6 +229,10 @@ class TestSchwarz:
     def test_without_estimate(self):
         trace = make_trace(np.linspace(0.0, 0.9, 10))
         assert schwarz_fit(trace, None) is None
+
+    def test_no_row_before_estimate(self):
+        trace = make_trace([0.6, 0.7])
+        assert schwarz_fit(trace, 0.5) is None
 
 
 class TestDegeneration:

@@ -173,6 +173,8 @@ class TestLoadConfig:
                                                     f_templates=3)),
          "initial.template.f_templates must be an array of per-factor "
          "sample arrays"),
+        (lambda c: c["bundle"].update({"lambda": [1.0, 2.0]}),
+         "bundle: lam must match n in length"),
     ])
     def test_rejections_name_the_field(self, tmp_path, mutate, needle):
         conf = {"flow": {"cells": 32, "t_end": 0.0},
@@ -400,15 +402,24 @@ class TestRunVerb:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
         assert len(calls) == 1
 
-    def test_out_path_that_is_a_file_exits_two(self, tmp_path, capsys):
+    def test_out_path_that_is_a_file_exits_two(self, tmp_path, capsys,
+                                               monkeypatch):
+        # The path is refused before the flow is integrated.
+        def no_run(*args):
+            raise AssertionError("run_flow called")
+
+        monkeypatch.setattr(cli, "run_flow", no_run)
         cfg = write_config(tmp_path / "c.json")
-        out = tmp_path / "taken"
-        out.write_text("not a directory")
-        assert main(["run", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: [Errno 20] Not a directory: "), err
-        assert "Traceback" not in err
-        assert out.read_text() == "not a directory"
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        for out in (taken, taken / "sub"):
+            assert main(["run", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: [Errno 20] Not a directory: "), err
+            assert "Traceback" not in err
+        assert taken.read_text() == "not a directory"
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["c.json", "taken"]
 
     def test_non_finite_number_exits_two(self, tmp_path, capsys):
         # 1e400 parses as inf; without the finiteness check the run would
@@ -893,6 +904,26 @@ class TestPlotVerb:
         assert "report.json: T_hat must be a number" in err, err
         assert not (out / "typeI.svg").exists()
 
+    def test_type_one_plot_skipped_when_every_point_overflows(
+            self, tmp_path, capsys):
+        # With T_hat near the float maximum every (T_hat - t) kappa is inf;
+        # the Type I plot has no finite point and is not written.
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json",
+                           flow={"cells": 32, "t_end": 0.001},
+                           initial={"preset": "calabi",
+                                    "params": {"length": 1.0}},
+                           output={"dir": str(out)})
+        assert main(["run", str(cfg)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        report["T_hat"] = 1.7e308
+        (out / "report.json").write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["plot", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("*.svg")) \
+            == ["boundary.svg", "profiles.svg"]
+        assert "typeI.svg" not in capsys.readouterr().out
+
     def test_overflowing_final_snapshot_exits_two(self, tmp_path, capsys):
         # One lapse entry of 1e308 overflows the arclength the profile
         # plot is drawn against; plot names the snapshot instead of
@@ -981,6 +1012,9 @@ def test_help_names_every_verb(capsys, flag):
     ["run", "c.json", "--bogus"],
     # Option names are matched whole, not as prefixes.
     ["run", "c.json", "--ou", "d"],
+    # An empty value is no value, not a fall back to output.dir.
+    ["run", "c.json", "--out="], ["run", "c.json", "--out", ""],
+    ["plot", "d", "--field="], ["plot", "--field", "", "d"],
 ])
 def test_usage_errors_exit_two(capsys, argv):
     with pytest.raises(SystemExit) as info:

@@ -23,40 +23,61 @@ def _state_from(h_fn, f2_fn, cells=128, length=math.pi):
                             h=h_fn(s), f=np.sqrt(f2_fn(s))[None, :])
 
 
+def _general_state(f2_fn, cells=96):
+    s = math.pi * geo.cell_centers(cells)
+    return build_general_profile(CANON, math.pi, "sinusoidal",
+                                 f2_fn(s)[None, :], cells)
+
+
+# The states that the closure tests below check, by name.
+CLOSING_STATES = {
+    "canonical 128": lambda: canonical_preset(128)[1],
+    "canonical 64": lambda: canonical_preset(64)[1],
+    "bump": lambda: _state_from(lambda s: s * (math.pi - s) / math.pi,
+                                lambda s: 4.0 + 0.0 * s),
+    # H = s (pi - s) has |H'| = pi at the ends, not 1.
+    "wrong end slope": lambda: _state_from(lambda s: s * (math.pi - s),
+                                           lambda s: 4.0 + 0.0 * s),
+    "nonvanishing h": lambda: _state_from(lambda s: 0.5 + 0.4 * np.sin(s),
+                                          lambda s: 4.0 + 0.0 * s),
+    "sloped factor": lambda: _state_from(np.sin, lambda s: 4.0 + np.sin(s)),
+    "general constant factor": lambda: _general_state(
+        lambda s: 4.0 + 0.0 * s),
+    "general sloped factor": lambda: _general_state(
+        lambda s: 4.0 + np.sin(s)),
+    **{f"calabi length {length:g}":
+       (lambda length=length: calabi_preset(16, length=length)[1])
+       for length in (math.pi, 10.0, 1e3, 1e4, 1e6)},
+}
+
+
+def _failed(name):
+    return {c.name for c in validate_closing(CLOSING_STATES[name]())
+            if not c.ok}
+
+
 class TestValidateClosing:
     def test_accepts_sinusoidal_kahler_data(self):
-        _, state = canonical_preset(128)
-        checks = validate_closing(state)
+        checks = validate_closing(CLOSING_STATES["canonical 128"]())
         assert all(c.ok for c in checks), checks
 
     def test_accepts_bump_profile(self):
-        state = _state_from(lambda s: s * (math.pi - s) / math.pi,
-                            lambda s: 4.0 + 0.0 * s)
-        assert all(c.ok for c in validate_closing(state))
+        assert not _failed("bump")
 
     def test_rejects_wrong_end_slope(self):
-        # H = s (pi - s) has |H'| = pi at the ends, not 1.
-        state = _state_from(lambda s: s * (math.pi - s),
-                            lambda s: 4.0 + 0.0 * s)
-        names = {c.name for c in validate_closing(state) if not c.ok}
-        assert "arclength slope of H" in names
+        assert "arclength slope of H" in _failed("wrong end slope")
 
     def test_rejects_nonvanishing_h(self):
-        state = _state_from(lambda s: 0.5 + 0.4 * np.sin(s),
-                            lambda s: 4.0 + 0.0 * s)
-        names = {c.name for c in validate_closing(state) if not c.ok}
-        assert "fiber length H at end" in names
+        assert "fiber length H at end" in _failed("nonvanishing h")
 
     def test_rejects_sloped_factor(self):
-        state = _state_from(np.sin, lambda s: 4.0 + np.sin(s))
-        names = {c.name for c in validate_closing(state) if not c.ok}
-        assert "end slope of f1^2" in names
+        assert "end slope of f1^2" in _failed("sloped factor")
 
     @pytest.mark.parametrize("length", [math.pi, 10.0, 1e3, 1e4, 1e6])
     def test_factor_slope_check_is_scale_invariant(self, length):
         # The Calabi data has the same shape at every length, so it must
         # close, with the same end-slope residual, at every length.
-        _, state = calabi_preset(16, length=length)
+        state = CLOSING_STATES[f"calabi length {length:g}"]()
         checks = validate_closing(state)
         assert all(c.ok for c in checks), checks
         slopes = [c.residual for c in checks
@@ -64,10 +85,38 @@ class TestValidateClosing:
         assert slopes == pytest.approx([1.985e-4] * 2, rel=1e-3)
 
     def test_report_lists_both_sides(self):
-        _, state = canonical_preset(64)
-        checks = validate_closing(state)
+        checks = validate_closing(CLOSING_STATES["canonical 64"]())
         assert [c.side for c in checks] == ["left"] * 5 + ["right"] * 5
         assert len(checks) == 2 * (3 + 2)  # per side: 3 h + 2 f checks
+
+    @pytest.mark.parametrize("name", sorted(CLOSING_STATES))
+    def test_matches_least_squares_fits(self, name):
+        # END_QUARTIC reads off the quartic that a least-squares fit to the
+        # five end samples finds, so the checks agree with the fits'.
+        state = CLOSING_STATES[name]()
+        checks = validate_closing(state)
+        expected = ref.closing_checks_polyfit(state)
+        assert [(c.name, c.side, c.ok) for c in checks] \
+            == [(c.name, c.side, c.ok) for c in expected]
+        assert [c.residual for c in checks] \
+            == pytest.approx([c.residual for c in expected], rel=0,
+                             abs=1e-9)
+
+
+def test_end_quartic_is_exact_on_quartics():
+    # Value, dsigma times the inward slope and the two ghost values of a
+    # quartic q(sigma), read from the five samples nearest either end.
+    poly = np.polynomial.Polynomial([1.5, 2.0, -3.0, 5.0, -7.0])
+    slope = poly.deriv()
+    for cells in (8, 16, 400):
+        sigma, d = geo.cell_centers(cells), 1.0 / cells
+        for samples, end, inward in ((sigma[:5], 0.0, 1.0),
+                                     (sigma[:-6:-1], 1.0, -1.0)):
+            got = geo.END_QUARTIC @ poly(samples)
+            want = [poly(end), inward * d * slope(end),
+                    poly(end - inward * d / 2),
+                    poly(end - inward * 3 * d / 2)]
+            assert got == pytest.approx(want, rel=1e-12), (cells, end)
 
 
 class TestKahlerBuild:
@@ -117,15 +166,12 @@ class TestKahlerBuild:
 
 class TestGeneralBuild:
     def test_constant_factor_accepted(self):
-        state = build_general_profile(CANON, math.pi, "sinusoidal",
-                                      np.full((1, 96), 4.0), 96)
+        state = CLOSING_STATES["general constant factor"]()
         assert np.allclose(state.f, 2.0)
 
     def test_sloped_factor_rejected(self):
         # The builder does not check closure; run_flow refuses to start.
-        s = math.pi * geo.cell_centers(96)
-        state = build_general_profile(CANON, math.pi, "sinusoidal",
-                                      (4.0 + np.sin(s))[None, :], 96)
+        state = CLOSING_STATES["general sloped factor"]()
         with pytest.raises(InvalidInitialState,
                            match=r"does not close: left end slope of f1\^2 "
                                  r"\(residual "):

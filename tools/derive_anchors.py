@@ -229,6 +229,18 @@ wev, _ = fit_weights(nodes3, even_basis,
                      lambda b: sp.integrate(b, (x, 0, d / 2)))
 print("  even half-cell integral:", [sp.nsimplify(w / d) for w in wev], "* d")
 
+# Quartic through the five centers nearest an end (at x = 0): its value
+# there, d times its slope there, and its values at the two ghost centers.
+nodes_end = [(j + sp.Rational(1, 2)) * d for j in range(5)]
+end_rows = [fit_weights(nodes_end, poly5, functional)[0]
+            for functional in (lambda b: b.subs(x, 0),
+                               lambda b: d * sp.diff(b, x).subs(x, 0),
+                               lambda b: b.subs(x, -d / 2),
+                               lambda b: b.subs(x, -3 * d / 2))]
+for name, row in zip(("value", "d * slope", "ghost -d/2", "ghost -3d/2"),
+                     end_rows):
+    print(f"  end quartic {name:11s}:", [sp.nsimplify(w) for w in row])
+
 # Center-to-center increment int_{x0}^{x0+d} from 4 surrounding centers.
 nodes4 = [-d, 0, d, 2 * d]
 wc, _ = fit_weights(nodes4, [x**p for p in range(4)],
