@@ -18,11 +18,14 @@ is one line with sorted keys and no whitespace.  All floats are written
 with Python repr, so identical runs produce byte-identical files.
 """
 
+import errno
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from pathlib import Path
+from stat import S_ISDIR
 
 import numpy as np
 
@@ -179,18 +182,18 @@ def _parse_template(section, spec, cells):
 
 # Initial data whose construction overflows is a config error, not inf.
 @np.errstate(over="raise", divide="raise", invalid="raise")
-def _parse_initial(section, bundle_section, cells):
-    if section is None:
+def _parse_initial(raw, cells):
+    # A section or key that is present but null counts as present.
+    if "initial" not in raw:
         raise ConfigError("initial section is required")
-    init = _expect_mapping(section, "initial")
+    init = _expect_mapping(raw["initial"], "initial")
     _reject_unknown(init, {"preset", "params", "template"}, "initial")
-    preset = init.get("preset")
-    template = init.get("template")
-    if (preset is None) == (template is None):
+    if ("preset" in init) == ("template" in init):
         raise ConfigError("initial must give exactly one of 'preset' "
                           "or 'template'")
-    if preset is not None:
-        if bundle_section is not None:
+    if "preset" in init:
+        preset = init["preset"]
+        if "bundle" in raw:
             raise ConfigError("bundle section conflicts with initial.preset "
                               "(presets fix their own bundle)")
         if not isinstance(preset, str) or preset not in PRESETS:
@@ -206,10 +209,10 @@ def _parse_initial(section, bundle_section, cells):
             raise ConfigError(f"initial.params: {exc}") from exc
     if "params" in init:
         raise ConfigError("initial.params is only valid with a preset")
-    if bundle_section is None:
+    if "bundle" not in raw:
         raise ConfigError("template initial data needs a bundle section")
-    spec = _parse_bundle(bundle_section)
-    return spec, _parse_template(template, spec, cells)
+    spec = _parse_bundle(raw["bundle"])
+    return spec, _parse_template(init["template"], spec, cells)
 
 
 def _parse_output(section):
@@ -239,8 +242,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError("config top level must be an object")
     _reject_unknown(raw, TOP_SECTIONS, "")
     flow = _parse_flow(raw.get("flow", {}))
-    spec, state0 = _parse_initial(raw.get("initial"), raw.get("bundle"),
-                                  flow.cells)
+    spec, state0 = _parse_initial(raw, flow.cells)
     out_dir = _parse_output(raw.get("output", {}))
     return RunConfig(spec=spec, state0=state0, flow=flow, out_dir=out_dir,
                      raw=raw)
@@ -678,12 +680,19 @@ def _cmd_run(config, out) -> int:
     if out_dir is None:
         raise ConfigError("no output directory: set output.dir in the "
                           "config or pass --out")
-    # A file on the output path fails here, before the flow is integrated,
-    # with the error mkdir would give; the check creates nothing.
-    try:
-        (Path(out_dir) / "snapshots").stat()
-    except FileNotFoundError:
-        pass
+    # An output path that write_outputs would fail on is refused here,
+    # before the flow is integrated, with the error that write_outputs
+    # would give; the check creates nothing.
+    for name in ("snapshots", "trace.csv", "boundary.csv", "report.json",
+                 "config.json", "manifest.json"):
+        path = Path(out_dir) / name
+        try:
+            is_dir = S_ISDIR(path.stat().st_mode)
+        except FileNotFoundError:
+            continue
+        if is_dir != (name == "snapshots"):
+            code = errno.EISDIR if is_dir else errno.EEXIST
+            raise OSError(code, os.strerror(code), str(path))
     halt = None
     try:
         trace, snapshots = run_flow(cfg.spec, cfg.state0, cfg.flow)

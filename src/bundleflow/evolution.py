@@ -40,21 +40,24 @@ RESIDUAL_GROWTH_MAX times its first-row value.
 A step evaluates its first stage into a fresh array, since a traced step
 keeps it.  rkl2_step's zeroed (5, F, M) buffer holds that ydot, the
 latest inner stage, which each stage writes in place, and three rotating
-increments; the inner stages read Y + d from one array per step.  The
-min/max pass, the stop tests, dt and the stage count run on Python
-floats, where an overflow is a silent inf that each test reads correctly:
-an infinite f_i^2 or h^2 is not below stop_floor, an infinite
-forward-Euler step sets no stage limit (s = 2), and an infinite rate
-gives dt = 0, which halts as a dt underflow.  Data that really leave the
-double range halt in the stage, the monitor or the residual gate.
+increments; the inner stages read Y + d from one array per step.  No
+step writes into Y: rkl2_step returns a new array and a regrid restacks,
+so snapshots and traced steps share Y's rows uncopied.  The min/max
+pass, the stop tests, dt and the stage count run on Python floats, where
+an overflow is a silent inf that each test reads correctly: an infinite
+f_i^2 or h^2 is not below stop_floor, an infinite forward-Euler step
+sets no stage limit (s = 2), and an infinite rate gives dt = 0, which
+halts as a dt underflow.  Data that really leave the double range halt
+in the stage, the monitor or the residual gate.
 
 Every trace column and the boundary row are filled in one place,
 _monitor_block.  A traced step only keeps its state, time derivative and
 first-stage sigma derivatives; once MONITOR_BLOCK = 64 rows are pending,
 the run ends or it halts, one call each of arclength_derivs,
 curvature_sup_proxy, kahler_defect, laplacian_f2, cumulative_from_left
-and endpoint_even fills them on the stacked states, and the residual gate
-then reads the filled rows in order.  Every cell is bit-identical to the
+and endpoint_even fills them on the stacked states, and one comparison
+with RESIDUAL_GROWTH_MAX times the first row's residuals (inf where that
+overflows) gates the whole block.  Every cell is bit-identical to the
 row-by-row call, so artifacts are byte-identical to a row-by-row
 monitor's.  A run halts at the first row that raises a floating-point
 error (the row is dropped) or trips the gate (the row is kept), and the
@@ -183,16 +186,6 @@ def _stage(Y, stencil, ricci, out):
     return _rhs_core(Y, derivs, ricci, out), derivs
 
 
-def _stack_jets(Y, derivs):
-    """Jets of the (h; f) rows of stacked states Y = (a; h; f_1..f_r) from
-    the blocks (..., 2, F, M) of their sigma derivatives; leading batch
-    axes pass through."""
-    u_s, u_ss = arclength_derivs(derivs[..., 0, :, :], derivs[..., 1, :, :],
-                                 Y[..., 0, :])
-    return Jets(h=Y[..., 1, :], h_s=u_s[..., 1, :], h_ss=u_ss[..., 1, :],
-                f=Y[..., 2:, :], f_s=u_s[..., 2:, :], f_ss=u_ss[..., 2:, :])
-
-
 def _monitor_block(spec, block, dsigma):
     """Trace and boundary rows of a block of monitor entries.
 
@@ -207,9 +200,11 @@ def _monitor_block(spec, block, dsigma):
     first floating-point error of its row in that order.
     """
     t, dt, Y, ydot, derivs = zip(*block)
-    Y, ydot = np.stack(Y), np.stack(ydot)
-    jets = _stack_jets(Y, np.stack(derivs))
-    h, f = jets.h, jets.f
+    Y, ydot, derivs = np.stack(Y), np.stack(ydot), np.stack(derivs)
+    u_s, u_ss = arclength_derivs(derivs[:, 0], derivs[:, 1], Y[:, 0])
+    h, f = Y[:, 1], Y[:, 2:]
+    jets = Jets(h=h, h_s=u_s[:, 1], h_ss=u_ss[:, 1],
+                f=f, f_s=u_s[:, 2:], f_ss=u_ss[:, 2:])
     r = spec.r
     f2 = f * f
     columns = trace_columns(r)
@@ -235,20 +230,6 @@ def _monitor_block(spec, block, dsigma):
     brows[:, 0] = t
     brows[:, 1::2], brows[:, 2::2] = endpoint_even(f2)
     return rows, brows
-
-
-def _check_residual_growth(t, res, first):
-    """Raise FlowHalt when the residuals ``res`` = (kahler_res, heat_res)
-    of the monitor row at time t exceed RESIDUAL_GROWTH_MAX times their
-    values ``first`` in the first row.  A residual that starts at exactly
-    zero has no scale and is not gated.
-    """
-    for name, value, start in zip(RESIDUAL_COLUMNS, res, first):
-        if 0.0 < start and value > RESIDUAL_GROWTH_MAX * start:
-            raise FlowHalt(
-                f"{name} grew to {value:.3e} at t = {t:.6g}, more "
-                f"than {RESIDUAL_GROWTH_MAX:g} times its initial "
-                f"{start:.3e}: the integration has gone unstable")
 
 
 def _dt_bound(Y, ydot, a_min, t, t_end, dsigma, dt_min):
@@ -342,18 +323,15 @@ def _lagrange_resample(x_src, u_src, x_tgt):
     with parity ghosts to keep endpoint windows well centered.
     """
     centers = np.clip(np.searchsorted(x_src, x_tgt), 2, x_src.size - 3)
-    idx = centers[:, None] + np.arange(-2, 3)[None, :]
+    idx = centers[:, None] + np.arange(-2, 3)
     xw = x_src[idx]
     weights = np.ones_like(xw)
-    for j in range(5):
-        for m in range(5):
-            if m != j:
-                weights[:, j] *= ((x_tgt - xw[:, m])
-                                  / (xw[:, j] - xw[:, m]))
-    out = np.empty((u_src.shape[0], x_tgt.size))
-    for row in range(u_src.shape[0]):
-        out[row] = (u_src[row][idx] * weights).sum(axis=1)
-    return out
+    # Pass m multiplies every weight j != m by (x - x_m) / (x_j - x_m).
+    for m in range(5):
+        j = np.arange(5) != m
+        weights[:, j] *= ((x_tgt - xw[:, m])[:, None]
+                          / (xw[:, j] - xw[:, m, None]))
+    return (u_src[:, idx] * weights).sum(axis=-1)
 
 
 def regrid_uniform(state: ProfileState) -> ProfileState:
@@ -366,7 +344,7 @@ def regrid_uniform(state: ProfileState) -> ProfileState:
     s, total = arclength(state)
     s_ext = np.concatenate([[-s[1], -s[0]], s,
                             [2.0 * total - s[-1], 2.0 * total - s[-2]]])
-    rows = np.vstack([state.h[None, :], state.f])
+    rows = np.vstack([state.h, state.f])
     ext = stacked_parity(rows, field_parities(state.r)[1:])
     s_tgt = (np.arange(state.cells) + 0.5) * (total / state.cells)
     resampled = _lagrange_resample(s_ext, ext, s_tgt)
@@ -404,15 +382,15 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
 
     dsigma = state0.dsigma
     stencil = Stencil(field_parities(spec.r), cfg.cells)
-    Y = np.vstack([state0.a[None, :], state0.h[None, :], state0.f])
+    Y = np.vstack([state0.a, state0.h, state0.f])
     t = state0.t
     t_end = state0.t + cfg.t_end
     blocks, pending, snapshots = [], [], []
     step = 0
 
     def current_state():
-        return ProfileState(t=t, a=Y[0].copy(), h=Y[1].copy(),
-                            f=Y[2:].copy())
+        # Y is never written in place, so a snapshot shares its rows.
+        return ProfileState(t=t, a=Y[0], h=Y[1], f=Y[2:])
 
     def rhs(Yj, out):
         _stage(Yj, stencil, ricci, out)
@@ -433,16 +411,24 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
     gate = [trace_columns(spec.r).index(name) for name in RESIDUAL_COLUMNS]
 
     def keep(rows, brows):
-        # Gate the filled rows in order; one that trips is the last kept.
-        first = (blocks[0][0] if blocks else rows)[0, gate].tolist()
-        for i, res in enumerate(rows[:, gate].tolist()):
-            try:
-                _check_residual_growth(rows[i, 0], res, first)
-            except FlowHalt:
-                blocks.append((rows[:i + 1], brows[:i + 1]))
-                drop_snapshots_from(rows[i, 0])
-                raise
-        blocks.append((rows, brows))
+        # The first row whose residual tripped is the last kept; a residual
+        # that starts at zero has no scale and is not gated.
+        first = (blocks[0][0] if blocks else rows)[0, gate]
+        res = rows[:, gate]
+        with np.errstate(over="ignore"):
+            tripped = (first > 0.0) & (res > RESIDUAL_GROWTH_MAX * first)
+        hits = np.flatnonzero(tripped.any(axis=1))
+        if not hits.size:
+            blocks.append((rows, brows))
+            return
+        i = hits[0]
+        blocks.append((rows[:i + 1], brows[:i + 1]))
+        drop_snapshots_from(rows[i, 0])
+        j = tripped[i].argmax()
+        raise FlowHalt(f"{RESIDUAL_COLUMNS[j]} grew to {res[i, j]:.3e} at "
+                       f"t = {rows[i, 0]:.6g}, more than "
+                       f"{RESIDUAL_GROWTH_MAX:g} times its initial "
+                       f"{first[j]:.3e}: the integration has gone unstable")
 
     def flush():
         # Halt at the first row that raises a floating-point error (then
@@ -471,8 +457,7 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
             lo, hi = Y.min(axis=1).tolist(), Y.max(axis=1).tolist()
             if step and hi[0] > cfg.regrid_threshold * lo[0]:
                 regridded = regrid_uniform(current_state())
-                Y = np.vstack([regridded.a[None, :], regridded.h[None, :],
-                               regridded.f])
+                Y = np.vstack([regridded.a, regridded.h, regridded.f])
                 lo, hi = Y.min(axis=1).tolist(), Y.max(axis=1).tolist()
             ydot, derivs = _stage(Y, stencil, ricci, np.empty_like(Y))
             _check_finite_rhs(ydot, t)

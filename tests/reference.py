@@ -1,7 +1,9 @@
 """Single-state entry points to the production kernels, the Kahler-form
 Ricci expressions that the curvature tests check geometry.ricci_rows
-against, the fit of the exact linear boundary laws of a trace, and a
-least-squares formulation of the smooth-closure checks.
+against, the fit of the exact linear boundary laws of a trace, a
+least-squares formulation of the smooth-closure checks, and a
+weight-by-weight, row-by-row formulation of the regrid's quartic
+resample.
 
 The package ships only what its verbs call.  These helpers call the same
 kernels on the arrays of one ProfileState or one set of Jets, so the tests
@@ -173,3 +175,22 @@ def closing_checks_polyfit(state):
                   np.abs(np.polyval(c_f, -ghost_x)
                          - np.interp(ghost_x, x, f2_5)).max() / f2_scale)
     return checks
+
+
+def lagrange_resample_loops(x_src, u_src, x_tgt):
+    """evolution._lagrange_resample with one pass per weight and per row:
+    weight j of each window is the product over m != j, in m order, of
+    (x - x_m) / (x_j - x_m), and each row is summed on its own."""
+    centers = np.clip(np.searchsorted(x_src, x_tgt), 2, x_src.size - 3)
+    idx = centers[:, None] + np.arange(-2, 3)[None, :]
+    xw = x_src[idx]
+    weights = np.ones_like(xw)
+    for j in range(5):
+        for m in range(5):
+            if m != j:
+                weights[:, j] *= ((x_tgt - xw[:, m])
+                                  / (xw[:, j] - xw[:, m]))
+    out = np.empty((u_src.shape[0], x_tgt.size))
+    for row in range(u_src.shape[0]):
+        out[row] = (u_src[row][idx] * weights).sum(axis=1)
+    return out

@@ -175,6 +175,19 @@ class TestLoadConfig:
          "sample arrays"),
         (lambda c: c["bundle"].update({"lambda": [1.0, 2.0]}),
          "bundle: lam must match n in length"),
+        # A section or key that is present but null counts as present.
+        (lambda c: c.update(bundle=None, initial={"preset": "canonical"}),
+         "bundle section conflicts with initial.preset"),
+        (lambda c: (c.pop("bundle"),
+                    c.update(initial={"preset": "canonical",
+                                      "template": None})),
+         "initial must give exactly one of 'preset' or 'template'"),
+        (lambda c: (c.pop("bundle"), c.update(initial={"preset": None})),
+         "initial.preset 'None' unknown"),
+        (lambda c: c.update(bundle=None), "bundle must be an object"),
+        (lambda c: c["initial"].update(template=None),
+         "initial.template must be an object"),
+        (lambda c: c.update(initial=None), "initial must be an object"),
     ])
     def test_rejections_name_the_field(self, tmp_path, mutate, needle):
         conf = {"flow": {"cells": 32, "t_end": 0.0},
@@ -418,8 +431,27 @@ class TestRunVerb:
             assert err.startswith("error: [Errno 20] Not a directory: "), err
             assert "Traceback" not in err
         assert taken.read_text() == "not a directory"
+        # A file where the snapshots directory goes, or a directory where
+        # an artifact goes, in an existing run directory.
+        rd = tmp_path / "rd"
+        rd.mkdir()
+
+        def refused(name, error):
+            assert main(["run", str(cfg), "--out", str(rd)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {error}: {str(rd / name)!r}\n", err
+
+        (rd / "snapshots").write_text("not a directory")
+        refused("snapshots", "[Errno 17] File exists")
+        (rd / "snapshots").unlink()
+        for name in ("trace.csv", "boundary.csv", "report.json",
+                     "config.json", "manifest.json"):
+            (rd / name).mkdir()
+            refused(name, "[Errno 21] Is a directory")
+            (rd / name).rmdir()
+        assert list(rd.iterdir()) == []
         assert sorted(p.name for p in tmp_path.iterdir()) \
-            == ["c.json", "taken"]
+            == ["c.json", "rd", "taken"]
 
     def test_non_finite_number_exits_two(self, tmp_path, capsys):
         # 1e400 parses as inf; without the finiteness check the run would

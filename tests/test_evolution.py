@@ -22,7 +22,8 @@ from bundleflow.evolution import (MAX_REL_CHANGE, STEP_CAP, FlowConfig,
                                   rkl2_step, run_flow)
 from bundleflow.initial_data import (build_kahler_profile, calabi_preset,
                                      canonical_preset, validate_closing)
-from reference import boundary_linear_check, flow_rhs, profile_jets
+from reference import (boundary_linear_check, flow_rhs,
+                       lagrange_resample_loops, profile_jets)
 
 CANON = geo.BundleSpec(n=(1,), k=(2.0,), q=(2,), lam=(1.0,))
 
@@ -424,6 +425,54 @@ class TestRegrid:
                            atol=1e-5)
 
 
+class TestLagrangeResample:
+    """The resample's one pass per window point and one sum over all rows
+    equal a pass per weight and a sum per row bit for bit."""
+
+    @staticmethod
+    def same(x_src, u_src, x_tgt):
+        return np.array_equal(evo._lagrange_resample(x_src, u_src, x_tgt),
+                              lagrange_resample_loops(x_src, u_src, x_tgt))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_increasing_abscissae(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(5, 80))
+        x_src = np.cumsum(rng.uniform(1e-3, 1.0, size)) - rng.normal()
+        u_src = rng.normal(size=(int(rng.integers(1, 4)), size))
+        x_tgt = rng.uniform(x_src[0], x_src[-1], int(rng.integers(1, 90)))
+        assert self.same(x_src, u_src, x_tgt)
+
+    def test_targets_clamped_at_both_ends(self):
+        x_src = np.linspace(0.0, 1.0, 12) ** 2
+        u_src = np.vstack([np.cos(3.0 * x_src), np.exp(x_src)])
+        x_tgt = np.array([-0.5, 0.0, 5e-3, 0.02, 0.5, 0.95, 1.0, 1.5])
+        centers = np.searchsorted(x_src, x_tgt)
+        assert centers.min() < 2 and centers.max() > x_src.size - 3
+        assert self.same(x_src, u_src, x_tgt)
+
+    def test_stretched_state(self, monkeypatch):
+        # The state of TestRegrid.test_resamples_stretched_gauge.
+        cells = 256
+        sigma = geo.cell_centers(cells)
+        a = math.pi * (1.0 + 0.2 * np.cos(2.0 * math.pi * sigma))
+        s = math.pi * sigma + 0.1 * np.sin(2.0 * math.pi * sigma)
+        state = geo.ProfileState(
+            t=0.5, a=a, h=np.sin(s),
+            f=np.sqrt(4.0 - 2.0 * np.cos(s))[None, :])
+        resample, calls = evo._lagrange_resample, []
+
+        def checked(x_src, u_src, x_tgt):
+            out = resample(x_src, u_src, x_tgt)
+            calls.append(np.array_equal(
+                out, lagrange_resample_loops(x_src, u_src, x_tgt)))
+            return out
+
+        monkeypatch.setattr(evo, "_lagrange_resample", checked)
+        regrid_uniform(state)
+        assert calls == [True]
+
+
 class TestRunFlow:
     def test_zero_duration_records_initial_state(self):
         spec, state = canonical_preset(64)
@@ -513,6 +562,51 @@ class TestRunFlow:
         assert halt.trace.rows.shape == (1, 11)
         assert halt.trace.rows[0, 1] == 0.0
         assert halt.snapshots == []
+
+    def test_states_are_never_written_in_place(self, monkeypatch):
+        # Snapshots and queued monitor rows share the step's arrays, so
+        # the run must read the same with every step and regrid result
+        # made read-only.  The two-factor data regrid at threshold 1.05.
+        spec = TWO_FACTOR
+        state = build_kahler_profile(spec, math.pi, "sinusoidal",
+                                     (2.0, 3.0), 64)
+        cfg = FlowConfig(cells=64, t_end=0.3, snapshot_every=7,
+                         regrid_threshold=1.05)
+        plain, plain_snaps = run_flow(spec, state, cfg)
+        step, regrid, regrids = evo.rkl2_step, evo.regrid_uniform, []
+
+        def frozen(*arrays):
+            for u in arrays:
+                u.flags.writeable = False
+
+        def frozen_step(*args):
+            Y = step(*args)
+            frozen(Y)
+            return Y
+
+        def frozen_regrid(st):
+            regrids.append(st.t)
+            out = regrid(st)
+            frozen(out.a, out.h, out.f)
+            return out
+
+        monkeypatch.setattr(evo, "rkl2_step", frozen_step)
+        monkeypatch.setattr(evo, "regrid_uniform", frozen_regrid)
+        trace, snaps = run_flow(spec, state, cfg)
+        assert regrids
+        assert np.array_equal(trace.rows, plain.rows)
+        assert np.array_equal(trace.boundary, plain.boundary)
+        assert len(snaps) == len(plain_snaps)
+        # A snapshot shares the frozen rows of its step unless it holds
+        # the initial state or a regrid's restacked one.
+        writable = [snap.t for snap in snaps if snap.h.flags.writeable]
+        assert set(writable) <= {state.t, *regrids}
+        assert len(writable) < len(snaps)
+        for snap, ref in zip(snaps, plain_snaps):
+            assert snap.t == ref.t
+            for name in ("a", "h", "f"):
+                assert np.array_equal(getattr(snap, name),
+                                      getattr(ref, name))
 
 
 def _overflow_message(ufunc):
@@ -610,10 +704,42 @@ class TestResidualGate:
         assert np.all(column[:-1] <= evo.RESIDUAL_GROWTH_MAX * column[0])
         assert trace.column("t")[-1] < 0.3
 
-    def test_zero_initial_residual_is_not_gated(self):
-        evo._check_residual_growth(0.5, (1.0, 1.0), (0.0, 0.0))
-        with pytest.raises(FlowHalt, match="kahler_res grew"):
-            evo._check_residual_growth(0.5, (1.0, 1.0), (1e-3, 0.0))
+    @staticmethod
+    def planted(monkeypatch, start, later):
+        # kahler_res reads start in the run's first row, later after it.
+        seen = []
+
+        def kahler_defect(spec, jets):
+            out = np.full(geo.kahler_defect(spec, jets=jets).shape, later)
+            if not seen:
+                out[0] = start
+            seen.append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(evo, "kahler_defect", kahler_defect)
+        spec, state = canonical_preset(32)
+        return spec, state, FlowConfig(cells=32, t_end=0.01)
+
+    def test_zero_initial_residual_is_not_gated(self, monkeypatch):
+        trace, _ = run_flow(*self.planted(monkeypatch, 0.0, 1.0))
+        column = trace.column("kahler_res")
+        assert column[0] == 0.0 and np.all(column[1:] == 1.0)
+        assert trace.column("t")[-1] == pytest.approx(0.01, abs=1e-12)
+        with pytest.raises(FlowHalt, match="kahler_res grew") as info:
+            run_flow(*self.planted(monkeypatch, 1e-3, 1.0))
+        rows = info.value.trace.rows
+        assert rows.shape[0] == 2
+        assert str(info.value) == (
+            f"kahler_res grew to 1.000e+00 at t = {rows[1, 0]:.6g}, more "
+            f"than 100 times its initial 1.000e-03: the integration has "
+            f"gone unstable")
+
+    def test_overflowing_threshold_is_not_gated(self, monkeypatch):
+        # 100 times a first residual of 1e307 overflows to inf, which no
+        # residual exceeds; the run neither halts nor raises.
+        trace, _ = run_flow(*self.planted(monkeypatch, 1e307, 1.7e308))
+        assert np.all(trace.column("kahler_res")[1:] == 1.7e308)
+        assert trace.column("t")[-1] == pytest.approx(0.01, abs=1e-12)
 
 
 class TestBatchedMonitor:
