@@ -323,10 +323,8 @@ def write_outputs(trace: FlowTrace, snapshots, report: dict, out_dir,
     for path in _snapshot_paths(out):
         if f"snapshots/{path.name}" not in digests:
             path.unlink()
-    for pattern in ("profiles.svg", "typeI.svg", "boundary.svg",
-                    "field_*.svg"):
-        for path in out.glob(pattern):
-            path.unlink()
+    for path in _figure_paths(out):
+        path.unlink()
 
     _store(out, "report.json", _json_bytes(report), digests)
     _store(out, "config.json", _json_bytes(raw_config), digests)
@@ -430,6 +428,12 @@ def read_trace(out_dir) -> FlowTrace:
 def _snapshot_paths(out_dir):
     """Stored snapshot files, ordered by index."""
     return sorted((Path(out_dir) / "snapshots").glob("snap_*.json"))
+
+
+def _figure_paths(out: Path):
+    """The figures of render_plots that the run directory holds."""
+    return [path for pattern in ("profiles.svg", "typeI.svg", "boundary.svg",
+                                 "field_*.svg") for path in out.glob(pattern)]
 
 
 def _finite_array(v, path, ndim):
@@ -682,10 +686,13 @@ def _cmd_run(config, out) -> int:
                           "config or pass --out")
     # An output path that write_outputs would fail on is refused here,
     # before the flow is integrated, with the error that write_outputs
-    # would give; the check creates nothing.
+    # would give; the check creates nothing.  Besides the artifacts it
+    # writes, write_outputs overwrites or deletes every stored snapshot and
+    # deletes every figure, so none of those may be a directory either.
+    out_path = Path(out_dir)
     for name in ("snapshots", "trace.csv", "boundary.csv", "report.json",
                  "config.json", "manifest.json"):
-        path = Path(out_dir) / name
+        path = out_path / name
         try:
             is_dir = S_ISDIR(path.stat().st_mode)
         except FileNotFoundError:
@@ -693,6 +700,9 @@ def _cmd_run(config, out) -> int:
         if is_dir != (name == "snapshots"):
             code = errno.EISDIR if is_dir else errno.EEXIST
             raise OSError(code, os.strerror(code), str(path))
+    for path in _snapshot_paths(out_path) + _figure_paths(out_path):
+        if path.is_dir():
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     halt = None
     try:
         trace, snapshots = run_flow(cfg.spec, cfg.state0, cfg.flow)

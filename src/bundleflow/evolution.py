@@ -25,14 +25,18 @@ Time stepping is the second-order Runge-Kutta-Legendre scheme RKL2
 method built from RHS evaluations alone whose real-axis stability interval
 grows as s^2.  The step is set by accuracy, not stability:
 dt = min(MAX_REL_CHANGE, STEP_CAP dsigma^2) / rate with rate the largest
-relative speed 2 max(|h_t/h|, |f_i,t/f_i|), so no h^2 or f_i^2 moves by
-more than min(10%, STEP_CAP dsigma^2) in one step and the second-order time
-error, of order dsigma^4, stays at the level of the fourth-order stencils.
-The forward-Euler stability edge CFL_MAX (min a dsigma)^2 of the stencil
-instead sets the stage count: s is the smallest s >= 2 with
+relative speed 2 max(|h_t/h|, |f_i,t/f_i|), read from the rows d/dt log Y
+of the step's first stage.  So no h^2 or f_i^2 moves by more than
+min(10%, STEP_CAP dsigma^2) in one step, and the second-order time error,
+of order dsigma^4, stays at the level of the fourth-order stencils: on
+canonical data at 64 cells and t = 0.3 it is 1.2 times the relative gap
+to 128 cells (0.32 times at STEP_CAP 40, 5.3 times at 160).  A Calabi
+collapse is the exception: there the time error dominates at STEP_CAP 40
+and at 80.  The forward-Euler stability edge CFL_MAX (min a dsigma)^2 of
+the stencil instead sets the stage count: s is the smallest s >= 2 with
 (s^2 + s - 2)/4 CFL_MAX (min a dsigma)^2 >= dt.  Both sides scale as
-dsigma^2, so s does not grow with resolution: four to five RHS
-evaluations per step (5.0 on a 48-cell Calabi collapse).  Runs halt at
+dsigma^2, so s does not grow with resolution: six to seven RHS
+evaluations per step (7.0 on a 48-cell Calabi collapse).  Runs halt at
 t_end, when a monitored floor (min f_i^2 or max h^2) drops below
 stop_floor, or when a residual column of the monitor row grows past
 RESIDUAL_GROWTH_MAX times its first-row value.
@@ -85,11 +89,13 @@ DT_UNDERFLOW = 1e-14
 MAX_REL_CHANGE = 0.1
 # On fine grids the relative-change cap per step is STEP_CAP dsigma^2, so
 # the O(dt^2) error of RKL2 shrinks as dsigma^4 like the stencil error.
-STEP_CAP = 40.0
+# At 80 the time error on canonical data at 64 cells is 1.2 times the
+# 64/128-cell spatial gap; it grows about 4x per doubling of the cap.
+STEP_CAP = 80.0
 # A monitor row whose kahler_res or heat_res exceeds this multiple of the
-# first row's value halts the run: healthy runs stay below about 8 (the
-# Calabi collapse), while stages sized past the stability edge pass 500
-# within a few hundred steps.
+# first row's value halts the run: healthy runs stay below about 30 (27 on
+# the Calabi collapse at 48 and 400 cells), while stages sized past the
+# stability edge pass 500 within a few hundred steps.
 RESIDUAL_GROWTH_MAX = 100.0
 # Forward-Euler stability edge of the five-point second difference with
 # parity ghosts: its eigenvalues lie in [-16/3, 0] / (a dsigma)^2, so
@@ -158,8 +164,10 @@ class FlowConfig:
 def _rhs_core(Y, derivs, ricci, out):
     """d/dt of Y = (a; h; f_1..f_r) from the (2, F, M) block of its sigma
     derivatives, written into ``out``: Y times the rows d/dt log Y of
-    ricci_rows."""
-    return np.multiply(Y, ricci_rows(Y, derivs, ricci), out=out)
+    ricci_rows, which are returned."""
+    rates = ricci_rows(Y, derivs, ricci)
+    np.multiply(Y, rates, out=out)
+    return rates
 
 
 def _check_finite_rhs(ydot, t):
@@ -180,10 +188,11 @@ def _stage(Y, stencil, ricci, out):
 
     Writes the stacked time derivative into ``out`` and returns it
     together with the (2, F, M) block of sigma derivatives of all rows,
-    which the run loop keeps for the monitor columns of a traced step.
+    which the run loop keeps for the monitor columns of a traced step,
+    and the rows d/dt log Y, from which it takes the step's rate.
     """
     derivs = stacked_derivs(Y, stencil)
-    return _rhs_core(Y, derivs, ricci, out), derivs
+    return out, derivs, _rhs_core(Y, derivs, ricci, out)
 
 
 def _monitor_block(spec, block, dsigma):
@@ -232,9 +241,10 @@ def _monitor_block(spec, block, dsigma):
     return rows, brows
 
 
-def _dt_bound(Y, ydot, a_min, t, t_end, dsigma, dt_min):
-    """Size and stage count (dt, s) of the next RKL2 step from Y = (a; h; f).
+def _dt_bound(rates, a_min, t, t_end, dsigma, dt_min):
+    """Size and stage count (dt, s) of the next RKL2 step of Y = (a; h; f).
 
+    ``rates`` are the rows d/dt log Y of the step's first stage and
     ``a_min`` is the smallest lapse, Y[0].min().  dt = min(MAX_REL_CHANGE,
     STEP_CAP dsigma^2) / rate, with rate = 2 max(|h_t/h|, |f_t/f|), or the
     forward-Euler step CFL_MAX (a_min dsigma)^2 when nothing moves.  A dt
@@ -247,7 +257,7 @@ def _dt_bound(Y, ydot, a_min, t, t_end, dsigma, dt_min):
     """
     x = a_min * dsigma
     dt_euler = CFL_MAX * (x * x)
-    peak = float(np.abs(ydot[1:] / Y[1:]).max())
+    peak = float(np.abs(rates[1:]).max())
     dt = dt_euler
     if peak > 0.0:
         cap = min(MAX_REL_CHANGE, STEP_CAP * dsigma * dsigma)
@@ -459,7 +469,8 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
                 regridded = regrid_uniform(current_state())
                 Y = np.vstack([regridded.a, regridded.h, regridded.f])
                 lo, hi = Y.min(axis=1).tolist(), Y.max(axis=1).tolist()
-            ydot, derivs = _stage(Y, stencil, ricci, np.empty_like(Y))
+            ydot, derivs, rates = _stage(Y, stencil, ricci,
+                                         np.empty_like(Y))
             _check_finite_rhs(ydot, t)
             f_min, h_max = min(lo[2:]), max(abs(lo[1]), abs(hi[1]))
             stop = (t >= t_stop
@@ -469,7 +480,7 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
             dt = 0.0
             if not stop:
                 try:
-                    dt, s = _dt_bound(Y, ydot, lo[0], t, t_end, dsigma,
+                    dt, s = _dt_bound(rates, lo[0], t, t_end, dsigma,
                                       dt_min)
                 except FlowHalt:
                     take_row(ydot, derivs, 0.0)

@@ -449,6 +449,14 @@ class TestRunVerb:
             (rd / name).mkdir()
             refused(name, "[Errno 21] Is a directory")
             (rd / name).rmdir()
+        # A directory where write_outputs deletes a stale figure, or
+        # overwrites or deletes a stored snapshot.
+        for name in ("profiles.svg", "field_kappa.svg",
+                     "snapshots/snap_00099.json"):
+            (rd / name).mkdir(parents=True)
+            refused(name, "[Errno 21] Is a directory")
+            (rd / name).rmdir()
+        (rd / "snapshots").rmdir()
         assert list(rd.iterdir()) == []
         assert sorted(p.name for p in tmp_path.iterdir()) \
             == ["c.json", "rd", "taken"]
@@ -477,7 +485,7 @@ class TestRunVerb:
     def test_rerun_removes_stale_snapshots(self, tmp_path, capsys):
         out = tmp_path / "run"
         kept = []
-        for t_end, count in ((0.05, 5), (0.001, 2)):
+        for t_end, count in ((0.1, 5), (0.001, 2)):
             cfg = write_config(tmp_path / "c.json",
                                flow={"cells": 32, "t_end": t_end,
                                      "snapshot_every": 1})

@@ -192,7 +192,7 @@ def step(spec, state, t_left=1.0, dt_min=0.0, rhs=None):
     Y, ydot, stage_rhs = stacked(spec, state)
     if rhs is not None:
         stage_rhs, ydot = rhs, rhs(Y, np.empty_like(Y))
-    dt, s = _dt_bound(Y, ydot, Y[0].min(), 0.0, t_left, state.dsigma,
+    dt, s = _dt_bound(ydot / Y, Y[0].min(), 0.0, t_left, state.dsigma,
                       dt_min)
     return rkl2_step(Y, ydot, dt, s, stage_rhs), dt, s
 
@@ -274,6 +274,32 @@ class TestStepAdaptive:
         assert covers(s) and not covers(s - 1)
         # dt and the forward-Euler step both scale as dsigma^2.
         assert 3 <= s <= 8
+
+    def test_time_error_stays_at_the_spatial_error(self, monkeypatch):
+        # STEP_CAP holds RKL2's time error at the level of the spatial
+        # error.  On canonical data at 64 cells and t = 0.3, the time error
+        # is the largest relative deviation of (a; h; f) from a run at
+        # STEP_CAP / 16; the spatial gap is the deviation of that careful
+        # run from a 128-cell run, read at the 64-cell centers by the
+        # fourth-order midpoint rule (-1, 9, 9, -1) / 16.  Their ratio is
+        # 0.32, 1.18 and 5.3 at STEP_CAP 40, 80 and 160.
+        def final(cells):
+            spec, state = canonical_preset(cells)
+            _, snaps = run_flow(spec, state, FlowConfig(
+                cells=cells, t_end=0.3, snapshot_every=10 ** 6))
+            assert snaps[-1].t == pytest.approx(0.3, abs=1e-12)
+            return np.vstack([snaps[-1].a, snaps[-1].h, snaps[-1].f])
+
+        def deviation(Y, ref):
+            return np.abs(Y / ref - 1.0).max()
+
+        coarse = final(64)
+        ext = geo.stacked_parity(final(128), geo.field_parities(1))
+        fine = (9.0 * (ext[:, 2:-2:2] + ext[:, 3:-1:2])
+                - ext[:, 1:-3:2] - ext[:, 4::2]) / 16.0
+        monkeypatch.setattr(evo, "STEP_CAP", STEP_CAP / 16.0)
+        careful = final(64)
+        assert deviation(coarse, careful) <= 2.0 * deviation(careful, fine)
 
 
 class TestStabilityEdge:
@@ -509,9 +535,9 @@ class TestRunFlow:
 
     def test_trace_every_thins_rows(self):
         spec, state = canonical_preset(64)
-        cfg = FlowConfig(cells=64, t_end=0.005, trace_every=5)
+        cfg = FlowConfig(cells=64, t_end=0.01, trace_every=5)
         trace, _ = run_flow(spec, state, cfg)
-        dense_cfg = FlowConfig(cells=64, t_end=0.005)
+        dense_cfg = FlowConfig(cells=64, t_end=0.01)
         dense, _ = run_flow(spec, state, dense_cfg)
         assert trace.rows.shape[0] < dense.rows.shape[0]
         assert trace.rows[-1, 0] == pytest.approx(dense.rows[-1, 0],
@@ -664,21 +690,19 @@ class TestBookkeepingOverflow:
     # _dt_bound as run_flow calls it, with numpy's errors trapped.
     @np.errstate(over="raise", divide="raise", invalid="raise")
     def test_infinite_euler_step_sets_no_stage_limit(self):
-        Y = np.ones((3, 48))
-        ydot = np.full_like(Y, 0.01)
+        rates = np.full((3, 48), 0.01)
         t, t_end, dsigma = 0.0, 10.0, 1.0 / 48
-        dt, s = _dt_bound(Y, ydot, 1e160, t, t_end, dsigma, 1e-12)
+        dt, s = _dt_bound(rates, 1e160, t, t_end, dsigma, 1e-12)
         cap = min(MAX_REL_CHANGE, STEP_CAP * dsigma * dsigma)
         assert s == 2
         assert dt == min(cap / (2.0 * 0.01), t_end - t)
 
     @np.errstate(over="raise", divide="raise", invalid="raise")
     def test_infinite_rate_halts_as_a_dt_underflow(self):
-        Y = np.ones((3, 48))
-        ydot = np.zeros_like(Y)
-        ydot[1, 5] = 1e308
+        rates = np.zeros((3, 48))
+        rates[1, 5] = 1e308
         with pytest.raises(FlowHalt, match="time step underflow"):
-            _dt_bound(Y, ydot, 1.0, 0.0, 1.0, 1.0 / 48, 1e-14)
+            _dt_bound(rates, 1.0, 0.0, 1.0, 1.0 / 48, 1e-14)
 
 
 class TestResidualGate:
@@ -755,7 +779,7 @@ class TestBatchedMonitor:
 
         monkeypatch.setattr(evo, "curvature_sup_proxy", recording)
         spec, state = canonical_preset(400)
-        trace, _ = run_flow(spec, state, FlowConfig(cells=400, t_end=0.02))
+        trace, _ = run_flow(spec, state, FlowConfig(cells=400, t_end=0.04))
         rows = trace.rows.shape[0]
         assert rows > 2 * evo.MONITOR_BLOCK
         assert max(sizes) == evo.MONITOR_BLOCK
@@ -783,7 +807,7 @@ class TestBatchedMonitor:
         # at the end of the run.  Row k + 2 fails too, later.
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
-            "flow": {"cells": 48, "t_end": 0.3, "snapshot_every": 1},
+            "flow": {"cells": 48, "t_end": 0.45, "snapshot_every": 1},
             "initial": {"preset": "canonical"}}))
         clean = tmp_path / "clean"
         assert main(["run", str(cfg), "--out", str(clean)]) == 0
@@ -873,8 +897,11 @@ class TestBatchedMonitor:
     @pytest.mark.parametrize("halt", ["residual", "underflow"])
     def test_halt_rows_are_filled(self, monkeypatch, halt):
         if halt == "residual":
-            # Stages sized past the stability edge, as in TestResidualGate.
+            # Stages sized past the stability edge, as in TestResidualGate,
+            # on steps small enough that the gate trips only after two
+            # full blocks (at the default STEP_CAP it trips on row 12).
             monkeypatch.setattr(evo, "CFL_MAX", 0.5)
+            monkeypatch.setattr(evo, "STEP_CAP", 40.0)
             spec, state = canonical_preset(80)
             cfg = FlowConfig(cells=80, t_end=0.3)
             pattern = r"(kahler|heat)_res grew"
@@ -970,7 +997,7 @@ class TestMonitorColumns:
             # Just above 1: the gauge is resampled after every step, so the
             # rows also cover regridded states.
             regrid = 1.0 + 1e-12
-        cfg = FlowConfig(cells=32, t_end=0.05, trace_every=1,
+        cfg = FlowConfig(cells=32, t_end=0.1, trace_every=1,
                          snapshot_every=1, regrid_threshold=regrid)
         trace, snaps = run_flow(spec, state, cfg)
         assert len(snaps) == trace.rows.shape[0] >= 5
@@ -1063,9 +1090,9 @@ class TestOneKernel:
         for snap in (state, snaps[-1]):
             Y = np.vstack([snap.a, snap.h, snap.f])
             stencil = geo.Stencil(geo.field_parities(spec.r), snap.cells)
-            ydot, (d1, d2) = _stage(Y, stencil,
-                                    geo.RicciFeatures(spec, snap.cells),
-                                    np.empty_like(Y))
+            ydot, (d1, d2), _ = _stage(Y, stencil,
+                                       geo.RicciFeatures(spec, snap.cells),
+                                       np.empty_like(Y))
             u_s, u_ss = geo.arclength_derivs(d1, d2, snap.a)
             jets = profile_jets(snap)
             assert np.array_equal(jets.h_s, u_s[1])
@@ -1085,7 +1112,7 @@ def test_benchmark_hooks_see_every_stage(tmp_path):
     # steps and the per-layer spans wrong without failing anything else.
     root = Path(__file__).resolve().parents[1]
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"flow": {"cells": 64, "t_end": 0.3},
+    cfg.write_text(json.dumps({"flow": {"cells": 64, "t_end": 0.4},
                                "initial": {"preset": "canonical"}}))
     report = tmp_path / "report.json"
     src = str(Path(evo.__file__).resolve().parents[1])
@@ -1147,6 +1174,14 @@ def test_layer_bench_runs_on_a_workload():
     for side in ("this", "against"):
         assert any(re.match(rf"run_flow {side} +\d+\.\d+ ms$", line)
                    for line in lines), (side, proc.stdout)
+    # Both trees are this one, so they take the same steps and stages.
+    work = [re.match(r"work +steps (\d+) this, (\d+) against; RHS "
+                     r"evaluations (\d+) this, (\d+) against$", line)
+            for line in lines]
+    counts = [m.groups() for m in work if m]
+    assert len(counts) == 1, proc.stdout
+    steps, other_steps, evals, other_evals = map(int, counts[0])
+    assert steps == other_steps > 0 and evals == other_evals > steps
     assert any(re.match(r"paired ratio +\d+\.\d+ this / against \(median\);"
                         r" faster in [01] rounds this, [01] against$", line)
                for line in lines), proc.stdout

@@ -36,8 +36,9 @@ difference: DIR/src/bundleflow is imported under a second package name,
 each tree loads the config with its own ``cli.load_config``, and the two
 ``run_flow`` calls, untimed inside, alternate for ``--repeats`` rounds,
 the first a warm-up, the order swapped each round.  Printed are both
-medians, the median of the per-round ratio this / DIR and the number of
-rounds each side was faster.
+trees' steps and RHS evaluations (``rkl2_step`` and ``_stage`` calls,
+counted in one more run of DIR's), both medians, the median of the
+per-round ratio this / DIR and the number of rounds each side was faster.
 """
 
 from __future__ import annotations
@@ -263,8 +264,16 @@ def main(argv=None) -> int:
         ratio = statistics.median(a / b for a, b in zip(this_ms, other_ms))
         won = sum(a < b for a, b in zip(this_ms, other_ms))
         lost = sum(a > b for a, b in zip(this_ms, other_ms))
+        counters = Timers(other, ("rkl2_step", "_stage"))
+        try:
+            other.run_flow(other_cfg.spec, other_cfg.state0, other_cfg.flow)
+        finally:
+            counters.restore()
         print(f"against             {args.against}: run_flow alternated "
               f"in this process, {len(this_ms)} rounds after one warm-up")
+        print(f"work                steps {calls['rkl2_step']} this, "
+              f"{counters.calls['rkl2_step']} against; RHS evaluations "
+              f"{calls['_stage']} this, {counters.calls['_stage']} against")
         print(f"run_flow this       {statistics.median(this_ms):9.2f} ms")
         print(f"run_flow against    {statistics.median(other_ms):9.2f} ms")
         print(f"paired ratio        {ratio:9.3f} this / against (median); "
