@@ -1,10 +1,10 @@
 """Diagnostics on flow traces and snapshots.
 
 Everything here is a pure function of recorded data: the trace column
-contract and the singularity toolbox (singular-time estimation, Type I/II
-classification through the scale-invariant quantity (T_hat - t) * kappa,
-Schwarz-type lower-bound fitting, degeneration-case labeling, and the
-blow-up factor sequence).
+contract and the singularity toolbox (the singular time T_hat read off the
+last two trace rows of 1/kappa, Type I/II classification through the
+scale-invariant quantity (T_hat - t) * kappa, Schwarz-type lower-bound
+fitting, degeneration-case labeling, and the blow-up factor sequence).
 analyze_run combines them into the mapping that a run directory stores as
 report.json.  The residual columns of the trace are computed by
 evolution.run_flow.
@@ -26,8 +26,6 @@ FULL_CONTRACTION = "FullSectionContraction"
 PARTIAL_CONTRACTION = "PartialContraction"
 INDETERMINATE = "Indeterminate"
 
-# Fits of "late" trace behavior use this trailing fraction of the time span.
-LATE_FRACTION = 0.1
 # TypeI when (T_hat - t) kappa varies by less than this factor across the
 # final decade of T_hat - t.
 PLATEAU_FACTOR = 2.0
@@ -87,8 +85,9 @@ class FlowTrace:
     def validate(self):
         """Raise ValueError on a malformed trace.
 
-        Malformed: shape mismatch, non-finite data, t order, or a kappa or
-        f_i^2 bound that is not positive (the fits divide by them).
+        Malformed: shape mismatch, non-finite data, t order, a kappa or
+        f_i^2 bound that is not positive (the analysis divides by them), or
+        a kappa whose reciprocal overflows (T_hat reads 1/kappa).
         """
         if self.rows.ndim != 2 or self.rows.shape[1] != len(self.columns):
             raise ValueError("trace rows do not match the column contract")
@@ -105,77 +104,33 @@ class FlowTrace:
         for name in positive:
             if not np.all(self.column(name) > 0.0):
                 raise ValueError(f"trace column {name} must be positive")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(1.0 / self.column("kappa")).all():
+                raise ValueError("trace column kappa must have a finite "
+                                 "reciprocal")
         t = self.column("t")
         if t.size > 1 and not np.all(np.diff(t) > 0.0):
             raise ValueError("trace times must be strictly increasing")
 
 
-def _late_mask(t: np.ndarray, fraction: float) -> np.ndarray:
-    cut = t[-1] - fraction * (t[-1] - t[0])
-    mask = t >= cut
-    if mask.sum() < 2:
-        mask = np.zeros_like(mask)
-        mask[-2:] = True
-    return mask
-
-
-def _linear_root(t, y):
-    """Root of the least-squares line through (t, y); None if not decaying.
-
-    A series only counts as decaying when the fitted drop across the window
-    is a meaningful fraction of the data scale; otherwise rounding noise on
-    a flat series would extrapolate to an absurd faraway root.
-    """
-    slope, intercept = np.polyfit(t, y, 1)
-    span = t[-1] - t[0]
-    scale = max(float(np.abs(y).max()), 1e-300)
-    if slope * span >= -1e-9 * scale:
-        return None
-    return float(-intercept / slope)
-
-
 def estimate_singular_time(trace: FlowTrace):
-    """Extrapolate monitored decays to a singular-time estimate.
+    """Singular time from the secant of w = 1/kappa through the last two rows.
 
-    Floor candidates: the boundary f_i^2 series fitted over the whole trace
-    (their evolution is exactly linear), and late-window linear fits of
-    max h^2 and each min f_i^2.  The earliest candidate root beyond the
-    final trace time is t_floor.  Independently, 1/kappa is fitted late and
-    its root gives t_kappa.  The consensus t_hat takes t_floor when
-    available, else t_kappa, else None (no singularity indicated).
+    At the Type I rate kappa ~ C/(T - t), w is linear in t, so its zero
 
-    Returns (t_hat, t_floor, t_kappa).
+        T_hat = t_n + w_n (t_n - t_{n-1}) / (w_{n-1} - w_n)
+
+    is exact with no fit.  Returns T_hat when the trace has two rows and w
+    falls across the last two (so T_hat lies beyond the last row), else
+    None (no singularity indicated).
     """
     if trace.rows.shape[0] < 2:
-        return None, None, None
-    t = trace.column("t")
-    t_last = t[-1]
-    late = _late_mask(t, LATE_FRACTION)
-
-    candidates = []
-    for i in range(1, trace.r + 1):
-        for side in ("left", "right"):
-            root = _linear_root(t, trace.bcolumn(f"f{i}sq_{side}"))
-            if root is not None and root > t_last:
-                candidates.append(root)
-        root = _linear_root(t[late], trace.column(f"f{i}sq_min")[late])
-        if root is not None and root > t_last:
-            candidates.append(root)
-    h_sq = trace.column("h_max") ** 2
-    root = _linear_root(t[late], h_sq[late])
-    if root is not None and root > t_last:
-        candidates.append(root)
-    t_floor = min(candidates) if candidates else None
-
-    t_kappa = None
-    kappa = trace.column("kappa")
-    if np.all(kappa > 0.0):
-        root = _linear_root(t[late], 1.0 / kappa[late])
-        if root is not None and root > t_last:
-            t_kappa = root
-
-    t_hat = t_floor if t_floor is not None else t_kappa
-    return t_hat, t_floor, t_kappa
+        return None
+    t = trace.column("t")[-2:]
+    w = 1.0 / trace.column("kappa")[-2:]
+    if not w[1] < w[0]:
+        return None
+    return float(t[1] + w[1] * (t[1] - t[0]) / (w[0] - w[1]))
 
 
 def classify_singularity_type(trace: FlowTrace, t_hat: float):
@@ -272,13 +227,13 @@ def classify_degeneration(trace: FlowTrace, stop_floor: float) -> str:
 def analyze_run(trace: FlowTrace, snapshot_times, stop_floor: float) -> dict:
     """Full singularity report for one finished run, as stored in report.json.
 
-    Combines the singular-time estimate (T_hat, with its two estimators
-    t_floor and t_kappa), the Type I/II verdict, the Schwarz constant, the
-    degeneration label, and the blow-up factor sequence K_i = kappa(t_i) at
-    the snapshot times t_i before T_hat.  A diagnostic that does not apply
-    to the run is None.
+    Combines the singular time T_hat (the zero of the secant of 1/kappa
+    through the last two trace rows), the Type I/II verdict, the Schwarz
+    constant, the degeneration label, and the blow-up factor sequence
+    K_i = kappa(t_i) at the snapshot times t_i before T_hat.  A diagnostic
+    that does not apply to the run is None.
     """
-    t_hat, t_floor, t_kappa = estimate_singular_time(trace)
+    t_hat = estimate_singular_time(trace)
     typei_sup, verdict, plateau_ratio, growth_ratio = \
         classify_singularity_type(trace, t_hat)
     rescale = []
@@ -294,8 +249,6 @@ def analyze_run(trace: FlowTrace, snapshot_times, stop_floor: float) -> dict:
         "schwarz_C": schwarz_fit(trace, t_hat),
         "case": classify_degeneration(trace, stop_floor),
         "rescale_factors": rescale,
-        "t_floor": t_floor,
-        "t_kappa": t_kappa,
         "plateau_ratio": plateau_ratio,
         "growth_ratio": growth_ratio,
     }

@@ -668,8 +668,7 @@ def _print_report(report: dict, trace: FlowTrace):
     if report["T_hat"] is None:
         print("singular time: none detected")
     else:
-        print(f"singular time estimate: {report['T_hat']:.6g} "
-              f"(floor {report['t_floor']}, kappa {report['t_kappa']})")
+        print(f"singular time estimate: {report['T_hat']:.6g}")
     print(f"verdict: {report['verdict']}")
     if report["typeI_sup"] is not None:
         print(f"type I sup: {report['typeI_sup']:.6g}")
@@ -750,8 +749,8 @@ def _cmd_analyze(rundir) -> int:
             raise ConfigError(f"{config_path}: {exc}") from exc
     digests = _digests(out, files)
     _verify_manifest(out, digests)
-    # Positive but subnormal trace values overflow the fits; the report,
-    # not a warning, shows it.
+    # Positive but subnormal trace values overflow the analysis; the
+    # report, not a warning, shows it.
     with np.errstate(all="ignore"):
         report = analyze_run(trace, [s.t for s in snapshots], stop_floor)
     for key, value in report.items():

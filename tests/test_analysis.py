@@ -14,8 +14,10 @@ from bundleflow.analysis import (FIBER_COLLAPSE, FULL_CONTRACTION,
                                  classify_singularity_type,
                                  estimate_singular_time, schwarz_fit,
                                  trace_columns)
+import bundleflow.evolution as evo
 from bundleflow.evolution import FlowConfig, run_flow
-from bundleflow.initial_data import canonical_preset
+from bundleflow.initial_data import (build_kahler_profile, calabi_preset,
+                                     canonical_preset)
 import reference as ref
 
 CANON = geo.BundleSpec(n=(1,), k=(2.0,), q=(2,), lam=(1.0,))
@@ -82,6 +84,17 @@ class TestTraceContract:
             FlowTrace(r=1, rows=trace.rows,
                       boundary=trace.boundary[:-1]).validate()
 
+    def test_validate_rejects_kappa_without_finite_reciprocal(self):
+        # T_hat reads 1/kappa, which overflows below about 5.6e-309.
+        tiny = np.finfo(float).tiny
+        make_trace(np.linspace(0.0, 1.0, 5), kappa=tiny)
+        trace = make_trace(np.linspace(0.0, 1.0, 5))
+        rows = trace.rows.copy()
+        rows[3, trace.columns.index("kappa")] = 1e-320
+        with pytest.raises(ValueError, match="trace column kappa must have "
+                                             "a finite reciprocal"):
+            FlowTrace(r=1, rows=rows, boundary=trace.boundary).validate()
+
 
 class TestResiduals:
     def test_kahler_residual_on_compatible_data(self):
@@ -124,49 +137,42 @@ class TestLiYau:
 
 
 class TestSingularTime:
-    def test_linear_boundary_floor(self):
-        t = np.linspace(0.0, 0.5, 51)
-        t_hat, t_floor, t_kappa = estimate_singular_time(
-            make_trace(t, left=6.0 - 8.0 * t))
-        assert t_hat == pytest.approx(0.75, rel=1e-12)
-        assert t_floor == t_hat
-        assert t_kappa is None
+    # Uneven rows on [0, 0.49].  T_hat reads only kappa; for kappa =
+    # C/(T - t) the reciprocal (T - t)/C is linear in t, so the secant of
+    # the last two rows is exact.
+    T_ROWS = np.sort(np.random.default_rng(3).uniform(0.0, 0.49, 40))
+    # A kappa whose reciprocal is not linear, so T_hat is not 0.5.
+    BENT = 1.0 / (0.5 - T_ROWS + 0.1 * (0.5 - T_ROWS) ** 2)
 
     def test_curvature_fallback(self):
-        t = np.linspace(0.0, 0.4, 81)
-        t_hat, t_floor, t_kappa = estimate_singular_time(
-            make_trace(t, kappa=1.0 / (0.5 - t)))
-        assert t_hat == t_kappa
-        assert t_hat == pytest.approx(0.5, rel=1e-10)
-        assert t_floor is None
-
-    def test_earliest_floor_wins(self):
-        t = np.linspace(0.0, 0.5, 51)
-        trace = make_trace(t, left=6.0 - 8.0 * t, f1sq_min=1.0 - t,
-                           kappa=1.0 / (0.9 - t))
-        t_hat, t_floor, t_kappa = estimate_singular_time(trace)
-        assert t_hat == pytest.approx(0.75, rel=1e-10)
-        assert t_kappa == pytest.approx(0.9, rel=1e-8)
-        assert t_hat == t_floor
-
-    def test_roots_inside_window_are_ignored(self):
-        t = np.linspace(0.0, 0.5, 51)
-        assert estimate_singular_time(
-            make_trace(t, left=0.8 - 2.0 * t)) == (None, None, None)
+        t = self.T_ROWS
+        for T, C in ((0.5, 0.5), (0.5, 1.0), (0.75, 2.0), (3.0, 1e-3)):
+            t_hat = estimate_singular_time(make_trace(t, kappa=C / (T - t)))
+            assert isinstance(t_hat, float)
+            assert t_hat == pytest.approx(T, rel=1e-12)
 
     def test_constant_trace_reports_none(self):
+        t = np.linspace(0.0, 1.0, 20)
+        assert estimate_singular_time(make_trace(t)) is None
+        assert estimate_singular_time(make_trace(t, kappa=2.0 - t)) is None
+        # Only the last two rows count: a kappa that rose and then fell.
         assert estimate_singular_time(
-            make_trace(np.linspace(0.0, 1.0, 20))) == (None, None, None)
-        assert estimate_singular_time(
-            make_trace(np.array([0.0]))) == (None, None, None)
+            make_trace(t, kappa=np.where(t < 1.0, 1.0 + t, 0.5))) is None
+        assert estimate_singular_time(make_trace(np.array([0.0]))) is None
 
     def test_time_translation_covariance(self):
-        t = np.linspace(0.0, 0.5, 51)
-        series = 6.0 - 8.0 * t
-        base, _, _ = estimate_singular_time(make_trace(t, left=series))
-        shifted, _, _ = estimate_singular_time(
-            make_trace(t + 2.0, left=series))
-        assert shifted == pytest.approx(base + 2.0, rel=1e-10)
+        t, kappa = self.T_ROWS, self.BENT
+        base = estimate_singular_time(make_trace(t, kappa=kappa))
+        shifted = estimate_singular_time(make_trace(t + 2.0, kappa=kappa))
+        assert shifted == pytest.approx(base + 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-3, 7.0, 1e4])
+    def test_parabolic_rescaling(self, c):
+        # t -> c t with kappa -> kappa / c, the flow's own rescaling.
+        t, kappa = self.T_ROWS, self.BENT
+        base = estimate_singular_time(make_trace(t, kappa=kappa))
+        scaled = estimate_singular_time(make_trace(c * t, kappa=kappa / c))
+        assert scaled == pytest.approx(c * base, rel=1e-12)
 
 
 class TestClassifier:
@@ -301,8 +307,6 @@ class TestAnalyzeRun:
         t, tau, trace = self._collapse_trace()
         report = analyze_run(trace, [0.0, 0.3, 0.499], stop_floor=1e-3)
         assert report["T_hat"] == pytest.approx(0.5, rel=1e-10)
-        assert report["t_floor"] == pytest.approx(0.5, rel=1e-10)
-        assert report["t_kappa"] == pytest.approx(0.5, rel=1e-10)
         assert report["verdict"] == TYPE_I
         assert report["typeI_sup"] == pytest.approx(0.5, rel=1e-10)
         assert report["schwarz_C"] == pytest.approx(0.5 / 3.5, rel=1e-10)
@@ -322,3 +326,39 @@ class TestAnalyzeRun:
         assert report["schwarz_C"] is None
         assert report["case"] == INDETERMINATE
         assert report["rescale_factors"] == []
+
+
+def deep_report(spec, state, stop_floor):
+    """analyze_run's report on a run to stop_floor with a row every step."""
+    cfg = FlowConfig(cells=state.cells, t_end=1.0, stop_floor=stop_floor,
+                     trace_every=1, snapshot_every=10 ** 6)
+    trace, snapshots = run_flow(spec, state, cfg)
+    return analyze_run(trace, [s.t for s in snapshots], stop_floor)
+
+
+class TestDeepRuns:
+    """Kahler runs followed far into the singularity, which is Type I."""
+
+    @pytest.mark.parametrize("setup", [
+        lambda: canonical_preset(64),
+        lambda: calabi_preset(48, n=2, k_lens=1, f0=6.0),
+    ], ids=["canonical-64", "calabi-48"])
+    def test_fiber_collapse_is_type_one_at_every_depth(self, setup):
+        spec, state = setup()
+        reports = [deep_report(spec, state, floor)
+                   for floor in (1e-3, 1e-6, 1e-9)]
+        assert [r["verdict"] for r in reports] == [TYPE_I] * 3
+        assert [r["case"] for r in reports] == [FIBER_COLLAPSE] * 3
+        t_hats = [r["T_hat"] for r in reports]
+        assert max(t_hats) - min(t_hats) <= 1e-6, t_hats
+
+    def test_section_root_the_run_has_passed(self, monkeypatch):
+        # The left section of contract-64 reaches zero at t = 1/4; with the
+        # residual gate off the run steps just past it before the floor.
+        monkeypatch.setattr(evo, "RESIDUAL_GROWTH_MAX", 1e300)
+        spec = geo.BundleSpec(n=(1,), k=(2.0,), q=(1,))
+        state = build_kahler_profile(spec, math.pi, "sinusoidal", (0.5,), 64)
+        report = deep_report(spec, state, 1e-6)
+        assert report["T_hat"] == pytest.approx(0.25, abs=1e-3)
+        assert report["verdict"] == TYPE_I
+        assert report["case"] == FULL_CONTRACTION

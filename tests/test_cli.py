@@ -692,13 +692,14 @@ class TestAnalyzeVerb:
         ("trace", "malformed trace"),
         # schwarz_fit divides by the floor columns.
         ("zero floor", "trace column f1sq_min must be positive"),
+        # Positive but subnormal, with the manifest updated to match:
+        # T_hat reads 1/kappa, which overflows.
+        ("tiny kappa", "trace column kappa must have a finite reciprocal"),
         # JSON integers are unbounded; this one has no float value.
         ("huge t", "snap_00001.json is not a snapshot"),
         # Positive but subnormal, with the manifest updated to match: the
-        # fits overflow to inf, which report.json must not hold.
+        # Schwarz fit overflows to inf, which report.json must not hold.
         ("tiny floor", "trace.csv gives the report a non-finite schwarz_C"),
-        ("tiny kappa",
-         "trace.csv gives the report a non-finite plateau_ratio"),
         # Valid JSON with the manifest updated to match: only the snapshot
         # checks can tell.
         ("short h", "snap_00001.json is not a snapshot: a and h must be "
@@ -876,8 +877,7 @@ class TestReportMapping:
             report = returned.pop()
             assert set(report) == {
                 "T_hat", "typeI_sup", "verdict", "schwarz_C", "case",
-                "rescale_factors", "t_floor", "t_kappa", "plateau_ratio",
-                "growth_ratio"}
+                "rescale_factors", "plateau_ratio", "growth_ratio"}
             assert report["T_hat"] is not None
             assert len(report["rescale_factors"]) == 2
             assert json.loads((out / "report.json").read_text()) == report

@@ -117,7 +117,7 @@ print("  I0 for sinusoidal template of length L:", sp.simplify(I0))
 print("  at L = pi: I0 =", sp.simplify(I0.subs(L, sp.pi)),
       " collapse time I0/4 =", sp.simplify(I0.subs(L, sp.pi)) / 4)
 # canonical run: left slope 0, right slope -8, fiber collapse at t = 1/2,
-# so T_hat ~ 0.5 < 0.75 (right-end root).
+# before the right-end root 0.75, so the run ends there and T_hat ~ 0.5.
 # calabi preset (n=2, k_lens=1, k=4, q=1, f0=6): left 2q-2k = -6 (root at 1),
 # right -2q-2k = -10 with F2_R(0) = 8 (root at 0.8), fiber collapse at 0.5.
 print("  calabi f0 condition f0 > I0*(k-q)/2 =", 2 * (4 - 1) / 2)
