@@ -196,9 +196,9 @@ def calabi_preset(cells: int, *, n: int = 2, k_lens: int = 1,
     Einstein constant 2n of CP^(n-1) in the Ric = 2(m+1) g normalization.
     ``f0`` defaults to a value strictly inside the fiber-collapse regime:
     with the sinusoidal template the fiber area decreases at the exact rate
-    4 q_1 per unit time per twist, and both section sizes stay positive up
-    to the collapse time when f0 > I0 (k1 - q1) / 2, where I0 = 2 L^2/pi^2
-    is the initial integral of H.  Returns (spec, state).
+    4 per unit time whatever q_1 is, and both section sizes stay positive
+    up to the collapse time when f0 > I0 (k1 - q1) / 2, where
+    I0 = 2 L^2/pi^2 is the initial integral of H.  Returns (spec, state).
     """
     for name, v in (("n", n), ("k_lens", k_lens)):
         if int(v) != v:

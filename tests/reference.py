@@ -7,7 +7,8 @@ resample.
 
 The package ships only what its verbs call.  These helpers call the same
 kernels on the arrays of one ProfileState or one set of Jets, so the tests
-can compare them with closed forms, the Koszul oracle and each other.
+can compare them with closed forms, the coordinate Ricci oracle of
+ansatz_oracle.py and each other.
 """
 
 from collections import namedtuple

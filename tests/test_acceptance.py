@@ -18,7 +18,7 @@ from bundleflow.analysis import (TYPE_I, TYPE_II, FlowTrace, analyze_run,
 from bundleflow.cli import main
 from bundleflow.evolution import FlowConfig, run_flow
 from bundleflow.initial_data import calabi_preset, canonical_preset
-from koszul_oracle import berger_ricci, profile_to_berger
+from ansatz_oracle import oracle_rows
 import reference as ref
 
 CANON = geo.BundleSpec(n=(1,), k=(2.0,), q=(2,), lam=(1.0,))
@@ -79,19 +79,15 @@ def test_criterion_01_curvature_forms_agree_on_anchor_instance():
     assert time.perf_counter() - start < 1.0
 
 
-def test_criterion_02_curvature_matches_koszul_oracle():
+def test_criterion_02_curvature_matches_ansatz_oracle():
     start = time.perf_counter()
     spec, state = canonical_preset(64)
     jets = ref.profile_jets(state)
-    oracle = berger_ricci(*profile_to_berger(
-        spec.k[0, 0], spec.q[0, 0], jets.f[0], jets.f_s[0], jets.f_ss[0],
-        jets.h, jets.h_s, jets.h_ss))
+    nn, zz, rho = oracle_rows((1,), (2.0,), (2,), jets)[:3]
     ric = ref.ricci_full(spec, jets)
     for c in np.linspace(3, 60, 10).astype(int):
-        rho = oracle["horiz_frame"][c] * state.f[0, c] ** 2
-        for got, want in ((ric.nn[c], oracle["nn"][c]),
-                          (ric.zz[c], oracle["fiber"][c]),
-                          (ric.horiz[0, c], rho)):
+        for got, want in ((ric.nn[c], nn[c]), (ric.zz[c], zz[c]),
+                          (ric.horiz[0, c], rho[c])):
             assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
     assert time.perf_counter() - start < 10.0
 

@@ -1,9 +1,9 @@
 """Symbolic derivation of the frozen expected values used by the test suite.
 
 Everything here is computed with sympy from first principles (closed-form
-profiles, Koszul formula on a left-invariant frame, Taylor expansions for the
-stencil weights) and printed.  The numbers frozen into tests/ were produced by
-this script; rerun it to audit them.
+profiles, Taylor expansions for the stencil weights) and printed.  The
+numbers frozen into tests/ were produced by this script; rerun it to audit
+them.  The independent curvature check lives in tests/ansatz_oracle.py.
 
 Run:  python tools/derive_anchors.py
 """
@@ -121,76 +121,6 @@ print("  at L = pi: I0 =", sp.simplify(I0.subs(L, sp.pi)),
 # calabi preset (n=2, k_lens=1, k=4, q=1, f0=6): left 2q-2k = -6 (root at 1),
 # right -2q-2k = -10 with F2_R(0) = 8 (root at 0.8), fiber collapse at 0.5.
 print("  calabi f0 condition f0 > I0*(k-q)/2 =", 2 * (4 - 1) / 2)
-
-# ----------------------------------------------------------------------
-# Independent Koszul-formula oracle on the 4-D instance I x SU(2).
-# ----------------------------------------------------------------------
-
-section("Koszul oracle on I x SU(2), self-check and cross-check")
-
-def koszul_ricci(Afun, Bfun):
-    """Ricci tensor of ds^2 + A(s)^2 (w1^2 + w2^2) + B(s)^2 w3^2 in the
-    orthonormal frame E0 = d/ds, Ei = Ti/A (i=1,2), E3 = T3/B, where the Ti
-    are left-invariant fields with [Ti, Tj] = 2 eps_ijk Tk.  Built from the
-    frame structure functions only; no use of the profile curvature formulas.
-    """
-    Ap, Bp = sp.diff(Afun, s), sp.diff(Bfun, s)
-    c = [[[sp.Integer(0) for _ in range(4)] for _ in range(4)] for _ in range(4)]
-
-    def setc(i, j, k, val):
-        c[i][j][k] = val
-        c[j][i][k] = -val
-
-    setc(0, 1, 1, -Ap / Afun)
-    setc(0, 2, 2, -Ap / Afun)
-    setc(0, 3, 3, -Bp / Bfun)
-    setc(1, 2, 3, 2 * Bfun / Afun**2)
-    setc(2, 3, 1, 2 / Bfun)
-    setc(3, 1, 2, 2 / Bfun)
-
-    # Koszul in an orthonormal frame: <nab_i Ej, Ek> =
-    #   (c^k_ij - c^i_jk + c^j_ki) / 2
-    G = [[[sp.simplify((c[i][j][k] - c[j][k][i] + c[k][i][j]) / 2)
-           for k in range(4)] for j in range(4)] for i in range(4)]
-
-    def dframe(i, expr):
-        return sp.diff(expr, s) if i == 0 else sp.Integer(0)
-
-    def riem(i, j, k, l):
-        # <R(Ei,Ej)Ek, El>
-        t1 = dframe(i, G[j][k][l]) + sum(G[j][k][m] * G[i][m][l]
-                                         for m in range(4))
-        t2 = dframe(j, G[i][k][l]) + sum(G[i][k][m] * G[j][m][l]
-                                         for m in range(4))
-        t3 = sum(c[i][j][m] * G[m][k][l] for m in range(4))
-        return sp.simplify(t1 - t2 - t3)
-
-    return [[sp.simplify(sum(riem(i, j, k, i) for i in range(4)))
-             for k in range(4)] for j in range(4)]
-
-# Self-check: A = B = sin s is the unit round 4-sphere, Ric = 3 g.
-ric_round = koszul_ricci(sp.sin(s), sp.sin(s))
-print("  round-S4 self check Ric =",
-      [[sp.simplify(ric_round[i][j]) for j in range(4)] for i in range(4)])
-
-# Bundle dictionary: base CP^1 metric with Ric = k g has g_N = beta^2 ghat,
-# beta^2 = 4/k, where ghat = w1^2 + w2^2 is the Hopf pullback of S^2(1/2).
-# Connection form eta = c w3 with c = q beta^2 / 2 gives d eta = q pi* omega.
-beta2 = sp.Rational(4, k1)
-cconn = q1 * beta2 / 2
-A_test = sp.sqrt(beta2 * F2)
-B_test = cconn * H
-print("  beta^2 =", beta2, " c =", cconn)
-ric = koszul_ricci(A_test, B_test)
-print("  oracle Ric00 (= Ric(nu,nu)):", sp.simplify(ric[0][0] - ric_nn) == 0,
-      "matches closed form")
-print("  oracle Ric33 (= Ric(zhat,zhat)):", sp.simplify(ric[3][3] - ric_zz) == 0,
-      "matches closed form")
-print("  oracle Ric11*F^2 (= rho):",
-      sp.simplify(ric[1][1] * F2 - rho) == 0, "matches closed form")
-print("  off-diagonal slots:",
-      all(sp.simplify(ric[i][j]) == 0 for i in range(4) for j in range(4)
-          if i != j))
 
 # ----------------------------------------------------------------------
 # Finite-difference and quadrature stencil weights.
