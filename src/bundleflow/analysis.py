@@ -1,8 +1,9 @@
 """Diagnostics on flow traces and snapshots.
 
-Everything here is a pure function of recorded data: the trace column
-contract and the singularity toolbox (the singular time T_hat read off the
-last two trace rows of 1/kappa, Type I/II classification through the
+Everything here is a pure function of recorded data: the column contracts
+of trace.csv and boundary.csv, the one time-ordered table of FlowTrace that
+holds both, and the singularity toolbox (the singular time T_hat read off
+the last two trace rows of 1/kappa, Type I/II classification through the
 scale-invariant quantity (T_hat - t) * kappa, Schwarz-type lower-bound
 fitting, degeneration-case labeling, and the blow-up factor sequence).
 analyze_run combines them into the mapping that a run directory stores as
@@ -57,30 +58,22 @@ def boundary_columns(r: int):
 
 
 class FlowTrace:
-    """Monitored scalar series of one run.
+    """Monitored scalar series of one run, in one time-ordered table.
 
-    ``rows`` has one line per recorded step with the columns of
-    :func:`trace_columns`; ``boundary`` carries the extrapolated endpoint
-    values of each f_i^2 against the same times.  h columns store h itself,
-    f columns store f^2 and ``grad_sup_i`` stores sup |d(f_i^2)/ds|.
+    ``rows`` has one line per recorded step.  Its columns are those of
+    :func:`trace_columns` followed by the endpoint columns of
+    :func:`boundary_columns` (all but its ``t``), the extrapolated endpoint
+    values of each f_i^2; the two functions are the contracts of trace.csv
+    and boundary.csv.  h columns store h itself, f columns store f^2 and
+    ``grad_sup_i`` stores sup |d(f_i^2)/ds|.
     """
 
-    def __init__(self, r, rows, boundary):
-        self.r, self.rows, self.boundary = r, rows, boundary
-
-    @property
-    def columns(self):
-        return trace_columns(self.r)
-
-    @property
-    def bcolumns(self):
-        return boundary_columns(self.r)
+    def __init__(self, r, rows):
+        self.r, self.rows = r, rows
+        self.columns = trace_columns(r) + boundary_columns(r)[1:]
 
     def column(self, name: str) -> np.ndarray:
         return self.rows[:, self.columns.index(name)]
-
-    def bcolumn(self, name: str) -> np.ndarray:
-        return self.boundary[:, self.bcolumns.index(name)]
 
     def validate(self):
         """Raise ValueError on a malformed trace.
@@ -91,13 +84,7 @@ class FlowTrace:
         """
         if self.rows.ndim != 2 or self.rows.shape[1] != len(self.columns):
             raise ValueError("trace rows do not match the column contract")
-        if self.boundary.ndim != 2 \
-                or self.boundary.shape[1] != len(self.bcolumns):
-            raise ValueError("boundary rows do not match the column contract")
-        if self.rows.shape[0] != self.boundary.shape[0]:
-            raise ValueError("trace and boundary row counts differ")
-        if not (np.isfinite(self.rows).all()
-                and np.isfinite(self.boundary).all()):
+        if not np.isfinite(self.rows).all():
             raise ValueError("trace contains non-finite entries")
         positive = ["kappa"] + [f"f{i}sq_{end}" for i in range(1, self.r + 1)
                                 for end in ("min", "max")]
@@ -138,39 +125,32 @@ def classify_singularity_type(trace: FlowTrace, t_hat: float):
 
     The analysis window covers the final WINDOW_DECADES powers of ten of
     t_hat - t.  Verdict TypeI when y varies by less than PLATEAU_FACTOR
-    across the final decade (a bounded, settled plateau), TypeII-suspect
+    across the final decade (a bounded, settled plateau), or across the
+    last two rows when the final decade holds fewer, TypeII-suspect
     otherwise.  The endpoint growth ratio of y across the whole window is
-    reported as supporting detail.
+    reported as supporting detail.  The rows before t_hat are a prefix of
+    the time-ordered trace, and on it t_hat - t decreases, so the window
+    and the final decade are suffixes of that prefix.
 
     Returns (typei_sup, verdict, plateau_ratio, growth_ratio).
     """
-    if t_hat is None or trace.rows.shape[0] < 2:
+    if t_hat is None:
         return None, NO_SINGULARITY, None, None
     t = trace.column("t")
-    kappa = trace.column("kappa")
-    tau = t_hat - t
-    keep = tau > 0.0
-    if keep.sum() < 2:
+    n = int(np.searchsorted(t, t_hat))
+    if n < 2:
         return None, NO_SINGULARITY, None, None
-    tau = tau[keep]
-    y = (tau * kappa[keep])
-    tau_min = tau.min()
-    window = tau <= tau_min * 10.0 ** WINDOW_DECADES
-    typei_sup = float(y[window].max())
-
-    final_decade = tau <= tau_min * 10.0
-    if final_decade.sum() < 2:
-        final_decade = np.zeros_like(final_decade)
-        final_decade[np.argsort(tau)[:2]] = True
-    y_fin = y[final_decade]
-    plateau_ratio = float(y_fin.max() / y_fin.min()) \
-        if y_fin.min() > 0.0 else np.inf
-    order = np.argsort(tau[window])
-    y_ord = y[window][order]
-    growth_ratio = float(y_ord[0] / y_ord[-1]) if y_ord[-1] > 0.0 else np.inf
-
+    tau = t_hat - t[:n]
+    y = tau * trace.column("kappa")[:n]
+    window = y[np.argmax(tau <= tau[-1] * 10.0 ** WINDOW_DECADES):]
+    final = y[min(np.argmax(tau <= tau[-1] * 10.0), n - 2):]
+    typei_sup = float(window.max())
+    plateau_ratio = float(final.max() / final.min()) \
+        if final.min() > 0.0 else np.inf
+    growth_ratio = float(window[-1] / window[0]) \
+        if window[0] > 0.0 else np.inf
     verdict = TYPE_I if plateau_ratio < PLATEAU_FACTOR else TYPE_II
-    return typei_sup, verdict, plateau_ratio, float(growth_ratio)
+    return typei_sup, verdict, plateau_ratio, growth_ratio
 
 
 def schwarz_fit(trace: FlowTrace, t_hat: float) -> float:
@@ -180,17 +160,15 @@ def schwarz_fit(trace: FlowTrace, t_hat: float) -> float:
     (t_hat - t) / min f_j^2; a finite positive C certifies the linear
     lower bound on the observed window.
     """
-    if t_hat is None or trace.rows.shape[0] == 0:
+    if t_hat is None:
         return None
     t = trace.column("t")
-    keep = t < t_hat
-    if not keep.any():
+    n = int(np.searchsorted(t, t_hat))
+    if n == 0:
         return None
-    best = 0.0
-    for i in range(1, trace.r + 1):
-        f2 = trace.column(f"f{i}sq_min")[keep]
-        best = max(best, float(((t_hat - t[keep]) / f2).max()))
-    return best
+    lo = trace.columns.index("f1sq_min")
+    f2_min = trace.rows[:n, lo:lo + 2 * trace.r:2]
+    return float(((t_hat - t[:n])[:, None] / f2_min).max())
 
 
 def classify_degeneration(trace: FlowTrace, stop_floor: float) -> str:
@@ -206,17 +184,15 @@ def classify_degeneration(trace: FlowTrace, stop_floor: float) -> str:
     if trace.rows.shape[0] == 0:
         return INDETERMINATE
     level = FLOOR_MULTIPLE * stop_floor
-    h2_max = float(trace.column("h_max")[-1]) ** 2
-    f2_min = np.array([trace.column(f"f{i}sq_min")[-1]
-                       for i in range(1, trace.r + 1)])
-    ends = {side: np.array([trace.bcolumn(f"f{i}sq_{side}")[-1]
-                            for i in range(1, trace.r + 1)])
-            for side in ("left", "right")}
-
-    if h2_max < level and np.all(f2_min > level):
+    last = trace.rows[-1]
+    col = trace.columns.index
+    h2_max = float(last[col("h_max")]) ** 2
+    lo, end = col("f1sq_min"), col("f1sq_left")
+    if h2_max < level and np.all(last[lo:lo + 2 * trace.r:2] > level):
         return FIBER_COLLAPSE
-    for side in ("left", "right"):
-        collapsed = ends[side] < level
+    # The endpoint columns close the table, left and right alternating.
+    for ends in (last[end::2], last[end + 1::2]):
+        collapsed = ends < level
         if collapsed.all() and h2_max > level:
             return FULL_CONTRACTION
         if collapsed.any() and not collapsed.all():
@@ -237,11 +213,10 @@ def analyze_run(trace: FlowTrace, snapshot_times, stop_floor: float) -> dict:
     typei_sup, verdict, plateau_ratio, growth_ratio = \
         classify_singularity_type(trace, t_hat)
     rescale = []
-    if t_hat is not None and trace.rows.shape[0] > 1:
-        t = trace.column("t")
-        kappa = trace.column("kappa")
-        rescale = [float(np.interp(ts, t, kappa)) for ts in snapshot_times
-                   if ts < t_hat]
+    if t_hat is not None:
+        ts = np.asarray(snapshot_times, float)
+        rescale = np.interp(ts[ts < t_hat], trace.column("t"),
+                            trace.column("kappa")).tolist()
     return {
         "T_hat": t_hat,
         "typeI_sup": typei_sup,

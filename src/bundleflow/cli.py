@@ -11,7 +11,8 @@ data, malformed run directory), 3 when the integrator halts abnormally (a
 partial trace is still persisted).
 
 A run directory contains trace.csv and boundary.csv (fixed column
-contracts), snapshots/snap_NNNNN.json, report.json, config.json (the
+contracts; the two split one trace table, so they share their rows and
+times), snapshots/snap_NNNNN.json, report.json, config.json (the
 validated input config, re-encoded rather than copied byte for byte) and
 manifest.json with sha256 digests of every artifact.  Each JSON artifact
 is one line with sorted keys and no whitespace.  All floats are written
@@ -293,11 +294,13 @@ def write_outputs(trace: FlowTrace, snapshots, report: dict, out_dir,
                   raw_config: dict) -> dict:
     """Persist a run directory; returns the manifest mapping.
 
-    ``report`` (the mapping of analysis.analyze_run) is written as
-    report.json and ``raw_config`` (the validated input config) as
-    config.json.  Snapshot files this call did not write are deleted, and
-    so are the plots of render_plots, which show the run the directory held
-    before.  Each artifact is encoded once, and the manifest holds the
+    The trace table is split into its two files, trace.csv with the
+    columns of trace_columns and boundary.csv with those of
+    boundary_columns.  ``report`` (the mapping of analysis.analyze_run) is
+    written as report.json and ``raw_config`` (the validated input config)
+    as config.json.  Snapshot files this call did not write are deleted,
+    and so are the plots of render_plots, which show the run the directory
+    held before.  Each artifact is encoded once, and the manifest holds the
     sha256 digest of the bytes written.
     """
     out = Path(out_dir)
@@ -305,10 +308,10 @@ def write_outputs(trace: FlowTrace, snapshots, report: dict, out_dir,
     snapdir.mkdir(parents=True, exist_ok=True)
     digests = {}
 
-    _store(out, "trace.csv", _csv_bytes(trace_columns(trace.r), trace.rows),
-           digests)
-    _store(out, "boundary.csv",
-           _csv_bytes(boundary_columns(trace.r), trace.boundary), digests)
+    for name, columns in (("trace.csv", trace_columns(trace.r)),
+                          ("boundary.csv", boundary_columns(trace.r))):
+        rows = trace.rows[:, [trace.columns.index(c) for c in columns]]
+        _store(out, name, _csv_bytes(columns, rows), digests)
     for idx, snap in enumerate(snapshots):
         payload = {
             "t": snap.t,
@@ -388,12 +391,14 @@ def _read_json(path: Path) -> dict:
 
 
 def read_trace(out_dir) -> FlowTrace:
-    """Load trace.csv and boundary.csv back into a FlowTrace.
+    """Join trace.csv and boundary.csv into the table of a FlowTrace.
 
     The number r of base factors is the count of grad_sup_i columns in the
     header, which must then be trace_columns(r).  A trace.csv of the
     earlier layout, with r liyau_sup_i columns just before arclength,
     reads without them, as read_snapshot ignores sigma and cells.
+    boundary.csv must have the header boundary_columns(r) and share the
+    rows of trace.csv: as many rows, with the same times.
     """
     out = Path(out_dir)
     try:
@@ -414,11 +419,15 @@ def read_trace(out_dir) -> FlowTrace:
     if bheader != boundary_columns(r):
         raise ConfigError("boundary.csv does not match the column contract")
     try:
-        rows_arr = np.array(rows, float) if rows \
+        table = np.array(rows, float) if rows \
             else np.zeros((0, len(header)))
-        brows_arr = np.array(brows, float) if brows \
+        ends = np.array(brows, float) if brows \
             else np.zeros((0, len(bheader)))
-        trace = FlowTrace(r=r, rows=rows_arr, boundary=brows_arr)
+        if ends.shape != (len(table), len(bheader)) or not np.array_equal(
+                ends[:, 0], table[:, 0], equal_nan=True):
+            raise ValueError("boundary.csv does not share the rows of "
+                             "trace.csv")
+        trace = FlowTrace(r=r, rows=np.hstack([table, ends[:, 1:]]))
         trace.validate()
     except ValueError as exc:
         raise ConfigError(f"malformed trace in {out}: {exc}") from exc
@@ -587,9 +596,10 @@ def render_plots(out_dir, field=None):
     """
     out = Path(out_dir)
     trace = read_trace(out)
-    if field is not None and field not in trace.columns:
+    fields = trace_columns(trace.r)
+    if field is not None and field not in fields:
         raise ConfigError(f"unknown trace column '{field}' "
-                          f"(available: {', '.join(trace.columns)})")
+                          f"(available: {', '.join(fields)})")
     if trace.rows.shape[0] == 0:
         print("no plots written: trace is empty")
         return []
@@ -634,12 +644,12 @@ def render_plots(out_dir, field=None):
                          "(T_hat - t) kappa"):
                 written.append(out / "typeI.svg")
 
-    t = trace.bcolumn("t")
+    t = trace.column("t")
     series = []
     for i in range(1, trace.r + 1):
         for side in ("left", "right"):
             series.append((f"f{i}^2 {side}", t,
-                           trace.bcolumn(f"f{i}sq_{side}")))
+                           trace.column(f"f{i}sq_{side}")))
     if _svg_plot(out / "boundary.svg", series, "endpoint values of f^2",
                  "t", "f^2 at endpoint"):
         written.append(out / "boundary.svg")

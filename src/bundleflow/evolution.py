@@ -54,20 +54,20 @@ sets no stage limit (s = 2), and an infinite rate gives dt = 0, which
 halts as a dt underflow.  Data that really leave the double range halt
 in the stage, the monitor or the residual gate.
 
-Every trace column and the boundary row are filled in one place,
-_monitor_block.  A traced step only keeps its state, time derivative and
-first-stage sigma derivatives; once MONITOR_BLOCK = 64 rows are pending,
-the run ends or it halts, one call each of arclength_derivs,
-curvature_sup_proxy, kahler_defect, laplacian_f2, cumulative_from_left
-and endpoint_even fills them on the stacked states, and one comparison
-with RESIDUAL_GROWTH_MAX times the first row's residuals (inf where that
-overflows) gates the whole block.  Every cell is bit-identical to the
-row-by-row call, so artifacts are byte-identical to a row-by-row
-monitor's.  A run halts at the first row that raises a floating-point
-error (the row is dropped) or trips the gate (the row is kept), and the
-snapshots from that row's step on are dropped: the partial results of a
-monitor that fills and gates one row at a time, reached up to
-MONITOR_BLOCK - 1 traced rows later.
+Every column of the one trace table, the endpoint values of each f_i^2
+included, is filled in one place, _monitor_block.  A traced step only
+keeps its state, time derivative and first-stage sigma derivatives; once
+MONITOR_BLOCK = 64 rows are pending, the run ends or it halts, one call
+each of arclength_derivs, curvature_sup_proxy, kahler_defect,
+laplacian_f2, cumulative_from_left and endpoint_even fills them on the
+stacked states, and one comparison with RESIDUAL_GROWTH_MAX times the
+first row's residuals (inf where that overflows) gates the whole block.
+Every cell is bit-identical to the row-by-row call, so artifacts are
+byte-identical to a row-by-row monitor's.  A run halts at the first row
+that raises a floating-point error (the row is dropped) or trips the gate
+(the row is kept), and the snapshots from that row's step on are dropped:
+the partial results of a monitor that fills and gates one row at a time,
+reached up to MONITOR_BLOCK - 1 traced rows later.
 """
 
 import functools
@@ -196,15 +196,16 @@ def _stage(Y, stencil, ricci, out):
 
 
 def _monitor_block(spec, block, dsigma):
-    """Trace and boundary rows of a block of monitor entries.
+    """Trace rows of a block of monitor entries.
 
     Each entry is (t, dt, Y, ydot, derivs) with Y the stacked state of
     the row, ydot its time derivative and derivs the block of its first
     stage's sigma derivatives.  One call per block of arclength_derivs
     and of each geometry routine on the stacked states fills the columns
-    of trace_columns and boundary_columns, each located by its name,
-    bit-identical to the same calls row by row.  The operations run in
-    the order arclength jets, f_i^2, kappa, kahler_res, heat_res, extrema,
+    of the trace table, those of trace_columns and then the endpoint
+    columns of boundary_columns, each located by its name, bit-identical
+    to the same calls row by row.  The operations run in the order
+    arclength jets, f_i^2, kappa, kahler_res, heat_res, extrema,
     grad_sup_i, arclength, endpoints, so a one-entry block raises the
     first floating-point error of its row in that order.
     """
@@ -216,9 +217,9 @@ def _monitor_block(spec, block, dsigma):
                 f=f, f_s=u_s[:, 2:], f_ss=u_ss[:, 2:])
     r = spec.r
     f2 = f * f
-    columns = trace_columns(r)
+    columns = trace_columns(r) + boundary_columns(r)[1:]
     col = columns.index
-    f_lo, grad = col("f1sq_min"), col("grad_sup_1")
+    f_lo, grad, end = col("f1sq_min"), col("grad_sup_1"), col("f1sq_left")
     rows = np.empty((len(block), len(columns)))
     rows[:, col("t")] = t
     rows[:, col("dt")] = dt
@@ -235,10 +236,8 @@ def _monitor_block(spec, block, dsigma):
     rows[:, grad:grad + r] = np.abs(2.0 * f * jets.f_s).max(axis=-1)
     rows[:, col("arclength")] = cumulative_from_left(Y[:, 0], dsigma,
                                                      EVEN)[1]
-    brows = np.empty((len(block), len(boundary_columns(r))))
-    brows[:, 0] = t
-    brows[:, 1::2], brows[:, 2::2] = endpoint_even(f2)
-    return rows, brows
+    rows[:, end::2], rows[:, end + 1::2] = endpoint_even(f2)
+    return rows
 
 
 def _dt_bound(rates, a_min, t, t_end, dsigma, dt_min):
@@ -420,19 +419,19 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
 
     gate = [trace_columns(spec.r).index(name) for name in RESIDUAL_COLUMNS]
 
-    def keep(rows, brows):
+    def keep(rows):
         # The first row whose residual tripped is the last kept; a residual
         # that starts at zero has no scale and is not gated.
-        first = (blocks[0][0] if blocks else rows)[0, gate]
+        first = (blocks[0] if blocks else rows)[0, gate]
         res = rows[:, gate]
         with np.errstate(over="ignore"):
             tripped = (first > 0.0) & (res > RESIDUAL_GROWTH_MAX * first)
         hits = np.flatnonzero(tripped.any(axis=1))
         if not hits.size:
-            blocks.append((rows, brows))
+            blocks.append(rows)
             return
         i = hits[0]
-        blocks.append((rows[:i + 1], brows[:i + 1]))
+        blocks.append(rows[:i + 1])
         drop_snapshots_from(rows[i, 0])
         j = tripped[i].argmax()
         raise FlowHalt(f"{RESIDUAL_COLUMNS[j]} grew to {res[i, j]:.3e} at "
@@ -446,7 +445,7 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
         if not pending:
             return
         try:
-            keep(*_monitor_block(spec, pending, dsigma))
+            keep(_monitor_block(spec, pending, dsigma))
         except FloatingPointError:
             for entry in pending:
                 try:
@@ -455,7 +454,7 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
                     drop_snapshots_from(entry[0])
                     raise FlowHalt(f"floating-point {exc} at t = "
                                    f"{entry[0]:.6g}") from exc
-                keep(*filled)
+                keep(filled)
         finally:
             pending.clear()
 
@@ -511,9 +510,5 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
 
 
 def _assemble_trace(r, blocks):
-    if not blocks:
-        return FlowTrace(r=r, rows=np.zeros((0, len(trace_columns(r)))),
-                         boundary=np.zeros((0, len(boundary_columns(r)))))
-    rows, brows = zip(*blocks)
-    return FlowTrace(r=r, rows=np.concatenate(rows),
-                     boundary=np.concatenate(brows))
+    empty = np.zeros((0, len(trace_columns(r) + boundary_columns(r)[1:])))
+    return FlowTrace(r=r, rows=np.concatenate([empty, *blocks]))

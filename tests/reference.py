@@ -1,9 +1,10 @@
 """Single-state entry points to the production kernels, the Kahler-form
 Ricci expressions that the curvature tests check geometry.ricci_rows
 against, the fit of the exact linear boundary laws of a trace, a
-least-squares formulation of the smooth-closure checks, and a
+least-squares formulation of the smooth-closure checks, a
 weight-by-weight, row-by-row formulation of the regrid's quartic
-resample.
+resample, and mask-, sort- and per-factor formulations of the report's
+Type I/II classifier, Schwarz fit and degeneration label.
 
 The package ships only what its verbs call.  These helpers call the same
 kernels on the arrays of one ProfileState or one set of Jets, so the tests
@@ -16,6 +17,11 @@ from collections import namedtuple
 import numpy as np
 
 import bundleflow.geometry as geo
+from bundleflow.analysis import (FIBER_COLLAPSE, FLOOR_MULTIPLE,
+                                 FULL_CONTRACTION, INDETERMINATE,
+                                 NO_SINGULARITY, PARTIAL_CONTRACTION,
+                                 PLATEAU_FACTOR, TYPE_I, TYPE_II,
+                                 WINDOW_DECADES)
 from bundleflow.evolution import _check_finite_rhs, _stage
 from bundleflow.initial_data import CLOSING_TOL, ClosingCheck
 
@@ -104,9 +110,9 @@ def boundary_linear_check(spec, trace):
     one BoundarySlope per factor and side; relative errors are normalized
     by 2(|q_i| + |k_i|), the natural scale of the two slopes.
     """
-    if trace.boundary.shape[0] < 2:
+    if trace.rows.shape[0] < 2:
         raise ValueError("need at least two trace rows to fit slopes")
-    t = trace.bcolumn("t")
+    t = trace.column("t")
     out = []
     for i in range(1, trace.r + 1):
         q = spec.q[i - 1, 0]
@@ -114,7 +120,7 @@ def boundary_linear_check(spec, trace):
         scale = 2.0 * (abs(q) + abs(k))
         for side, expected in (("left", 2.0 * q - 2.0 * k),
                                ("right", -2.0 * q - 2.0 * k)):
-            series = trace.bcolumn(f"f{i}sq_{side}")
+            series = trace.column(f"f{i}sq_{side}")
             slope = float(np.polyfit(t, series, 1)[0])
             err = abs(slope - expected)
             out.append(BoundarySlope(
@@ -195,3 +201,78 @@ def lagrange_resample_loops(x_src, u_src, x_tgt):
     for row in range(u_src.shape[0]):
         out[row] = (u_src[row][idx] * weights).sum(axis=1)
     return out
+
+
+def classify_singularity_type_masks(trace, t_hat):
+    """analysis.classify_singularity_type on boolean masks of the rows
+    before t_hat, of the window and of the final decade, with argsort to
+    pick the two rows nearest t_hat when the final decade holds fewer and
+    to order the window for the growth ratio.  This reads any row order;
+    on a time-ordered trace it gives the same result bit for bit."""
+    if t_hat is None or trace.rows.shape[0] < 2:
+        return None, NO_SINGULARITY, None, None
+    t = trace.column("t")
+    kappa = trace.column("kappa")
+    tau = t_hat - t
+    keep = tau > 0.0
+    if keep.sum() < 2:
+        return None, NO_SINGULARITY, None, None
+    tau = tau[keep]
+    y = (tau * kappa[keep])
+    tau_min = tau.min()
+    window = tau <= tau_min * 10.0 ** WINDOW_DECADES
+    typei_sup = float(y[window].max())
+
+    final_decade = tau <= tau_min * 10.0
+    if final_decade.sum() < 2:
+        final_decade = np.zeros_like(final_decade)
+        final_decade[np.argsort(tau)[:2]] = True
+    y_fin = y[final_decade]
+    plateau_ratio = float(y_fin.max() / y_fin.min()) \
+        if y_fin.min() > 0.0 else np.inf
+    order = np.argsort(tau[window])
+    y_ord = y[window][order]
+    growth_ratio = float(y_ord[0] / y_ord[-1]) if y_ord[-1] > 0.0 else np.inf
+
+    verdict = TYPE_I if plateau_ratio < PLATEAU_FACTOR else TYPE_II
+    return typei_sup, verdict, plateau_ratio, float(growth_ratio)
+
+
+def schwarz_fit_loop(trace, t_hat):
+    """analysis.schwarz_fit as a running max over the factors, each on the
+    mask of the rows before t_hat."""
+    if t_hat is None or trace.rows.shape[0] == 0:
+        return None
+    t = trace.column("t")
+    keep = t < t_hat
+    if not keep.any():
+        return None
+    best = 0.0
+    for i in range(1, trace.r + 1):
+        f2 = trace.column(f"f{i}sq_min")[keep]
+        best = max(best, float(((t_hat - t[keep]) / f2).max()))
+    return best
+
+
+def classify_degeneration_lists(trace, stop_floor):
+    """analysis.classify_degeneration with the last row's f_i^2 floors and
+    endpoint values gathered factor by factor, column by column."""
+    if trace.rows.shape[0] == 0:
+        return INDETERMINATE
+    level = FLOOR_MULTIPLE * stop_floor
+    h2_max = float(trace.column("h_max")[-1]) ** 2
+    f2_min = np.array([trace.column(f"f{i}sq_min")[-1]
+                       for i in range(1, trace.r + 1)])
+    ends = {side: np.array([trace.column(f"f{i}sq_{side}")[-1]
+                            for i in range(1, trace.r + 1)])
+            for side in ("left", "right")}
+
+    if h2_max < level and np.all(f2_min > level):
+        return FIBER_COLLAPSE
+    for side in ("left", "right"):
+        collapsed = ends[side] < level
+        if collapsed.all() and h2_max > level:
+            return FULL_CONTRACTION
+        if collapsed.any() and not collapsed.all():
+            return PARTIAL_CONTRACTION
+    return INDETERMINATE

@@ -177,9 +177,9 @@ def test_criterion_09_synthetic_models_classified_correctly():
         kappa = (0.5 - t) ** (-power)
         rows = np.column_stack([
             t, zeros, kappa, np.ones(n), np.ones(n), np.full(n, 4.0),
-            np.full(n, 5.0), zeros, zeros, np.ones(n), np.full(n, math.pi)])
-        boundary = np.column_stack([t, np.full(n, 4.0), np.full(n, 4.0)])
-        return FlowTrace(r=1, rows=rows, boundary=boundary)
+            np.full(n, 5.0), zeros, zeros, np.ones(n), np.full(n, math.pi),
+            np.full(n, 4.0), np.full(n, 4.0)])
+        return FlowTrace(r=1, rows=rows)
 
     sup1, verdict1, _, _ = classify_singularity_type(trace_for(1.0), 0.5)
     assert verdict1 == TYPE_I

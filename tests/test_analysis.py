@@ -42,9 +42,9 @@ def make_trace(t, kappa=1.0, h_max=1.0, f1sq_min=4.0, f1sq_max=None,
     zeros = np.zeros(n)
     rows = np.column_stack([
         t, zeros, kappa, 0.5 * h_max, h_max, fmin, fmax,
-        zeros, zeros, np.ones(n), np.full(n, math.pi)])
-    boundary = np.column_stack([t, col(left, fmin), col(right, fmin)])
-    trace = FlowTrace(r=1, rows=rows, boundary=boundary)
+        zeros, zeros, np.ones(n), np.full(n, math.pi), col(left, fmin),
+        col(right, fmin)])
+    trace = FlowTrace(r=1, rows=rows)
     trace.validate()
     return trace
 
@@ -69,20 +69,17 @@ class TestTraceContract:
 
     def test_validate_rejects_bad_shapes_and_order(self):
         trace = make_trace(np.linspace(0.0, 1.0, 5))
-        bad = FlowTrace(r=1, rows=trace.rows[:, :-1], boundary=trace.boundary)
+        bad = FlowTrace(r=1, rows=trace.rows[:, :-1])
         with pytest.raises(ValueError, match="column contract"):
             bad.validate()
         rows = trace.rows.copy()
         rows[2, 0] = rows[1, 0]
         with pytest.raises(ValueError, match="increasing"):
-            FlowTrace(r=1, rows=rows, boundary=trace.boundary).validate()
+            FlowTrace(r=1, rows=rows).validate()
         rows = trace.rows.copy()
         rows[1, 3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            FlowTrace(r=1, rows=rows, boundary=trace.boundary).validate()
-        with pytest.raises(ValueError, match="row counts"):
-            FlowTrace(r=1, rows=trace.rows,
-                      boundary=trace.boundary[:-1]).validate()
+            FlowTrace(r=1, rows=rows).validate()
 
     def test_validate_rejects_kappa_without_finite_reciprocal(self):
         # T_hat reads 1/kappa, which overflows below about 5.6e-309.
@@ -93,7 +90,7 @@ class TestTraceContract:
         rows[3, trace.columns.index("kappa")] = 1e-320
         with pytest.raises(ValueError, match="trace column kappa must have "
                                              "a finite reciprocal"):
-            FlowTrace(r=1, rows=rows, boundary=trace.boundary).validate()
+            FlowTrace(r=1, rows=rows).validate()
 
 
 class TestResiduals:
@@ -263,18 +260,110 @@ class TestDegeneration:
         rows[:, cols.index("f2sq_min")] = 2.0
         rows[:, cols.index("f1sq_max")] = 3.0
         rows[:, cols.index("f2sq_max")] = 3.0
-        boundary = np.column_stack([
-            t, np.linspace(1.0, 1e-3, 3), np.full(3, 3.0),
+        rows = np.column_stack([
+            rows, np.linspace(1.0, 1e-3, 3), np.full(3, 3.0),
             np.full(3, 2.0), np.full(3, 2.0)])
-        trace = FlowTrace(r=2, rows=rows, boundary=boundary)
+        trace = FlowTrace(r=2, rows=rows)
         assert classify_degeneration(trace, 1e-3) == PARTIAL_CONTRACTION
 
     def test_indeterminate_and_fallbacks(self):
         trace = make_trace(np.linspace(0.0, 0.5, 5))
         assert classify_degeneration(trace, 1e-3) == INDETERMINATE
-        empty = FlowTrace(r=1, rows=np.zeros((0, len(trace_columns(1)))),
-                          boundary=np.zeros((0, 3)))
+        width = len(trace_columns(1)) + 2  # and the two endpoints
+        empty = FlowTrace(r=1, rows=np.zeros((0, width)))
         assert classify_degeneration(empty, 1e-3) == INDETERMINATE
+
+
+class TestReportReadsAgainstMasks:
+    """The report's prefix, suffix-window and column-block reads give the
+    mask, argsort and per-factor formulations of reference.py bit for bit
+    on time-ordered traces."""
+
+    KINDS = ("none", "before", "at_row", "inside", "singular", "beyond",
+             "estimate")
+
+    @staticmethod
+    def _trace(rng):
+        # Rows at t = 1 - tau on a log scale of tau, so 1 is the singular
+        # time of kappa = C tau^-p; few rows leave wide gaps between them.
+        r = int(rng.integers(1, 3))
+        n = int(rng.integers(0, 41))
+        cols = trace_columns(r) + boundary_columns(r)[1:]
+        tau = np.sort(10.0 ** rng.uniform(-7.0, 0.0, n))[::-1]
+        noise = rng.uniform(-0.5, 0.5, n) * rng.integers(0, 2)
+        rows = np.ones((n, len(cols)))
+        rows[:, cols.index("t")] = 1.0 - tau
+        rows[:, cols.index("kappa")] = 10.0 ** rng.uniform(-1.0, 1.0) \
+            * tau ** -rng.uniform(0.5, 2.0) * np.exp(noise)
+        rows[:, cols.index("h_max")] = rng.choice([1e-4, 1.0])
+        for name in cols[5:5 + 2 * r] + cols[-2 * r:]:
+            rows[:, cols.index(name)] = rng.choice([1e-4, 1.0]) \
+                * rng.uniform(0.5, 2.0, n)
+        trace = FlowTrace(r=r, rows=rows)
+        trace.validate()
+        return trace
+
+    @staticmethod
+    def _t_hat(trace, kind, rng):
+        t = trace.column("t")
+        if kind == "none" or (t.size == 0 and kind != "singular"):
+            return None
+        if kind == "estimate":
+            return estimate_singular_time(trace)
+        if kind == "singular":
+            return 1.0
+        if kind == "beyond":
+            return 1.0 + rng.uniform(0.0, 1.0)
+        if kind == "before":
+            return float(t[0] - rng.uniform(0.0, 1.0))
+        j = int(rng.integers(0, t.size))
+        if kind == "at_row" or j == t.size - 1:
+            return float(t[j])
+        return float(0.5 * (t[j] + t[j + 1]))
+
+    def test_bit_identical_on_random_time_ordered_traces(self):
+        rng = np.random.default_rng(29)
+        seen = {"rows": set(), "r": set(), "sparse": 0, "verdicts": set(),
+                "cases": set()}
+        for _ in range(1500):
+            trace = self._trace(rng)
+            seen["rows"].add(trace.rows.shape[0])
+            seen["r"].add(trace.r)
+            case = classify_degeneration(trace, 1e-3)
+            assert case == ref.classify_degeneration_lists(trace, 1e-3)
+            seen["cases"].add(case)
+            for kind in self.KINDS:
+                t_hat = self._t_hat(trace, kind, rng)
+                got = classify_singularity_type(trace, t_hat)
+                want = ref.classify_singularity_type_masks(trace, t_hat)
+                assert repr(got) == repr(want), (kind, t_hat, trace.rows)
+                assert repr(schwarz_fit(trace, t_hat)) \
+                    == repr(ref.schwarz_fit_loop(trace, t_hat))
+                seen["verdicts"].add(got[1])
+                t = trace.column("t")
+                if t_hat is not None and (t < t_hat).sum() >= 2:
+                    tau = t_hat - t[t < t_hat]
+                    seen["sparse"] += (tau <= 10.0 * tau.min()).sum() < 2
+        # Every row count, both r, all verdicts and labels, and a final
+        # decade that holds one row were all exercised.
+        assert seen["rows"] == set(range(41)) and seen["r"] == {1, 2}
+        assert seen["verdicts"] == {TYPE_I, TYPE_II, NO_SINGULARITY}
+        assert seen["cases"] == {FIBER_COLLAPSE, FULL_CONTRACTION,
+                                 PARTIAL_CONTRACTION, INDETERMINATE}
+        assert seen["sparse"] >= 100
+
+    def test_rescale_factors_are_pointwise_interpolation(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            trace = self._trace(rng)
+            t = trace.column("t")
+            times = np.sort(rng.uniform(-0.2, 1.2, int(rng.integers(0, 9))))
+            report = analyze_run(trace, times.tolist(), 1e-3)
+            t_hat = report["T_hat"]
+            want = [] if t_hat is None else [
+                float(np.interp(ts, t, trace.column("kappa")))
+                for ts in times.tolist() if ts < t_hat]
+            assert repr(report["rescale_factors"]) == repr(want)
 
 
 class TestRescale:

@@ -59,9 +59,8 @@ def synthetic_run_dir(out):
     rows = np.column_stack([
         t, zeros, 1.0 / (2.0 * tau), np.sqrt(2.0 * tau) / 2.0,
         np.sqrt(2.0 * tau), 3.0 + tau, 6.0 + tau, zeros, zeros,
-        np.ones(n), np.full(n, math.pi)])
-    boundary = np.column_stack([t, np.full(n, 6.0), 6.0 - 8.0 * t])
-    trace = FlowTrace(r=1, rows=rows, boundary=boundary)
+        np.ones(n), np.full(n, math.pi), np.full(n, 6.0), 6.0 - 8.0 * t])
+    trace = FlowTrace(r=1, rows=rows)
     report = analyze_run(trace, [], stop_floor=1e-3)
     write_outputs(trace, [], report, out, raw_config={"flow": {}})
     return trace, report
@@ -657,7 +656,7 @@ class TestAnalyzeVerb:
         assert main(["plot", str(out), "--field", "liyau_sup_1"]) == 2
         unknown = capsys.readouterr().err
         assert "unknown trace column 'liyau_sup_1' (available: " \
-            + ", ".join(trace.columns) + ")" in unknown, unknown
+            + ", ".join(trace_columns(trace.r)) + ")" in unknown, unknown
 
         path = out / "trace.csv"
         lines = path.read_text().splitlines()
@@ -716,6 +715,10 @@ class TestAnalyzeVerb:
                      "number"),
         ("null f", "snap_00001.json is not a snapshot: f[0][5] must be a "
                    "number"),
+        # Valid CSV with the manifest updated to match: the endpoint series
+        # must be drawn against the times of trace.csv.
+        ("boundary times", "boundary.csv does not share the rows of "
+                           "trace.csv"),
     ])
     def test_malformed_rundir_exits_two(self, tmp_path, capsys, damage,
                                         needle):
@@ -768,6 +771,14 @@ class TestAnalyzeVerb:
                     snap["a"][2] = True
             (out / name).write_text(json.dumps(snap))
             redigest(name)
+        elif damage == "boundary times":
+            path = out / "boundary.csv"
+            lines = path.read_text().splitlines()
+            for j, line in enumerate(lines[1:], 1):
+                t, rest = line.split(",", 1)
+                lines[j] = f"{float(t) + 0.125!r},{rest}"
+            path.write_text("\n".join(lines) + "\n")
+            redigest("boundary.csv")
         elif damage == "huge t":
             path = out / "snapshots" / "snap_00001.json"
             snap = json.loads(path.read_text())
@@ -786,8 +797,8 @@ class TestAnalyzeVerb:
         assert needle in err, err
         assert [(out / name).read_bytes()
                 for name in ("report.json", "manifest.json")] == stored
-        if "snap_00001.json is not a snapshot" in needle:
-            # It is the final snapshot, which plot draws.
+        if damage == "boundary times" or "is not a snapshot" in needle:
+            # A snapshot damaged here is the final one, which plot draws.
             assert not (out / "snapshots" / "snap_00002.json").exists()
             assert main(["plot", str(out)]) == 2
             err = capsys.readouterr().err
@@ -918,6 +929,10 @@ class TestPlotVerb:
         # The field is checked before any plot is written.
         assert main(["plot", str(out), "--field", "bogus"]) == 2
         assert "unknown trace column" in capsys.readouterr().err
+        # Endpoint columns are boundary.csv's, not plot fields.
+        assert main(["plot", str(out), "--field", "f1sq_left"]) == 2
+        assert "unknown trace column 'f1sq_left' (available: " \
+            + ", ".join(trace_columns(1)) + ")" in capsys.readouterr().err
         assert list(out.glob("*.svg")) == []
         # The zero-duration run has a single row and no singular-time
         # estimate, so a plain plot skips the Type I figure.
@@ -986,8 +1001,8 @@ class TestPlotVerb:
 
     def test_empty_trace_prints_message(self, tmp_path, capsys):
         out = tmp_path / "empty"
-        trace = FlowTrace(r=1, rows=np.zeros((0, len(trace_columns(1)))),
-                          boundary=np.zeros((0, 3)))
+        width = len(trace_columns(1)) + 2  # and the two endpoints
+        trace = FlowTrace(r=1, rows=np.zeros((0, width)))
         report = analyze_run(trace, [], stop_floor=1e-3)
         write_outputs(trace, [], report, out, raw_config={"flow": {}})
         assert main(["plot", str(out)]) == 0
@@ -1025,6 +1040,29 @@ class TestReadTrace:
         lines[0] = ",".join(trace_columns(1)[:-1])
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match="column contract"):
+            read_trace(out)
+
+    @pytest.mark.parametrize("damage", ["drop row", "swap t", "short row"])
+    def test_boundary_must_share_trace_rows(self, tmp_path, damage):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json", flow={"cells": 32,
+                                                      "t_end": 0.004},
+                           output={"dir": str(out)})
+        assert main(["run", str(cfg)]) == 0
+        trace = read_trace(out)
+        assert trace.rows.shape[0] >= 2
+        path = out / "boundary.csv"
+        lines = path.read_text().splitlines()
+        if damage == "drop row":
+            del lines[-1]
+        elif damage == "swap t":
+            lines[1], lines[2] = lines[2], lines[1]
+        else:
+            lines[1:] = [line.rsplit(",", 1)[0] for line in lines[1:]]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="malformed trace in .*: "
+                           "boundary.csv does not share the rows of "
+                           "trace.csv"):
             read_trace(out)
 
 

@@ -504,7 +504,8 @@ class TestRunFlow:
         spec, state = canonical_preset(64)
         cfg = FlowConfig(cells=64, t_end=0.0)
         trace, snaps = run_flow(spec, state, cfg)
-        assert trace.rows.shape == (1, 11)
+        # The 11 trace.csv columns and the two endpoint values.
+        assert trace.rows.shape == (1, 13)
         assert trace.rows[0, 0] == 0.0
         assert trace.rows[0, 1] == 0.0
         assert len(snaps) == 1
@@ -521,7 +522,9 @@ class TestRunFlow:
         assert t[0] == 0.0
         assert t[-1] == pytest.approx(0.01, abs=1e-12)
         assert np.all(np.diff(t) > 0.0)
-        assert trace.boundary.shape[0] == trace.rows.shape[0]
+        # The endpoint columns close the table, one value per row each.
+        assert trace.columns[-2:] == ["f1sq_left", "f1sq_right"]
+        assert np.all(trace.rows[:, -2:] > 0.0)
         assert 3 <= len(snaps) <= 5
         assert snaps[0].t == 0.0
         assert snaps[-1].t == pytest.approx(0.01, abs=1e-12)
@@ -585,7 +588,7 @@ class TestRunFlow:
         with pytest.raises(FlowHalt, match="underflow") as info:
             run_flow(spec, state, cfg)
         halt = info.value
-        assert halt.trace.rows.shape == (1, 11)
+        assert halt.trace.rows.shape == (1, 13)
         assert halt.trace.rows[0, 1] == 0.0
         assert halt.snapshots == []
 
@@ -621,7 +624,6 @@ class TestRunFlow:
         trace, snaps = run_flow(spec, state, cfg)
         assert regrids
         assert np.array_equal(trace.rows, plain.rows)
-        assert np.array_equal(trace.boundary, plain.boundary)
         assert len(snaps) == len(plain_snaps)
         # A snapshot shares the frozen rows of its step unless it holds
         # the initial state or a regrid's restacked one.
@@ -859,7 +861,6 @@ class TestBatchedMonitor:
                 f"{t_k:.6g}\n") in err, err
         trace = read_trace(out)
         assert np.array_equal(trace.rows, ref.rows[:k])
-        assert np.array_equal(trace.boundary, ref.boundary[:k])
         kept = [snap.t for snap in read_snapshots(out)]
         assert kept == [snap.t for snap in ref_snaps[:k]]
         assert max(kept) < t_k
@@ -922,9 +923,8 @@ class TestBatchedMonitor:
         # The halt row sits inside a block that had not reached its bound.
         assert rows.shape[0] > 2 * bound and rows.shape[0] % bound != 0
         assert f"at t = {rows[-1, 0]:.6g}" in str(info.value)
-        assert np.isfinite(rows).all() and np.isfinite(batched.boundary).all()
+        assert np.isfinite(rows).all()
         assert np.array_equal(rows, one_by_one.rows)
-        assert np.array_equal(batched.boundary, one_by_one.boundary)
         batched.validate()
         if halt == "residual":
             name = re.search(pattern, str(info.value)).group(0)[:-5]
@@ -968,8 +968,6 @@ class TestBatchedMonitor:
         assert later
         assert str(batched) == str(one_by_one)
         assert np.array_equal(batched.trace.rows, one_by_one.trace.rows)
-        assert np.array_equal(batched.trace.boundary,
-                              one_by_one.trace.boundary)
         assert len(batched.snapshots) == len(one_by_one.snapshots) > 1
         for got, want in zip(batched.snapshots, one_by_one.snapshots):
             assert got.t == want.t
@@ -983,7 +981,8 @@ TWO_FACTOR = geo.BundleSpec(n=(1, 1), k=(2.0, 1.0), q=(2, 1))
 
 
 class TestMonitorColumns:
-    """Every trace and boundary cell equals the geometry routines exactly."""
+    """Every trace cell, the endpoint columns included, equals the geometry
+    routines exactly."""
 
     @pytest.mark.parametrize("case", ["canonical", "two_factor"])
     def test_rows_match_recomputation_from_snapshots(self, case):
@@ -1001,7 +1000,7 @@ class TestMonitorColumns:
                          snapshot_every=1, regrid_threshold=regrid)
         trace, snaps = run_flow(spec, state, cfg)
         assert len(snaps) == trace.rows.shape[0] >= 5
-        for row, brow, snap in zip(trace.rows, trace.boundary, snaps):
+        for row, snap in zip(trace.rows, snaps):
             jets = profile_jets(snap)
             fdot = flow_rhs(spec, snap)[2]
             f2 = snap.f * snap.f
@@ -1013,13 +1012,13 @@ class TestMonitorColumns:
                     "kahler_res": geo.kahler_defect(spec, jets=jets).max(),
                     "heat_res": heat.max(),
                     "arclength": arclength(snap)[1]}
-            want_b = [snap.t]
             for i in range(spec.r):
                 want[f"f{i + 1}sq_min"] = f2[i].min()
                 want[f"f{i + 1}sq_max"] = f2[i].max()
                 want[f"grad_sup_{i + 1}"] = np.abs(
                     2.0 * snap.f[i] * jets.f_s[i]).max()
-                want_b += geo.endpoint_even(f2[i])
+                want[f"f{i + 1}sq_left"], want[f"f{i + 1}sq_right"] = \
+                    geo.endpoint_even(f2[i])
             got = dict(zip(trace.columns, row))
             assert set(got) == set(want) | {"dt"}
             for name, value in want.items():
@@ -1029,7 +1028,6 @@ class TestMonitorColumns:
             closed = np.abs((spec.q * snap.h) ** 2
                             - (2.0 * snap.f * jets.f_s) ** 2) / f2
             assert got["heat_res"] == pytest.approx(closed.max(), abs=1e-12)
-            assert list(brow) == want_b
         t, dt = trace.column("t"), trace.column("dt")
         assert np.array_equal(t[:-1] + dt[:-1], t[1:])
         assert dt[-1] == 0.0
