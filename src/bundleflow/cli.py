@@ -32,8 +32,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import FlowTrace, analyze_run, boundary_columns, trace_columns
-from .evolution import FlowConfig, FlowHalt, InvalidInitialState, arclength, \
-    run_flow
+from .evolution import CFL_MAX, FlowConfig, FlowHalt, InvalidInitialState, \
+    arclength, run_flow
 from .geometry import BundleSpec, ProfileState
 from .initial_data import PRESETS, build_general_profile, \
     build_kahler_profile
@@ -119,6 +119,8 @@ def _parse_bundle(section):
 
 
 def _parse_flow(section):
+    """(cells, FlowConfig) of the flow section; flow.cfl is range-checked
+    so that existing configs load, and otherwise ignored."""
     fl = _expect_mapping(section, "flow")
     allowed = {"cells", "cfl", "t_end", "stop_floor", "snapshot_every",
                "regrid_threshold", "trace_every"}
@@ -130,8 +132,13 @@ def _parse_flow(section):
     for key in ("cfl", "t_end", "stop_floor", "regrid_threshold"):
         if key in fl:
             kwargs[key] = _number(fl[key], f"flow.{key}")
+    cells = kwargs.pop("cells", 400)
+    if cells < 8:
+        raise ConfigError("flow.cells must be an integer >= 8")
+    if not 0.0 < kwargs.pop("cfl", CFL_MAX) <= CFL_MAX:
+        raise ConfigError(f"flow.cfl must lie in (0, {CFL_MAX}]")
     try:
-        return FlowConfig(**kwargs)
+        return cells, FlowConfig(**kwargs)
     except ValueError as exc:
         # FlowConfig's messages begin with the offending field's name.
         raise ConfigError(f"flow.{exc}") from exc
@@ -242,8 +249,8 @@ def load_config(path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config top level must be an object")
     _reject_unknown(raw, TOP_SECTIONS, "")
-    flow = _parse_flow(raw.get("flow", {}))
-    spec, state0 = _parse_initial(raw, flow.cells)
+    cells, flow = _parse_flow(raw.get("flow", {}))
+    spec, state0 = _parse_initial(raw, cells)
     out_dir = _parse_output(raw.get("output", {}))
     return RunConfig(spec=spec, state0=state0, flow=flow, out_dir=out_dir,
                      raw=raw)
@@ -754,7 +761,7 @@ def _cmd_analyze(rundir) -> int:
         raw = _read_json(config_path)
         try:
             _reject_unknown(raw, TOP_SECTIONS, "")
-            stop_floor = _parse_flow(raw.get("flow", {})).stop_floor
+            stop_floor = _parse_flow(raw.get("flow", {}))[1].stop_floor
         except ConfigError as exc:
             raise ConfigError(f"{config_path}: {exc}") from exc
     digests = _digests(out, files)

@@ -133,21 +133,16 @@ class FlowConfig:
     and ``snapshot_every`` are step cadences for monitoring rows and stored
     states; the final state is always recorded regardless of cadence.
     ``regrid_threshold`` bounds max(a)/min(a) before the optional
-    resampling to uniform arclength kicks in.  ``cfl`` is inert: it is
-    still validated in (0, CFL_MAX] so that existing configs load, but the
-    stage count is sized at the stability edge CFL_MAX itself.
+    resampling to uniform arclength kicks in.  The grid is the initial
+    state's own, and the stage count is sized at the stability edge
+    CFL_MAX, so neither is a setting.
     """
 
-    def __init__(self, cells=400, cfl=0.2, t_end=1.0, stop_floor=1e-3,
-                 snapshot_every=100, regrid_threshold=10.0, trace_every=1):
-        self.cells, self.cfl, self.t_end = cells, cfl, t_end
+    def __init__(self, t_end=1.0, stop_floor=1e-3, snapshot_every=100,
+                 regrid_threshold=10.0, trace_every=1):
+        self.t_end = t_end
         self.stop_floor, self.regrid_threshold = stop_floor, regrid_threshold
         self.snapshot_every, self.trace_every = snapshot_every, trace_every
-        if int(self.cells) != self.cells or self.cells < 8:
-            raise ValueError("cells must be an integer >= 8")
-        self.cells = int(self.cells)
-        if not 0.0 < self.cfl <= CFL_MAX:
-            raise ValueError(f"cfl must lie in (0, {CFL_MAX}]")
         if self.t_end < 0.0:
             raise ValueError("t_end must be nonnegative")
         if self.stop_floor <= 0.0:
@@ -368,20 +363,20 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
     Returns (FlowTrace, snapshots).  Trace rows are appended every
     ``trace_every`` steps and always at the final state; snapshots follow
     ``snapshot_every`` the same way, starting with the initial state.  The
-    run refuses to start (InvalidInitialState) if state0 is nonpositive,
-    fails the smooth-closure validation or overflows it.  Abnormal halts
-    (a dt underflow, a non-finite RHS, a floating-point overflow, a trace
-    row whose kahler_res or heat_res passes RESIDUAL_GROWTH_MAX times its
-    first-row value) raise FlowHalt with the partial trace and snapshots
-    attached.
+    run refuses to start (InvalidInitialState) if state0 has fewer than 8
+    cells, is nonpositive, fails the smooth-closure validation or
+    overflows it.  Abnormal halts (a dt underflow, a non-finite RHS, a
+    floating-point overflow, a trace row whose kahler_res or heat_res
+    passes RESIDUAL_GROWTH_MAX times its first-row value) raise FlowHalt
+    with the partial trace and snapshots attached.
     """
-    if state0.cells != cfg.cells:
+    if state0.cells < 8:
         raise InvalidInitialState(
-            f"state has {state0.cells} cells but config says {cfg.cells}")
+            f"state has {state0.cells} cells; the flow needs at least 8")
     try:
         state0.validate()
         failures = [c for c in validate_closing(state0) if not c.ok]
-        ricci = RicciFeatures(spec, cfg.cells)
+        ricci = RicciFeatures(spec, state0.cells)
     except (ValueError, FloatingPointError) as exc:
         raise InvalidInitialState(str(exc)) from exc
     if failures:
@@ -390,7 +385,7 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
         raise InvalidInitialState(f"initial data does not close: {bad}")
 
     dsigma = state0.dsigma
-    stencil = Stencil(field_parities(spec.r), cfg.cells)
+    stencil = Stencil(field_parities(spec.r), state0.cells)
     Y = np.vstack([state0.a, state0.h, state0.f])
     t = state0.t
     t_end = state0.t + cfg.t_end

@@ -112,9 +112,8 @@ class ProfileState:
     """Radial profile functions on a cell-centered grid at one flow time.
 
     Arrays: ``a`` holds the radial lapse (ds = a dsigma) at the M cell
-    centers, ``h`` the fiber length H, and ``f`` the (r, M) conformal
-    factors F_i; ``sigma`` is the grid they sit on, the centers
-    cell_centers(M), derived from M = len(a).  Shapes are checked on
+    centers cell_centers(M), M = len(a) >= 4, ``h`` the fiber length H, and
+    ``f`` the (r, M) conformal factors F_i.  Shapes are checked on
     construction; positivity is checked by :meth:`validate` (mid-step
     integrator states may transiently be constructed before being
     validated).
@@ -128,13 +127,14 @@ class ProfileState:
             raise ValueError("a and h must be rows of one length")
         if f.ndim != 2 or f.shape[1] != a.size:
             raise ValueError("f must have shape (r, cells)")
+        if a.size < 4:
+            raise ValueError("need at least 4 cells")
         self.t = float(t)
-        self.sigma = cell_centers(a.size)
         self.a, self.h, self.f = a, h, f
 
     @property
     def cells(self) -> int:
-        return self.sigma.size
+        return self.a.size
 
     @property
     def r(self) -> int:

@@ -15,11 +15,10 @@ integrating H with fourth-order quadrature.  Shipped presets:
 
 ``calabi``
     The rotationally symmetric family on a CP^1-bundle over CP^(n-1) (lens
-    twisting q = k_lens).  The default Einstein constant is the Fubini-Study
-    value k = 2n in the normalization with Ric = 2(m+1) g on CP^m; pass k1
-    to use another convention.  Default parameters put the run in the
-    fiber-collapse regime: the CP^1 fibers shrink to a point while the base
-    stays bounded.
+    twisting q = k_lens).  The Einstein constant is the Fubini-Study value
+    k = 2n in the normalization with Ric = 2(m+1) g on CP^m.  Default
+    parameters put the run in the fiber-collapse regime: the CP^1 fibers
+    shrink to a point while the base stays bounded.
 """
 
 import math
@@ -187,13 +186,12 @@ def canonical_preset(cells: int):
 
 
 def calabi_preset(cells: int, *, n: int = 2, k_lens: int = 1,
-                  k1: float = None, f0: float = None,
-                  length: float = math.pi):
+                  f0: float = None, length: float = math.pi):
     """Rotationally symmetric preset on a CP^1-bundle over CP^(n-1).
 
     ``n`` is the complex dimension of the total space (n >= 2), ``k_lens``
-    the lens twisting (q_1 = k_lens).  ``k1`` defaults to the Fubini-Study
-    Einstein constant 2n of CP^(n-1) in the Ric = 2(m+1) g normalization.
+    the lens twisting (q_1 = k_lens).  The Einstein constant k1 is the
+    Fubini-Study value 2n of CP^(n-1) in the Ric = 2(m+1) g normalization.
     ``f0`` defaults to a value strictly inside the fiber-collapse regime:
     with the sinusoidal template the fiber area decreases at the exact rate
     4 per unit time whatever q_1 is, and both section sizes stay positive
@@ -208,8 +206,7 @@ def calabi_preset(cells: int, *, n: int = 2, k_lens: int = 1,
     k_lens = int(k_lens)
     if k_lens < 1:
         raise ValueError("k_lens must be a positive integer")
-    if k1 is None:
-        k1 = 2.0 * n
+    k1 = 2.0 * n
     try:
         i0 = 2.0 * length ** 2 / math.pi ** 2
     except OverflowError:

@@ -143,14 +143,15 @@ def closing_checks_polyfit(state):
     h_scale = max(np.abs(state.h).max(), 1e-300)
     length = float(np.sum(state.a * state.dsigma))
     ghost_x = np.array([0.5, 1.5]) * state.dsigma
+    sigma = geo.cell_centers(state.cells)
 
     for side in ("left", "right"):
         if side == "left":
-            x = state.sigma[:5]
+            x = sigma[:5]
             take = slice(None, 5)
             orient = 1.0
         else:
-            x = 1.0 - state.sigma[-5:][::-1]
+            x = 1.0 - sigma[-5:][::-1]
             take = slice(None, -6, -1)
             orient = -1.0
 

@@ -33,7 +33,7 @@ def _timed_run(spec, state, cfg):
 @pytest.fixture(scope="module")
 def canonical_400():
     spec, state = canonical_preset(400)
-    cfg = FlowConfig(cells=400, cfl=0.2, t_end=0.3, stop_floor=1e-3,
+    cfg = FlowConfig(t_end=0.3, stop_floor=1e-3,
                      snapshot_every=4000)
     return _timed_run(spec, state, cfg)
 
@@ -41,7 +41,7 @@ def canonical_400():
 @pytest.fixture(scope="module")
 def canonical_800():
     spec, state = canonical_preset(800)
-    cfg = FlowConfig(cells=800, cfl=0.35, t_end=0.3, stop_floor=1e-3,
+    cfg = FlowConfig(t_end=0.3, stop_floor=1e-3,
                      snapshot_every=8000, trace_every=5)
     return _timed_run(spec, state, cfg)
 
@@ -49,7 +49,7 @@ def canonical_800():
 @pytest.fixture(scope="module")
 def calabi_run():
     spec, state = calabi_preset(400)
-    cfg = FlowConfig(cells=400, cfl=0.35, t_end=1.0, stop_floor=1e-3,
+    cfg = FlowConfig(t_end=1.0, stop_floor=1e-3,
                      snapshot_every=4000, trace_every=10)
     trace, snaps, seconds = _timed_run(spec, state, cfg)
     report = analyze_run(trace, [s.t for s in snaps],

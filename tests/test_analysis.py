@@ -51,7 +51,7 @@ def make_trace(t, kappa=1.0, h_max=1.0, f1sq_min=4.0, f1sq_max=None,
 
 def monitor_row(spec, state, name):
     """One column of the trace row that a zero-duration run records."""
-    trace, _ = run_flow(spec, state, FlowConfig(cells=state.cells, t_end=0.0))
+    trace, _ = run_flow(spec, state, FlowConfig(t_end=0.0))
     return float(trace.column(name)[0])
 
 
@@ -419,7 +419,7 @@ class TestAnalyzeRun:
 
 def deep_report(spec, state, stop_floor):
     """analyze_run's report on a run to stop_floor with a row every step."""
-    cfg = FlowConfig(cells=state.cells, t_end=1.0, stop_floor=stop_floor,
+    cfg = FlowConfig(t_end=1.0, stop_floor=stop_floor,
                      trace_every=1, snapshot_every=10 ** 6)
     trace, snapshots = run_flow(spec, state, cfg)
     return analyze_run(trace, [s.t for s in snapshots], stop_floor)

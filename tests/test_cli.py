@@ -73,9 +73,15 @@ class TestLoadConfig:
         assert np.array_equal(np.hstack([spec.n, spec.k, spec.q, spec.lam]),
                               [[1, 2, 2, 1]])
         assert cfg.state0.cells == 32
-        assert cfg.flow.cfl == 0.2
         assert cfg.flow.stop_floor == 1e-3
         assert cfg.out_dir is None
+
+    def test_cfl_up_to_the_forward_euler_edge(self, tmp_path):
+        # flow.cfl is range-checked, so that existing configs load, and
+        # otherwise ignored; flow.cells sizes the built state.
+        cfg = load_config(write_config(
+            tmp_path / "c.json", flow={"cells": 40, "cfl": 0.375}))
+        assert cfg.state0.cells == 40
 
     def test_template_config_with_defaults(self, tmp_path):
         path = tmp_path / "c.json"
@@ -371,6 +377,23 @@ class TestRunVerb:
             "initial": {"template": {"length": math.pi, "f0": [4.0]}}}))
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "bundle.q[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("cells", 7, "flow.cells must be an integer >= 8"),
+        ("cells", 10.5, "flow.cells must be an integer"),
+        ("cells", True, "flow.cells must be an integer"),
+        ("cfl", 0.0, "flow.cfl must lie in (0, 0.375]"),
+        ("cfl", 0.4, "flow.cfl must lie in (0, 0.375]"),
+        ("cfl", 1.5, "flow.cfl must lie in (0, 0.375]"),
+        ("cfl", "fast", "flow.cfl must be a number"),
+    ])
+    def test_bad_cells_or_cfl_exits_two(self, tmp_path, capsys, key, value,
+                                        message):
+        cfg = write_config(tmp_path / "c.json",
+                           flow={"cells": 32, "t_end": 0.0, key: value})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("template, message", [
         ({"h": [0.0 if i == 5 else math.pi / 32 * (i + 0.5)

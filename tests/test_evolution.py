@@ -134,35 +134,36 @@ class TestParityBoundary:
         # Ghost centers continue the uniform lattice past the ends, and the
         # reflected values are the smooth continuation sampled there.
         d = state.dsigma
+        sigma = geo.cell_centers(state.cells)
         ghost_sigma = (np.arange(M + 4) - 1.5) * d
         assert ghost_sigma[0] == pytest.approx(-1.5 * d)
-        assert ghost_sigma[1] == pytest.approx(-state.sigma[0])
-        assert ghost_sigma[-2] == pytest.approx(2.0 - state.sigma[-1])
-        assert ghost_sigma[-1] == pytest.approx(2.0 - state.sigma[-2])
+        assert ghost_sigma[1] == pytest.approx(-sigma[0])
+        assert ghost_sigma[-2] == pytest.approx(2.0 - sigma[-1])
+        assert ghost_sigma[-1] == pytest.approx(2.0 - sigma[-2])
         assert np.allclose(np.diff(ghost_sigma), d)
         assert np.allclose(ghost_h, np.sin(math.pi * ghost_sigma),
                            rtol=0, atol=1e-15)
 
 
 class TestFlowConfig:
+    # Two bad values per field: each bound from both sides it can be missed
+    # (at and below it; for the step cadences, zero or below and a
+    # fraction).  flow.cells and flow.cfl are the CLI's, in test_cli.
     @pytest.mark.parametrize("kwargs", [
-        {"cells": 7}, {"cells": 10.5}, {"cfl": 0.0}, {"cfl": 1.5},
-        {"t_end": -1.0}, {"stop_floor": 0.0}, {"stop_floor": -1e-3},
-        {"snapshot_every": 0}, {"trace_every": 0.5},
-        {"regrid_threshold": 1.0}, {"cfl": 0.4},
+        {"t_end": -1.0}, {"t_end": -1e-300},
+        {"stop_floor": 0.0}, {"stop_floor": -1e-3},
+        {"snapshot_every": 0}, {"snapshot_every": 2.5},
+        {"trace_every": 0.5}, {"trace_every": 0}, {"trace_every": -1},
+        {"regrid_threshold": 1.0}, {"regrid_threshold": 0.5},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             FlowConfig(**kwargs)
 
     def test_coerces_integer_fields(self):
-        cfg = FlowConfig(cells=64.0, snapshot_every=10.0, trace_every=2.0)
-        assert cfg.cells == 64 and isinstance(cfg.cells, int)
+        cfg = FlowConfig(snapshot_every=10.0, trace_every=2.0)
         assert cfg.snapshot_every == 10
         assert cfg.trace_every == 2
-
-    def test_cfl_up_to_the_forward_euler_edge(self):
-        assert FlowConfig(cfl=0.375).cfl == 0.375
 
 
 def stacked(spec, state):
@@ -286,7 +287,7 @@ class TestStepAdaptive:
         def final(cells):
             spec, state = canonical_preset(cells)
             _, snaps = run_flow(spec, state, FlowConfig(
-                cells=cells, t_end=0.3, snapshot_every=10 ** 6))
+                t_end=0.3, snapshot_every=10 ** 6))
             assert snaps[-1].t == pytest.approx(0.3, abs=1e-12)
             return np.vstack([snaps[-1].a, snaps[-1].h, snaps[-1].f])
 
@@ -410,7 +411,7 @@ class TestRkl2:
         monkeypatch.setattr(evo, "_stage", counted_stage)
         monkeypatch.setattr(evo, "_dt_bound", recorded_bound)
         spec, state = canonical_preset(64)
-        trace, _ = run_flow(spec, state, FlowConfig(cells=64, t_end=0.05))
+        trace, _ = run_flow(spec, state, FlowConfig(t_end=0.05))
         assert len(stages) == trace.rows.shape[0] - 1 >= 5
         assert calls[0] == sum(stages) + 1
 
@@ -419,7 +420,8 @@ def test_arclength_uniform_gauge():
     spec, state = canonical_preset(64)
     s, total = arclength(state)
     assert total == pytest.approx(math.pi, rel=1e-14)
-    assert np.allclose(s, math.pi * state.sigma, rtol=0, atol=1e-14)
+    assert np.allclose(s, math.pi * geo.cell_centers(state.cells), rtol=0,
+                       atol=1e-14)
 
 
 class TestRegrid:
@@ -502,7 +504,7 @@ class TestLagrangeResample:
 class TestRunFlow:
     def test_zero_duration_records_initial_state(self):
         spec, state = canonical_preset(64)
-        cfg = FlowConfig(cells=64, t_end=0.0)
+        cfg = FlowConfig(t_end=0.0)
         trace, snaps = run_flow(spec, state, cfg)
         # The 11 trace.csv columns and the two endpoint values.
         assert trace.rows.shape == (1, 13)
@@ -515,7 +517,7 @@ class TestRunFlow:
 
     def test_short_run_monitors_and_snapshots(self):
         spec, state = canonical_preset(64)
-        cfg = FlowConfig(cells=64, t_end=0.01, snapshot_every=1)
+        cfg = FlowConfig(t_end=0.01, snapshot_every=1)
         trace, snaps = run_flow(spec, state, cfg)
         trace.validate()
         t = trace.column("t")
@@ -538,18 +540,21 @@ class TestRunFlow:
 
     def test_trace_every_thins_rows(self):
         spec, state = canonical_preset(64)
-        cfg = FlowConfig(cells=64, t_end=0.01, trace_every=5)
+        cfg = FlowConfig(t_end=0.01, trace_every=5)
         trace, _ = run_flow(spec, state, cfg)
-        dense_cfg = FlowConfig(cells=64, t_end=0.01)
+        dense_cfg = FlowConfig(t_end=0.01)
         dense, _ = run_flow(spec, state, dense_cfg)
         assert trace.rows.shape[0] < dense.rows.shape[0]
         assert trace.rows[-1, 0] == pytest.approx(dense.rows[-1, 0],
                                                   abs=1e-12)
 
-    def test_rejects_cell_mismatch(self):
-        spec, state = canonical_preset(64)
-        with pytest.raises(InvalidInitialState, match="cells"):
-            run_flow(spec, state, FlowConfig(cells=128, t_end=0.01))
+    def test_rejects_fewer_than_8_cells(self):
+        # The grid is the state's own; 8 cells is the smallest it runs on.
+        spec, state = canonical_preset(7)
+        with pytest.raises(InvalidInitialState,
+                           match="^state has 7 cells; the flow needs at "
+                                 "least 8$"):
+            run_flow(spec, state, FlowConfig(t_end=0.01))
 
     def test_rejects_data_that_does_not_close(self):
         cells = 64
@@ -559,7 +564,7 @@ class TestRunFlow:
                                  h=s * (math.pi - s),
                                  f=np.full((1, cells), 2.0))
         with pytest.raises(InvalidInitialState, match="does not close"):
-            run_flow(CANON, state, FlowConfig(cells=cells, t_end=0.01))
+            run_flow(CANON, state, FlowConfig(t_end=0.01))
 
     @pytest.mark.parametrize("field, message", [
         ("h", "fiber length h must be positive at cell centers"),
@@ -570,11 +575,11 @@ class TestRunFlow:
         rows[field][7] = 0.0 if field == "h" else -1.0
         bad = geo.ProfileState(0.0, rows["a"], rows["h"], state.f)
         with pytest.raises(InvalidInitialState, match=f"^{message}$"):
-            run_flow(spec, bad, FlowConfig(cells=64, t_end=0.01))
+            run_flow(spec, bad, FlowConfig(t_end=0.01))
 
     def test_stop_floor_halts_before_t_end(self):
         spec, state = canonical_preset(64)
-        cfg = FlowConfig(cells=64, t_end=10.0, stop_floor=0.95)
+        cfg = FlowConfig(t_end=10.0, stop_floor=0.95)
         trace, snaps = run_flow(spec, state, cfg)
         h2 = trace.column("h_max") ** 2
         assert h2[-1] < cfg.stop_floor
@@ -584,7 +589,7 @@ class TestRunFlow:
 
     def test_underflow_halt_carries_partial_trace(self):
         spec, state = canonical_preset(64)
-        cfg = FlowConfig(cells=64, t_end=1e12)
+        cfg = FlowConfig(t_end=1e12)
         with pytest.raises(FlowHalt, match="underflow") as info:
             run_flow(spec, state, cfg)
         halt = info.value
@@ -599,7 +604,7 @@ class TestRunFlow:
         spec = TWO_FACTOR
         state = build_kahler_profile(spec, math.pi, "sinusoidal",
                                      (2.0, 3.0), 64)
-        cfg = FlowConfig(cells=64, t_end=0.3, snapshot_every=7,
+        cfg = FlowConfig(t_end=0.3, snapshot_every=7,
                          regrid_threshold=1.05)
         plain, plain_snaps = run_flow(spec, state, cfg)
         step, regrid, regrids = evo.rkl2_step, evo.regrid_uniform, []
@@ -744,7 +749,7 @@ class TestResidualGate:
 
         monkeypatch.setattr(evo, "kahler_defect", kahler_defect)
         spec, state = canonical_preset(32)
-        return spec, state, FlowConfig(cells=32, t_end=0.01)
+        return spec, state, FlowConfig(t_end=0.01)
 
     def test_zero_initial_residual_is_not_gated(self, monkeypatch):
         trace, _ = run_flow(*self.planted(monkeypatch, 0.0, 1.0))
@@ -781,7 +786,7 @@ class TestBatchedMonitor:
 
         monkeypatch.setattr(evo, "curvature_sup_proxy", recording)
         spec, state = canonical_preset(400)
-        trace, _ = run_flow(spec, state, FlowConfig(cells=400, t_end=0.04))
+        trace, _ = run_flow(spec, state, FlowConfig(t_end=0.04))
         rows = trace.rows.shape[0]
         assert rows > 2 * evo.MONITOR_BLOCK
         assert max(sizes) == evo.MONITOR_BLOCK
@@ -904,12 +909,12 @@ class TestBatchedMonitor:
             monkeypatch.setattr(evo, "CFL_MAX", 0.5)
             monkeypatch.setattr(evo, "STEP_CAP", 40.0)
             spec, state = canonical_preset(80)
-            cfg = FlowConfig(cells=80, t_end=0.3)
+            cfg = FlowConfig(t_end=0.3)
             pattern = r"(kahler|heat)_res grew"
         else:
             # Far below the default floor the collapse outruns the step.
             spec, state = calabi_preset(32, f0=6.0)
-            cfg = FlowConfig(cells=32, t_end=1.0, stop_floor=1e-15)
+            cfg = FlowConfig(t_end=1.0, stop_floor=1e-15)
             pattern = "time step underflow"
         bound = evo.MONITOR_BLOCK
         traces = []
@@ -941,7 +946,7 @@ class TestBatchedMonitor:
         # of the same block that overflows must not name the halt.
         monkeypatch.setattr(evo, "CFL_MAX", 0.5)
         spec, state = canonical_preset(80)
-        cfg = FlowConfig(cells=80, t_end=0.3, trace_every=10,
+        cfg = FlowConfig(t_end=0.3, trace_every=10,
                          snapshot_every=3)
         bound, fill = evo.MONITOR_BLOCK, evo._monitor_block
 
@@ -996,7 +1001,7 @@ class TestMonitorColumns:
             # Just above 1: the gauge is resampled after every step, so the
             # rows also cover regridded states.
             regrid = 1.0 + 1e-12
-        cfg = FlowConfig(cells=32, t_end=0.1, trace_every=1,
+        cfg = FlowConfig(t_end=0.1, trace_every=1,
                          snapshot_every=1, regrid_threshold=regrid)
         trace, snaps = run_flow(spec, state, cfg)
         assert len(snaps) == trace.rows.shape[0] >= 5
@@ -1048,7 +1053,7 @@ class TestRegridGate:
             return regrid_uniform(st)
 
         monkeypatch.setattr(evo, "regrid_uniform", counted)
-        cfg = FlowConfig(cells=64, cfl=0.2, t_end=0.3,
+        cfg = FlowConfig(t_end=0.3,
                          regrid_threshold=regrid_threshold)
         trace, _ = run_flow(spec, state, cfg)
         return spec, trace, len(calls)
@@ -1083,7 +1088,7 @@ class TestOneKernel:
                                          (2.0, 3.0), 32)
         # The end of a short run adds a nonuniform gauge a, so the chain
         # rule's a' term is exercised too.
-        _, snaps = run_flow(spec, state, FlowConfig(cells=32, t_end=0.05))
+        _, snaps = run_flow(spec, state, FlowConfig(t_end=0.05))
         assert np.ptp(snaps[-1].a) > 0.0
         for snap in (state, snaps[-1]):
             Y = np.vstack([snap.a, snap.h, snap.f])

@@ -353,9 +353,9 @@ def test_profile_state_validation():
     state = geo.ProfileState(t=0.0, a=np.ones(cells), h=np.ones(cells),
                              f=np.ones((1, cells)))
     state.validate()
-    assert np.array_equal(state.sigma, geo.cell_centers(cells))
-    # The grid is derived from len(a): h and the rows of f must match it,
-    # and it needs at least 4 cells.
+    assert state.cells == cells and state.dsigma == 1.0 / cells
+    # The grid is cell_centers(len(a)): h and the rows of f must match
+    # len(a), and it needs at least 4 cells.
     for a, h, f in ((np.ones(3), np.ones(3), np.ones((1, 3))),
                     (state.a, state.h[1:], state.f),
                     (state.a, state.h, state.f[:, 1:])):

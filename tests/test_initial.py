@@ -175,7 +175,7 @@ class TestGeneralBuild:
         with pytest.raises(InvalidInitialState,
                            match=r"does not close: left end slope of f1\^2 "
                                  r"\(residual "):
-            run_flow(CANON, state, FlowConfig(cells=96, t_end=0.01))
+            run_flow(CANON, state, FlowConfig(t_end=0.01))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):

@@ -106,26 +106,38 @@ def _record_fields(tree):
                             and getattr(sub.value, "id", None) == "self")
 
 
+def _attribute_loads(node, owner=None):
+    """(class, name) of every attribute load and constant getattr name
+    under node, with the class whose body holds it (None outside one)."""
+    if isinstance(node, ast.ClassDef):
+        owner = node.name
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield owner, node.attr
+    elif (isinstance(node, ast.Call)
+          and getattr(node.func, "id", None) == "getattr"
+          and len(node.args) >= 2
+          and isinstance(node.args[1], ast.Constant)):
+        yield owner, node.args[1].value
+    for child in ast.iter_child_nodes(node):
+        yield from _attribute_loads(child, owner)
+
+
 def test_every_record_field_is_read():
     # A field counts as read when some module of the package loads it as
-    # an attribute or names it in a getattr call; a field that is only
-    # ever written is a go-between nothing consumes.
-    read, fields = set(), set()
+    # an attribute or names it in a getattr call, outside the body of the
+    # record's own class; a field that is only ever written, or read only
+    # by its own class (to range-check it, or to derive another field), is
+    # a go-between nothing consumes.
+    loads, fields = set(), set()
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text())
         fields |= set(_record_fields(tree))
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute)
-                    and isinstance(node.ctx, ast.Load)):
-                read.add(node.attr)
-            elif (isinstance(node, ast.Call)
-                  and getattr(node.func, "id", None) == "getattr"
-                  and len(node.args) >= 2
-                  and isinstance(node.args[1], ast.Constant)):
-                read.add(node.args[1].value)
+        loads |= set(_attribute_loads(tree))
     # Every record is seen, so the check below is not vacuous.
     assert RECORDS <= {cls for cls, _ in fields}
-    unread = {(cls, name) for cls, name in fields if name not in read}
+    unread = {(cls, name) for cls, name in fields
+              if not any(attr == name and owner != cls
+                         for owner, attr in loads)}
     assert unread == set(), sorted(unread)
 
 
