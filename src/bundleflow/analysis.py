@@ -16,7 +16,9 @@ FLOOR_MULTIPLE.  They are operational stand-ins, calibrated at exactly
 these values by the synthetic Type I/II models of the acceptance suite.
 """
 
-import numpy as np
+import bisect
+import itertools
+import math
 
 TYPE_I = "TypeI"
 TYPE_II = "TypeII-suspect"
@@ -60,44 +62,79 @@ def boundary_columns(r: int):
 class FlowTrace:
     """Monitored scalar series of one run, in one time-ordered table.
 
-    ``rows`` has one line per recorded step.  Its columns are those of
-    :func:`trace_columns` followed by the endpoint columns of
-    :func:`boundary_columns` (all but its ``t``), the extrapolated endpoint
-    values of each f_i^2; the two functions are the contracts of trace.csv
-    and boundary.csv.  h columns store h itself, f columns store f^2 and
-    ``grad_sup_i`` stores sup |d(f_i^2)/ds|.
+    ``rows`` is a list with one list of Python floats per recorded step.
+    Its columns are those of :func:`trace_columns` followed by the
+    endpoint columns of :func:`boundary_columns` (all but its ``t``), the
+    extrapolated endpoint values of each f_i^2; the two functions are the
+    contracts of trace.csv and boundary.csv.  h columns store h itself, f
+    columns store f^2 and ``grad_sup_i`` stores sup |d(f_i^2)/ds|.
     """
 
     def __init__(self, r, rows):
         self.r, self.rows = r, rows
         self.columns = trace_columns(r) + boundary_columns(r)[1:]
 
-    def column(self, name: str) -> np.ndarray:
-        return self.rows[:, self.columns.index(name)]
+    def column(self, name: str) -> list:
+        i = self.columns.index(name)
+        return [row[i] for row in self.rows]
 
     def validate(self):
         """Raise ValueError on a malformed trace.
 
-        Malformed: shape mismatch, non-finite data, t order, a kappa or
-        f_i^2 bound that is not positive (the analysis divides by them), or
-        a kappa whose reciprocal overflows (T_hat reads 1/kappa).
+        Malformed: a row of another width, non-finite data, t order, a
+        kappa or f_i^2 bound that is not positive (the analysis divides by
+        them), or a kappa whose reciprocal overflows (T_hat reads 1/kappa).
         """
-        if self.rows.ndim != 2 or self.rows.shape[1] != len(self.columns):
+        width = len(self.columns)
+        if any(len(row) != width for row in self.rows):
             raise ValueError("trace rows do not match the column contract")
-        if not np.isfinite(self.rows).all():
+        entries = itertools.chain.from_iterable(self.rows)
+        if not all(map(math.isfinite, entries)):
             raise ValueError("trace contains non-finite entries")
         positive = ["kappa"] + [f"f{i}sq_{end}" for i in range(1, self.r + 1)
                                 for end in ("min", "max")]
         for name in positive:
-            if not np.all(self.column(name) > 0.0):
+            if not all(v > 0.0 for v in self.column(name)):
                 raise ValueError(f"trace column {name} must be positive")
-        with np.errstate(over="ignore"):
-            if not np.isfinite(1.0 / self.column("kappa")).all():
-                raise ValueError("trace column kappa must have a finite "
-                                 "reciprocal")
+        if not all(math.isfinite(1.0 / v) for v in self.column("kappa")):
+            raise ValueError("trace column kappa must have a finite "
+                             "reciprocal")
         t = self.column("t")
-        if t.size > 1 and not np.all(np.diff(t) > 0.0):
+        if not all(b > a for a, b in zip(t, t[1:])):
             raise ValueError("trace times must be strictly increasing")
+
+
+def _divide(a, b):
+    """a / b for floats a > 0 and b >= 0: inf at b = 0, as numpy gives,
+    where Python raises ZeroDivisionError."""
+    return a / b if b else math.inf
+
+
+def interp(x, xp, fp):
+    """np.interp(x, xp, fp) on a float x and lists of floats, bit for bit.
+
+    ``xp`` is strictly increasing and nonempty and x is not NaN (the
+    report interpolates at snapshot times below T_hat); outside the range
+    of xp the end values of ``fp`` are returned.  This is numpy's
+    formula: the exact value on a node, else the slope of the bracketing
+    interval times the distance from its left node plus the value there,
+    from its right node if that is NaN, and the common value of two equal
+    ends if that is NaN too.
+    """
+    j = bisect.bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j >= len(xp) - 1:
+        return fp[-1]
+    if xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    value = slope * (x - xp[j]) + fp[j]
+    if math.isnan(value):
+        value = slope * (x - xp[j + 1]) + fp[j + 1]
+        if math.isnan(value) and fp[j] == fp[j + 1]:
+            value = fp[j]
+    return value
 
 
 def estimate_singular_time(trace: FlowTrace):
@@ -111,13 +148,13 @@ def estimate_singular_time(trace: FlowTrace):
     falls across the last two (so T_hat lies beyond the last row), else
     None (no singularity indicated).
     """
-    if trace.rows.shape[0] < 2:
+    if len(trace.rows) < 2:
         return None
     t = trace.column("t")[-2:]
-    w = 1.0 / trace.column("kappa")[-2:]
+    w = [_divide(1.0, k) for k in trace.column("kappa")[-2:]]
     if not w[1] < w[0]:
         return None
-    return float(t[1] + w[1] * (t[1] - t[0]) / (w[0] - w[1]))
+    return t[1] + w[1] * (t[1] - t[0]) / (w[0] - w[1])
 
 
 def classify_singularity_type(trace: FlowTrace, t_hat: float):
@@ -137,18 +174,24 @@ def classify_singularity_type(trace: FlowTrace, t_hat: float):
     if t_hat is None:
         return None, NO_SINGULARITY, None, None
     t = trace.column("t")
-    n = int(np.searchsorted(t, t_hat))
+    n = bisect.bisect_left(t, t_hat)
     if n < 2:
         return None, NO_SINGULARITY, None, None
-    tau = t_hat - t[:n]
-    y = tau * trace.column("kappa")[:n]
-    window = y[np.argmax(tau <= tau[-1] * 10.0 ** WINDOW_DECADES):]
-    final = y[min(np.argmax(tau <= tau[-1] * 10.0), n - 2):]
-    typei_sup = float(window.max())
-    plateau_ratio = float(final.max() / final.min()) \
-        if final.min() > 0.0 else np.inf
-    growth_ratio = float(window[-1] / window[0]) \
-        if window[0] > 0.0 else np.inf
+    tau = [t_hat - ti for ti in t[:n]]
+    y = [a * k for a, k in zip(tau, trace.column("kappa"))]
+
+    def suffix(decades):
+        # The first row with tau within ``decades`` of the last; tau
+        # decreases, so every later row is too.
+        bound = tau[-1] * 10.0 ** decades
+        return next((i for i, v in enumerate(tau) if v <= bound), 0)
+
+    window = y[suffix(WINDOW_DECADES):]
+    final = y[min(suffix(1.0), n - 2):]
+    typei_sup = max(window)
+    low = min(final)
+    plateau_ratio = max(final) / low if low > 0.0 else math.inf
+    growth_ratio = window[-1] / window[0] if window[0] > 0.0 else math.inf
     verdict = TYPE_I if plateau_ratio < PLATEAU_FACTOR else TYPE_II
     return typei_sup, verdict, plateau_ratio, growth_ratio
 
@@ -163,12 +206,12 @@ def schwarz_fit(trace: FlowTrace, t_hat: float) -> float:
     if t_hat is None:
         return None
     t = trace.column("t")
-    n = int(np.searchsorted(t, t_hat))
+    n = bisect.bisect_left(t, t_hat)
     if n == 0:
         return None
     lo = trace.columns.index("f1sq_min")
-    f2_min = trace.rows[:n, lo:lo + 2 * trace.r:2]
-    return float(((t_hat - t[:n])[:, None] / f2_min).max())
+    return max(_divide(t_hat - ti, f2) for ti, row in zip(t[:n], trace.rows)
+               for f2 in row[lo:lo + 2 * trace.r:2])
 
 
 def classify_degeneration(trace: FlowTrace, stop_floor: float) -> str:
@@ -179,23 +222,26 @@ def classify_degeneration(trace: FlowTrace, stop_floor: float) -> str:
     with every min f_i^2 comfortably above.  Section contraction: at one
     endpoint all (full) or some but not all (partial) of the f_i^2
     collapsed while the fiber stays noncollapsed.  Anything else, and an
-    empty trace, is Indeterminate.
+    empty trace, is Indeterminate.  max h^2 is h_max * h_max, which is
+    inf where it overflows, and inf is not below the level.
     """
-    if trace.rows.shape[0] == 0:
+    if not trace.rows:
         return INDETERMINATE
     level = FLOOR_MULTIPLE * stop_floor
     last = trace.rows[-1]
     col = trace.columns.index
-    h2_max = float(last[col("h_max")]) ** 2
+    h_max = last[col("h_max")]
+    h2_max = h_max * h_max
     lo, end = col("f1sq_min"), col("f1sq_left")
-    if h2_max < level and np.all(last[lo:lo + 2 * trace.r:2] > level):
+    if h2_max < level and all(v > level
+                              for v in last[lo:lo + 2 * trace.r:2]):
         return FIBER_COLLAPSE
     # The endpoint columns close the table, left and right alternating.
     for ends in (last[end::2], last[end + 1::2]):
-        collapsed = ends < level
-        if collapsed.all() and h2_max > level:
+        collapsed = [v < level for v in ends]
+        if all(collapsed) and h2_max > level:
             return FULL_CONTRACTION
-        if collapsed.any() and not collapsed.all():
+        if any(collapsed) and not all(collapsed):
             return PARTIAL_CONTRACTION
     return INDETERMINATE
 
@@ -206,17 +252,18 @@ def analyze_run(trace: FlowTrace, snapshot_times, stop_floor: float) -> dict:
     Combines the singular time T_hat (the zero of the secant of 1/kappa
     through the last two trace rows), the Type I/II verdict, the Schwarz
     constant, the degeneration label, and the blow-up factor sequence
-    K_i = kappa(t_i) at the snapshot times t_i before T_hat.  A diagnostic
-    that does not apply to the run is None.
+    K_i = kappa(t_i) at the snapshot times t_i before T_hat, interpolated
+    as np.interp does.  A diagnostic that does not apply to the run is
+    None.  Everything is computed on Python floats, with numpy's results.
     """
     t_hat = estimate_singular_time(trace)
     typei_sup, verdict, plateau_ratio, growth_ratio = \
         classify_singularity_type(trace, t_hat)
     rescale = []
     if t_hat is not None:
-        ts = np.asarray(snapshot_times, float)
-        rescale = np.interp(ts[ts < t_hat], trace.column("t"),
-                            trace.column("kappa")).tolist()
+        t, kappa = trace.column("t"), trace.column("kappa")
+        rescale = [interp(ts, t, kappa) for ts in snapshot_times
+                   if ts < t_hat]
     return {
         "T_hat": t_hat,
         "typeI_sup": typei_sup,

@@ -28,9 +28,7 @@ from collections import namedtuple
 from pathlib import Path
 from stat import S_ISDIR
 
-import numpy as np
-
-from . import __version__
+from . import __version__, _lazy_import
 from .analysis import FlowTrace, analyze_run, boundary_columns, trace_columns
 from .evolution import CFL_MAX, FlowConfig, FlowHalt, InvalidInitialState, \
     arclength, run_flow
@@ -38,10 +36,17 @@ from .geometry import BundleSpec, ProfileState
 from .initial_data import PRESETS, build_general_profile, \
     build_kahler_profile
 
+np = _lazy_import("numpy")
+
 TOP_SECTIONS = {"bundle", "initial", "flow", "output"}
 
 SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
               "#8c564b"]
+
+# The largest flow.cells: the step count grows as cells^2 (dt is capped at
+# STEP_CAP dsigma^2), so a larger grid cannot finish, and a far larger one
+# would not fit in memory.
+MAX_CELLS = 10 ** 5
 
 
 class ConfigError(ValueError):
@@ -135,6 +140,8 @@ def _parse_flow(section):
     cells = kwargs.pop("cells", 400)
     if cells < 8:
         raise ConfigError("flow.cells must be an integer >= 8")
+    if cells > MAX_CELLS:
+        raise ConfigError(f"flow.cells must be at most {MAX_CELLS}")
     if not 0.0 < kwargs.pop("cfl", CFL_MAX) <= CFL_MAX:
         raise ConfigError(f"flow.cfl must lie in (0, {CFL_MAX}]")
     try:
@@ -188,8 +195,6 @@ def _parse_template(section, spec, cells):
         raise ConfigError(f"initial.template: {exc}") from exc
 
 
-# Initial data whose construction overflows is a config error, not inf.
-@np.errstate(over="raise", divide="raise", invalid="raise")
 def _parse_initial(raw, cells):
     # A section or key that is present but null counts as present.
     if "initial" not in raw:
@@ -250,7 +255,9 @@ def load_config(path) -> RunConfig:
         raise ConfigError("config top level must be an object")
     _reject_unknown(raw, TOP_SECTIONS, "")
     cells, flow = _parse_flow(raw.get("flow", {}))
-    spec, state0 = _parse_initial(raw, cells)
+    # Initial data whose construction overflows is a config error, not inf.
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        spec, state0 = _parse_initial(raw, cells)
     out_dir = _parse_output(raw.get("output", {}))
     return RunConfig(spec=spec, state0=state0, flow=flow, out_dir=out_dir,
                      raw=raw)
@@ -262,7 +269,7 @@ def load_config(path) -> RunConfig:
 
 def _csv_bytes(header, rows) -> bytes:
     lines = [",".join(header)]
-    lines += [",".join(map(repr, row)) for row in rows.tolist()]
+    lines += [",".join(map(repr, row)) for row in rows]
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -315,9 +322,13 @@ def write_outputs(trace: FlowTrace, snapshots, report: dict, out_dir,
     snapdir.mkdir(parents=True, exist_ok=True)
     digests = {}
 
-    for name, columns in (("trace.csv", trace_columns(trace.r)),
-                          ("boundary.csv", boundary_columns(trace.r))):
-        rows = trace.rows[:, [trace.columns.index(c) for c in columns]]
+    # The table holds trace.csv's columns, then boundary.csv's after its t.
+    k = len(trace_columns(trace.r))
+    for name, columns, rows in (
+            ("trace.csv", trace_columns(trace.r),
+             [row[:k] for row in trace.rows]),
+            ("boundary.csv", boundary_columns(trace.r),
+             [row[:1] + row[k:] for row in trace.rows])):
         _store(out, name, _csv_bytes(columns, rows), digests)
     for idx, snap in enumerate(snapshots):
         payload = {
@@ -426,15 +437,16 @@ def read_trace(out_dir) -> FlowTrace:
     if bheader != boundary_columns(r):
         raise ConfigError("boundary.csv does not match the column contract")
     try:
-        table = np.array(rows, float) if rows \
-            else np.zeros((0, len(header)))
-        ends = np.array(brows, float) if brows \
-            else np.zeros((0, len(bheader)))
-        if ends.shape != (len(table), len(bheader)) or not np.array_equal(
-                ends[:, 0], table[:, 0], equal_nan=True):
+        # The same times, a NaN matching a NaN; validate then refuses both.
+        if len(brows) != len(rows) or any(
+                len(ends) != len(bheader)
+                or not (ends[0] == row[0]
+                        or math.isnan(ends[0]) and math.isnan(row[0]))
+                for row, ends in zip(rows, brows)):
             raise ValueError("boundary.csv does not share the rows of "
                              "trace.csv")
-        trace = FlowTrace(r=r, rows=np.hstack([table, ends[:, 1:]]))
+        trace = FlowTrace(r=r, rows=[row + ends[1:]
+                                     for row, ends in zip(rows, brows)])
         trace.validate()
     except ValueError as exc:
         raise ConfigError(f"malformed trace in {out}: {exc}") from exc
@@ -453,10 +465,12 @@ def _figure_paths(out: Path):
 
 
 def _finite_array(v, path, ndim):
-    """Float array of a JSON array of finite numbers (ndim 2: of such arrays).
+    """v, once checked to be a JSON array of finite numbers (ndim 2: of
+    such arrays).
 
-    Each entry is checked by its JSON type, as _number checks a scalar:
-    numpy would read a string, a boolean or null as a number.
+    Each entry is checked by its JSON type, as _number checks a scalar
+    (a string, a boolean or null is not a number), and then for
+    finiteness; the first bad entry is named.
     """
     rows = [(path, v)]
     if ndim == 2 and isinstance(v, list):
@@ -468,42 +482,56 @@ def _finite_array(v, path, ndim):
             j = next(j for j, x in enumerate(row)
                      if type(x) not in (float, int))
             raise ConfigError(f"{where}[{j}] must be a number")
-    arr = np.array(v, float)
-    finite = np.isfinite(arr)
-    if not finite.all():
-        first = np.argwhere(~finite)[0]
-        raise ConfigError(path + "".join(f"[{i}]" for i in first)
-                          + " must be a finite number")
-    return arr
+    for where, row in rows:
+        # An integer past the float range raises OverflowError here.
+        if not all(map(math.isfinite, row)):
+            j = next(j for j, x in enumerate(row) if not math.isfinite(x))
+            raise ConfigError(f"{where}[{j}] must be a finite number")
+    return v
 
 
-def read_snapshot(path) -> ProfileState:
-    """Load one stored snapshot file.
+def _snapshot_fields(path):
+    """(t, a, h, f) of one stored snapshot file: t a float, a and h lists
+    of numbers and f a list of such rows.
 
     ``t`` must be a finite number and every entry of ``a``, ``h`` and every
     row of ``f`` a finite number, with ``h`` and each row of ``f`` as long
-    as ``a`` and at least 4 cells; anything else is a ConfigError that
-    names the file.  Other keys are ignored, so snapshots that also store
-    the grid (``sigma`` and ``cells``) read the same.  Positivity is not
-    checked: a run that stops at the floor snapshots its stop state.
+    as ``a`` and at least 4 cells (ProfileState's shape rules); anything
+    else is a ConfigError that names the file.  Other keys are ignored, so
+    snapshots that also store the grid (``sigma`` and ``cells``) read the
+    same.  Positivity is not checked: a run that stops at the floor
+    snapshots its stop state.  No numpy is involved.
     """
     d = _read_json(Path(path))
     try:
         t = _number(d["t"], "t")
-        arrays = {key: _finite_array(d[key], key, 2 if key == "f" else 1)
-                  for key in ("a", "h", "f")}
-        return ProfileState(t=t, **arrays)
-    except ValueError as exc:
-        # The field checks (ConfigError) and ProfileState's shape checks
-        # word their errors as sentences.
+        a, h, f = (_finite_array(d[key], key, 2 if key == "f" else 1)
+                   for key in ("a", "h", "f"))
+        if len(h) != len(a):
+            raise ConfigError("a and h must be rows of one length")
+        if not f or any(len(row) != len(a) for row in f):
+            raise ConfigError("f must have shape (r, cells)")
+        if len(a) < 4:
+            raise ConfigError("need at least 4 cells")
+    except ConfigError as exc:
+        # The field and shape checks word their errors as sentences.
         raise ConfigError(f"{path} is not a snapshot: {exc}") from exc
     except (KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{path} is not a snapshot: {exc!r}") from exc
+    return t, a, h, f
+
+
+def read_snapshot(path) -> ProfileState:
+    """Load one stored snapshot file, checked as _snapshot_fields checks
+    it."""
+    t, a, h, f = _snapshot_fields(path)
+    return ProfileState(t=t, a=a, h=h, f=f)
 
 
 def read_snapshots(out_dir):
-    """Load every stored snapshot, ordered by index."""
-    return [read_snapshot(path) for path in _snapshot_paths(out_dir)]
+    """Check every stored snapshot, ordered by index, as read_snapshot
+    does; returns their times, which is all that the report reads."""
+    return [_snapshot_fields(path)[0] for path in _snapshot_paths(out_dir)]
 
 
 # ----------------------------------------------------------------------
@@ -607,7 +635,7 @@ def render_plots(out_dir, field=None):
     if field is not None and field not in fields:
         raise ConfigError(f"unknown trace column '{field}' "
                           f"(available: {', '.join(fields)})")
-    if trace.rows.shape[0] == 0:
+    if not trace.rows:
         print("no plots written: trace is empty")
         return []
     written = []
@@ -635,8 +663,8 @@ def render_plots(out_dir, field=None):
         t_hat = _read_json(report_path).get("T_hat")
     if t_hat is not None:
         t_hat = _number(t_hat, f"{report_path}: T_hat")
-        t = trace.column("t")
-        kappa = trace.column("kappa")
+        t = np.array(trace.column("t"))
+        kappa = np.array(trace.column("kappa"))
         tau = t_hat - t
         keep = tau > 0.0
         if keep.any():
@@ -675,11 +703,11 @@ def render_plots(out_dir, field=None):
 
 def _print_report(report: dict, trace: FlowTrace):
     t = trace.column("t")
-    if t.size:
-        print(f"trace: {t.size} rows, t in [{t[0]:.6g}, {t[-1]:.6g}]")
+    if t:
+        print(f"trace: {len(t)} rows, t in [{t[0]:.6g}, {t[-1]:.6g}]")
         print(f"residuals: max kahler_res "
-              f"{trace.column('kahler_res').max():.6g}, max heat_res "
-              f"{trace.column('heat_res').max():.6g}")
+              f"{max(trace.column('kahler_res')):.6g}, max heat_res "
+              f"{max(trace.column('heat_res')):.6g}")
     else:
         print("trace: empty")
     if report["T_hat"] is None:
@@ -751,7 +779,7 @@ def _cmd_analyze(rundir) -> int:
     """
     out = Path(rundir)
     trace = read_trace(out)
-    snapshots = read_snapshots(out)
+    snapshot_times = read_snapshots(out)
     config_path = out / "config.json"
     stop_floor = FlowConfig().stop_floor
     files = ["trace.csv", "boundary.csv"]
@@ -766,10 +794,9 @@ def _cmd_analyze(rundir) -> int:
             raise ConfigError(f"{config_path}: {exc}") from exc
     digests = _digests(out, files)
     _verify_manifest(out, digests)
-    # Positive but subnormal trace values overflow the analysis; the
-    # report, not a warning, shows it.
-    with np.errstate(all="ignore"):
-        report = analyze_run(trace, [s.t for s in snapshots], stop_floor)
+    # Positive but subnormal trace values overflow the analysis to inf,
+    # which the check below refuses.
+    report = analyze_run(trace, snapshot_times, stop_floor)
     for key, value in report.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{out / 'trace.csv'} gives the report a "

@@ -72,8 +72,7 @@ reached up to MONITOR_BLOCK - 1 traced rows later.
 
 import functools
 
-import numpy as np
-
+from . import _lazy_import
 from .analysis import FlowTrace, boundary_columns, trace_columns
 from .geometry import (EVEN, BundleSpec, Jets, ProfileState, RicciFeatures,
                        Stencil, arclength_derivs, cumulative_from_left,
@@ -81,6 +80,8 @@ from .geometry import (EVEN, BundleSpec, Jets, ProfileState, RicciFeatures,
                        kahler_defect, laplacian_f2, ricci_rows,
                        stacked_derivs, stacked_parity)
 from .initial_data import validate_closing
+
+np = _lazy_import("numpy")
 
 # A step this far below the requested horizon means the adaptive control
 # has collapsed (floors approached faster than the monitors can resolve).
@@ -356,7 +357,6 @@ def regrid_uniform(state: ProfileState) -> ProfileState:
                         h=resampled[0], f=resampled[1:])
 
 
-@np.errstate(over="raise", divide="raise", invalid="raise")
 def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
     """Integrate from state0 until t_end or a stop_floor breach.
 
@@ -370,140 +370,143 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
     passes RESIDUAL_GROWTH_MAX times its first-row value) raise FlowHalt
     with the partial trace and snapshots attached.
     """
-    if state0.cells < 8:
-        raise InvalidInitialState(
-            f"state has {state0.cells} cells; the flow needs at least 8")
-    try:
-        state0.validate()
-        failures = [c for c in validate_closing(state0) if not c.ok]
-        ricci = RicciFeatures(spec, state0.cells)
-    except (ValueError, FloatingPointError) as exc:
-        raise InvalidInitialState(str(exc)) from exc
-    if failures:
-        bad = "; ".join(f"{c.side} {c.name} (residual {c.residual:.3g})"
-                        for c in failures)
-        raise InvalidInitialState(f"initial data does not close: {bad}")
-
-    dsigma = state0.dsigma
-    stencil = Stencil(field_parities(spec.r), state0.cells)
-    Y = np.vstack([state0.a, state0.h, state0.f])
-    t = state0.t
-    t_end = state0.t + cfg.t_end
-    blocks, pending, snapshots = [], [], []
-    step = 0
-
-    def current_state():
-        # Y is never written in place, so a snapshot shares its rows.
-        return ProfileState(t=t, a=Y[0], h=Y[1], f=Y[2:])
-
-    def rhs(Yj, out):
-        _stage(Yj, stencil, ricci, out)
-
-    dt_min = DT_UNDERFLOW * cfg.t_end
-    t_stop = t_end - DT_UNDERFLOW * max(t_end, 1.0)
-
-    def take_row(ydot, derivs, dt_col):
-        # Y, ydot and derivs are fresh arrays every step, so the entry
-        # holds them without copying.
-        pending.append((t, dt_col, Y, ydot, derivs))
-        if len(pending) == MONITOR_BLOCK:
-            flush()
-
-    def drop_snapshots_from(t_row):
-        snapshots[:] = [sn for sn in snapshots if sn.t < t_row]
-
-    gate = [trace_columns(spec.r).index(name) for name in RESIDUAL_COLUMNS]
-
-    def keep(rows):
-        # The first row whose residual tripped is the last kept; a residual
-        # that starts at zero has no scale and is not gated.
-        first = (blocks[0] if blocks else rows)[0, gate]
-        res = rows[:, gate]
-        with np.errstate(over="ignore"):
-            tripped = (first > 0.0) & (res > RESIDUAL_GROWTH_MAX * first)
-        hits = np.flatnonzero(tripped.any(axis=1))
-        if not hits.size:
-            blocks.append(rows)
-            return
-        i = hits[0]
-        blocks.append(rows[:i + 1])
-        drop_snapshots_from(rows[i, 0])
-        j = tripped[i].argmax()
-        raise FlowHalt(f"{RESIDUAL_COLUMNS[j]} grew to {res[i, j]:.3e} at "
-                       f"t = {rows[i, 0]:.6g}, more than "
-                       f"{RESIDUAL_GROWTH_MAX:g} times its initial "
-                       f"{first[j]:.3e}: the integration has gone unstable")
-
-    def flush():
-        # Halt at the first row that raises a floating-point error (then
-        # dropped) or trips the gate (kept), as a row-by-row monitor would.
-        if not pending:
-            return
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        if state0.cells < 8:
+            raise InvalidInitialState(
+                f"state has {state0.cells} cells; the flow needs at least 8")
         try:
-            keep(_monitor_block(spec, pending, dsigma))
-        except FloatingPointError:
-            for entry in pending:
-                try:
-                    filled = _monitor_block(spec, [entry], dsigma)
-                except FloatingPointError as exc:
-                    drop_snapshots_from(entry[0])
-                    raise FlowHalt(f"floating-point {exc} at t = "
-                                   f"{entry[0]:.6g}") from exc
-                keep(filled)
-        finally:
-            pending.clear()
+            state0.validate()
+            failures = [c for c in validate_closing(state0) if not c.ok]
+            ricci = RicciFeatures(spec, state0.cells)
+        except (ValueError, FloatingPointError) as exc:
+            raise InvalidInitialState(str(exc)) from exc
+        if failures:
+            bad = "; ".join(f"{c.side} {c.name} (residual {c.residual:.3g})"
+                            for c in failures)
+            raise InvalidInitialState(f"initial data does not close: {bad}")
 
-    try:
-        while True:
-            # One min and one max pass per step serve the regrid gate (on
-            # the state the last step produced), the stop tests and dt, on
-            # Python floats, whose overflows are infs the tests read right.
-            lo, hi = Y.min(axis=1).tolist(), Y.max(axis=1).tolist()
-            if step and hi[0] > cfg.regrid_threshold * lo[0]:
-                regridded = regrid_uniform(current_state())
-                Y = np.vstack([regridded.a, regridded.h, regridded.f])
+        dsigma = state0.dsigma
+        stencil = Stencil(field_parities(spec.r), state0.cells)
+        Y = np.vstack([state0.a, state0.h, state0.f])
+        t = state0.t
+        t_end = state0.t + cfg.t_end
+        blocks, pending, snapshots = [], [], []
+        step = 0
+
+        def current_state():
+            # Y is never written in place, so a snapshot shares its rows.
+            return ProfileState(t=t, a=Y[0], h=Y[1], f=Y[2:])
+
+        def rhs(Yj, out):
+            _stage(Yj, stencil, ricci, out)
+
+        dt_min = DT_UNDERFLOW * cfg.t_end
+        t_stop = t_end - DT_UNDERFLOW * max(t_end, 1.0)
+
+        def take_row(ydot, derivs, dt_col):
+            # Y, ydot and derivs are fresh arrays every step, so the entry
+            # holds them without copying.
+            pending.append((t, dt_col, Y, ydot, derivs))
+            if len(pending) == MONITOR_BLOCK:
+                flush()
+
+        def drop_snapshots_from(t_row):
+            snapshots[:] = [sn for sn in snapshots if sn.t < t_row]
+
+        gate = [trace_columns(spec.r).index(name) for name in RESIDUAL_COLUMNS]
+
+        def keep(rows):
+            # The first row whose residual tripped is the last kept; a residual
+            # that starts at zero has no scale and is not gated.
+            first = (blocks[0] if blocks else rows)[0, gate]
+            res = rows[:, gate]
+            with np.errstate(over="ignore"):
+                tripped = (first > 0.0) & (res > RESIDUAL_GROWTH_MAX * first)
+            hits = np.flatnonzero(tripped.any(axis=1))
+            if not hits.size:
+                blocks.append(rows)
+                return
+            i = hits[0]
+            blocks.append(rows[:i + 1])
+            drop_snapshots_from(rows[i, 0])
+            j = tripped[i].argmax()
+            raise FlowHalt(f"{RESIDUAL_COLUMNS[j]} grew to {res[i, j]:.3e} "
+                           f"at t = {rows[i, 0]:.6g}, more than "
+                           f"{RESIDUAL_GROWTH_MAX:g} times its initial "
+                           f"{first[j]:.3e}: the integration has gone "
+                           f"unstable")
+
+        def flush():
+            # Halt at the first row that raises a floating-point error (then
+            # dropped) or trips the gate (kept), as a row-by-row monitor would.
+            if not pending:
+                return
+            try:
+                keep(_monitor_block(spec, pending, dsigma))
+            except FloatingPointError:
+                for entry in pending:
+                    try:
+                        filled = _monitor_block(spec, [entry], dsigma)
+                    except FloatingPointError as exc:
+                        drop_snapshots_from(entry[0])
+                        raise FlowHalt(f"floating-point {exc} at t = "
+                                       f"{entry[0]:.6g}") from exc
+                    keep(filled)
+            finally:
+                pending.clear()
+
+        try:
+            while True:
+                # One min and one max pass per step serve the regrid gate (on
+                # the state the last step produced), the stop tests and dt, on
+                # Python floats, whose overflows are infs the tests read right.
                 lo, hi = Y.min(axis=1).tolist(), Y.max(axis=1).tolist()
-            ydot, derivs, rates = _stage(Y, stencil, ricci,
-                                         np.empty_like(Y))
-            _check_finite_rhs(ydot, t)
-            f_min, h_max = min(lo[2:]), max(abs(lo[1]), abs(hi[1]))
-            stop = (t >= t_stop
-                    or f_min * abs(f_min) < cfg.stop_floor
-                    or h_max * h_max < cfg.stop_floor
-                    or lo[0] <= 0.0)
-            dt = 0.0
-            if not stop:
-                try:
-                    dt, s = _dt_bound(rates, lo[0], t, t_end, dsigma,
-                                      dt_min)
-                except FlowHalt:
-                    take_row(ydot, derivs, 0.0)
-                    raise
-            if stop or step % cfg.trace_every == 0:
-                take_row(ydot, derivs, dt)
-            if stop or step % cfg.snapshot_every == 0:
-                snapshots.append(current_state())
-            if stop:
-                break
+                if step and hi[0] > cfg.regrid_threshold * lo[0]:
+                    regridded = regrid_uniform(current_state())
+                    Y = np.vstack([regridded.a, regridded.h, regridded.f])
+                    lo, hi = Y.min(axis=1).tolist(), Y.max(axis=1).tolist()
+                ydot, derivs, rates = _stage(Y, stencil, ricci,
+                                             np.empty_like(Y))
+                _check_finite_rhs(ydot, t)
+                f_min, h_max = min(lo[2:]), max(abs(lo[1]), abs(hi[1]))
+                stop = (t >= t_stop
+                        or f_min * abs(f_min) < cfg.stop_floor
+                        or h_max * h_max < cfg.stop_floor
+                        or lo[0] <= 0.0)
+                dt = 0.0
+                if not stop:
+                    try:
+                        dt, s = _dt_bound(rates, lo[0], t, t_end, dsigma,
+                                          dt_min)
+                    except FlowHalt:
+                        take_row(ydot, derivs, 0.0)
+                        raise
+                if stop or step % cfg.trace_every == 0:
+                    take_row(ydot, derivs, dt)
+                if stop or step % cfg.snapshot_every == 0:
+                    snapshots.append(current_state())
+                if stop:
+                    break
 
-            Y = rkl2_step(Y, ydot, dt, s, rhs)
-            t += dt
-            step += 1
-        flush()
-    except (FlowHalt, FloatingPointError) as exc:
-        halt = exc if isinstance(exc, FlowHalt) else FlowHalt(
-            f"floating-point {exc} at t = {t:.6g}")
-        try:
+                Y = rkl2_step(Y, ydot, dt, s, rhs)
+                t += dt
+                step += 1
             flush()
-        except FlowHalt as row_halt:
-            halt = row_halt
-        halt.trace = _assemble_trace(spec.r, blocks)
-        halt.snapshots = snapshots
-        raise halt
+        except (FlowHalt, FloatingPointError) as exc:
+            halt = exc if isinstance(exc, FlowHalt) else FlowHalt(
+                f"floating-point {exc} at t = {t:.6g}")
+            try:
+                flush()
+            except FlowHalt as row_halt:
+                halt = row_halt
+            halt.trace = _assemble_trace(spec.r, blocks)
+            halt.snapshots = snapshots
+            raise halt
 
-    return _assemble_trace(spec.r, blocks), snapshots
+        return _assemble_trace(spec.r, blocks), snapshots
 
 
 def _assemble_trace(r, blocks):
-    empty = np.zeros((0, len(trace_columns(r) + boundary_columns(r)[1:])))
-    return FlowTrace(r=r, rows=np.concatenate([empty, *blocks]))
+    # The trace holds Python floats: the analysis computes on them.
+    return FlowTrace(r=r, rows=[row for block in blocks
+                                for row in block.tolist()])

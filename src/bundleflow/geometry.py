@@ -24,29 +24,34 @@ smooth-closure endpoint behavior of the family: H and its even s-derivatives
 vanish at the ends while the F_i have vanishing odd derivatives there.
 """
 
+from __future__ import annotations
+
 from collections import namedtuple
 
-import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from . import _lazy_import
+
+np = _lazy_import("numpy")
 
 EVEN = 1.0
 ODD = -1.0
 
 # Stencil and quadrature weights on a uniform cell-centered grid, derived
-# symbolically in tools/derive_anchors.py.
-END_EVEN_WEIGHTS = np.array([150.0, -25.0, 3.0]) / 128.0
-HALF_CELL_ODD = np.array([625.0 / 2304.0, -37.0 / 4608.0, 13.0 / 23040.0])
-HALF_CELL_EVEN = np.array([401.0 / 720.0, -31.0 / 480.0, 11.0 / 1440.0])
+# symbolically in tools/derive_anchors.py.  They are float tuples, so that
+# importing the package touches no numpy; the tables used as matrices
+# become arrays where a Stencil is built and in validate_closing.
+END_EVEN_WEIGHTS = (150.0 / 128.0, -25.0 / 128.0, 3.0 / 128.0)
+HALF_CELL_ODD = (625.0 / 2304.0, -37.0 / 4608.0, 13.0 / 23040.0)
+HALF_CELL_EVEN = (401.0 / 720.0, -31.0 / 480.0, 11.0 / 1440.0)
 # Five-point d/dsigma (over 12 dsigma) and d^2/dsigma^2 (over 12 dsigma^2).
-FIVE_POINT_WEIGHTS = np.array([[1.0, -8.0, 0.0, 8.0, -1.0],
-                               [-1.0, 16.0, -30.0, 16.0, -1.0]])
+FIVE_POINT_WEIGHTS = ((1.0, -8.0, 0.0, 8.0, -1.0),
+                      (-1.0, 16.0, -30.0, 16.0, -1.0))
 # The quartic through the five centers nearest an end, read off at the end:
 # its value, dsigma times its inward slope, and its values at the ghost
 # centers dsigma/2 and 3 dsigma/2 beyond the end.
-END_QUARTIC = np.array([[315 / 128, -105 / 32, 189 / 64, -45 / 32, 35 / 128],
-                        [-31 / 8, 229 / 24, -75 / 8, 37 / 8, -11 / 12],
-                        [5.0, -10.0, 10.0, -5.0, 1.0],
-                        [15.0, -40.0, 45.0, -24.0, 5.0]])
+END_QUARTIC = ((315 / 128, -105 / 32, 189 / 64, -45 / 32, 35 / 128),
+               (-31 / 8, 229 / 24, -75 / 8, 37 / 8, -11 / 12),
+               (5.0, -10.0, 10.0, -5.0, 1.0),
+               (15.0, -40.0, 45.0, -24.0, 5.0))
 
 
 class BundleSpec:
@@ -188,9 +193,10 @@ class Stencil:
         self.ghosted = np.empty(self.sign.shape)
         fields = self.sign.shape[0]
         row, col = self.ghosted.strides
-        self.windows = as_strided(self.ghosted, (fields, 5, cells),
-                                  (row, col, col), writeable=False)
-        self.weights = FIVE_POINT_WEIGHTS / np.array(
+        self.windows = np.lib.stride_tricks.as_strided(
+            self.ghosted, (fields, 5, cells), (row, col, col),
+            writeable=False)
+        self.weights = np.array(FIVE_POINT_WEIGHTS) / np.array(
             [[12.0 * dsigma], [12.0 * dsigma * dsigma]])
 
 

@@ -21,13 +21,16 @@ integrating H with fourth-order quadrature.  Shipped presets:
     shrink to a point while the base stays bounded.
 """
 
+from __future__ import annotations
+
 import math
 from collections import namedtuple
 
-import numpy as np
-
+from . import _lazy_import
 from .geometry import (END_QUARTIC, BundleSpec, ProfileState, ODD,
                        cell_centers, cumulative_from_left, field_parities)
+
+np = _lazy_import("numpy")
 
 # Bound on every endpoint residual.  Discretization error of the quartic
 # through the five samples nearest an end is O(dsigma^4), orders below it;
@@ -88,7 +91,7 @@ def validate_closing(state: ProfileState):
         # Per row: the end value, dsigma times the inward slope, and the
         # two ghost values.  The end value of a turns slopes into d/ds, and
         # a parity extension mirrors the nearest samples into the ghosts.
-        end = END_QUARTIC @ near.T
+        end = np.array(END_QUARTIC) @ near.T
         slope = end[1] / state.dsigma / end[0, 0]
         mirror = np.abs(end[2:].T - parity * near[:, :2]).max(axis=1) / scale
         residuals = [("fiber length H at end", abs(end[0, 1]) / scale[1]),

@@ -110,7 +110,7 @@ def boundary_linear_check(spec, trace):
     one BoundarySlope per factor and side; relative errors are normalized
     by 2(|q_i| + |k_i|), the natural scale of the two slopes.
     """
-    if trace.rows.shape[0] < 2:
+    if len(trace.rows) < 2:
         raise ValueError("need at least two trace rows to fit slopes")
     t = trace.column("t")
     out = []
@@ -210,10 +210,10 @@ def classify_singularity_type_masks(trace, t_hat):
     pick the two rows nearest t_hat when the final decade holds fewer and
     to order the window for the growth ratio.  This reads any row order;
     on a time-ordered trace it gives the same result bit for bit."""
-    if t_hat is None or trace.rows.shape[0] < 2:
+    if t_hat is None or len(trace.rows) < 2:
         return None, NO_SINGULARITY, None, None
-    t = trace.column("t")
-    kappa = trace.column("kappa")
+    t = np.asarray(trace.column("t"))
+    kappa = np.asarray(trace.column("kappa"))
     tau = t_hat - t
     keep = tau > 0.0
     if keep.sum() < 2:
@@ -242,15 +242,15 @@ def classify_singularity_type_masks(trace, t_hat):
 def schwarz_fit_loop(trace, t_hat):
     """analysis.schwarz_fit as a running max over the factors, each on the
     mask of the rows before t_hat."""
-    if t_hat is None or trace.rows.shape[0] == 0:
+    if t_hat is None or len(trace.rows) == 0:
         return None
-    t = trace.column("t")
+    t = np.asarray(trace.column("t"))
     keep = t < t_hat
     if not keep.any():
         return None
     best = 0.0
     for i in range(1, trace.r + 1):
-        f2 = trace.column(f"f{i}sq_min")[keep]
+        f2 = np.asarray(trace.column(f"f{i}sq_min"))[keep]
         best = max(best, float(((t_hat - t[keep]) / f2).max()))
     return best
 
@@ -258,10 +258,11 @@ def schwarz_fit_loop(trace, t_hat):
 def classify_degeneration_lists(trace, stop_floor):
     """analysis.classify_degeneration with the last row's f_i^2 floors and
     endpoint values gathered factor by factor, column by column."""
-    if trace.rows.shape[0] == 0:
+    if len(trace.rows) == 0:
         return INDETERMINATE
     level = FLOOR_MULTIPLE * stop_floor
-    h2_max = float(trace.column("h_max")[-1]) ** 2
+    h_max = trace.column("h_max")[-1]
+    h2_max = h_max * h_max
     f2_min = np.array([trace.column(f"f{i}sq_min")[-1]
                        for i in range(1, trace.r + 1)])
     ends = {side: np.array([trace.column(f"f{i}sq_{side}")[-1]

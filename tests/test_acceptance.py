@@ -96,8 +96,8 @@ def test_criterion_03_kahler_residual_bounded_and_refines(canonical_400,
                                                           canonical_800):
     trace4, _, secs4 = canonical_400
     trace8, _, _ = canonical_800
-    res4 = trace4.column("kahler_res").max()
-    res8 = trace8.column("kahler_res").max()
+    res4 = np.asarray(trace4.column("kahler_res")).max()
+    res8 = np.asarray(trace8.column("kahler_res")).max()
     assert trace4.column("t")[-1] == pytest.approx(0.3, abs=1e-10)
     assert res4 <= 1e-3
     assert res4 / res8 >= 3.5
@@ -108,8 +108,8 @@ def test_criterion_04_heat_residual_small_with_order_two_decay(
         canonical_400, canonical_800):
     trace4, _, _ = canonical_400
     trace8, _, _ = canonical_800
-    heat4 = trace4.column("heat_res").max()
-    heat8 = trace8.column("heat_res").max()
+    heat4 = np.asarray(trace4.column("heat_res")).max()
+    heat8 = np.asarray(trace8.column("heat_res")).max()
     assert heat4 <= 1e-3
     assert math.log2(heat4 / heat8) >= 1.95
 
@@ -120,7 +120,9 @@ def test_criterion_04_late_heat_residual_refines_at_fourth_order(
     # only sees the initial data; rows from t = 0.15 on see the stepping.
     late = []
     for trace, _, _ in (canonical_400, canonical_800):
-        late.append(trace.column("heat_res")[trace.column("t") >= 0.15].max())
+        heat, t = (np.asarray(trace.column(name))
+                   for name in ("heat_res", "t"))
+        late.append(heat[t >= 0.15].max())
     assert math.log2(late[0] / late[1]) >= 3.5
 
 
@@ -140,7 +142,7 @@ def test_criterion_05_boundary_slopes_match_topological_constants(
 
 def test_criterion_06_gradient_sup_non_increasing(canonical_400):
     trace, _, _ = canonical_400
-    g = trace.column("grad_sup_1")
+    g = np.asarray(trace.column("grad_sup_1"))
     assert np.all(np.diff(g) <= 1e-3 * g[0])
     assert g[-1] <= g[0] * (1.0 + 1e-3)
 
@@ -158,8 +160,8 @@ def test_criterion_08_schwarz_constant_bounds_fiber_floor(calabi_run):
     trace, _, _, report = calabi_run
     C = report["schwarz_C"]
     assert C is not None and np.isfinite(C) and C > 0.0
-    t = trace.column("t")
-    f2 = trace.column("f1sq_min")
+    t = np.asarray(trace.column("t"))
+    f2 = np.asarray(trace.column("f1sq_min"))
     keep = t < report["T_hat"]
     assert keep.any()
     bound = (report["T_hat"] - t[keep]) / C
@@ -179,7 +181,7 @@ def test_criterion_09_synthetic_models_classified_correctly():
             t, zeros, kappa, np.ones(n), np.ones(n), np.full(n, 4.0),
             np.full(n, 5.0), zeros, zeros, np.ones(n), np.full(n, math.pi),
             np.full(n, 4.0), np.full(n, 4.0)])
-        return FlowTrace(r=1, rows=rows)
+        return FlowTrace(r=1, rows=rows.tolist())
 
     sup1, verdict1, _, _ = classify_singularity_type(trace_for(1.0), 0.5)
     assert verdict1 == TYPE_I

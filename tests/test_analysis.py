@@ -12,8 +12,8 @@ from bundleflow.analysis import (FIBER_COLLAPSE, FULL_CONTRACTION,
                                  FlowTrace, analyze_run, boundary_columns,
                                  classify_degeneration,
                                  classify_singularity_type,
-                                 estimate_singular_time, schwarz_fit,
-                                 trace_columns)
+                                 estimate_singular_time, interp,
+                                 schwarz_fit, trace_columns)
 import bundleflow.evolution as evo
 from bundleflow.evolution import FlowConfig, run_flow
 from bundleflow.initial_data import (build_kahler_profile, calabi_preset,
@@ -44,7 +44,7 @@ def make_trace(t, kappa=1.0, h_max=1.0, f1sq_min=4.0, f1sq_max=None,
         t, zeros, kappa, 0.5 * h_max, h_max, fmin, fmax,
         zeros, zeros, np.ones(n), np.full(n, math.pi), col(left, fmin),
         col(right, fmin)])
-    trace = FlowTrace(r=1, rows=rows)
+    trace = FlowTrace(r=1, rows=rows.tolist())
     trace.validate()
     return trace
 
@@ -69,28 +69,31 @@ class TestTraceContract:
 
     def test_validate_rejects_bad_shapes_and_order(self):
         trace = make_trace(np.linspace(0.0, 1.0, 5))
-        bad = FlowTrace(r=1, rows=trace.rows[:, :-1])
+        bad = FlowTrace(r=1, rows=[row[:-1] for row in trace.rows])
         with pytest.raises(ValueError, match="column contract"):
             bad.validate()
-        rows = trace.rows.copy()
+        ragged = FlowTrace(r=1, rows=trace.rows[:2] + [trace.rows[2][:-1]])
+        with pytest.raises(ValueError, match="column contract"):
+            ragged.validate()
+        rows = np.array(trace.rows)
         rows[2, 0] = rows[1, 0]
         with pytest.raises(ValueError, match="increasing"):
-            FlowTrace(r=1, rows=rows).validate()
-        rows = trace.rows.copy()
+            FlowTrace(r=1, rows=rows.tolist()).validate()
+        rows = np.array(trace.rows)
         rows[1, 3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            FlowTrace(r=1, rows=rows).validate()
+            FlowTrace(r=1, rows=rows.tolist()).validate()
 
     def test_validate_rejects_kappa_without_finite_reciprocal(self):
         # T_hat reads 1/kappa, which overflows below about 5.6e-309.
         tiny = np.finfo(float).tiny
         make_trace(np.linspace(0.0, 1.0, 5), kappa=tiny)
         trace = make_trace(np.linspace(0.0, 1.0, 5))
-        rows = trace.rows.copy()
+        rows = np.array(trace.rows)
         rows[3, trace.columns.index("kappa")] = 1e-320
         with pytest.raises(ValueError, match="trace column kappa must have "
                                              "a finite reciprocal"):
-            FlowTrace(r=1, rows=rows).validate()
+            FlowTrace(r=1, rows=rows.tolist()).validate()
 
 
 class TestResiduals:
@@ -263,14 +266,13 @@ class TestDegeneration:
         rows = np.column_stack([
             rows, np.linspace(1.0, 1e-3, 3), np.full(3, 3.0),
             np.full(3, 2.0), np.full(3, 2.0)])
-        trace = FlowTrace(r=2, rows=rows)
+        trace = FlowTrace(r=2, rows=rows.tolist())
         assert classify_degeneration(trace, 1e-3) == PARTIAL_CONTRACTION
 
     def test_indeterminate_and_fallbacks(self):
         trace = make_trace(np.linspace(0.0, 0.5, 5))
         assert classify_degeneration(trace, 1e-3) == INDETERMINATE
-        width = len(trace_columns(1)) + 2  # and the two endpoints
-        empty = FlowTrace(r=1, rows=np.zeros((0, width)))
+        empty = FlowTrace(r=1, rows=[])
         assert classify_degeneration(empty, 1e-3) == INDETERMINATE
 
 
@@ -299,13 +301,13 @@ class TestReportReadsAgainstMasks:
         for name in cols[5:5 + 2 * r] + cols[-2 * r:]:
             rows[:, cols.index(name)] = rng.choice([1e-4, 1.0]) \
                 * rng.uniform(0.5, 2.0, n)
-        trace = FlowTrace(r=r, rows=rows)
+        trace = FlowTrace(r=r, rows=rows.tolist())
         trace.validate()
         return trace
 
     @staticmethod
     def _t_hat(trace, kind, rng):
-        t = trace.column("t")
+        t = np.asarray(trace.column("t"))
         if kind == "none" or (t.size == 0 and kind != "singular"):
             return None
         if kind == "estimate":
@@ -327,7 +329,7 @@ class TestReportReadsAgainstMasks:
                 "cases": set()}
         for _ in range(1500):
             trace = self._trace(rng)
-            seen["rows"].add(trace.rows.shape[0])
+            seen["rows"].add(len(trace.rows))
             seen["r"].add(trace.r)
             case = classify_degeneration(trace, 1e-3)
             assert case == ref.classify_degeneration_lists(trace, 1e-3)
@@ -340,7 +342,7 @@ class TestReportReadsAgainstMasks:
                 assert repr(schwarz_fit(trace, t_hat)) \
                     == repr(ref.schwarz_fit_loop(trace, t_hat))
                 seen["verdicts"].add(got[1])
-                t = trace.column("t")
+                t = np.asarray(trace.column("t"))
                 if t_hat is not None and (t < t_hat).sum() >= 2:
                     tau = t_hat - t[t < t_hat]
                     seen["sparse"] += (tau <= 10.0 * tau.min()).sum() < 2
@@ -364,6 +366,46 @@ class TestReportReadsAgainstMasks:
                 float(np.interp(ts, t, trace.column("kappa")))
                 for ts in times.tolist() if ts < t_hat]
             assert repr(report["rescale_factors"]) == repr(want)
+
+
+class TestInterp:
+    """analysis.interp, the report's plain-Python np.interp, against
+    np.interp bit for bit."""
+
+    @staticmethod
+    def _assert_same(xs, xp, fp):
+        with np.errstate(all="ignore"):
+            want = np.interp(xs, xp, fp).tolist()
+        assert repr([interp(x, xp, fp) for x in xs]) == repr(want)
+
+    def test_nodes_interior_points_and_outside(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 3, 10, 40):
+            xp = np.unique(rng.uniform(-1.0, 1.0, n)).tolist()
+            fp = (10.0 ** rng.uniform(-3.0, 3.0, len(xp))).tolist()
+            near = [math.nextafter(x, d) for x in xp
+                    for d in (-math.inf, math.inf)]
+            inside = rng.uniform(xp[0], xp[-1], 50).tolist()
+            outside = [xp[0] - 1.0, xp[-1] + 0.5, -math.inf, math.inf]
+            for xs in (xp, near, inside, outside):
+                self._assert_same(xs, xp, fp)
+
+    def test_trace_rows_and_snapshot_times(self):
+        # Uneven rows toward a singular time, with kappa = 1/(2 tau).
+        tau = np.logspace(np.log10(0.5), -6.0, 300)
+        t = (0.5 - tau).tolist()
+        kappa = (0.5 / tau).tolist()
+        times = np.linspace(-0.1, 0.6, 701).tolist() + t[::7]
+        self._assert_same(times, t, kappa)
+
+    def test_non_finite_values_take_numpy_branches(self):
+        # inf - inf gives a NaN slope or a NaN from the left node; numpy
+        # then tries the right node, then the common value of equal ends.
+        xp = [0.0, 1.0, 2.0, 3.0, 4.0]
+        for fp in ([-math.inf, 1.0, math.inf, math.inf, 2.0],
+                   [1.0, math.inf, -math.inf, 0.0, 1e308],
+                   [1e308, -1e308, 1e308, -1e308, 1e308]):
+            self._assert_same([0.5, 1.5, 2.5, 3.5, 1.0, 3.0], xp, fp)
 
 
 class TestRescale:

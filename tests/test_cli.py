@@ -18,8 +18,9 @@ import bundleflow.geometry as geo
 import bundleflow.initial_data as initial_data
 from bundleflow.analysis import (NO_SINGULARITY, FlowTrace, analyze_run,
                                  trace_columns)
-from bundleflow.cli import (ConfigError, load_config, main, read_snapshots,
-                            read_trace, render_plots, write_outputs)
+from bundleflow.cli import (ConfigError, load_config, main, read_snapshot,
+                            read_snapshots, read_trace, render_plots,
+                            write_outputs)
 
 POINT_RE = re.compile(r'points="([^"]+)"')
 
@@ -60,7 +61,7 @@ def synthetic_run_dir(out):
         t, zeros, 1.0 / (2.0 * tau), np.sqrt(2.0 * tau) / 2.0,
         np.sqrt(2.0 * tau), 3.0 + tau, 6.0 + tau, zeros, zeros,
         np.ones(n), np.full(n, math.pi), np.full(n, 6.0), 6.0 - 8.0 * t])
-    trace = FlowTrace(r=1, rows=rows)
+    trace = FlowTrace(r=1, rows=rows.tolist())
     report = analyze_run(trace, [], stop_floor=1e-3)
     write_outputs(trace, [], report, out, raw_config={"flow": {}})
     return trace, report
@@ -395,6 +396,23 @@ class TestRunVerb:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("cells", [10 ** 18, cli.MAX_CELLS + 1])
+    def test_oversized_cells_exit_two_before_any_allocation(
+            self, tmp_path, capsys, monkeypatch, cells):
+        # The bound is checked before the initial data are built, so not
+        # even 10^18 cells allocate anything.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("initial data built")
+
+        monkeypatch.setitem(cli.PRESETS, "canonical", unreachable)
+        cfg = write_config(tmp_path / "c.json",
+                           flow={"cells": cells, "t_end": 0.0})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: flow.cells must be at most {cli.MAX_CELLS}\n")
+        assert not (tmp_path / "o").exists()
+        assert cli._parse_flow({"cells": cli.MAX_CELLS})[0] == cli.MAX_CELLS
+
     @pytest.mark.parametrize("template, message", [
         ({"h": [0.0 if i == 5 else math.pi / 32 * (i + 0.5)
                 for i in range(32)], "f0": [4.0]},
@@ -524,7 +542,7 @@ class TestRunVerb:
             assert main(["plot", str(out), "--field", "kappa"]) == 0
             (out / "notes.svg").write_text("<svg/>")
             kept = ["notes.svg"]
-        final = read_snapshots(out)[-1]
+        final = read_snapshot(cli._snapshot_paths(out)[-1])
         assert final.t == pytest.approx(0.001, abs=1e-12)
         assert main(["plot", str(out)]) == 0
         _, ys = polylines((out / "profiles.svg").read_text())[0]
@@ -555,11 +573,13 @@ class TestRunVerb:
         trace.validate()
         assert trace.r == 1
         assert trace.column("t")[-1] == pytest.approx(0.002, abs=1e-12)
-        snaps = read_snapshots(out)
-        assert len(snaps) == len(list((out / "snapshots").glob("*.json")))
-        assert snaps[0].t == 0.0
-        assert snaps[-1].t == pytest.approx(0.002, abs=1e-12)
-        assert snaps[0].f.shape == (1, 32)
+        times = read_snapshots(out)
+        paths = cli._snapshot_paths(out)
+        assert len(times) == len(list((out / "snapshots").glob("*.json")))
+        assert times == [read_snapshot(path).t for path in paths]
+        assert times[0] == 0.0
+        assert times[-1] == pytest.approx(0.002, abs=1e-12)
+        assert read_snapshot(paths[0]).f.shape == (1, 32)
 
 
 class TestAnalyzeVerb:
@@ -572,8 +592,8 @@ class TestAnalyzeVerb:
         before = (out / "report.json").read_bytes()
         trace = read_trace(out)
         residuals = (f"residuals: max kahler_res "
-                     f"{trace.column('kahler_res').max():.6g}, max heat_res "
-                     f"{trace.column('heat_res').max():.6g}\n")
+                     f"{max(trace.column('kahler_res')):.6g}, max heat_res "
+                     f"{max(trace.column('heat_res')):.6g}\n")
         assert residuals in capsys.readouterr().out
         assert main(["analyze", str(out)]) == 0
         assert (out / "report.json").read_bytes() == before
@@ -940,7 +960,7 @@ class TestPlotVerb:
         assert 'transform="matrix(' in svg
         assert 'vector-effect="non-scaling-stroke"' in svg
         xs, ys = polylines(svg)[0]
-        final = read_snapshots(out)[-1]
+        final = read_snapshot(cli._snapshot_paths(out)[-1])
         assert np.allclose(ys, final.h, rtol=0, atol=0)
         assert xs[0] < xs[-1]
 
@@ -1024,8 +1044,7 @@ class TestPlotVerb:
 
     def test_empty_trace_prints_message(self, tmp_path, capsys):
         out = tmp_path / "empty"
-        width = len(trace_columns(1)) + 2  # and the two endpoints
-        trace = FlowTrace(r=1, rows=np.zeros((0, width)))
+        trace = FlowTrace(r=1, rows=[])
         report = analyze_run(trace, [], stop_floor=1e-3)
         write_outputs(trace, [], report, out, raw_config={"flow": {}})
         assert main(["plot", str(out)]) == 0
@@ -1073,7 +1092,7 @@ class TestReadTrace:
                            output={"dir": str(out)})
         assert main(["run", str(cfg)]) == 0
         trace = read_trace(out)
-        assert trace.rows.shape[0] >= 2
+        assert len(trace.rows) >= 2
         path = out / "boundary.csv"
         lines = path.read_text().splitlines()
         if damage == "drop row":

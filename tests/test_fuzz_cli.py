@@ -6,6 +6,7 @@ warnings into errors, so an overflow on hostile input fails here too.
 """
 
 import copy
+import hashlib
 import json
 import math
 import shutil
@@ -167,3 +168,46 @@ def test_verbs_on_damaged_run_dir_exit_cleanly(small_run, damage, field):
         plot = ["plot", str(out)] + ([] if field is None
                                      else ["--field", field])
         assert main(plot) in (0, 2)
+
+
+@pytest.fixture(scope="module")
+def collapse_run(tmp_path_factory):
+    # A Calabi fiber collapse to the floor, so that the last two rows are
+    # those of a real singularity.
+    root = tmp_path_factory.mktemp("collapse")
+    conf = root / "config.json"
+    conf.write_text(json.dumps({
+        "flow": {"cells": CELLS, "t_end": 1.0, "trace_every": 10},
+        "initial": {"preset": "calabi",
+                    "params": {"n": 2, "k_lens": 1, "f0": 6.0}}}))
+    out = root / "run"
+    assert main(["run", str(conf), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("value", [1e-320, 1e155, 1e300, 1.7e308])
+@pytest.mark.parametrize("row", [-2, -1])
+def test_extreme_values_in_the_last_rows_exit_cleanly(collapse_run,
+                                                      tmp_path, row, value):
+    # Each trace.csv column in turn holds an extreme value in one of the
+    # last two rows, with the manifest re-digested, so that the analysis
+    # reads it.  A last-row h_max from about 1.3e154 on once overflowed
+    # max h^2 with a traceback; it is inf now, which is not collapsed.
+    lines = (collapse_run / "trace.csv").read_text().splitlines()
+    for j, name in enumerate(lines[0].split(",")):
+        out = tmp_path / name
+        shutil.copytree(collapse_run, out)
+        cells = lines[row].split(",")
+        cells[j] = repr(value)
+        damaged = lines[:row] + [",".join(cells)] + lines[len(lines) + row
+                                                          + 1:]
+        (out / "trace.csv").write_text("\n".join(damaged) + "\n")
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["files"]["trace.csv"] = hashlib.sha256(
+            (out / "trace.csv").read_bytes()).hexdigest()
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["analyze", str(out)])
+        assert code in (0, 2), name
+        if name == "h_max":
+            assert code == 0
+        assert main(["plot", str(out), "--field", "kappa"]) in (0, 2), name

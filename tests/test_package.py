@@ -1,5 +1,6 @@
 """The package exports, and its records hold, only what production reads;
-importing it loads no stdlib module that no verb needs."""
+importing it loads no stdlib module that no verb needs, and numpy only on
+first use."""
 
 import ast
 import json
@@ -172,3 +173,47 @@ def test_verbs_import_only_what_they_use(tmp_path):
                 "_hashlib"}
     assert unneeded & set(ast.literal_eval(added)) == set()
     assert (code, hashlib_loaded) == ("0", "False")
+
+
+def test_analyze_never_loads_numpy(tmp_path):
+    # A fresh interpreter that imports what perfbench/child.py imports and
+    # then analyzes a run directory: numpy stays an unloaded lazy module,
+    # and report.json is byte for byte the one that run wrote.  plot then
+    # loads numpy on its first use.
+    from bundleflow.cli import main
+
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "flow": {"cells": 16, "t_end": 1.0, "snapshot_every": 5},
+        "initial": {"preset": "calabi",
+                    "params": {"n": 2, "k_lens": 1, "f0": 6.0}}}))
+    rundir = tmp_path / "run"
+    assert main(["run", str(cfg), "--out", str(rundir)]) == 0
+    report = (rundir / "report.json").read_bytes()
+    assert len(json.loads(report)["rescale_factors"]) >= 2
+    script = textwrap.dedent("""
+        import json
+        import sys
+        import bundleflow.cli as cli
+        import bundleflow.evolution
+        import bundleflow.initial_data
+        lazy = type(sys.modules["numpy"]).__name__
+        code = cli.main(["analyze", sys.argv[1]])
+        loaded = sorted(name for name in sys.modules
+                        if name.startswith("numpy."))
+        core = "numpy._core" in sys.modules
+        plot = cli.main(["plot", sys.argv[1]])
+        print(json.dumps([lazy, code, core, loaded, plot,
+                          "numpy._core" in sys.modules]))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(rundir)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lazy, code, core, loaded, plot, core_after_plot = json.loads(
+        proc.stdout.splitlines()[-1])
+    assert (lazy, code, core, loaded) == ("_LazyModule", 0, False, [])
+    assert (rundir / "report.json").read_bytes() == report
+    assert (plot, core_after_plot) == (0, True)

@@ -4,11 +4,14 @@
                                 [--repeats 7] [--against DIR]
 
 First the start-up cost that every verb process pays: in each of
-``--repeats`` fresh interpreters, the wall time of ``import
-bundleflow.cli`` after ``import numpy``, and the modules outside the
-package that this import adds to numpy's.  The median time is printed
-with the modules of the last interpreter.  When the interpreter writes
-no bytecode cache, the time includes compiling the package.
+``--repeats`` fresh interpreters, the wall time of the three imports
+that perfbench/child.py makes before it runs a verb (``bundleflow.cli``,
+``bundleflow.evolution`` and ``bundleflow.initial_data``), with numpy not
+imported before, whether numpy's code was loaded by them (the package
+registers numpy lazily, so it should not be), and the modules outside
+the package that they add.  The median time is printed with the
+modules of the last interpreter.  When the interpreter writes no
+bytecode cache, the time includes compiling the package.
 
 The config comes from ``make_config`` in perfbench/run.py, which is
 imported as is (importing it pins BLAS to one thread, as the benchmark
@@ -60,29 +63,30 @@ PERFBENCH = ROOT / "perfbench"
 STARTUP_PROBE = """
 import sys
 import time
-import numpy
 before = set(sys.modules)
 start = time.perf_counter()
 import bundleflow.cli
+import bundleflow.evolution
+import bundleflow.initial_data
 elapsed = time.perf_counter() - start
 added = sorted(name for name in set(sys.modules) - before
                if name.partition(".")[0] != "bundleflow")
-print(1e3 * elapsed, *added)
+print(1e3 * elapsed, "numpy._core" in sys.modules, *added)
 """
 
 
 def startup(repeats):
-    """(median ms of the import, the modules it adds) over fresh
-    interpreters."""
+    """(median ms of the imports, whether numpy was loaded, the modules
+    they add) over fresh interpreters."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     times = []
     for _ in range(repeats):
         out = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env,
                              capture_output=True, text=True, check=True)
-        ms, *added = out.stdout.split()
+        ms, loaded, *added = out.stdout.split()
         times.append(float(ms))
-    return statistics.median(times), added
+    return statistics.median(times), loaded == "True", added
 
 
 def load_tree(src, name):
@@ -160,7 +164,7 @@ def main(argv=None) -> int:
                              / "__init__.py").is_file():
         parser.error(f"{args.against} has no src/bundleflow package")
 
-    startup_ms, startup_added = startup(args.repeats)
+    startup_ms, numpy_loaded, startup_added = startup(args.repeats)
     run = load_perfbench()
     if args.workload not in run.WORKLOADS:
         parser.error(f"unknown workload {args.workload!r}; choose from "
@@ -200,7 +204,7 @@ def main(argv=None) -> int:
     for _ in range(args.repeats):
         (trace, snapshots), wall, busy, calls = timed_run(
             ("_stage", "rkl2_step", "_monitor_block"))
-        rows = trace.rows.shape[0]
+        rows = len(trace.rows)
         samples["run_flow_ms"].append(1e3 * wall)
         samples["stage_us"].append(per_call(busy, calls, "_stage"))
         samples["step_us"].append(per_call(busy, calls, "rkl2_step"))
@@ -236,8 +240,10 @@ def main(argv=None) -> int:
           f"flushes {calls['_monitor_block']} (at most "
           f"{evolution.MONITOR_BLOCK} rows each); medians of "
           f"{args.repeats - 1} runs after one warm-up")
-    print(f"startup             {startup_ms:9.2f} ms import bundleflow.cli "
-          f"after numpy (median of {args.repeats} interpreters); adds "
+    print(f"startup             {startup_ms:9.2f} ms import bundleflow.cli, "
+          f"evolution and initial_data without numpy (median of "
+          f"{args.repeats} interpreters); numpy loaded: "
+          f"{'yes' if numpy_loaded else 'no'}; adds "
           f"{' '.join(startup_added) or 'nothing'}")
     print(f"run_flow            {med['run_flow_ms']:9.2f} ms")
     print(f"_stage              {med['stage_us']:9.2f} us per call")
