@@ -110,33 +110,6 @@ def _divide(a, b):
     return a / b if b else math.inf
 
 
-def interp(x, xp, fp):
-    """np.interp(x, xp, fp) on a float x and lists of floats, bit for bit.
-
-    ``xp`` is strictly increasing and nonempty and x is not NaN (the
-    report interpolates at snapshot times below T_hat); outside the range
-    of xp the end values of ``fp`` are returned.  This is numpy's
-    formula: the exact value on a node, else the slope of the bracketing
-    interval times the distance from its left node plus the value there,
-    from its right node if that is NaN, and the common value of two equal
-    ends if that is NaN too.
-    """
-    j = bisect.bisect_right(xp, x) - 1
-    if j < 0:
-        return fp[0]
-    if j >= len(xp) - 1:
-        return fp[-1]
-    if xp[j] == x:
-        return fp[j]
-    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
-    value = slope * (x - xp[j]) + fp[j]
-    if math.isnan(value):
-        value = slope * (x - xp[j + 1]) + fp[j + 1]
-        if math.isnan(value) and fp[j] == fp[j + 1]:
-            value = fp[j]
-    return value
-
-
 def estimate_singular_time(trace: FlowTrace):
     """Singular time from the secant of w = 1/kappa through the last two rows.
 
@@ -252,18 +225,20 @@ def analyze_run(trace: FlowTrace, snapshot_times, stop_floor: float) -> dict:
     Combines the singular time T_hat (the zero of the secant of 1/kappa
     through the last two trace rows), the Type I/II verdict, the Schwarz
     constant, the degeneration label, and the blow-up factor sequence
-    K_i = kappa(t_i) at the snapshot times t_i before T_hat, interpolated
-    as np.interp does.  A diagnostic that does not apply to the run is
+    K_i = kappa(t_i), the kappa of the trace row at each snapshot time t_i
+    before T_hat.  Raises ValueError naming the first snapshot time that
+    is not a row time.  A diagnostic that does not apply to the run is
     None.  Everything is computed on Python floats, with numpy's results.
     """
+    kappa_at = dict(zip(trace.column("t"), trace.column("kappa")))
+    for ts in snapshot_times:
+        if ts not in kappa_at:
+            raise ValueError(f"snapshot time {ts!r} is not a trace row time")
     t_hat = estimate_singular_time(trace)
     typei_sup, verdict, plateau_ratio, growth_ratio = \
         classify_singularity_type(trace, t_hat)
-    rescale = []
-    if t_hat is not None:
-        t, kappa = trace.column("t"), trace.column("kappa")
-        rescale = [interp(ts, t, kappa) for ts in snapshot_times
-                   if ts < t_hat]
+    rescale = [] if t_hat is None else [kappa_at[ts] for ts in snapshot_times
+                                        if ts < t_hat]
     return {
         "T_hat": t_hat,
         "typeI_sup": typei_sup,

@@ -771,11 +771,14 @@ def _cmd_analyze(rundir) -> int:
     """Recompute report.json and manifest.json; nothing else is rewritten.
 
     Parse errors are reported first, then any difference between the
-    inputs and manifest.json, then a report number that is not finite;
-    each exits 2 before anything is written.  Every snapshot is parsed in
-    full, as part of that check, although the report reads only their
-    times.  Only flow.stop_floor is read from config.json, but a top-level
-    section or flow key that run rejects is an error here too.
+    inputs and manifest.json, then a snapshot whose time is not a trace
+    row time, then a report number that is not finite; each exits 2
+    before anything is written.  Every snapshot is parsed in full, as part
+    of that check, although the report reads only their times.  Each
+    blow-up factor is a row's kappa, which read_trace has checked to be
+    finite, so only the report's scalars are checked here.  Only
+    flow.stop_floor is read from config.json, but a top-level section or
+    flow key that run rejects is an error here too.
     """
     out = Path(rundir)
     trace = read_trace(out)
@@ -794,9 +797,12 @@ def _cmd_analyze(rundir) -> int:
             raise ConfigError(f"{config_path}: {exc}") from exc
     digests = _digests(out, files)
     _verify_manifest(out, digests)
+    try:
+        report = analyze_run(trace, snapshot_times, stop_floor)
+    except ValueError as exc:
+        raise ConfigError(f"malformed run in {out}: {exc}") from exc
     # Positive but subnormal trace values overflow the analysis to inf,
-    # which the check below refuses.
-    report = analyze_run(trace, snapshot_times, stop_floor)
+    # which this check refuses.
     for key, value in report.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{out / 'trace.csv'} gives the report a "

@@ -132,7 +132,8 @@ class FlowConfig:
     smallest f_i^2 or the largest h^2 falls below it the profile is about to
     degenerate and the explicit scheme loses its meaning.  ``trace_every``
     and ``snapshot_every`` are step cadences for monitoring rows and stored
-    states; the final state is always recorded regardless of cadence.
+    states; the final state gets both regardless of cadence, and every
+    snapshot step gets a row too.
     ``regrid_threshold`` bounds max(a)/min(a) before the optional
     resampling to uniform arclength kicks in.  The grid is the initial
     state's own, and the stage count is sized at the stability edge
@@ -360,9 +361,10 @@ def regrid_uniform(state: ProfileState) -> ProfileState:
 def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
     """Integrate from state0 until t_end or a stop_floor breach.
 
-    Returns (FlowTrace, snapshots).  Trace rows are appended every
-    ``trace_every`` steps and always at the final state; snapshots follow
-    ``snapshot_every`` the same way, starting with the initial state.  The
+    Returns (FlowTrace, snapshots).  Snapshots are stored every
+    ``snapshot_every`` steps, starting with the initial state, and always
+    at the final state; trace rows are appended at those steps and every
+    ``trace_every`` steps, so each snapshot's time is a row time.  The
     run refuses to start (InvalidInitialState) if state0 has fewer than 8
     cells, is nonpositive, fails the smooth-closure validation or
     overflows it.  Abnormal halts (a dt underflow, a non-finite RHS, a
@@ -481,9 +483,10 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
                     except FlowHalt:
                         take_row(ydot, derivs, 0.0)
                         raise
-                if stop or step % cfg.trace_every == 0:
+                snap = stop or step % cfg.snapshot_every == 0
+                if snap or step % cfg.trace_every == 0:
                     take_row(ydot, derivs, dt)
-                if stop or step % cfg.snapshot_every == 0:
+                if snap:
                     snapshots.append(current_state())
                 if stop:
                     break

@@ -1,6 +1,7 @@
 """Singularity diagnostics on synthetic and short real traces."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from bundleflow.analysis import (FIBER_COLLAPSE, FULL_CONTRACTION,
                                  FlowTrace, analyze_run, boundary_columns,
                                  classify_degeneration,
                                  classify_singularity_type,
-                                 estimate_singular_time, interp,
-                                 schwarz_fit, trace_columns)
+                                 estimate_singular_time, schwarz_fit,
+                                 trace_columns)
 import bundleflow.evolution as evo
 from bundleflow.evolution import FlowConfig, run_flow
 from bundleflow.initial_data import (build_kahler_profile, calabi_preset,
@@ -354,59 +355,6 @@ class TestReportReadsAgainstMasks:
                                  PARTIAL_CONTRACTION, INDETERMINATE}
         assert seen["sparse"] >= 100
 
-    def test_rescale_factors_are_pointwise_interpolation(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            trace = self._trace(rng)
-            t = trace.column("t")
-            times = np.sort(rng.uniform(-0.2, 1.2, int(rng.integers(0, 9))))
-            report = analyze_run(trace, times.tolist(), 1e-3)
-            t_hat = report["T_hat"]
-            want = [] if t_hat is None else [
-                float(np.interp(ts, t, trace.column("kappa")))
-                for ts in times.tolist() if ts < t_hat]
-            assert repr(report["rescale_factors"]) == repr(want)
-
-
-class TestInterp:
-    """analysis.interp, the report's plain-Python np.interp, against
-    np.interp bit for bit."""
-
-    @staticmethod
-    def _assert_same(xs, xp, fp):
-        with np.errstate(all="ignore"):
-            want = np.interp(xs, xp, fp).tolist()
-        assert repr([interp(x, xp, fp) for x in xs]) == repr(want)
-
-    def test_nodes_interior_points_and_outside(self):
-        rng = np.random.default_rng(31)
-        for n in (1, 2, 3, 10, 40):
-            xp = np.unique(rng.uniform(-1.0, 1.0, n)).tolist()
-            fp = (10.0 ** rng.uniform(-3.0, 3.0, len(xp))).tolist()
-            near = [math.nextafter(x, d) for x in xp
-                    for d in (-math.inf, math.inf)]
-            inside = rng.uniform(xp[0], xp[-1], 50).tolist()
-            outside = [xp[0] - 1.0, xp[-1] + 0.5, -math.inf, math.inf]
-            for xs in (xp, near, inside, outside):
-                self._assert_same(xs, xp, fp)
-
-    def test_trace_rows_and_snapshot_times(self):
-        # Uneven rows toward a singular time, with kappa = 1/(2 tau).
-        tau = np.logspace(np.log10(0.5), -6.0, 300)
-        t = (0.5 - tau).tolist()
-        kappa = (0.5 / tau).tolist()
-        times = np.linspace(-0.1, 0.6, 701).tolist() + t[::7]
-        self._assert_same(times, t, kappa)
-
-    def test_non_finite_values_take_numpy_branches(self):
-        # inf - inf gives a NaN slope or a NaN from the left node; numpy
-        # then tries the right node, then the common value of equal ends.
-        xp = [0.0, 1.0, 2.0, 3.0, 4.0]
-        for fp in ([-math.inf, 1.0, math.inf, math.inf, 2.0],
-                   [1.0, math.inf, -math.inf, 0.0, 1e308],
-                   [1e308, -1e308, 1e308, -1e308, 1e308]):
-            self._assert_same([0.5, 1.5, 2.5, 3.5, 1.0, 3.0], xp, fp)
-
 
 class TestRescale:
     def test_curvature_and_gradient_laws(self):
@@ -436,18 +384,31 @@ class TestAnalyzeRun:
 
     def test_self_similar_collapse_report(self):
         t, tau, trace = self._collapse_trace()
-        report = analyze_run(trace, [0.0, 0.3, 0.499], stop_floor=1e-3)
+        rows = [0, 60, 119]
+        report = analyze_run(trace, [float(t[i]) for i in rows],
+                             stop_floor=1e-3)
         assert report["T_hat"] == pytest.approx(0.5, rel=1e-10)
         assert report["verdict"] == TYPE_I
         assert report["typeI_sup"] == pytest.approx(0.5, rel=1e-10)
         assert report["schwarz_C"] == pytest.approx(0.5 / 3.5, rel=1e-10)
         assert report["case"] == FIBER_COLLAPSE
+        # Each factor is the kappa of its snapshot's own row.
         factors = report["rescale_factors"]
-        assert len(factors) == 3
-        assert factors[0] == pytest.approx(1.0, rel=1e-6)
-        assert factors[1] == pytest.approx(2.5, rel=5e-2)
-        assert factors[2] == pytest.approx(500.0, rel=5e-2)
+        kappa = trace.column("kappa")
+        assert factors == [kappa[i] for i in rows]
+        assert factors[0] == pytest.approx(1.0, rel=1e-12)
+        assert factors[2] == pytest.approx(5e4, rel=1e-12)
         assert np.all(np.diff(factors) > 0.0)
+
+    def test_snapshot_off_the_rows_is_refused(self):
+        # The first time off the rows is named, also past T_hat.
+        t, tau, trace = self._collapse_trace()
+        off = float(0.5 * (t[3] + t[4]))
+        for times, named in (([float(t[0]), off, 0.75], off),
+                             ([float(t[0]), 0.75, off], 0.75)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"snapshot time {named!r} is not a trace row time")):
+                analyze_run(trace, times, stop_floor=1e-3)
 
     def test_quiet_run_reports_no_singularity(self):
         trace = make_trace(np.linspace(0.0, 1.0, 30))

@@ -848,6 +848,34 @@ class TestAnalyzeVerb:
             assert needle in err, err
             assert list(out.glob("*.svg")) == []
 
+    def test_snapshot_time_must_be_a_row_time(self, tmp_path, capsys):
+        # kappa's slope 1e300 / 1e-300 between the rows overflows, so a
+        # factor interpolated off the rows would be inf, which is not JSON.
+        rows = [[1e-300, 1.0, 1.0] + [1.0] * 10,
+                [2e-300, 1.0, 1e300] + [1.0] * 10]
+        trace = FlowTrace(r=1, rows=rows)
+
+        def run_dir(name, snapshot_t):
+            snap = geo.ProfileState(t=snapshot_t, a=np.ones(4),
+                                    h=np.ones(4), f=np.ones((1, 4)))
+            write_outputs(trace, [snap], analyze_run(trace, [], 1e-3),
+                          tmp_path / name, raw_config={"flow": {}})
+            return tmp_path / name
+
+        off = run_dir("off", 1.5e-300)
+        stored = [(off / name).read_bytes()
+                  for name in ("report.json", "manifest.json")]
+        assert main(["analyze", str(off)]) == 2
+        err = capsys.readouterr().err
+        assert (f"malformed run in {off}: snapshot time 1.5e-300 is not a "
+                f"trace row time") in err, err
+        assert [(off / name).read_bytes()
+                for name in ("report.json", "manifest.json")] == stored
+        on = run_dir("on", 1e-300)
+        assert main(["analyze", str(on)]) == 0
+        report = json.loads((on / "report.json").read_text())
+        assert report["rescale_factors"] == [1.0]
+
     @pytest.mark.parametrize("damage,needle", [
         ("edited", "snap_00001.json does not match its digest in"),
         ("unlisted", "snap_00001.json is not listed in"),

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import bundleflow.geometry as geo
 import bundleflow.cli as cli
 import bundleflow.evolution as evo
+from bundleflow.analysis import analyze_run
 from bundleflow.cli import main, read_snapshot, read_snapshots, read_trace
 from bundleflow.evolution import (MAX_REL_CHANGE, STEP_CAP, FlowConfig,
                                   FlowHalt, InvalidInitialState, _dt_bound,
@@ -548,6 +549,41 @@ class TestRunFlow:
         assert len(trace.rows) < len(dense.rows)
         assert trace.rows[-1][0] == pytest.approx(dense.rows[-1][0],
                                                   abs=1e-12)
+
+    @pytest.mark.parametrize("halted", [False, True],
+                             ids=["clean", "halted"])
+    def test_every_snapshot_is_a_trace_row(self, monkeypatch, halted):
+        # Snapshots every 3 steps and rows every 10: each snapshot step
+        # gains a row, and the rows of the run without those snapshots
+        # stay as they were.  Stages sized past the stability edge make a
+        # halted run, which may trip its gate on one of the new rows; its
+        # rows are compared up to that trip.
+        if halted:
+            monkeypatch.setattr(evo, "CFL_MAX", 0.5)
+        spec, state = canonical_preset(80)
+        halts = []
+
+        def run(snapshot_every):
+            cfg = FlowConfig(t_end=0.3, trace_every=10,
+                             snapshot_every=snapshot_every)
+            try:
+                return run_flow(spec, state, cfg)
+            except FlowHalt as exc:
+                halts.append(exc)
+                return exc.trace, exc.snapshots
+
+        trace, snaps = run(3)
+        sparse, _ = run(10 ** 6)
+        assert len(halts) == 2 * halted
+        t = trace.column("t")
+        times = [snap.t for snap in snaps]
+        assert len(times) > 2 and set(times) <= set(t)
+        rows = set(map(repr, trace.rows))
+        kept = [row for row in sparse.rows if row[0] <= t[-1]]
+        assert len(kept) > 1 and all(repr(row) in rows for row in kept)
+        kappa = dict(zip(t, trace.column("kappa")))
+        report = analyze_run(trace, times, 1e-3)
+        assert report["rescale_factors"] == [kappa[ts] for ts in times]
 
     def test_rejects_fewer_than_8_cells(self):
         # The grid is the state's own; 8 cells is the smallest it runs on.
