@@ -117,9 +117,10 @@ def estimate_singular_time(trace: FlowTrace):
 
         T_hat = t_n + w_n (t_n - t_{n-1}) / (w_{n-1} - w_n)
 
-    is exact with no fit.  Returns T_hat when the trace has two rows and w
-    falls across the last two (so T_hat lies beyond the last row), else
-    None (no singularity indicated).
+    is exact with no fit.  Returns T_hat when the trace has two rows, w
+    falls across the last two and T_hat lies beyond the last row (an
+    increment that underflows to zero does not), else None (no
+    singularity indicated).
     """
     if len(trace.rows) < 2:
         return None
@@ -127,7 +128,8 @@ def estimate_singular_time(trace: FlowTrace):
     w = [_divide(1.0, k) for k in trace.column("kappa")[-2:]]
     if not w[1] < w[0]:
         return None
-    return t[1] + w[1] * (t[1] - t[0]) / (w[0] - w[1])
+    t_hat = t[1] + w[1] * (t[1] - t[0]) / (w[0] - w[1])
+    return t_hat if t_hat > t[1] else None
 
 
 def classify_singularity_type(trace: FlowTrace, t_hat: float):

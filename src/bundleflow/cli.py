@@ -31,8 +31,8 @@ from stat import S_ISDIR
 from . import __version__, _lazy_import
 from .analysis import FlowTrace, analyze_run, boundary_columns, trace_columns
 from .evolution import CFL_MAX, FlowConfig, FlowHalt, InvalidInitialState, \
-    arclength, run_flow
-from .geometry import BundleSpec, ProfileState
+    run_flow
+from .geometry import BundleSpec, arclength_row
 from .initial_data import PRESETS, build_general_profile, \
     build_kahler_profile
 
@@ -414,7 +414,7 @@ def read_trace(out_dir) -> FlowTrace:
     The number r of base factors is the count of grad_sup_i columns in the
     header, which must then be trace_columns(r).  A trace.csv of the
     earlier layout, with r liyau_sup_i columns just before arclength,
-    reads without them, as read_snapshot ignores sigma and cells.
+    reads without them, as _snapshot_fields ignores sigma and cells.
     boundary.csv must have the header boundary_columns(r) and share the
     rows of trace.csv: as many rows, with the same times.
     """
@@ -521,15 +521,8 @@ def _snapshot_fields(path):
     return t, a, h, f
 
 
-def read_snapshot(path) -> ProfileState:
-    """Load one stored snapshot file, checked as _snapshot_fields checks
-    it."""
-    t, a, h, f = _snapshot_fields(path)
-    return ProfileState(t=t, a=a, h=h, f=f)
-
-
 def read_snapshots(out_dir):
-    """Check every stored snapshot, ordered by index, as read_snapshot
+    """Check every stored snapshot, ordered by index, as _snapshot_fields
     does; returns their times, which is all that the report reads."""
     return [_snapshot_fields(path)[0] for path in _snapshot_paths(out_dir)]
 
@@ -541,9 +534,10 @@ def read_snapshots(out_dir):
 def _svg_plot(path, series, title, xlabel, ylabel):
     """Write a minimal standalone SVG line plot.
 
-    Each entry of ``series`` is (label, x array, y array).  Data points are
-    emitted untransformed inside a matrix()-transformed group, so the
-    polyline coordinates in the file are the raw data values.
+    Each entry of ``series`` is (label, x values, y values).  Points with
+    a non-finite coordinate are dropped; the rest are emitted untransformed
+    inside a matrix()-transformed group, so the polyline coordinates in
+    the file are the raw data values.  Returns whether a file was written.
     """
     width, height = 640, 480
     ml, mr, mt, mb = 70, 20, 40, 50
@@ -552,17 +546,16 @@ def _svg_plot(path, series, title, xlabel, ylabel):
 
     cleaned = []
     for label, x, y in series:
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        keep = np.isfinite(x) & np.isfinite(y)
-        if keep.any():
-            cleaned.append((label, x[keep], y[keep]))
+        kept = [(float(a), float(b)) for a, b in zip(x, y)
+                if math.isfinite(a) and math.isfinite(b)]
+        if kept:
+            cleaned.append((label, *zip(*kept)))
     if not cleaned:
         return False
-    x_min = min(s[1].min() for s in cleaned)
-    x_max = max(s[1].max() for s in cleaned)
-    y_min = min(s[2].min() for s in cleaned)
-    y_max = max(s[2].max() for s in cleaned)
+    x_min = min(min(s[1]) for s in cleaned)
+    x_max = max(max(s[1]) for s in cleaned)
+    y_min = min(min(s[2]) for s in cleaned)
+    y_max = max(max(s[2]) for s in cleaned)
     if x_max == x_min:
         x_max = x_min + 1.0
     if y_max == y_min:
@@ -606,8 +599,7 @@ def _svg_plot(path, series, title, xlabel, ylabel):
             f'fill="{color}">{label}</text>')
     for idx, (_, x, y) in enumerate(cleaned):
         color = SVG_COLORS[idx % len(SVG_COLORS)]
-        points = " ".join(f"{repr(float(a))},{repr(float(b))}"
-                          for a, b in zip(x, y))
+        points = " ".join(f"{a!r},{b!r}" for a, b in zip(x, y))
         parts.append(
             f'<g transform="matrix({sx:.10g} 0 0 {-sy:.10g} {tx:.10g} '
             f'{ty:.10g})">'
@@ -627,7 +619,8 @@ def render_plots(out_dir, field=None):
     against t.  A field that is not a trace column is a ConfigError before
     any file is written.  An empty trace produces no files and an explicit
     message; a final snapshot whose arclength overflows is a ConfigError
-    naming it.
+    naming it.  The final snapshot is read as lists, and every series is
+    computed on Python floats, so plot loads no numpy.
     """
     out = Path(out_dir)
     trace = read_trace(out)
@@ -642,18 +635,15 @@ def render_plots(out_dir, field=None):
 
     snap_paths = _snapshot_paths(out)
     if snap_paths:
-        final = read_snapshot(snap_paths[-1])
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                s, _ = arclength(final)
-        except FloatingPointError as exc:
+        t_final, a, h, f = _snapshot_fields(snap_paths[-1])
+        s = arclength_row(a)
+        if not all(map(math.isfinite, s)):
             raise ConfigError(f"{snap_paths[-1]}: the arclength of its "
-                              f"lapse a is not finite ({exc})") from exc
-        series = [("H", s, final.h)]
-        for i in range(final.r):
-            series.append((f"F{i + 1}", s, final.f[i]))
+                              f"lapse a is not finite")
+        series = [("H", s, h)] + [(f"F{i}", s, row)
+                                  for i, row in enumerate(f, 1)]
         if _svg_plot(out / "profiles.svg", series,
-                     f"profiles at t = {final.t:.6g}", "arclength s",
+                     f"profiles at t = {t_final:.6g}", "arclength s",
                      "profile value"):
             written.append(out / "profiles.svg")
 
@@ -663,16 +653,14 @@ def render_plots(out_dir, field=None):
         t_hat = _read_json(report_path).get("T_hat")
     if t_hat is not None:
         t_hat = _number(t_hat, f"{report_path}: T_hat")
-        t = np.array(trace.column("t"))
-        kappa = np.array(trace.column("kappa"))
-        tau = t_hat - t
-        keep = tau > 0.0
-        if keep.any():
-            x = np.log10(tau[keep])
+        before = [(t_hat - t, k) for t, k in zip(trace.column("t"),
+                                                 trace.column("kappa"))
+                  if t_hat - t > 0.0]
+        if before:
+            x = [math.log10(tau) for tau, _ in before]
             # A far-off T_hat overflows the product to inf, which _svg_plot
             # drops like any other non-finite point.
-            with np.errstate(over="ignore"):
-                y = tau[keep] * kappa[keep]
+            y = [tau * k for tau, k in before]
             if _svg_plot(out / "typeI.svg",
                          [("(T_hat - t) kappa", x, y)],
                          "Type I quantity", "log10(T_hat - t)",

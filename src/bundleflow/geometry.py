@@ -27,6 +27,7 @@ vanish at the ends while the F_i have vanishing odd derivatives there.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import accumulate
 
 from . import _lazy_import
 
@@ -253,7 +254,8 @@ def cumulative_from_left(u: np.ndarray, dsigma: float, parity: float):
     half-cell pieces at the ends use parity-specific weights (odd fields
     integrate to O(d^6) locally, even fields to O(d^5)); interior
     increments use the four-point center-to-center rule, so the composite
-    result is fourth-order accurate.
+    result is fourth-order accurate.  arclength_row is the numpy-free
+    form of the even single-field call that plot uses.
     """
     u = np.asarray(u, float)
     wh = HALF_CELL_ODD if parity == ODD else HALF_CELL_EVEN
@@ -271,6 +273,23 @@ def cumulative_from_left(u: np.ndarray, dsigma: float, parity: float):
     cum[..., 1:] += first[..., None]
     total = cum[..., -1] + last
     return cum, float(total) if u.ndim == 1 else total
+
+
+def arclength_row(a):
+    """Cell-center arclengths of the lapse row a, as a list of floats.
+
+    Bit-identical to cumulative_from_left(a, 1 / len(a), EVEN)[0]: the same
+    weights and order of operations, and the sequential running sum of
+    np.cumsum.  An overflow gives inf or nan entries, not an error.
+    """
+    u = [float(v) for v in a]
+    dsigma = 1.0 / len(u)
+    wh = HALF_CELL_EVEN
+    first = dsigma * (wh[0] * u[0] + wh[1] * u[1] + wh[2] * u[2])
+    ux = u[:1] + u + u[-1:]
+    inc = (dsigma * (-u0 + 13.0 * u1 + 13.0 * u2 - u3) / 24.0
+           for u0, u1, u2, u3 in zip(ux, ux[1:], ux[2:], ux[3:]))
+    return [first] + [c + first for c in accumulate(inc)]
 
 
 # ----------------------------------------------------------------------

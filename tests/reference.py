@@ -1,9 +1,9 @@
-"""Single-state entry points to the production kernels, the Kahler-form
-Ricci expressions that the curvature tests check geometry.ricci_rows
-against, the fit of the exact linear boundary laws of a trace, a
-least-squares formulation of the smooth-closure checks, a
-weight-by-weight, row-by-row formulation of the regrid's quartic
-resample, and mask-, sort- and per-factor formulations of the report's
+"""Single-state entry points to the production kernels, a snapshot file
+read back as a ProfileState, the Kahler-form Ricci expressions that the
+curvature tests check geometry.ricci_rows against, the fit of the exact
+linear boundary laws of a trace, a least-squares formulation of the
+smooth-closure checks, a weight-by-weight, row-by-row formulation of the
+regrid's quartic resample, and mask-, sort- and per-factor formulations of the report's
 Type I/II classifier, Schwarz fit and degeneration label.
 
 The package ships only what its verbs call.  These helpers call the same
@@ -22,6 +22,7 @@ from bundleflow.analysis import (FIBER_COLLAPSE, FLOOR_MULTIPLE,
                                  NO_SINGULARITY, PARTIAL_CONTRACTION,
                                  PLATEAU_FACTOR, TYPE_I, TYPE_II,
                                  WINDOW_DECADES)
+from bundleflow.cli import _snapshot_fields
 from bundleflow.evolution import _check_finite_rhs, _stage
 from bundleflow.initial_data import CLOSING_TOL, ClosingCheck
 
@@ -32,6 +33,13 @@ Ricci = namedtuple("Ricci", "nn zz horiz")
 # Fitted against expected endpoint slope of one f_i^2 series.
 BoundarySlope = namedtuple("BoundarySlope",
                            "factor side fitted expected error rel_error")
+
+
+def read_snapshot(path):
+    """One stored snapshot file as a ProfileState, checked as the verbs
+    check it."""
+    t, a, h, f = _snapshot_fields(path)
+    return geo.ProfileState(t=t, a=a, h=h, f=f)
 
 
 def profile_jets(state):

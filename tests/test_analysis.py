@@ -161,6 +161,16 @@ class TestSingularTime:
             make_trace(t, kappa=np.where(t < 1.0, 1.0 + t, 0.5))) is None
         assert estimate_singular_time(make_trace(np.array([0.0]))) is None
 
+    def test_underflowing_increment_reports_none(self):
+        # w falls from 1 to 1e-300, but the secant increment 1e-300 *
+        # 1e-300 / 1 underflows to 0, which would put T_hat on the last
+        # row; the report then reads no singularity at all.
+        trace = make_trace([1e-300, 2e-300], kappa=[1.0, 1e300])
+        assert estimate_singular_time(trace) is None
+        report = analyze_run(trace, [1e-300, 2e-300], 1e-3)
+        assert (report["T_hat"], report["verdict"],
+                report["rescale_factors"]) == (None, NO_SINGULARITY, [])
+
     def test_time_translation_covariance(self):
         t, kappa = self.T_ROWS, self.BENT
         base = estimate_singular_time(make_trace(t, kappa=kappa))

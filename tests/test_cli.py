@@ -18,9 +18,9 @@ import bundleflow.geometry as geo
 import bundleflow.initial_data as initial_data
 from bundleflow.analysis import (NO_SINGULARITY, FlowTrace, analyze_run,
                                  trace_columns)
-from bundleflow.cli import (ConfigError, load_config, main, read_snapshot,
-                            read_snapshots, read_trace, render_plots,
-                            write_outputs)
+from bundleflow.cli import (ConfigError, load_config, main, read_snapshots,
+                            read_trace, render_plots, write_outputs)
+from reference import read_snapshot
 
 POINT_RE = re.compile(r'points="([^"]+)"')
 
@@ -851,18 +851,16 @@ class TestAnalyzeVerb:
     def test_snapshot_time_must_be_a_row_time(self, tmp_path, capsys):
         # kappa's slope 1e300 / 1e-300 between the rows overflows, so a
         # factor interpolated off the rows would be inf, which is not JSON.
-        rows = [[1e-300, 1.0, 1.0] + [1.0] * 10,
-                [2e-300, 1.0, 1e300] + [1.0] * 10]
-        trace = FlowTrace(r=1, rows=rows)
-
-        def run_dir(name, snapshot_t):
+        def run_dir(name, kappa, snapshot_t):
+            trace = FlowTrace(r=1, rows=[[t, 1.0, k] + [1.0] * 10 for t, k
+                                         in zip((1e-300, 2e-300), kappa)])
             snap = geo.ProfileState(t=snapshot_t, a=np.ones(4),
                                     h=np.ones(4), f=np.ones((1, 4)))
             write_outputs(trace, [snap], analyze_run(trace, [], 1e-3),
                           tmp_path / name, raw_config={"flow": {}})
             return tmp_path / name
 
-        off = run_dir("off", 1.5e-300)
+        off = run_dir("off", (1.0, 1e300), 1.5e-300)
         stored = [(off / name).read_bytes()
                   for name in ("report.json", "manifest.json")]
         assert main(["analyze", str(off)]) == 2
@@ -871,9 +869,11 @@ class TestAnalyzeVerb:
                 f"trace row time") in err, err
         assert [(off / name).read_bytes()
                 for name in ("report.json", "manifest.json")] == stored
-        on = run_dir("on", 1e-300)
+        # On a row of a trace whose T_hat (3e-300) lies beyond the last row.
+        on = run_dir("on", (1.0, 2.0), 1e-300)
         assert main(["analyze", str(on)]) == 0
         report = json.loads((on / "report.json").read_text())
+        assert report["T_hat"] > 2e-300
         assert report["rescale_factors"] == [1.0]
 
     @pytest.mark.parametrize("damage,needle", [
@@ -991,6 +991,11 @@ class TestPlotVerb:
         final = read_snapshot(cli._snapshot_paths(out)[-1])
         assert np.allclose(ys, final.h, rtol=0, atol=0)
         assert xs[0] < xs[-1]
+        # Every profile is drawn at the numpy arclength of the final
+        # lapse, digit for digit.
+        want = [repr(s) for s in evo.arclength(final)[0].tolist()]
+        for points in POINT_RE.findall(svg):
+            assert [p.split(",")[0] for p in points.split()] == want
 
     def test_unknown_field_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"

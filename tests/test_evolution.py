@@ -17,7 +17,7 @@ import bundleflow.geometry as geo
 import bundleflow.cli as cli
 import bundleflow.evolution as evo
 from bundleflow.analysis import analyze_run
-from bundleflow.cli import main, read_snapshot, read_snapshots, read_trace
+from bundleflow.cli import main, read_snapshots, read_trace
 from bundleflow.evolution import (MAX_REL_CHANGE, STEP_CAP, FlowConfig,
                                   FlowHalt, InvalidInitialState, _dt_bound,
                                   _stage, arclength, regrid_uniform,
@@ -25,7 +25,7 @@ from bundleflow.evolution import (MAX_REL_CHANGE, STEP_CAP, FlowConfig,
 from bundleflow.initial_data import (build_kahler_profile, calabi_preset,
                                      canonical_preset, validate_closing)
 from reference import (boundary_linear_check, flow_rhs,
-                       lagrange_resample_loops, profile_jets)
+                       lagrange_resample_loops, profile_jets, read_snapshot)
 
 CANON = geo.BundleSpec(n=(1,), k=(2.0,), q=(2,), lam=(1.0,))
 
@@ -1213,6 +1213,10 @@ def test_layer_bench_runs_on_a_workload():
                    for line in lines), (layer, proc.stdout)
     assert any(re.match(r"step bookkeeping +\d+\.\d+ us per step", line)
                for line in lines), proc.stdout
+    # Neither verb that reads a run directory back loads numpy.
+    for verb in ("analyze", "plot --field kappa"):
+        assert any(re.match(rf"{verb} +\d+\.\d+ ms .*numpy loaded: no$",
+                            line) for line in lines), (verb, proc.stdout)
     for side in ("this", "against"):
         assert any(re.match(rf"run_flow {side} +\d+\.\d+ ms$", line)
                    for line in lines), (side, proc.stdout)

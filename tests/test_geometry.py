@@ -226,6 +226,22 @@ def test_cumulative_quadrature():
     assert flat_total == pytest.approx(2.5, abs=1e-12)
 
 
+def test_arclength_row_is_the_even_cumulative_integral():
+    # Bit for bit on random positive lapses of many sizes and scales, so
+    # plot draws the profiles at the arclengths the stepper computes.
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        cells = int(rng.integers(4, 201))
+        a = rng.uniform(0.1, 10.0, cells) * 10.0 ** rng.uniform(-8.0, 8.0)
+        row = geo.arclength_row(a.tolist())
+        assert all(type(s) is float for s in row)
+        assert row == geo.cumulative_from_left(a, 1.0 / cells,
+                                               geo.EVEN)[0].tolist()
+    # 13 * 1e308 overflows: the row says so with non-finite entries.
+    row = geo.arclength_row([1.0] * 5 + [1e308] + [1.0] * 26)
+    assert not all(map(math.isfinite, row))
+
+
 def test_proxy_rejects_nonfinite():
     jets = canonical_analytic_jets(65)
     h = jets.h.copy()

@@ -178,8 +178,8 @@ def test_verbs_import_only_what_they_use(tmp_path):
 def test_analyze_never_loads_numpy(tmp_path):
     # A fresh interpreter that imports what perfbench/child.py imports and
     # then analyzes a run directory: numpy stays an unloaded lazy module,
-    # and report.json is byte for byte the one that run wrote.  plot then
-    # loads numpy on its first use.
+    # and report.json is byte for byte the one that run wrote.  plot
+    # --field kappa, which writes all four figures, leaves it unloaded too.
     from bundleflow.cli import main
 
     cfg = tmp_path / "c.json"
@@ -203,8 +203,8 @@ def test_analyze_never_loads_numpy(tmp_path):
         lazy = type(sys.modules["numpy"]).__name__
         code = cli.main(["analyze", sys.argv[1]])
         after_analyze = loaded()
-        plot = cli.main(["plot", sys.argv[1]])
-        print(json.dumps([lazy, code, after_analyze, plot, bool(loaded())]))
+        plot = cli.main(["plot", sys.argv[1], "--field", "kappa"])
+        print(json.dumps([lazy, code, after_analyze, plot, loaded()]))
     """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
@@ -216,4 +216,5 @@ def test_analyze_never_loads_numpy(tmp_path):
         proc.stdout.splitlines()[-1])
     assert (lazy, code, after_analyze) == ("_LazyModule", 0, [])
     assert (rundir / "report.json").read_bytes() == report
-    assert (plot, after_plot) == (0, True)
+    assert (plot, after_plot) == (0, [])
+    assert len(list(rundir.glob("*.svg"))) == 4

@@ -11,7 +11,12 @@ imported before, whether numpy's code was loaded by them (the package
 registers numpy lazily, so it should not be), and the modules outside
 the package that they add.  The median time is printed with the
 modules of the last interpreter.  When the interpreter writes no
-bytecode cache, the time includes compiling the package.
+bytecode cache, the time includes compiling the package.  Last, the two
+verbs that read a run directory back, ``analyze`` and ``plot --field
+kappa``, each in ``--repeats`` fresh interpreters after the same
+imports, on the run directory that the persistence timing leaves: the
+median wall time of ``cli.main`` and whether numpy was loaded after it
+(neither verb computes with numpy, so it should not be).
 
 The config comes from ``make_config`` in perfbench/run.py, which is
 imported as is (importing it pins BLAS to one thread, as the benchmark
@@ -75,19 +80,47 @@ loaded = any(name.startswith("numpy.") for name in sys.modules)
 print(1e3 * elapsed, loaded, *added)
 """
 
+VERB_PROBE = """
+import sys
+import time
+import bundleflow.cli
+import bundleflow.evolution
+import bundleflow.initial_data
+start = time.perf_counter()
+code = bundleflow.cli.main(sys.argv[1:])
+elapsed = time.perf_counter() - start
+print(1e3 * elapsed, any(name.startswith("numpy.") for name in sys.modules))
+sys.exit(code)
+"""
+
+
+def fresh_interpreters(script, repeats, *args):
+    """The fields of the last line that ``script`` prints, in each of
+    ``repeats`` fresh interpreters that import this tree's package; a
+    nonzero exit raises."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return [subprocess.run([sys.executable, "-c", script, *args], env=env,
+                           capture_output=True, text=True,
+                           check=True).stdout.splitlines()[-1].split()
+            for _ in range(repeats)]
+
 
 def startup(repeats):
     """(median ms of the imports, whether numpy was loaded, the modules
     they add) over fresh interpreters."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    times = []
-    for _ in range(repeats):
-        out = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env,
-                             capture_output=True, text=True, check=True)
-        ms, loaded, *added = out.stdout.split()
-        times.append(float(ms))
-    return statistics.median(times), loaded == "True", added
+    lines = fresh_interpreters(STARTUP_PROBE, repeats)
+    _, loaded, *added = lines[-1]
+    return (statistics.median(float(line[0]) for line in lines),
+            loaded == "True", added)
+
+
+def verb(argv, repeats):
+    """(median ms of cli.main(argv), whether numpy was loaded after any
+    call) over fresh interpreters."""
+    lines = fresh_interpreters(VERB_PROBE, repeats, *argv)
+    return (statistics.median(float(ms) for ms, _ in lines),
+            any(loaded == "True" for _, loaded in lines))
 
 
 def load_tree(src, name):
@@ -234,6 +267,9 @@ def main(argv=None) -> int:
                       if p.is_file())
         snap_bytes = sum(p.stat().st_size
                          for p in Path(tmp).glob("snapshots/*.json"))
+        verbs = {name: verb(argv, args.repeats) for name, argv in (
+            ("analyze", ["analyze", tmp]),
+            ("plot --field kappa", ["plot", tmp, "--field", "kappa"]))}
 
     med = {key: statistics.median(vals[1:]) for key, vals in samples.items()}
     print(f"workload {args.workload} seed {args.seed}: trace rows {rows}, "
@@ -262,6 +298,10 @@ def main(argv=None) -> int:
           f"({written} bytes, {len(snapshots)} snapshots)")
     print(f"read_snapshots      {med['read_ms']:9.2f} ms per call "
           f"({snap_bytes} bytes)")
+    for name, (ms, loaded) in verbs.items():
+        print(f"{name:<20}{ms:9.2f} ms in cli.main after those imports "
+              f"(median of {args.repeats} interpreters); numpy loaded: "
+              f"{'yes' if loaded else 'no'}")
     if args.against:
         this_ms, other_ms = alternate(
             (lambda: evolution.run_flow(cfg.spec, cfg.state0, cfg.flow),
