@@ -89,10 +89,30 @@ def _integer(v, path):
     return v
 
 
-def _number_list(v, path):
-    if not isinstance(v, list) or not v:
-        raise ConfigError(f"{path} must be a nonempty array of numbers")
-    return [_number(x, f"{path}[{i}]") for i, x in enumerate(v)]
+def _number_list(v, path, ndim=1):
+    """v, a config or snapshot array, once checked to be a nonempty JSON
+    array of finite numbers (ndim 2: a nonempty array of such arrays).
+
+    A clean row costs two builtin scans; in any other row _number names the
+    first bad entry.  Entries keep their JSON type: callers convert.
+    """
+    rows = [(path, v)]
+    if ndim == 2:
+        if not isinstance(v, list) or not v:
+            raise ConfigError(f"{path} must be a nonempty array of arrays")
+        rows = [(f"{path}[{i}]", row) for i, row in enumerate(v)]
+    for where, row in rows:
+        if not isinstance(row, list) or not row:
+            raise ConfigError(f"{where} must be a nonempty array of numbers")
+        try:
+            clean = (set(map(type, row)) <= {float, int}
+                     and all(map(math.isfinite, row)))
+        except OverflowError:  # An integer past the float range.
+            clean = False
+        if not clean:
+            for j, x in enumerate(row):
+                _number(x, f"{where}[{j}]")
+    return v
 
 
 def _integer_list(v, path):
@@ -160,7 +180,7 @@ def _parse_template(section, spec, cells):
     length = _number(t["length"], "initial.template.length")
     h = t.get("h", "sinusoidal")
     if isinstance(h, list):
-        h = np.array(_number_list(h, "initial.template.h"))
+        h = np.array(_number_list(h, "initial.template.h"), float)
     elif not isinstance(h, str):
         raise ConfigError("initial.template.h must be a name or an array")
     mode = t.get("mode", "kahler")
@@ -179,16 +199,12 @@ def _parse_template(section, spec, cells):
         samples = _number_list(t["f0"], "initial.template.f0")
     else:
         build = build_general_profile
-        rows = t["f_templates"]
-        if not isinstance(rows, list) or not rows:
-            raise ConfigError("initial.template.f_templates must be an "
-                              "array of per-factor sample arrays")
-        rows = [_number_list(row, f"initial.template.f_templates[{i}]")
-                for i, row in enumerate(rows)]
+        rows = _number_list(t["f_templates"], "initial.template.f_templates",
+                            ndim=2)
         if len({len(row) for row in rows}) > 1:
             raise ConfigError("initial.template.f_templates rows must all "
                               "have the same length")
-        samples = np.array(rows)
+        samples = np.array(rows, float)
     try:
         return build(spec, length, h, samples, cells)
     except (ValueError, FloatingPointError) as exc:
@@ -238,21 +254,9 @@ def _parse_output(section):
 
 
 def load_config(path) -> RunConfig:
-    """Read, validate and normalize a run configuration file."""
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {p}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {p} is not UTF-8 text: {exc}") \
-            from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config top level must be an object")
+    """Read (by _read_json, as run directories are read), validate and
+    normalize a run configuration file."""
+    raw = _read_json(path)
     _reject_unknown(raw, TOP_SECTIONS, "")
     cells, flow = _parse_flow(raw.get("flow", {}))
     # Initial data whose construction overflows is a config error, not inf.
@@ -374,10 +378,7 @@ def _verify_manifest(out: Path, digests):
     names the file.
     """
     path = out / "manifest.json"
-    try:
-        listed = _read_json(path).get("files")
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    listed = _read_json(path).get("files")
     if not isinstance(listed, dict) or not all(
             isinstance(v, str) for v in listed.values()):
         raise ConfigError(f"{path}: 'files' must map file names to "
@@ -394,14 +395,19 @@ def _verify_manifest(out: Path, digests):
                               f"in {path}")
 
 
-def _read_json(path: Path) -> dict:
-    """Parse a JSON object stored in a run directory.
+def _read_json(path) -> dict:
+    """Parse the JSON object stored in a config file or a run directory.
 
-    Malformed JSON or a top level that is not an object is a ConfigError.
+    A file that cannot be read, is not UTF-8 text or not valid JSON, or
+    whose top level is not an object, is a ConfigError that names it.
     """
     try:
-        obj = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        obj = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: top level must be an object")
@@ -412,11 +418,10 @@ def read_trace(out_dir) -> FlowTrace:
     """Join trace.csv and boundary.csv into the table of a FlowTrace.
 
     The number r of base factors is the count of grad_sup_i columns in the
-    header, which must then be trace_columns(r).  A trace.csv of the
-    earlier layout, with r liyau_sup_i columns just before arclength,
-    reads without them, as _snapshot_fields ignores sigma and cells.
-    boundary.csv must have the header boundary_columns(r) and share the
-    rows of trace.csv: as many rows, with the same times.
+    header, which must then be trace_columns(r), the one layout that
+    write_outputs writes.  boundary.csv must have the header
+    boundary_columns(r) and share the rows of trace.csv: as many rows,
+    with the same times.
     """
     out = Path(out_dir)
     try:
@@ -427,12 +432,7 @@ def read_trace(out_dir) -> FlowTrace:
     except (StopIteration, ValueError) as exc:
         raise ConfigError(f"malformed trace CSV in {out}: {exc!r}") from exc
     r = sum(name.startswith("grad_sup_") for name in header)
-    columns = trace_columns(r)
-    dropped = [f"liyau_sup_{i}" for i in range(1, r + 1)]
-    if r and header == columns[:-1] + dropped + columns[-1:]:
-        # A row of another width keeps a wrong width, which validate finds.
-        header, rows = columns, [row[:-1 - r] + row[-1:] for row in rows]
-    if not r or header != columns:
+    if not r or header != trace_columns(r):
         raise ConfigError("trace.csv does not match the column contract")
     if bheader != boundary_columns(r):
         raise ConfigError("boundary.csv does not match the column contract")
@@ -464,59 +464,34 @@ def _figure_paths(out: Path):
                                  "field_*.svg") for path in out.glob(pattern)]
 
 
-def _finite_array(v, path, ndim):
-    """v, once checked to be a JSON array of finite numbers (ndim 2: of
-    such arrays).
-
-    Each entry is checked by its JSON type, as _number checks a scalar
-    (a string, a boolean or null is not a number), and then for
-    finiteness; the first bad entry is named.
-    """
-    rows = [(path, v)]
-    if ndim == 2 and isinstance(v, list):
-        rows = [(f"{path}[{i}]", row) for i, row in enumerate(v)]
-    for where, row in rows:
-        if not isinstance(row, list):
-            raise ConfigError(f"{where} must be an array")
-        if not set(map(type, row)) <= {float, int}:
-            j = next(j for j, x in enumerate(row)
-                     if type(x) not in (float, int))
-            raise ConfigError(f"{where}[{j}] must be a number")
-    for where, row in rows:
-        # An integer past the float range raises OverflowError here.
-        if not all(map(math.isfinite, row)):
-            j = next(j for j, x in enumerate(row) if not math.isfinite(x))
-            raise ConfigError(f"{where}[{j}] must be a finite number")
-    return v
-
-
 def _snapshot_fields(path):
     """(t, a, h, f) of one stored snapshot file: t a float, a and h lists
     of numbers and f a list of such rows.
 
-    ``t`` must be a finite number and every entry of ``a``, ``h`` and every
-    row of ``f`` a finite number, with ``h`` and each row of ``f`` as long
-    as ``a`` and at least 4 cells (ProfileState's shape rules); anything
-    else is a ConfigError that names the file.  Other keys are ignored, so
-    snapshots that also store the grid (``sigma`` and ``cells``) read the
-    same.  Positivity is not checked: a run that stops at the floor
-    snapshots its stop state.  No numpy is involved.
+    ``t`` must be a finite number, and ``a``, ``h`` and ``f`` pass
+    _number_list (ndim 2 for ``f``), the rule and messages of config
+    arrays, with ``h`` and each row of ``f`` as long as ``a`` and at least
+    4 cells (ProfileState's shape rules); anything else is a ConfigError
+    that names the file.  Other keys are ignored, so snapshots that also
+    store the grid (``sigma`` and ``cells``) read the same.  Positivity is
+    not checked: a run that stops at the floor snapshots its stop state.
+    No numpy is involved.
     """
-    d = _read_json(Path(path))
+    d = _read_json(path)
     try:
         t = _number(d["t"], "t")
-        a, h, f = (_finite_array(d[key], key, 2 if key == "f" else 1)
+        a, h, f = (_number_list(d[key], key, 2 if key == "f" else 1)
                    for key in ("a", "h", "f"))
         if len(h) != len(a):
             raise ConfigError("a and h must be rows of one length")
-        if not f or any(len(row) != len(a) for row in f):
+        if any(len(row) != len(a) for row in f):
             raise ConfigError("f must have shape (r, cells)")
         if len(a) < 4:
             raise ConfigError("need at least 4 cells")
     except ConfigError as exc:
         # The field and shape checks word their errors as sentences.
         raise ConfigError(f"{path} is not a snapshot: {exc}") from exc
-    except (KeyError, TypeError, OverflowError) as exc:
+    except KeyError as exc:
         raise ConfigError(f"{path} is not a snapshot: {exc!r}") from exc
     return t, a, h, f
 
@@ -556,10 +531,11 @@ def _svg_plot(path, series, title, xlabel, ylabel):
     x_max = max(max(s[1]) for s in cleaned)
     y_min = min(min(s[2]) for s in cleaned)
     y_max = max(max(s[2]) for s in cleaned)
+    # Pad a degenerate axis by max(1, |v|): v + 1 == v once |v| >= 2^53.
     if x_max == x_min:
-        x_max = x_min + 1.0
+        x_max = x_min + max(1.0, abs(x_min))
     if y_max == y_min:
-        y_max = y_min + 1.0
+        y_max = y_min + max(1.0, abs(y_min))
     sx = plot_w / (x_max - x_min)
     sy = plot_h / (y_max - y_min)
     tx = ml - sx * x_min
@@ -764,25 +740,23 @@ def _cmd_analyze(rundir) -> int:
     before anything is written.  Every snapshot is parsed in full, as part
     of that check, although the report reads only their times.  Each
     blow-up factor is a row's kappa, which read_trace has checked to be
-    finite, so only the report's scalars are checked here.  Only
-    flow.stop_floor is read from config.json, but a top-level section or
-    flow key that run rejects is an error here too.
+    finite, so only the report's scalars are checked here.  config.json
+    is required, as the label depends on its flow.stop_floor; that is all
+    that is read from it, but a top-level section or flow key that run
+    rejects is an error here too.
     """
     out = Path(rundir)
     trace = read_trace(out)
     snapshot_times = read_snapshots(out)
     config_path = out / "config.json"
-    stop_floor = FlowConfig().stop_floor
-    files = ["trace.csv", "boundary.csv"]
+    raw = _read_json(config_path)
+    try:
+        _reject_unknown(raw, TOP_SECTIONS, "")
+        stop_floor = _parse_flow(raw.get("flow", {}))[1].stop_floor
+    except ConfigError as exc:
+        raise ConfigError(f"{config_path}: {exc}") from exc
+    files = ["trace.csv", "boundary.csv", "config.json"]
     files += [f"snapshots/{path.name}" for path in _snapshot_paths(out)]
-    if config_path.exists():
-        files.append("config.json")
-        raw = _read_json(config_path)
-        try:
-            _reject_unknown(raw, TOP_SECTIONS, "")
-            stop_floor = _parse_flow(raw.get("flow", {}))[1].stop_floor
-        except ConfigError as exc:
-            raise ConfigError(f"{config_path}: {exc}") from exc
     digests = _digests(out, files)
     _verify_manifest(out, digests)
     try:

@@ -177,8 +177,7 @@ class TestLoadConfig:
         (lambda c: (c["initial"]["template"].pop("f0"),
                     c["initial"]["template"].update(mode="general",
                                                     f_templates=3)),
-         "initial.template.f_templates must be an array of per-factor "
-         "sample arrays"),
+         "initial.template.f_templates must be a nonempty array of arrays"),
         (lambda c: c["bundle"].update({"lambda": [1.0, 2.0]}),
          "bundle: lam must match n in length"),
         # A section or key that is present but null counts as present.
@@ -672,61 +671,6 @@ class TestAnalyzeVerb:
         assert {path.name: path.read_bytes()
                 for path in out.glob("*.svg")} == svgs
 
-    @pytest.mark.parametrize("sections", [
-        {},
-        {"bundle": {"n": [1, 1], "k": [2.0, 1.0], "q": [1, 1]},
-         "initial": {"template": {"length": math.pi, "f0": [0.5, 3.0]}}},
-    ], ids=["one factor", "two factors"])
-    def test_trace_with_liyau_columns_still_reads(self, tmp_path, capsys,
-                                                  sections):
-        # Earlier versions also stored liyau_sup_i (sup 4 f_i,s^2) just
-        # before arclength; such a trace.csv analyzes and plots as before,
-        # and the dropped columns are no longer plot fields.
-        out = tmp_path / "run"
-        cfg = write_config(tmp_path / "c.json",
-                           flow={"cells": 32, "t_end": 0.004},
-                           output={"dir": str(out)}, **sections)
-        assert main(["run", str(cfg)]) == 0
-        capsys.readouterr()
-        assert main(["analyze", str(out)]) == 0
-        printed = capsys.readouterr().out
-        trace = read_trace(out)
-        report = (out / "report.json").read_bytes()
-        assert main(["plot", str(out), "--field", "kappa"]) == 0
-        svgs = {path.name: path.read_bytes() for path in out.glob("*.svg")}
-        assert "field_kappa.svg" in svgs
-        capsys.readouterr()
-        assert main(["plot", str(out), "--field", "liyau_sup_1"]) == 2
-        unknown = capsys.readouterr().err
-        assert "unknown trace column 'liyau_sup_1' (available: " \
-            + ", ".join(trace_columns(trace.r)) + ")" in unknown, unknown
-
-        path = out / "trace.csv"
-        lines = path.read_text().splitlines()
-        dropped = [f"liyau_sup_{i}" for i in range(1, trace.r + 1)]
-        for j, line in enumerate(lines):
-            cells = line.split(",")
-            extra = dropped if j == 0 else ["0.25"] * trace.r
-            lines[j] = ",".join(cells[:-1] + extra + cells[-1:])
-        path.write_text("\n".join(lines) + "\n")
-        manifest = json.loads((out / "manifest.json").read_text())
-        manifest["files"]["trace.csv"] = hashlib.sha256(
-            path.read_bytes()).hexdigest()
-        cli._json_dump(out / "manifest.json", manifest)
-
-        old = read_trace(out)
-        assert old.columns == trace.columns
-        assert np.array_equal(old.rows, trace.rows)
-        assert main(["analyze", str(out)]) == 0
-        assert capsys.readouterr().out == printed
-        assert (out / "report.json").read_bytes() == report
-        assert main(["plot", str(out), "--field", "kappa"]) == 0
-        assert {path.name: path.read_bytes()
-                for path in out.glob("*.svg")} == svgs
-        capsys.readouterr()
-        assert main(["plot", str(out), "--field", "liyau_sup_1"]) == 2
-        assert capsys.readouterr().err == unknown
-
     @pytest.mark.parametrize("damage,needle", [
         # Thresholds that older versions read from config.json.
         ("analysis", "config.json: unknown key 'analysis'"),
@@ -762,6 +706,10 @@ class TestAnalyzeVerb:
         # must be drawn against the times of trace.csv.
         ("boundary times", "boundary.csv does not share the rows of "
                            "trace.csv"),
+        # An earlier layout, with liyau_sup_i columns just before
+        # arclength and the manifest updated to match: only the layout
+        # that run writes reads.
+        ("liyau trace", "trace.csv does not match the column contract"),
     ])
     def test_malformed_rundir_exits_two(self, tmp_path, capsys, damage,
                                         needle):
@@ -822,6 +770,15 @@ class TestAnalyzeVerb:
                 lines[j] = f"{float(t) + 0.125!r},{rest}"
             path.write_text("\n".join(lines) + "\n")
             redigest("boundary.csv")
+        elif damage == "liyau trace":
+            path = out / "trace.csv"
+            lines = path.read_text().splitlines()
+            for j, line in enumerate(lines):
+                cells = line.split(",")
+                extra = "liyau_sup_1" if j == 0 else "0.25"
+                lines[j] = ",".join(cells[:-1] + [extra] + cells[-1:])
+            path.write_text("\n".join(lines) + "\n")
+            redigest("trace.csv")
         elif damage == "huge t":
             path = out / "snapshots" / "snap_00001.json"
             snap = json.loads(path.read_text())
@@ -840,7 +797,8 @@ class TestAnalyzeVerb:
         assert needle in err, err
         assert [(out / name).read_bytes()
                 for name in ("report.json", "manifest.json")] == stored
-        if damage == "boundary times" or "is not a snapshot" in needle:
+        if damage in ("boundary times", "liyau trace") \
+                or "is not a snapshot" in needle:
             # A snapshot damaged here is the final one, which plot draws.
             assert not (out / "snapshots" / "snap_00002.json").exists()
             assert main(["plot", str(out)]) == 2
@@ -927,6 +885,35 @@ class TestAnalyzeVerb:
     def test_missing_rundir_exits_two(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope")]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("listed", [True, False],
+                             ids=["listed", "unlisted"])
+    def test_missing_config_exits_two(self, tmp_path, capsys, listed):
+        # The label reads config.json's flow.stop_floor: at 0.05 this run
+        # is a FiberCollapse, which the default floor would not give.
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json",
+                           flow={"cells": 16, "t_end": 1.0,
+                                 "snapshot_every": 5, "stop_floor": 0.05},
+                           initial={"preset": "calabi",
+                                    "params": {"n": 2, "k_lens": 1,
+                                               "f0": 6.0}},
+                           output={"dir": str(out)})
+        assert main(["run", str(cfg)]) == 0
+        assert "degeneration case: FiberCollapse" in capsys.readouterr().out
+        (out / "config.json").unlink()
+        if not listed:
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["files"]["config.json"]
+            cli._json_dump(out / "manifest.json", manifest)
+        stored = [(out / name).read_bytes()
+                  for name in ("report.json", "manifest.json")]
+        assert main(["analyze", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read {out / 'config.json'}: " in err, err
+        assert [(out / name).read_bytes()
+                for name in ("report.json", "manifest.json")] == stored
+        assert not (out / "config.json").exists()
 
     def test_synthetic_dir_report(self, tmp_path):
         out = tmp_path / "syn"
@@ -1075,6 +1062,25 @@ class TestPlotVerb:
             "finite" in err, err
         assert not (out / "profiles.svg").exists()
 
+    def test_constant_series_past_two_to_the_53(self, tmp_path, capsys):
+        # One trace row with kappa near 1e17, where kappa + 1 == kappa:
+        # the degenerate axis is padded by |kappa| instead, not by 1.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "flow": {"cells": 16, "t_end": 0.0},
+            "bundle": {"n": [1], "k": [2.0], "q": [2]},
+            "initial": {"template": {"length": 1e-8, "f0": [1e-16]}}}))
+        out = tmp_path / "run"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        kappa = read_trace(out).column("kappa")
+        assert len(kappa) == 1 and kappa[0] >= 2.0 ** 53
+        assert kappa[0] + 1.0 == kappa[0]
+        capsys.readouterr()
+        assert main(["plot", str(out), "--field", "kappa"]) == 0
+        assert (out / "field_kappa.svg").exists()
+        xs, ys = polylines((out / "field_kappa.svg").read_text())[0]
+        assert ys.tolist() == kappa
+
     def test_empty_trace_prints_message(self, tmp_path, capsys):
         out = tmp_path / "empty"
         trace = FlowTrace(r=1, rows=[])
@@ -1139,6 +1145,41 @@ class TestReadTrace:
                            "boundary.csv does not share the rows of "
                            "trace.csv"):
             read_trace(out)
+
+
+@pytest.mark.parametrize("text,rule", [
+    ("true", "must be a number"), ('"x"', "must be a number"),
+    ("null", "must be a number"), ("1e400", "must be a finite number"),
+    (str(10 ** 400), "must be a finite number"),
+], ids=["true", "string", "null", "1e400", "10**400"])
+@pytest.mark.parametrize("where", ["bundle.k", "a", "f[0]"])
+def test_config_and_snapshot_arrays_share_one_rule(tmp_path, capsys, where,
+                                                    text, rule):
+    # Entry 1 of a config array or of a snapshot row is replaced by
+    # the JSON text ``text``; both read back with the same message.
+    cfg = write_config(tmp_path / "c.json",
+                       flow={"cells": 32, "t_end": 0.004,
+                             "snapshot_every": 1},
+                       bundle={"n": [1, 1], "k": [2.0, 1.0],
+                               "q": [1, 1]},
+                       initial={"template": {"length": math.pi,
+                                             "f0": [0.5, 3.0]}})
+    out = tmp_path / "run"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    if where == "bundle.k":
+        path, argv = cfg, ["run", str(cfg), "--out", str(out)]
+        doc = json.loads(path.read_text())
+        doc["bundle"]["k"][1] = "@"
+    else:
+        path = out / "snapshots" / "snap_00001.json"
+        argv = ["analyze", str(out)]
+        doc = json.loads(path.read_text())
+        (doc["a"] if where == "a" else doc["f"][0])[1] = "@"
+    path.write_text(json.dumps(doc).replace('"@"', text))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{where}[1] {rule}\n" in err, err
 
 
 def test_help_and_missing_verb():
