@@ -19,7 +19,9 @@ is one line with sorted keys and no whitespace.  All floats are written
 with Python repr, so identical runs produce byte-identical files.
 """
 
+import atexit
 import errno
+import gc
 import json
 import math
 import os
@@ -280,7 +282,10 @@ def _csv_bytes(header, rows) -> bytes:
 def _read_csv(path):
     # _write_csv's format: unquoted names and repr floats, comma separated.
     with open(path) as fh:
-        header = next(fh).rstrip("\n").split(",")
+        header = next(fh, None)
+        if header is None:
+            raise ValueError("empty file")
+        header = header.rstrip("\n").split(",")
         rows = [[float(v) for v in line.split(",")] for line in fh]
     return header, rows
 
@@ -424,13 +429,15 @@ def read_trace(out_dir) -> FlowTrace:
     with the same times.
     """
     out = Path(out_dir)
+    tables = []
     try:
-        header, rows = _read_csv(out / "trace.csv")
-        bheader, brows = _read_csv(out / "boundary.csv")
+        for path in (out / "trace.csv", out / "boundary.csv"):
+            tables.append(_read_csv(path))
     except OSError as exc:
         raise ConfigError(f"cannot read run directory {out}: {exc}") from exc
-    except (StopIteration, ValueError) as exc:
-        raise ConfigError(f"malformed trace CSV in {out}: {exc!r}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"malformed trace CSV {path}: {exc}") from exc
+    (header, rows), (bheader, brows) = tables
     r = sum(name.startswith("grad_sup_") for name in header)
     if not r or header != trace_columns(r):
         raise ConfigError("trace.csv does not match the column contract")
@@ -841,6 +848,11 @@ Simulate and analyze the reduced flow on circle-bundle ansatz metrics.
 
 
 def main(argv=None) -> int:
+    # gc.freeze at exit leaves finalization's collections nothing to
+    # traverse.  Cyclic garbage then goes unfinalized, which is safe: every
+    # file the package opens is closed before its verb returns.
+    atexit.unregister(gc.freeze)  # one callback however often main runs
+    atexit.register(gc.freeze)
     command, kwargs = _parse_args(sys.argv[1:] if argv is None
                                   else list(argv))
     try:

@@ -1,5 +1,6 @@
 """Config loading, run directories, verbs, exit codes, and SVG output."""
 
+import gc
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -710,6 +712,11 @@ class TestAnalyzeVerb:
         # arclength and the manifest updated to match: only the layout
         # that run writes reads.
         ("liyau trace", "trace.csv does not match the column contract"),
+        # Each CSV fault names its file.
+        ("empty trace", "run/trace.csv: empty file"),
+        ("empty boundary", "run/boundary.csv: empty file"),
+        ("bad boundary cell", "run/boundary.csv: could not convert string "
+                              "to float: 'x'"),
     ])
     def test_malformed_rundir_exits_two(self, tmp_path, capsys, damage,
                                         needle):
@@ -779,6 +786,14 @@ class TestAnalyzeVerb:
                 lines[j] = ",".join(cells[:-1] + [extra] + cells[-1:])
             path.write_text("\n".join(lines) + "\n")
             redigest("trace.csv")
+        elif damage in ("empty trace", "empty boundary"):
+            (out / f"{damage.split()[1]}.csv").write_bytes(b"")
+        elif damage == "bad boundary cell":
+            path = out / "boundary.csv"
+            lines = path.read_text().splitlines()
+            t, _, rest = lines[2].split(",", 2)
+            lines[2] = f"{t},x,{rest}"
+            path.write_text("\n".join(lines) + "\n")
         elif damage == "huge t":
             path = out / "snapshots" / "snap_00001.json"
             snap = json.loads(path.read_text())
@@ -797,7 +812,8 @@ class TestAnalyzeVerb:
         assert needle in err, err
         assert [(out / name).read_bytes()
                 for name in ("report.json", "manifest.json")] == stored
-        if damage in ("boundary times", "liyau trace") \
+        if damage in ("boundary times", "liyau trace", "empty trace",
+                      "empty boundary", "bad boundary cell") \
                 or "is not a snapshot" in needle:
             # A snapshot damaged here is the final one, which plot draws.
             assert not (out / "snapshots" / "snap_00002.json").exists()
@@ -1233,3 +1249,45 @@ def test_options_go_before_or_after_the_positional(tmp_path):
     assert main(["plot", "--field", "kappa", str(out2)]) == 0
     assert (out1 / "field_kappa.svg").read_bytes() \
         == (out2 / "field_kappa.svg").read_bytes()
+
+
+def test_main_freezes_the_heap_only_at_exit(tmp_path, capsys):
+    # While the process lives, main leaves the collector as it found it:
+    # enabled as before, with nothing in the permanent generation.
+    cfg = write_config(tmp_path / "c.json",
+                       flow={"cells": 32, "t_end": 0.004})
+    here, there = tmp_path / "here", tmp_path / "there"
+    enabled = gc.isenabled()
+    assert main(["run", str(cfg), "--out", str(here)]) == 0
+    assert main(["analyze", str(here)]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, 0)
+    printed = capsys.readouterr().out.replace(str(here), str(there))
+    # A fresh interpreter that calls main twice.  Its probe, registered
+    # before the first call, runs after main's callback (atexit runs last
+    # in, first out): it must find the heap frozen by exactly one
+    # gc.freeze call, after all that the verbs printed.
+    script = textwrap.dedent("""
+        import atexit
+        import gc
+        import sys
+        calls = []
+        freeze = gc.freeze
+        def counted():
+            calls.append(None)
+            freeze()
+        gc.freeze = counted
+        import bundleflow.cli as cli
+        atexit.register(lambda: print("probe", gc.get_freeze_count() > 0,
+                                      len(calls)))
+        print("codes", cli.main(["run", sys.argv[1], "--out", sys.argv[2]]),
+              cli.main(["analyze", sys.argv[2]]))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).resolve().parents[1]),
+                      os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg),
+                           str(there)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == printed + "codes 0 0\nprobe True 1\n"

@@ -1217,6 +1217,11 @@ def test_layer_bench_runs_on_a_workload():
     for verb in ("analyze", "plot --field kappa"):
         assert any(re.match(rf"{verb} +\d+\.\d+ ms .*numpy loaded: no$",
                             line) for line in lines), (verb, proc.stdout)
+    # Teardown, from cli.main returning to the process's exit.
+    for verb in ("run", "analyze", "plot --field kappa"):
+        assert any(re.match(rf"exit {verb} +\d+\.\d+ ms from cli.main "
+                            rf"returning", line) for line in lines), (
+            verb, proc.stdout)
     for side in ("this", "against"):
         assert any(re.match(rf"run_flow {side} +\d+\.\d+ ms$", line)
                    for line in lines), (side, proc.stdout)

@@ -13,10 +13,13 @@ the package that they add.  The median time is printed with the
 modules of the last interpreter.  When the interpreter writes no
 bytecode cache, the time includes compiling the package.  Last, the two
 verbs that read a run directory back, ``analyze`` and ``plot --field
-kappa``, each in ``--repeats`` fresh interpreters after the same
-imports, on the run directory that the persistence timing leaves: the
-median wall time of ``cli.main`` and whether numpy was loaded after it
-(neither verb computes with numpy, so it should not be).
+kappa``, on the run directory that the persistence timing leaves, and
+``run`` on the workload config, each in ``--repeats`` fresh interpreters
+after the same imports: the median wall time of ``cli.main``, whether
+numpy was loaded after it (analyze and plot do not compute with numpy,
+so it should not be), and the median teardown, from ``cli.main``
+returning to the parent's wait for the process returning, read on the
+system-wide monotonic clock.
 
 The config comes from ``make_config`` in perfbench/run.py, which is
 imported as is (importing it pins BLAS to one thread, as the benchmark
@@ -88,28 +91,35 @@ import bundleflow.evolution
 import bundleflow.initial_data
 start = time.perf_counter()
 code = bundleflow.cli.main(sys.argv[1:])
+returned = time.monotonic()
 elapsed = time.perf_counter() - start
-print(1e3 * elapsed, any(name.startswith("numpy.") for name in sys.modules))
+print(1e3 * elapsed, any(name.startswith("numpy.") for name in sys.modules),
+      returned)
 sys.exit(code)
 """
 
 
 def fresh_interpreters(script, repeats, *args):
-    """The fields of the last line that ``script`` prints, in each of
-    ``repeats`` fresh interpreters that import this tree's package; a
-    nonzero exit raises."""
+    """For each of ``repeats`` fresh interpreters that import this tree's
+    package and run ``script``: the fields of the last line it prints and
+    the monotonic time at which the wait for it returned; a nonzero exit
+    raises."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    return [subprocess.run([sys.executable, "-c", script, *args], env=env,
-                           capture_output=True, text=True,
-                           check=True).stdout.splitlines()[-1].split()
-            for _ in range(repeats)]
+    runs = []
+    for _ in range(repeats):
+        stdout = subprocess.run([sys.executable, "-c", script, *args],
+                                env=env, capture_output=True, text=True,
+                                check=True).stdout
+        runs.append((stdout.splitlines()[-1].split(), time.monotonic()))
+    return runs
 
 
 def startup(repeats):
     """(median ms of the imports, whether numpy was loaded, the modules
     they add) over fresh interpreters."""
-    lines = fresh_interpreters(STARTUP_PROBE, repeats)
+    lines = [fields for fields, _ in fresh_interpreters(STARTUP_PROBE,
+                                                        repeats)]
     _, loaded, *added = lines[-1]
     return (statistics.median(float(line[0]) for line in lines),
             loaded == "True", added)
@@ -117,10 +127,13 @@ def startup(repeats):
 
 def verb(argv, repeats):
     """(median ms of cli.main(argv), whether numpy was loaded after any
-    call) over fresh interpreters."""
-    lines = fresh_interpreters(VERB_PROBE, repeats, *argv)
-    return (statistics.median(float(ms) for ms, _ in lines),
-            any(loaded == "True" for _, loaded in lines))
+    call, median ms from cli.main returning to the wait for the process
+    returning) over fresh interpreters."""
+    runs = fresh_interpreters(VERB_PROBE, repeats, *argv)
+    return (statistics.median(float(ms) for (ms, _, _), _ in runs),
+            any(loaded == "True" for (_, loaded, _), _ in runs),
+            statistics.median(1e3 * (ended - float(returned))
+                              for (_, _, returned), ended in runs))
 
 
 def load_tree(src, name):
@@ -210,8 +223,8 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(run.make_config(args.workload,
-                                                   args.seed)))
+        config_text = json.dumps(run.make_config(args.workload, args.seed))
+        path.write_text(config_text)
         cfg = load_config(path)
         if args.against:
             load_tree(args.against / "src", "bundleflow_against")
@@ -270,6 +283,10 @@ def main(argv=None) -> int:
         verbs = {name: verb(argv, args.repeats) for name, argv in (
             ("analyze", ["analyze", tmp]),
             ("plot --field kappa", ["plot", tmp, "--field", "kappa"]))}
+        path = Path(tmp) / "workload.json"
+        path.write_text(config_text)
+        verbs["run"] = verb(["run", str(path), "--out", str(Path(tmp, "run"))],
+                            args.repeats)
 
     med = {key: statistics.median(vals[1:]) for key, vals in samples.items()}
     print(f"workload {args.workload} seed {args.seed}: trace rows {rows}, "
@@ -298,10 +315,14 @@ def main(argv=None) -> int:
           f"({written} bytes, {len(snapshots)} snapshots)")
     print(f"read_snapshots      {med['read_ms']:9.2f} ms per call "
           f"({snap_bytes} bytes)")
-    for name, (ms, loaded) in verbs.items():
+    for name, (ms, loaded, _) in verbs.items():
         print(f"{name:<20}{ms:9.2f} ms in cli.main after those imports "
               f"(median of {args.repeats} interpreters); numpy loaded: "
               f"{'yes' if loaded else 'no'}")
+    for name, (_, _, exit_ms) in verbs.items():
+        print(f"exit {name:<15}{exit_ms:9.2f} ms from cli.main returning to "
+              f"the wait for its process returning (median of "
+              f"{args.repeats} interpreters)")
     if args.against:
         this_ms, other_ms = alternate(
             (lambda: evolution.run_flow(cfg.spec, cfg.state0, cfg.flow),
