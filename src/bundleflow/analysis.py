@@ -16,7 +16,6 @@ FLOOR_MULTIPLE.  They are operational stand-ins, calibrated at exactly
 these values by the synthetic Type I/II models of the acceptance suite.
 """
 
-import bisect
 import itertools
 import math
 
@@ -135,24 +134,21 @@ def estimate_singular_time(trace: FlowTrace):
 def classify_singularity_type(trace: FlowTrace, t_hat: float):
     """Type I/II verdict from the behavior of y = (t_hat - t) * kappa.
 
-    The analysis window covers the final WINDOW_DECADES powers of ten of
-    t_hat - t.  Verdict TypeI when y varies by less than PLATEAU_FACTOR
-    across the final decade (a bounded, settled plateau), or across the
-    last two rows when the final decade holds fewer, TypeII-suspect
-    otherwise.  The endpoint growth ratio of y across the whole window is
-    reported as supporting detail.  The rows before t_hat are a prefix of
-    the time-ordered trace, and on it t_hat - t decreases, so the window
-    and the final decade are suffixes of that prefix.
+    ``t_hat`` is what estimate_singular_time returns for the trace: None,
+    or a time past the last of at least two rows, so every row lies before
+    it and t_hat - t decreases along the time-ordered rows.  The analysis
+    window covers the final WINDOW_DECADES powers of ten of t_hat - t, a
+    suffix of the rows.  Verdict TypeI when y varies by less than
+    PLATEAU_FACTOR across the final decade (a bounded, settled plateau),
+    or across the last two rows when the final decade holds fewer,
+    TypeII-suspect otherwise.  The endpoint growth ratio of y across the
+    whole window is reported as supporting detail.
 
     Returns (typei_sup, verdict, plateau_ratio, growth_ratio).
     """
     if t_hat is None:
         return None, NO_SINGULARITY, None, None
-    t = trace.column("t")
-    n = bisect.bisect_left(t, t_hat)
-    if n < 2:
-        return None, NO_SINGULARITY, None, None
-    tau = [t_hat - ti for ti in t[:n]]
+    tau = [t_hat - ti for ti in trace.column("t")]
     y = [a * k for a, k in zip(tau, trace.column("kappa"))]
 
     def suffix(decades):
@@ -162,7 +158,7 @@ def classify_singularity_type(trace: FlowTrace, t_hat: float):
         return next((i for i, v in enumerate(tau) if v <= bound), 0)
 
     window = y[suffix(WINDOW_DECADES):]
-    final = y[min(suffix(1.0), n - 2):]
+    final = y[min(suffix(1.0), len(y) - 2):]
     typei_sup = max(window)
     low = min(final)
     plateau_ratio = max(final) / low if low > 0.0 else math.inf
@@ -174,18 +170,16 @@ def classify_singularity_type(trace: FlowTrace, t_hat: float):
 def schwarz_fit(trace: FlowTrace, t_hat: float) -> float:
     """Smallest constant C with min f_j^2 >= (t_hat - t)/C on the trace.
 
-    Computed as the max over factors and rows (with t < t_hat) of
+    ``t_hat`` is what estimate_singular_time returns, so every row lies
+    before it.  Computed as the max over factors and rows of
     (t_hat - t) / min f_j^2; a finite positive C certifies the linear
     lower bound on the observed window.
     """
     if t_hat is None:
         return None
-    t = trace.column("t")
-    n = bisect.bisect_left(t, t_hat)
-    if n == 0:
-        return None
     lo = trace.columns.index("f1sq_min")
-    return max(_divide(t_hat - ti, f2) for ti, row in zip(t[:n], trace.rows)
+    return max(_divide(t_hat - ti, f2)
+               for ti, row in zip(trace.column("t"), trace.rows)
                for f2 in row[lo:lo + 2 * trace.r:2])
 
 
@@ -228,9 +222,10 @@ def analyze_run(trace: FlowTrace, snapshot_times, stop_floor: float) -> dict:
     through the last two trace rows), the Type I/II verdict, the Schwarz
     constant, the degeneration label, and the blow-up factor sequence
     K_i = kappa(t_i), the kappa of the trace row at each snapshot time t_i
-    before T_hat.  Raises ValueError naming the first snapshot time that
-    is not a row time.  A diagnostic that does not apply to the run is
-    None.  Everything is computed on Python floats, with numpy's results.
+    (T_hat lies past every row, so past every snapshot).  Raises
+    ValueError naming the first snapshot time that is not a row time.  A
+    diagnostic that does not apply to the run is None.  Everything is
+    computed on Python floats, with numpy's results.
     """
     kappa_at = dict(zip(trace.column("t"), trace.column("kappa")))
     for ts in snapshot_times:
@@ -239,8 +234,7 @@ def analyze_run(trace: FlowTrace, snapshot_times, stop_floor: float) -> dict:
     t_hat = estimate_singular_time(trace)
     typei_sup, verdict, plateau_ratio, growth_ratio = \
         classify_singularity_type(trace, t_hat)
-    rescale = [] if t_hat is None else [kappa_at[ts] for ts in snapshot_times
-                                        if ts < t_hat]
+    rescale = [] if t_hat is None else [kappa_at[ts] for ts in snapshot_times]
     return {
         "T_hat": t_hat,
         "typeI_sup": typei_sup,

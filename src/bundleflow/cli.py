@@ -31,7 +31,8 @@ from pathlib import Path
 from stat import S_ISDIR
 
 from . import __version__, _lazy_import
-from .analysis import FlowTrace, analyze_run, boundary_columns, trace_columns
+from .analysis import FlowTrace, analyze_run, boundary_columns, \
+    estimate_singular_time, trace_columns
 from .evolution import CFL_MAX, FlowConfig, FlowHalt, InvalidInitialState, \
     run_flow
 from .geometry import BundleSpec, arclength_row
@@ -286,7 +287,18 @@ def _read_csv(path):
         if header is None:
             raise ValueError("empty file")
         header = header.rstrip("\n").split(",")
-        rows = [[float(v) for v in line.split(",")] for line in fh]
+        try:
+            rows = [[float(v) for v in line.split(",")] for line in fh]
+        except ValueError:
+            # float accepts the newline that ends each row's last cell but
+            # quotes it in its message.  The rows without it fail on the
+            # same cell, with the cell as the file holds it.
+            fh.seek(0)
+            next(fh)
+            for line in fh:
+                for v in line.rstrip("\n").split(","):
+                    float(v)
+            raise
     return header, rows
 
 
@@ -597,13 +609,15 @@ def render_plots(out_dir, field=None):
     """Emit the standard SVG plots for a persisted run; returns paths.
 
     Plots: final profiles H and F_i against arclength; the Type I quantity
-    (T_hat - t) kappa against log10(T_hat - t) when a singular time is on
-    record; the boundary f_i^2 series; optionally one named trace column
-    against t.  A field that is not a trace column is a ConfigError before
-    any file is written.  An empty trace produces no files and an explicit
-    message; a final snapshot whose arclength overflows is a ConfigError
-    naming it.  The final snapshot is read as lists, and every series is
-    computed on Python floats, so plot loads no numpy.
+    (T_hat - t) kappa against log10(T_hat - t) when the trace gives a
+    singular time, T_hat read off the trace by estimate_singular_time as
+    analyze_run does (report.json is not read); the boundary f_i^2 series;
+    optionally one named trace column against t.  A field that is not a
+    trace column is a ConfigError before any file is written.  An empty
+    trace produces no files and an explicit message; a final snapshot
+    whose arclength overflows is a ConfigError naming it.  The final
+    snapshot is read as lists, and every series is computed on Python
+    floats, so plot loads no numpy.
     """
     out = Path(out_dir)
     trace = read_trace(out)
@@ -630,27 +644,20 @@ def render_plots(out_dir, field=None):
                      "profile value"):
             written.append(out / "profiles.svg")
 
-    report_path = out / "report.json"
-    t_hat = None
-    if report_path.exists():
-        t_hat = _read_json(report_path).get("T_hat")
-    if t_hat is not None:
-        t_hat = _number(t_hat, f"{report_path}: T_hat")
-        before = [(t_hat - t, k) for t, k in zip(trace.column("t"),
-                                                 trace.column("kappa"))
-                  if t_hat - t > 0.0]
-        if before:
-            x = [math.log10(tau) for tau, _ in before]
-            # A far-off T_hat overflows the product to inf, which _svg_plot
-            # drops like any other non-finite point.
-            y = [tau * k for tau, k in before]
-            if _svg_plot(out / "typeI.svg",
-                         [("(T_hat - t) kappa", x, y)],
-                         "Type I quantity", "log10(T_hat - t)",
-                         "(T_hat - t) kappa"):
-                written.append(out / "typeI.svg")
-
     t = trace.column("t")
+    t_hat = estimate_singular_time(trace)
+    if t_hat is not None:
+        # Every row lies before T_hat, so every T_hat - t is positive.
+        tau = [t_hat - ti for ti in t]
+        x = [math.log10(v) for v in tau]
+        # A kappa near the float maximum overflows the product to inf,
+        # which _svg_plot drops like any other non-finite point.
+        y = [v * k for v, k in zip(tau, trace.column("kappa"))]
+        if _svg_plot(out / "typeI.svg", [("(T_hat - t) kappa", x, y)],
+                     "Type I quantity", "log10(T_hat - t)",
+                     "(T_hat - t) kappa"):
+            written.append(out / "typeI.svg")
+
     series = []
     for i in range(1, trace.r + 1):
         for side in ("left", "right"):
@@ -857,10 +864,7 @@ def main(argv=None) -> int:
                                   else list(argv))
     try:
         return command(**kwargs)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

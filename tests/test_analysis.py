@@ -220,11 +220,6 @@ class TestClassifier:
         assert sup == pytest.approx(3.0, rel=1e-9)
         assert growth == pytest.approx(3.0, rel=1e-9)
 
-    def test_fewer_than_two_rows_before_estimate(self):
-        trace = make_trace([0.0, 0.6, 0.7])
-        assert classify_singularity_type(trace, 0.5) \
-            == (None, NO_SINGULARITY, None, None)
-
     def test_no_estimate_gives_no_verdict(self):
         trace = make_trace(np.linspace(0.0, 1.0, 10))
         sup, verdict, plateau, growth = classify_singularity_type(trace, None)
@@ -246,10 +241,6 @@ class TestSchwarz:
     def test_without_estimate(self):
         trace = make_trace(np.linspace(0.0, 0.9, 10))
         assert schwarz_fit(trace, None) is None
-
-    def test_no_row_before_estimate(self):
-        trace = make_trace([0.6, 0.7])
-        assert schwarz_fit(trace, 0.5) is None
 
 
 class TestDegeneration:
@@ -288,12 +279,12 @@ class TestDegeneration:
 
 
 class TestReportReadsAgainstMasks:
-    """The report's prefix, suffix-window and column-block reads give the
-    mask, argsort and per-factor formulations of reference.py bit for bit
-    on time-ordered traces."""
+    """The report's suffix-window and column-block reads give the mask,
+    argsort and per-factor formulations of reference.py bit for bit on
+    time-ordered traces, at every T_hat that estimate_singular_time can
+    return: None, or a time past the last of at least two rows."""
 
-    KINDS = ("none", "before", "at_row", "inside", "singular", "beyond",
-             "estimate")
+    KINDS = ("none", "next", "singular", "beyond", "estimate")
 
     @staticmethod
     def _trace(rng):
@@ -318,21 +309,17 @@ class TestReportReadsAgainstMasks:
 
     @staticmethod
     def _t_hat(trace, kind, rng):
-        t = np.asarray(trace.column("t"))
-        if kind == "none" or (t.size == 0 and kind != "singular"):
+        t = trace.column("t")
+        if kind == "none" or len(t) < 2:
             return None
         if kind == "estimate":
             return estimate_singular_time(trace)
+        if kind == "next":
+            # The nearest time past the last row: tau of one ulp there.
+            return math.nextafter(t[-1], math.inf)
         if kind == "singular":
             return 1.0
-        if kind == "beyond":
-            return 1.0 + rng.uniform(0.0, 1.0)
-        if kind == "before":
-            return float(t[0] - rng.uniform(0.0, 1.0))
-        j = int(rng.integers(0, t.size))
-        if kind == "at_row" or j == t.size - 1:
-            return float(t[j])
-        return float(0.5 * (t[j] + t[j + 1]))
+        return 1.0 + rng.uniform(0.0, 1.0)
 
     def test_bit_identical_on_random_time_ordered_traces(self):
         rng = np.random.default_rng(29)
@@ -345,6 +332,9 @@ class TestReportReadsAgainstMasks:
             case = classify_degeneration(trace, 1e-3)
             assert case == ref.classify_degeneration_lists(trace, 1e-3)
             seen["cases"].add(case)
+            # The precondition of the report's reads.
+            estimate = estimate_singular_time(trace)
+            assert estimate is None or estimate > trace.column("t")[-1]
             for kind in self.KINDS:
                 t_hat = self._t_hat(trace, kind, rng)
                 got = classify_singularity_type(trace, t_hat)
@@ -353,9 +343,8 @@ class TestReportReadsAgainstMasks:
                 assert repr(schwarz_fit(trace, t_hat)) \
                     == repr(ref.schwarz_fit_loop(trace, t_hat))
                 seen["verdicts"].add(got[1])
-                t = np.asarray(trace.column("t"))
-                if t_hat is not None and (t < t_hat).sum() >= 2:
-                    tau = t_hat - t[t < t_hat]
+                if t_hat is not None:
+                    tau = t_hat - np.asarray(trace.column("t"))
                     seen["sparse"] += (tau <= 10.0 * tau.min()).sum() < 2
         # Every row count, both r, all verdicts and labels, and a final
         # decade that holds one row were all exercised.

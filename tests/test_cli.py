@@ -717,6 +717,9 @@ class TestAnalyzeVerb:
         ("empty boundary", "run/boundary.csv: empty file"),
         ("bad boundary cell", "run/boundary.csv: could not convert string "
                               "to float: 'x'"),
+        # The cell is quoted without the newline that ends its row.
+        ("bad last cell", "run/trace.csv: could not convert string to "
+                          "float: 'x'"),
     ])
     def test_malformed_rundir_exits_two(self, tmp_path, capsys, damage,
                                         needle):
@@ -794,6 +797,11 @@ class TestAnalyzeVerb:
             t, _, rest = lines[2].split(",", 2)
             lines[2] = f"{t},x,{rest}"
             path.write_text("\n".join(lines) + "\n")
+        elif damage == "bad last cell":
+            path = out / "trace.csv"
+            lines = path.read_text().splitlines()
+            lines[2] = lines[2].rsplit(",", 1)[0] + ",x"
+            path.write_text("\n".join(lines) + "\n")
         elif damage == "huge t":
             path = out / "snapshots" / "snap_00001.json"
             snap = json.loads(path.read_text())
@@ -813,7 +821,8 @@ class TestAnalyzeVerb:
         assert [(out / name).read_bytes()
                 for name in ("report.json", "manifest.json")] == stored
         if damage in ("boundary times", "liyau trace", "empty trace",
-                      "empty boundary", "bad boundary cell") \
+                      "empty boundary", "bad boundary cell",
+                      "bad last cell") \
                 or "is not a snapshot" in needle:
             # A snapshot damaged here is the final one, which plot draws.
             assert not (out / "snapshots" / "snap_00002.json").exists()
@@ -1019,43 +1028,42 @@ class TestPlotVerb:
         assert (out / "profiles.svg").exists()
         assert not (out / "typeI.svg").exists()
 
-    def test_report_that_is_not_an_object_exits_two(self, tmp_path, capsys):
+    def test_type_one_figure_reads_t_hat_off_the_trace(self, tmp_path):
+        # plot reads T_hat off the trace, as analyze_run does: the same
+        # typeI.svg with report.json intact, with a wrong T_hat in it and
+        # without it.
         out = tmp_path / "run"
-        synthetic_run_dir(out)
-        (out / "report.json").write_text("[]\n")
-        assert main(["plot", str(out)]) == 2
-        assert "top level must be an object" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("t_hat", ["0.5", [0.5], True, {"t": 0.5}])
-    def test_report_with_bad_t_hat_exits_two(self, tmp_path, capsys, t_hat):
-        out = tmp_path / "run"
-        synthetic_run_dir(out)
+        cfg = write_config(tmp_path / "c.json",
+                           flow={"cells": 32, "t_end": 0.002},
+                           output={"dir": str(out)})
+        assert main(["run", str(cfg)]) == 0
+        assert main(["plot", str(out)]) == 0
+        figure = (out / "typeI.svg").read_bytes()
         report = json.loads((out / "report.json").read_text())
-        report["T_hat"] = t_hat
+        report["T_hat"] = 2.0 * report["T_hat"]
         (out / "report.json").write_text(json.dumps(report))
-        assert main(["plot", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "report.json: T_hat must be a number" in err, err
-        assert not (out / "typeI.svg").exists()
+        for edit in ("wrong T_hat", "no report"):
+            if edit == "no report":
+                (out / "report.json").unlink()
+            (out / "typeI.svg").unlink()
+            assert main(["plot", str(out)]) == 0
+            assert (out / "typeI.svg").read_bytes() == figure, edit
 
     def test_type_one_plot_skipped_when_every_point_overflows(
             self, tmp_path, capsys):
-        # With T_hat near the float maximum every (T_hat - t) kappa is inf;
-        # the Type I plot has no finite point and is not written.
+        # Two rows with kappa near the float maximum put T_hat 3 and 2
+        # time units past them, so every (T_hat - t) kappa is inf; the
+        # Type I plot has no finite point and is not written.
         out = tmp_path / "run"
-        cfg = write_config(tmp_path / "c.json",
-                           flow={"cells": 32, "t_end": 0.001},
-                           initial={"preset": "calabi",
-                                    "params": {"length": 1.0}},
-                           output={"dir": str(out)})
-        assert main(["run", str(cfg)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        report["T_hat"] = 1.7e308
-        (out / "report.json").write_text(json.dumps(report))
+        trace = FlowTrace(r=1, rows=[
+            [t, 0.0, kappa, 0.5, 1.0, 4.0, 5.0, 0.0, 0.0, 1.0, math.pi,
+             4.0, 4.0] for t, kappa in ((0.0, 1e308), (1.0, 1.5e308))])
+        report = analyze_run(trace, [], stop_floor=1e-3)
+        assert report["T_hat"] == pytest.approx(3.0, rel=1e-12)
+        write_outputs(trace, [], report, out, raw_config={"flow": {}})
         capsys.readouterr()
         assert main(["plot", str(out)]) == 0
-        assert sorted(p.name for p in out.glob("*.svg")) \
-            == ["boundary.svg", "profiles.svg"]
+        assert [p.name for p in out.glob("*.svg")] == ["boundary.svg"]
         assert "typeI.svg" not in capsys.readouterr().out
 
     def test_overflowing_final_snapshot_exits_two(self, tmp_path, capsys):
