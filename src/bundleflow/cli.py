@@ -855,18 +855,35 @@ Simulate and analyze the reduced flow on circle-bundle ansatz metrics.
 
 
 def main(argv=None) -> int:
-    # gc.freeze at exit leaves finalization's collections nothing to
-    # traverse.  Cyclic garbage then goes unfinalized, which is safe: every
-    # file the package opens is closed before its verb returns.
-    atexit.unregister(gc.freeze)  # one callback however often main runs
-    atexit.register(gc.freeze)
-    command, kwargs = _parse_args(sys.argv[1:] if argv is None
-                                  else list(argv))
+    # The process's whole GC policy: the collector does no work from the
+    # start of a verb to process exit.  It is off while main runs (numpy's
+    # import alone would run 29 collections in `run`).  On return main
+    # restores the caller's state, after gc.freeze and gc.unfreeze have
+    # moved every object to the oldest generation: allocations are counted
+    # while the collector is off, so the next one would otherwise collect
+    # all that the verb left alive.  A caller's own frozen objects are
+    # never thawed.  At exit gc.freeze leaves finalization's collections
+    # nothing to traverse.  This rests on the verbs making no cyclic
+    # garbage; a halted run's FlowHalt traceback holds the one cycle (about
+    # 60 objects).  Cyclic garbage goes unfinalized at exit, which is safe:
+    # every file the package opens is closed before its verb returns.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        atexit.unregister(gc.freeze)  # one callback however often main runs
+        atexit.register(gc.freeze)
+        command, kwargs = _parse_args(sys.argv[1:] if argv is None
+                                      else list(argv))
         return command(**kwargs)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
+            gc.enable()
 
 
 if __name__ == "__main__":

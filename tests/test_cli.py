@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -1273,22 +1274,29 @@ def test_main_freezes_the_heap_only_at_exit(tmp_path, capsys):
     # A fresh interpreter that calls main twice.  Its probe, registered
     # before the first call, runs after main's callback (atexit runs last
     # in, first out): it must find the heap frozen by exactly one
-    # gc.freeze call, after all that the verbs printed.
+    # gc.freeze call at exit, after all that the verbs printed, and no
+    # collection from the first verb on (the gc.collect before it empties
+    # the young generation).
     script = textwrap.dedent("""
         import atexit
         import gc
         import sys
-        calls = []
+        exiting, exit_freezes, collections = False, [], []
         freeze = gc.freeze
         def counted():
-            calls.append(None)
+            if exiting:
+                exit_freezes.append(None)
             freeze()
         gc.freeze = counted
         import bundleflow.cli as cli
         atexit.register(lambda: print("probe", gc.get_freeze_count() > 0,
-                                      len(calls)))
+                                      len(exit_freezes), len(collections)))
+        gc.collect()
+        gc.callbacks.append(lambda phase, info: phase == "start"
+                            and collections.append(info))
         print("codes", cli.main(["run", sys.argv[1], "--out", sys.argv[2]]),
               cli.main(["analyze", sys.argv[2]]))
+        exiting = True
     """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(cli.__file__).resolve().parents[1]),
@@ -1298,4 +1306,99 @@ def test_main_freezes_the_heap_only_at_exit(tmp_path, capsys):
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == printed + "codes 0 0\nprobe True 1\n"
+    assert proc.stdout == printed + "codes 0 0\nprobe True 1 0\n"
+
+
+def test_the_collector_is_off_inside_every_verb(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def call(*args, **kwargs):
+            seen.append((name, gc.isenabled()))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, call)
+
+    for name in ("run_flow", "read_trace", "render_plots"):
+        spy(name)
+    cfg = write_config(tmp_path / "c.json",
+                       flow={"cells": 32, "t_end": 0.004})
+    out = str(tmp_path / "run")
+    gc.enable()
+    assert main(["run", str(cfg), "--out", out]) == 0
+    assert main(["analyze", out]) == 0
+    assert main(["plot", out, "--field", "kappa"]) == 0
+    assert gc.isenabled()
+    # render_plots reads the trace through read_trace.
+    assert seen == [("run_flow", False), ("read_trace", False),
+                    ("render_plots", False), ("read_trace", False)]
+
+
+@pytest.mark.parametrize("caller", ["enabled", "disabled", "frozen"])
+@pytest.mark.parametrize("exit_path", [
+    "ok", "config error", "os error", "flow halt", "usage error", "help"])
+def test_main_restores_the_collector_state(tmp_path, capsys, caller,
+                                           exit_path):
+    cfg = write_config(tmp_path / "c.json",
+                       flow={"cells": 32, "t_end": 1e13 if exit_path
+                             == "flow halt" else 0.0})
+    out = tmp_path / "run"
+    argv = ["run", str(cfg), "--out", str(out)]
+    code = {"ok": 0, "flow halt": 3}.get(exit_path, 2)
+    if exit_path == "config error":
+        write_config(cfg, bogus={})
+    elif exit_path == "os error":
+        (out / "trace.csv").mkdir(parents=True)
+    elif exit_path == "usage error":
+        argv = ["run"]
+    elif exit_path == "help":
+        argv, code = ["--help"], 0
+    try:
+        if caller == "disabled":
+            gc.disable()
+        elif caller == "frozen":
+            gc.freeze()
+        state = (gc.isenabled(), gc.get_freeze_count() > 0)
+        if exit_path in ("usage error", "help"):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == code
+        else:
+            assert main(argv) == code
+        # main's own gc.freeze is undone, a caller's is not.
+        assert (gc.isenabled(), gc.get_freeze_count() > 0) == state
+    finally:
+        gc.unfreeze()
+        gc.enable()
+    if exit_path in ("config error", "os error"):
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verbs_leave_no_cyclic_garbage(tmp_path, capsys):
+    # The collector is off while a verb runs (see main), which is safe as
+    # long as a verb makes no reference cycles.  A halted run is the one
+    # exception: its FlowHalt traceback holds a cycle, so it is not here.
+    cfg = write_config(tmp_path / "c.json",
+                       flow={"cells": 32, "t_end": 0.004})
+    out, bad = tmp_path / "run", tmp_path / "bad"
+    verbs = [(["run", str(cfg), "--out", str(out)], 0),
+             (["analyze", str(out)], 0),
+             (["plot", str(out), "--field", "kappa"], 0),
+             (["analyze", str(bad)], 2)]
+    flags = gc.get_debug()
+    for argv, code in verbs:
+        if argv == ["analyze", str(bad)]:
+            shutil.copytree(out, bad)
+            with (bad / "trace.csv").open("a") as trace:
+                trace.write("x\n")
+        gc.collect()  # frees, rather than saves, the garbage made before
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(argv) == code
+            gc.collect()
+            assert len(gc.garbage) == 0, argv
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+    assert "malformed trace CSV" in capsys.readouterr().err

@@ -1213,10 +1213,12 @@ def test_layer_bench_runs_on_a_workload():
                    for line in lines), (layer, proc.stdout)
     assert any(re.match(r"step bookkeeping +\d+\.\d+ us per step", line)
                for line in lines), proc.stdout
-    # Neither verb that reads a run directory back loads numpy.
-    for verb in ("analyze", "plot --field kappa"):
-        assert any(re.match(rf"{verb} +\d+\.\d+ ms .*numpy loaded: no$",
-                            line) for line in lines), (verb, proc.stdout)
+    # Only run loads numpy, and no verb runs a collection in cli.main.
+    for verb, loaded in (("analyze", "no"), ("plot --field kappa", "no"),
+                         ("run", "yes")):
+        assert any(re.match(rf"{verb} +\d+\.\d+ ms .*numpy loaded: "
+                            rf"{loaded}; collections: 0$", line)
+                   for line in lines), (verb, proc.stdout)
     # Teardown, from cli.main returning to the process's exit.
     for verb in ("run", "analyze", "plot --field kappa"):
         assert any(re.match(rf"exit {verb} +\d+\.\d+ ms from cli.main "

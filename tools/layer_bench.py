@@ -17,9 +17,12 @@ kappa``, on the run directory that the persistence timing leaves, and
 ``run`` on the workload config, each in ``--repeats`` fresh interpreters
 after the same imports: the median wall time of ``cli.main``, whether
 numpy was loaded after it (analyze and plot do not compute with numpy,
-so it should not be), and the median teardown, from ``cli.main``
-returning to the parent's wait for the process returning, read on the
-system-wide monotonic clock.
+so it should not be), the median number of cyclic-GC collections that
+ran inside ``cli.main`` (summed over the generations of
+``gc.get_stats()``; main turns the collector off, so it should read 0),
+and the median teardown, from ``cli.main`` returning to the parent's
+wait for the process returning, read on the system-wide monotonic
+clock.
 
 The config comes from ``make_config`` in perfbench/run.py, which is
 imported as is (importing it pins BLAS to one thread, as the benchmark
@@ -84,17 +87,20 @@ print(1e3 * elapsed, loaded, *added)
 """
 
 VERB_PROBE = """
+import gc
 import sys
 import time
 import bundleflow.cli
 import bundleflow.evolution
 import bundleflow.initial_data
+ran = -sum(stats["collections"] for stats in gc.get_stats())
 start = time.perf_counter()
 code = bundleflow.cli.main(sys.argv[1:])
 returned = time.monotonic()
 elapsed = time.perf_counter() - start
+ran += sum(stats["collections"] for stats in gc.get_stats())
 print(1e3 * elapsed, any(name.startswith("numpy.") for name in sys.modules),
-      returned)
+      returned, ran)
 sys.exit(code)
 """
 
@@ -128,12 +134,14 @@ def startup(repeats):
 def verb(argv, repeats):
     """(median ms of cli.main(argv), whether numpy was loaded after any
     call, median ms from cli.main returning to the wait for the process
-    returning) over fresh interpreters."""
+    returning, median count of the collections in cli.main) over fresh
+    interpreters."""
     runs = fresh_interpreters(VERB_PROBE, repeats, *argv)
-    return (statistics.median(float(ms) for (ms, _, _), _ in runs),
-            any(loaded == "True" for (_, loaded, _), _ in runs),
+    return (statistics.median(float(ms) for (ms, _, _, _), _ in runs),
+            any(loaded == "True" for (_, loaded, _, _), _ in runs),
             statistics.median(1e3 * (ended - float(returned))
-                              for (_, _, returned), ended in runs))
+                              for (_, _, returned, _), ended in runs),
+            statistics.median(int(ran) for (_, _, _, ran), _ in runs))
 
 
 def load_tree(src, name):
@@ -315,11 +323,11 @@ def main(argv=None) -> int:
           f"({written} bytes, {len(snapshots)} snapshots)")
     print(f"read_snapshots      {med['read_ms']:9.2f} ms per call "
           f"({snap_bytes} bytes)")
-    for name, (ms, loaded, _) in verbs.items():
+    for name, (ms, loaded, _, ran) in verbs.items():
         print(f"{name:<20}{ms:9.2f} ms in cli.main after those imports "
               f"(median of {args.repeats} interpreters); numpy loaded: "
-              f"{'yes' if loaded else 'no'}")
-    for name, (_, _, exit_ms) in verbs.items():
+              f"{'yes' if loaded else 'no'}; collections: {ran:g}")
+    for name, (_, _, exit_ms, _) in verbs.items():
         print(f"exit {name:<15}{exit_ms:9.2f} ms from cli.main returning to "
               f"the wait for its process returning (median of "
               f"{args.repeats} interpreters)")
