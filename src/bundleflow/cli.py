@@ -732,7 +732,7 @@ def _cmd_run(config, out) -> int:
         print(f"error: initial data rejected: {exc}", file=sys.stderr)
         return 2
     except FlowHalt as exc:
-        halt, trace, snapshots = exc, exc.trace, exc.snapshots
+        halt, trace, snapshots = str(exc), exc.trace, exc.snapshots
     report = analyze_run(trace, [s.t for s in snapshots],
                          cfg.flow.stop_floor)
     write_outputs(trace, snapshots, report, out_dir, raw_config=cfg.raw)
@@ -864,9 +864,9 @@ def main(argv=None) -> int:
     # all that the verb left alive.  A caller's own frozen objects are
     # never thawed.  At exit gc.freeze leaves finalization's collections
     # nothing to traverse.  This rests on the verbs making no cyclic
-    # garbage; a halted run's FlowHalt traceback holds the one cycle (about
-    # 60 objects).  Cyclic garbage goes unfinalized at exit, which is safe:
-    # every file the package opens is closed before its verb returns.
+    # garbage, a halted run included.  Cyclic garbage goes unfinalized at
+    # exit, which is safe: every file the package opens is closed before
+    # its verb returns.
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -117,8 +117,9 @@ class FlowHalt(RuntimeError):
     was computed before the halt.
     """
 
-    trace = None
-    snapshots = None
+    def __init__(self, message, trace=None, snapshots=None):
+        super().__init__(message)
+        self.trace, self.snapshots = trace, snapshots
 
 
 class InvalidInitialState(ValueError):
@@ -366,16 +367,21 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
     at the final state; trace rows are appended at those steps and every
     ``trace_every`` steps, so each snapshot's time is a row time.  The
     run refuses to start (InvalidInitialState) if state0 has fewer than 8
-    cells, is nonpositive, fails the smooth-closure validation or
-    overflows it.  Abnormal halts (a dt underflow, a non-finite RHS, a
-    floating-point overflow, a trace row whose kahler_res or heat_res
-    passes RESIDUAL_GROWTH_MAX times its first-row value) raise FlowHalt
-    with the partial trace and snapshots attached.
+    cells or another number of base factors than spec, is nonpositive,
+    fails the smooth-closure validation or overflows it.  Abnormal halts
+    (a dt underflow, a non-finite RHS, a floating-point overflow, a trace
+    row whose kahler_res or heat_res passes RESIDUAL_GROWTH_MAX times its
+    first-row value) raise FlowHalt with the partial trace and snapshots
+    attached.
     """
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         if state0.cells < 8:
             raise InvalidInitialState(
                 f"state has {state0.cells} cells; the flow needs at least 8")
+        if state0.r != spec.r:
+            raise InvalidInitialState(
+                f"state has {state0.r} f rows; the spec has {spec.r} base "
+                f"factors")
         try:
             state0.validate()
             failures = [c for c in validate_closing(state0) if not c.ok]
@@ -496,15 +502,16 @@ def run_flow(spec: BundleSpec, state0: ProfileState, cfg: FlowConfig):
                 step += 1
             flush()
         except (FlowHalt, FloatingPointError) as exc:
-            halt = exc if isinstance(exc, FlowHalt) else FlowHalt(
+            # Only the message is kept: a local holding the exception would
+            # close a reference cycle through its traceback and this frame.
+            message = str(exc) if isinstance(exc, FlowHalt) else (
                 f"floating-point {exc} at t = {t:.6g}")
             try:
                 flush()
             except FlowHalt as row_halt:
-                halt = row_halt
-            halt.trace = _assemble_trace(spec.r, blocks)
-            halt.snapshots = snapshots
-            raise halt
+                message = str(row_halt)
+            raise FlowHalt(message, _assemble_trace(spec.r, blocks),
+                           snapshots) from None
 
         return _assemble_trace(spec.r, blocks), snapshots
 

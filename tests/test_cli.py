@@ -1269,9 +1269,10 @@ def test_main_freezes_the_heap_only_at_exit(tmp_path, capsys):
     enabled = gc.isenabled()
     assert main(["run", str(cfg), "--out", str(here)]) == 0
     assert main(["analyze", str(here)]) == 0
+    assert main(["plot", str(here), "--field", "kappa"]) == 0
     assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, 0)
     printed = capsys.readouterr().out.replace(str(here), str(there))
-    # A fresh interpreter that calls main twice.  Its probe, registered
+    # A fresh interpreter that runs each verb once.  Its probe, registered
     # before the first call, runs after main's callback (atexit runs last
     # in, first out): it must find the heap frozen by exactly one
     # gc.freeze call at exit, after all that the verbs printed, and no
@@ -1295,7 +1296,8 @@ def test_main_freezes_the_heap_only_at_exit(tmp_path, capsys):
         gc.callbacks.append(lambda phase, info: phase == "start"
                             and collections.append(info))
         print("codes", cli.main(["run", sys.argv[1], "--out", sys.argv[2]]),
-              cli.main(["analyze", sys.argv[2]]))
+              cli.main(["analyze", sys.argv[2]]),
+              cli.main(["plot", sys.argv[2], "--field", "kappa"]))
         exiting = True
     """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -1306,7 +1308,7 @@ def test_main_freezes_the_heap_only_at_exit(tmp_path, capsys):
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == printed + "codes 0 0\nprobe True 1 0\n"
+    assert proc.stdout == printed + "codes 0 0 0\nprobe True 1 0\n"
 
 
 def test_the_collector_is_off_inside_every_verb(tmp_path, monkeypatch):
@@ -1377,15 +1379,19 @@ def test_main_restores_the_collector_state(tmp_path, capsys, caller,
 
 def test_verbs_leave_no_cyclic_garbage(tmp_path, capsys):
     # The collector is off while a verb runs (see main), which is safe as
-    # long as a verb makes no reference cycles.  A halted run is the one
-    # exception: its FlowHalt traceback holds a cycle, so it is not here.
+    # long as a verb makes no reference cycles, a halted run (exit 3)
+    # included: its FlowHalt's traceback holds the frames of run_flow and
+    # _cmd_run, which must not hold it.
     cfg = write_config(tmp_path / "c.json",
                        flow={"cells": 32, "t_end": 0.004})
+    halts = write_config(tmp_path / "halts.json",
+                         flow={"cells": 32, "t_end": 1e13})
     out, bad = tmp_path / "run", tmp_path / "bad"
     verbs = [(["run", str(cfg), "--out", str(out)], 0),
              (["analyze", str(out)], 0),
              (["plot", str(out), "--field", "kappa"], 0),
-             (["analyze", str(bad)], 2)]
+             (["analyze", str(bad)], 2),
+             (["run", str(halts), "--out", str(tmp_path / "halted")], 3)]
     flags = gc.get_debug()
     for argv, code in verbs:
         if argv == ["analyze", str(bad)]:
@@ -1401,4 +1407,6 @@ def test_verbs_leave_no_cyclic_garbage(tmp_path, capsys):
         finally:
             gc.set_debug(flags)
             gc.garbage.clear()
-    assert "malformed trace CSV" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "malformed trace CSV" in err
+    assert "error: flow halted: time step underflow" in err

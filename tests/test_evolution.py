@@ -593,6 +593,18 @@ class TestRunFlow:
                                  "least 8$"):
             run_flow(spec, state, FlowConfig(t_end=0.01))
 
+    def test_rejects_a_state_with_another_factor_count(self):
+        # Checked before any stepping, in both directions.
+        spec, state = canonical_preset(16)
+        doubled = geo.ProfileState(0.0, state.a, state.h,
+                                   np.vstack([state.f, state.f]))
+        for spec, state, rows, factors in ((TWO_FACTOR, state, 1, 2),
+                                           (spec, doubled, 2, 1)):
+            with pytest.raises(InvalidInitialState,
+                               match=f"^state has {rows} f rows; the spec "
+                                     f"has {factors} base factors$"):
+                run_flow(spec, state, FlowConfig(t_end=0.01))
+
     def test_rejects_data_that_does_not_close(self):
         cells = 64
         sigma = geo.cell_centers(cells)
@@ -1189,52 +1201,3 @@ def test_benchmark_hooks_see_every_stage(tmp_path):
                    if name == f"geometry.{probe}"]
         assert parents == ["evolution.run_flow"] * flushes, probe
 
-
-def test_layer_bench_runs_on_a_workload():
-    # tools/layer_bench.py drives run_flow, analyze_run, write_outputs and
-    # read_snapshots directly; this keeps it running when their API moves,
-    # and its in-process A/B running against a second copy of this tree.
-    root = Path(__file__).resolve().parents[1]
-    src = str(Path(evo.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, str(root / "tools" / "layer_bench.py"),
-         "--workload", "calabi_48", "--repeats", "2", "--against",
-         str(root)],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    for layer in ("startup", "run_flow", "write_outputs", "read_snapshots"):
-        assert any(re.match(rf"{layer} +\d+\.\d+ ms", line)
-                   for line in lines), (layer, proc.stdout)
-    for layer in ("_stage", "stacked_derivs", "_rhs_core", "rkl2_step"):
-        assert any(re.match(rf"{layer} +\d+\.\d+ us per call", line)
-                   for line in lines), (layer, proc.stdout)
-    assert any(re.match(r"step bookkeeping +\d+\.\d+ us per step", line)
-               for line in lines), proc.stdout
-    # Only run loads numpy, and no verb runs a collection in cli.main.
-    for verb, loaded in (("analyze", "no"), ("plot --field kappa", "no"),
-                         ("run", "yes")):
-        assert any(re.match(rf"{verb} +\d+\.\d+ ms .*numpy loaded: "
-                            rf"{loaded}; collections: 0$", line)
-                   for line in lines), (verb, proc.stdout)
-    # Teardown, from cli.main returning to the process's exit.
-    for verb in ("run", "analyze", "plot --field kappa"):
-        assert any(re.match(rf"exit {verb} +\d+\.\d+ ms from cli.main "
-                            rf"returning", line) for line in lines), (
-            verb, proc.stdout)
-    for side in ("this", "against"):
-        assert any(re.match(rf"run_flow {side} +\d+\.\d+ ms$", line)
-                   for line in lines), (side, proc.stdout)
-    # Both trees are this one, so they take the same steps and stages.
-    work = [re.match(r"work +steps (\d+) this, (\d+) against; RHS "
-                     r"evaluations (\d+) this, (\d+) against$", line)
-            for line in lines]
-    counts = [m.groups() for m in work if m]
-    assert len(counts) == 1, proc.stdout
-    steps, other_steps, evals, other_evals = map(int, counts[0])
-    assert steps == other_steps > 0 and evals == other_evals > steps
-    assert any(re.match(r"paired ratio +\d+\.\d+ this / against \(median\);"
-                        r" faster in [01] rounds this, [01] against$", line)
-               for line in lines), proc.stdout
